@@ -35,7 +35,7 @@ CHROMA_LO, CHROMA_HI = 16, 240
 
 @dataclass
 class Frame:
-    """One picture: full-size luma plus half-size chroma planes."""
+    """One picture: full-size luma plus half-size chroma planes, all uint8."""
 
     y: np.ndarray
     u: np.ndarray
@@ -43,6 +43,8 @@ class Frame:
     poc: int = 0
 
     def __post_init__(self):
+        if any(p.dtype != np.uint8 for p in (self.y, self.u, self.v)):
+            raise ValueError("planes must be uint8")
         h, w = self.y.shape
         if h % 2 or w % 2:
             raise ValueError("luma dimensions must be even")

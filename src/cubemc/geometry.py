@@ -23,8 +23,10 @@ are pure functions, safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
+from numbers import Real
 
 import numpy as np
 
@@ -65,7 +67,8 @@ _FACE_CELL = {
 }
 
 # Middle-row faces indexed by canvas column.
-_ROW1_FACES = np.array([Face.FRONT, Face.RIGHT, Face.REAR, Face.LEFT], dtype=np.int8)
+_ROW1 = (Face.FRONT, Face.RIGHT, Face.REAR, Face.LEFT)
+_ROW1_FACES = np.array(_ROW1, dtype=np.int8)
 
 # Per-face affine maps from unfold (x_u, y_u) to cube (x_c, y_c, z_c),
 # expressed as coeff_x * x_u + coeff_y * y_u + const, with the constant in
@@ -170,8 +173,21 @@ def face_of(x_u, y_u, layout: CubeLayout):
 
     Scalar inputs return a :class:`Face` or ``None``; array inputs return
     an int8 array with ``NO_FACE`` (-1) marking corner holes and
-    out-of-canvas points.  Face rectangles are half-open.
+    out-of-canvas points.  Face rectangles are half-open.  Real scalars
+    are resolved with plain float arithmetic and no numpy call, using the
+    same float64 division as the array path.
     """
+    if isinstance(x_u, Real) and isinstance(y_u, Real):
+        x, y = float(x_u), float(y_u)
+        w, h = layout.face_width, layout.face_height
+        if not (0 <= x < 4 * w and 0 <= y < 3 * h):  # also rejects NaN
+            return None
+        col, row = math.floor(x / w), math.floor(y / h)
+        if row == 1:
+            return _ROW1[col]
+        if col == 0:
+            return Face.TOP if row == 0 else Face.BOTTOM
+        return None
     scalar = _is_scalar(x_u, y_u)
     x = np.asarray(x_u, dtype=np.float64)
     y = np.asarray(y_u, dtype=np.float64)

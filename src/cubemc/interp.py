@@ -102,24 +102,45 @@ def _warp_arrays(
 ) -> np.ndarray:
     """Separable 8x8-tap filtering at 1/64-pel positions, int32 math.
 
-    Out-of-plane taps clamp to the nearest edge pixel.  The plane is
-    edge-padded once and all 64 neighborhood samples are gathered in a
-    single indexing step; base positions further out than one full tap
-    span are clipped first, which cannot change the clamped result.
+    ``rx_q6`` and ``ry_q6`` are (h, w) arrays.  Out-of-plane taps clamp
+    to the nearest edge pixel.  Only the edge-clamped window covering
+    the taps of the positions' bounding box is read (``fetch_block``)
+    and widened to int32, so the cost follows the block, not the plane.
+    Base positions further out than one full tap span are clipped first,
+    which cannot change the clamped result and bounds the window by the
+    plane.
+
+    A pure translation (``rx == rx[0, 0] + 64 * col`` and ``ry ==
+    ry[0, 0] + 64 * row``) shares one phase per axis and is filtered by
+    two scalar-coefficient 8-tap passes over the window.  Any other field
+    gathers its 64 neighborhood samples per pixel.  Both give the same
+    integers: each pass rounds with (+32) >> 6 in the same order.
     """
-    src = plane.astype(np.int32, copy=False)
-    height, width = src.shape
+    height, width = plane.shape
+    h, w = rx_q6.shape
+    x0, y0 = int(rx_q6[0, 0]), int(ry_q6[0, 0])
+    if (rx_q6 == x0 + PHASES * np.arange(w)).all() and (
+        ry_q6 == y0 + PHASES * np.arange(h)[:, None]
+    ).all():
+        win = fetch_block(plane, (x0 >> 6) - 3, (y0 >> 6) - 3, w + TAPS - 1, h + TAPS - 1)
+        win = win.astype(np.int32)
+        ch, cv = bank[x0 & 63], bank[y0 & 63]
+        rows = sum(ch[k] * win[:, k : k + w] for k in range(TAPS))
+        rows = (rows + 32) >> 6
+        out = (sum(cv[k] * rows[k : k + h] for k in range(TAPS)) + 32) >> 6
+        return np.clip(out, 0, 255).astype(np.uint8)
 
     xi = np.clip(rx_q6 >> 6, -TAPS + 3, width + TAPS - 4)
     yi = np.clip(ry_q6 >> 6, -TAPS + 3, height + TAPS - 4)
     ch = bank[rx_q6 & 63]  # (..., 8)
     cv = bank[ry_q6 & 63]
 
-    pad = TAPS + 1
-    padded = np.pad(src, ((pad, pad + 1), (pad, pad + 1)), mode="edge")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (TAPS, TAPS))
-    # window start = tap base (xi - 3) shifted by the padding
-    sel = windows[yi + pad - TAPS // 2 + 1, xi + pad - TAPS // 2 + 1]
+    # window column 0 is the first tap (xi - 3) of the leftmost position
+    bx, by = int(xi.min()) - 3, int(yi.min()) - 3
+    win = fetch_block(plane, bx, by, int(xi.max()) + 5 - bx, int(yi.max()) + 5 - by)
+    win = win.astype(np.int32)
+    windows = np.lib.stride_tricks.sliding_window_view(win, (TAPS, TAPS))
+    sel = windows[yi - 3 - by, xi - 3 - bx]
     rows = (np.einsum("...rc,...c->...r", sel, ch, dtype=np.int32) + 32) >> 6
     out = (np.einsum("...r,...r->...", cv, rows, dtype=np.int32) + 32) >> 6
     return np.clip(out, 0, 255).astype(np.uint8)
@@ -152,7 +173,16 @@ def warp_block(
 
 
 def fetch_block(plane: np.ndarray, x0: int, y0: int, width: int, height: int) -> np.ndarray:
-    """Integer-pel block read with edge clamp (no filtering)."""
+    """Integer-pel block read with edge clamp (no filtering).
+
+    A block inside the plane comes back as a read-only view of it, so a
+    caller can never write into the reference picture; a block reaching
+    past an edge is gathered into a new array with clamped indices.
+    """
+    if 0 <= x0 and x0 + width <= plane.shape[1] and 0 <= y0 and y0 + height <= plane.shape[0]:
+        view = plane[y0 : y0 + height, x0 : x0 + width]
+        view.flags.writeable = False
+        return view
     ys = np.clip(np.arange(y0, y0 + height), 0, plane.shape[0] - 1)
     xs = np.clip(np.arange(x0, x0 + width), 0, plane.shape[1] - 1)
     return plane[np.ix_(ys, xs)]

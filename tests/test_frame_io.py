@@ -39,6 +39,13 @@ class TestFrameType:
         with pytest.raises(ValueError, match="even"):
             Frame(np.zeros((5, 8), np.uint8), np.zeros((2, 4), np.uint8), np.zeros((2, 4), np.uint8))
 
+    @pytest.mark.parametrize("plane, dtype", [(0, np.float64), (1, np.int16), (2, np.float32)])
+    def test_non_uint8_plane_rejected(self, plane, dtype):
+        planes = [np.zeros((4, 8), np.uint8), np.zeros((2, 4), np.uint8), np.zeros((2, 4), np.uint8)]
+        planes[plane] = planes[plane].astype(dtype)
+        with pytest.raises(ValueError, match="uint8"):
+            Frame(*planes)
+
     def test_chroma_shape_rejected(self):
         with pytest.raises(ValueError, match="half"):
             Frame(np.zeros((4, 8), np.uint8), np.zeros((2, 2), np.uint8), np.zeros((2, 4), np.uint8))

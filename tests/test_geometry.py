@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubemc.geometry import (
+    NO_FACE,
     CubeLayout,
     Face,
     cube_to_sphere,
     cube_to_unfold,
+    _face_of_arrays,
     face_of,
     sphere_to_cube,
     sphere_to_unfold,
@@ -70,6 +74,32 @@ class TestFaceOf:
     def test_array_input(self):
         f = face_of(np.array([32.0, 200.0]), np.array([96.0, 10.0]), L64)
         assert f.tolist() == [Face.FRONT, -1]
+
+    @staticmethod
+    def assert_scalar_matches_arrays(xs, ys, layout):
+        want = _face_of_arrays(np.asarray(xs), np.asarray(ys), layout)
+        for x, y, f in zip(xs, ys, want.tolist()):
+            assert face_of(x, y, layout) == (None if f == NO_FACE else Face(f)), (x, y)
+
+    @pytest.mark.parametrize("w", [8, 64, 72, 192])
+    def test_scalar_agrees_with_array_core_on_seams(self, w):
+        # exact seams k*w and the largest double below each
+        seams = [float(k * w) for k in range(-1, 6)]
+        seams += [math.nextafter(v, -math.inf) for v in seams]
+        xs, ys = zip(*[(x, y) for x in seams for y in seams])
+        self.assert_scalar_matches_arrays(xs, ys, CubeLayout(w, w))
+
+    @pytest.mark.parametrize("w", [8, 64, 72, 192])
+    @given(data=st.data())
+    def test_scalar_agrees_with_array_core(self, w, data):
+        coords = st.lists(st.floats(-w, 5.0 * w), min_size=8, max_size=8)
+        xs, ys = data.draw(coords), data.draw(coords)
+        self.assert_scalar_matches_arrays(xs, ys, CubeLayout(w, w))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_scalar_non_finite_is_none(self, bad):
+        assert face_of(bad, 96.0, L64) is None
+        assert face_of(32.0, bad, L64) is None
 
     def test_rects_cover_exactly_six_cells(self):
         rng = np.random.default_rng(7)

@@ -2,7 +2,11 @@
 
 import numpy as np
 import numpy.testing as npt
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from cubemc.geometry import CubeLayout, Face
 from cubemc.interp import (
     chroma_field,
     fetch_block,
@@ -10,7 +14,13 @@ from cubemc.interp import (
     sample_fractional,
     warp_block,
 )
-from cubemc.motion_model import Block, CorrespondenceField, MotionVector, translational_field
+from cubemc.motion_model import (
+    Block,
+    CorrespondenceField,
+    MotionVector,
+    build_correspondence_field,
+    translational_field,
+)
 
 
 def oracle_sample(plane, bank, x_q6, y_q6):
@@ -28,6 +38,21 @@ def oracle_sample(plane, bank, x_q6, y_q6):
         inter.append((s + 32) >> 6)
     v = sum(int(bank[py][r]) * inter[r] for r in range(8))
     return min(max((v + 32) >> 6, 0), 255)
+
+
+def assert_warp_matches_oracle(plane, field):
+    bank = generate_dctif_bank()
+    got = warp_block(plane, field)
+    want = [
+        [oracle_sample(plane, bank, int(x), int(y)) for x, y in zip(xr, yr)]
+        for xr, yr in zip(field.rx_q6, field.ry_q6)
+    ]
+    assert got.dtype == np.uint8
+    npt.assert_array_equal(got, want)
+
+
+def random_plane(seed, height, width):
+    return np.random.default_rng(seed).integers(0, 256, size=(height, width), dtype=np.uint8)
 
 
 class TestBankStructure:
@@ -123,6 +148,79 @@ class TestWarpBlock:
         npt.assert_array_equal(warp_block(plane, field), plane[10:18, 15:23])
 
 
+def _ref_origin(placement, size, extent):
+    """Integer origin of a block of ``size`` px on an axis of ``extent``
+    px: the block and its 8-tap support inside, the block across an edge,
+    or the block and its support wholly beyond the plane."""
+    if placement == "inside":
+        return st.integers(3, extent - size - 4)
+    if placement == "straddle":
+        return st.integers(1 - size, 0) | st.integers(extent - size, extent - 1)
+    return st.integers(-60, -size - 4) | st.integers(extent + 3, extent + 60)
+
+
+class TestWarpAgainstOracle:
+    @pytest.mark.parametrize("placement", ["inside", "straddle", "off"])
+    @given(data=st.data())
+    def test_translational_field(self, placement, data):
+        height, width = 40, 48
+        plane = random_plane(data.draw(st.integers(0, 2**32 - 1)), height, width)
+        bw, bh = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 10))
+        mv = MotionVector(data.draw(st.integers(-24, 24)), data.draw(st.integers(-24, 24)))
+        # the placement applies to one axis; the other stays inside
+        edge_x = data.draw(st.booleans())
+        px = data.draw(_ref_origin(placement if edge_x else "inside", bw, width))
+        py = data.draw(_ref_origin("inside" if edge_x else placement, bh, height))
+        # pixel (0, 0) reads its integer sample at (px, py)
+        field = translational_field(Block(px - (mv.dx_q2 >> 2), py - (mv.dy_q2 >> 2), bw, bh), mv)
+        assert_warp_matches_oracle(plane, field)
+        assert_warp_matches_oracle(plane[::2, ::2].copy(), chroma_field(field))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        face=st.sampled_from(list(Face)),
+        bx=st.integers(0, 8),
+        by=st.integers(0, 8),
+        mv=st.tuples(st.integers(-24, 24), st.integers(-24, 24)),
+    )
+    def test_field_crossing_face_edges(self, seed, face, bx, by, mv):
+        layout = CubeLayout(16, 16)
+        x0, y0, _, _ = layout.face_rect(face)
+        try:
+            field = build_correspondence_field(
+                Block(x0 + bx, y0 + by, 8, 8), MotionVector(*mv), layout
+            )
+        except ValueError:  # center MV leaves the faces
+            assume(False)
+        # positions on another face far away in the unfold plane: the
+        # window spans most of the canvas
+        assume(max(np.ptp(field.rx_q6), np.ptp(field.ry_q6)) > 16 * 64)
+        plane = random_plane(seed, layout.canvas_height, layout.canvas_width)
+        assert_warp_matches_oracle(plane, field)
+        assert_warp_matches_oracle(plane[::2, ::2].copy(), chroma_field(field))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        axis=st.sampled_from(["x", "y"]),
+        x0=st.integers(-4, 28),
+        y0=st.integers(-4, 20),
+        mv=st.tuples(st.integers(-24, 24), st.integers(-24, 24)),
+        jitter=st.integers(1, 200),
+    )
+    def test_field_translational_in_one_axis(self, seed, axis, x0, y0, mv, jitter):
+        plane = random_plane(seed, 24, 32)
+        trans = translational_field(Block(x0, y0, 6, 5), MotionVector(*mv))
+        noise = np.random.default_rng(seed).integers(-jitter, jitter + 1, size=trans.shape)
+        # two entries differ, so the jittered axis is never a translation
+        noise[0, 0], noise[-1, -1] = 0, jitter
+        rx, ry = trans.rx_q6, trans.ry_q6
+        if axis == "x":
+            rx = rx + noise.astype(np.int32)
+        else:
+            ry = ry + noise.astype(np.int32)
+        assert_warp_matches_oracle(plane, CorrespondenceField(rx, ry, trans.valid))
+
+
 class TestFetchBlock:
     def test_interior_read(self):
         plane = np.arange(100, dtype=np.uint8).reshape(10, 10)
@@ -132,6 +230,33 @@ class TestFetchBlock:
         plane = np.arange(16, dtype=np.uint8).reshape(4, 4)
         got = fetch_block(plane, -2, 3, 3, 2)
         npt.assert_array_equal(got, [[12, 12, 12], [12, 12, 12]])
+
+    @pytest.mark.parametrize("placement", ["inside", "straddle", "off"])
+    @given(data=st.data())
+    def test_matches_clamped_reads(self, placement, data):
+        plane = random_plane(data.draw(st.integers(0, 2**32 - 1)), 20, 24)
+        width, height = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        edge_x = data.draw(st.booleans())
+        x0 = data.draw(_ref_origin(placement if edge_x else "inside", width, 24))
+        y0 = data.draw(_ref_origin("inside" if edge_x else placement, height, 20))
+        got = fetch_block(plane, x0, y0, width, height)
+        want = [
+            [plane[min(max(y, 0), 19), min(max(x, 0), 23)] for x in range(x0, x0 + width)]
+            for y in range(y0, y0 + height)
+        ]
+        npt.assert_array_equal(got, want)
+        inside = 0 <= x0 <= 24 - width and 0 <= y0 <= 20 - height
+        # an in-plane read is a view the caller cannot write through
+        assert got.flags.writeable is not inside
+        assert np.shares_memory(got, plane) is inside
+
+    def test_in_plane_read_protects_reference(self):
+        plane = np.arange(100, dtype=np.uint8).reshape(10, 10)
+        got = fetch_block(plane, 2, 3, 4, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 0
+        assert plane.flags.writeable
+        assert plane[3, 2] == 32
 
 
 class TestChromaField:
