@@ -29,7 +29,7 @@ def main():
     layout = CubeLayout(spec.face_width, spec.face_width)
     bank = generate_dctif_bank()
 
-    grid = BlockGrid(layout, block_size=16, poc=1)
+    grid = BlockGrid(layout, block_size=16)
     ref = ReferencePicture(ref_frame, poc=0)
     cfg = SearchConfig(search_range=16)
 

@@ -54,7 +54,6 @@ from cubemc.motion_search import (
     mode_decide,
     mv_bits,
     sad,
-    scale_mv,
     tzs_search,
 )
 from cubemc.evaluate import (
@@ -106,7 +105,6 @@ __all__ = [
     "mode_decide",
     "mv_bits",
     "sad",
-    "scale_mv",
     "tzs_search",
     "EvalConfig",
     "EvalConfigError",

@@ -225,7 +225,7 @@ def run_eval(cfg: EvalConfig) -> EvalReport:
     for t in range(cfg.ref_distance, len(frames)):
         cur = frames[t]
         refp = ReferencePicture(frames[t - cfg.ref_distance], frames[t - cfg.ref_distance].poc)
-        grid = BlockGrid(layout, cfg.block_size, poc=cur.poc)
+        grid = BlockGrid(layout, cfg.block_size)
         pol_t = _Predictor(cur)
         pol_a = _Predictor(cur)
         rows = []

@@ -177,16 +177,12 @@ def build_correspondence_field(
     s2x, s2y, s2z = _block_sphere_grid(block.x0, block.y0, block.width, block.height, layout)
     x3, y3, ok = _transport_from_sphere(s0, s1, s2x, s2y, s2z, layout)
 
-    ys, xs = np.mgrid[
-        block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width
-    ]
     rx = round_half_away(x3 * FIELD_UNIT)
     ry = round_half_away(y3 * FIELD_UNIT)
-    # translational fallback is exact in integer 1/64-pel arithmetic
-    fx = xs.astype(np.int64) * FIELD_UNIT + mv.dx_q2 * (FIELD_UNIT // MV_UNIT)
-    fy = ys.astype(np.int64) * FIELD_UNIT + mv.dy_q2 * (FIELD_UNIT // MV_UNIT)
-    rx = np.where(ok, rx, fx)
-    ry = np.where(ok, ry, fy)
+    if not ok.all():
+        fallback = translational_field(block, mv)
+        rx = np.where(ok, rx, fallback.rx_q6)
+        ry = np.where(ok, ry, fallback.ry_q6)
     return CorrespondenceField(
         rx.astype(np.int32), ry.astype(np.int32), np.asarray(ok, dtype=bool)
     )

@@ -45,11 +45,11 @@ __all__ = [
     "tzs_search",
     "merge_candidate",
     "amvp_predictor",
-    "scale_mv",
     "mode_decide",
 ]
 
-MV_CLIP = 1 << 15  # q2 component range is [-2^15, 2^15 - 1]
+RASTER_STEP = 8         # pixels, stage-3 grid
+REFINE_WINDOW_Q2 = 8    # quarter-pel units, stage-5 window
 
 
 class PredMode(Enum):
@@ -61,13 +61,11 @@ class PredMode(Enum):
 @dataclass(frozen=True)
 class SearchConfig:
     search_range: int = 64          # pixels, integer stages
-    raster_step: int = 8            # pixels, stage-3 grid
-    refine_window_q2: int = 8       # quarter-pel units, stage-5 window
     lambda_: float = 0.0            # weight of the MV-bits proxy
 
     def __post_init__(self):
-        if self.search_range <= 0 or self.raster_step <= 0 or self.refine_window_q2 <= 0:
-            raise ValueError("search parameters must be positive")
+        if self.search_range <= 0:
+            raise ValueError("search_range must be positive")
         if self.lambda_ < 0:
             raise ValueError("lambda must be non-negative")
 
@@ -76,14 +74,13 @@ class SearchConfig:
 class BlockRecord:
     mode: PredMode
     mv: MotionVector
-    ref_index: int
     cost: float
 
 
 @dataclass
 class ReferencePicture:
     frame: Frame
-    poc: int
+    poc: int        # picture order count; the single-reference search ignores it
 
 
 class BlockGrid:
@@ -93,12 +90,11 @@ class BlockGrid:
     partial blocks at face borders and the corner holes are skipped.
     """
 
-    def __init__(self, layout: CubeLayout, block_size: int, poc: int = 0):
+    def __init__(self, layout: CubeLayout, block_size: int):
         if block_size not in (16, 32, 64):
             raise ValueError("block_size must be 16, 32 or 64")
         self.layout = layout
         self.block_size = block_size
-        self.poc = poc
         self.records: dict[tuple[int, int], BlockRecord] = {}
         self.blocks: list[Block] = []
         bs = block_size
@@ -131,16 +127,6 @@ def mv_bits(mv: MotionVector, pred: MotionVector) -> int:
     return bits
 
 
-def scale_mv(mv: MotionVector, d_target: int, d_neighbor: int) -> MotionVector:
-    """Rescale an MV between POC distances, as used by AMVP."""
-    if d_neighbor == 0:
-        raise ValueError("neighbor POC distance is zero")
-    sx = int(round_half_away(mv.dx_q2 * d_target / d_neighbor))
-    sy = int(round_half_away(mv.dy_q2 * d_target / d_neighbor))
-    clip = lambda v: max(-MV_CLIP, min(MV_CLIP - 1, v))
-    return MotionVector(clip(sx), clip(sy))
-
-
 def _mv_valid_q2(mv: MotionVector, block: Block, cfg: SearchConfig, layout: CubeLayout) -> bool:
     limit = 4 * cfg.search_range
     if abs(mv.dx_q2) > limit or abs(mv.dy_q2) > limit:
@@ -149,48 +135,21 @@ def _mv_valid_q2(mv: MotionVector, block: Block, cfg: SearchConfig, layout: Cube
     return face_of(cx + mv.dx_q2 / 4.0, cy + mv.dy_q2 / 4.0, layout) is not None
 
 
-class _ModelCost:
-    """Stage-5 candidate evaluator for one block and one cost model."""
-
-    def __init__(self, block, cur_plane, ref_plane, cfg, layout, bank, advanced, pred):
-        self.block = block
-        self.cur = cur_plane[
-            block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width
-        ]
-        self.ref_plane = ref_plane
-        self.cfg = cfg
-        self.layout = layout
-        self.bank = bank
-        self.advanced = advanced
-        self.pred = pred
-        self.cache: dict[MotionVector, float] = {}
-
-    def __call__(self, mv: MotionVector) -> float:
-        got = self.cache.get(mv)
-        if got is not None:
-            return got
-        if not _mv_valid_q2(mv, self.block, self.cfg, self.layout):
-            cost = float("inf")
-        else:
-            if self.advanced:
-                field = build_correspondence_field(self.block, mv, self.layout)
-            else:
-                field = translational_field(self.block, mv)
-            pred_blk = warp_block(self.ref_plane, field, self.bank)
-            cost = float(sad(self.cur, pred_blk))
-            if self.cfg.lambda_:
-                cost += self.cfg.lambda_ * mv_bits(mv, self.pred)
-        self.cache[mv] = cost
-        return cost
-
-
-def _better(key_new, key_old) -> bool:
-    return key_new < key_old
+def _model_sad(block, mv, cur_blk, ref_plane, layout, bank, advanced) -> int:
+    """SAD of ``block`` predicted at quarter-pel ``mv`` under one model."""
+    if advanced:
+        field = build_correspondence_field(block, mv, layout)
+    else:
+        field = translational_field(block, mv)
+    return sad(cur_blk, warp_block(ref_plane, field, bank))
 
 
 def _mv_key(cost, dx, dy):
     # tie-break: cost, then shorter MV, then smaller dy, then smaller dx
     return (cost, dx * dx + dy * dy, dy, dx)
+
+
+_WORST_KEY = (float("inf"),) * 4  # ranks below every real candidate
 
 
 def tzs_search(
@@ -214,24 +173,53 @@ def tzs_search(
     """
     if bank is None:
         bank = generate_dctif_bank()
+    if pred_for_bits is None:
+        pred_for_bits = predictors[0] if predictors else MotionVector(0, 0)
     ref_plane = ref.frame.y
     cur_blk = cur[block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width]
     cx, cy = block.center
-
-    def int_valid(dx, dy):
-        if abs(dx) > cfg.search_range or abs(dy) > cfg.search_range:
-            return False
-        return face_of(cx + dx, cy + dy, layout) is not None
+    r = cfg.search_range
 
     int_cache: dict[tuple[int, int], int] = {}
+    best = None
+    best_key = _WORST_KEY
 
-    def int_cost(dx, dy):
-        got = int_cache.get((dx, dy))
-        if got is None:
+    def try_int(dx, dy) -> bool:
+        """Rank one integer offset by translational SAD; True if it won."""
+        nonlocal best, best_key
+        if abs(dx) > r or abs(dy) > r or face_of(cx + dx, cy + dy, layout) is None:
+            return False
+        cost = int_cache.get((dx, dy))
+        if cost is None:
             patch = fetch_block(ref_plane, block.x0 + dx, block.y0 + dy, block.width, block.height)
-            got = sad(cur_blk, patch)
-            int_cache[(dx, dy)] = got
-        return got
+            cost = int_cache[(dx, dy)] = sad(cur_blk, patch)
+        key = _mv_key(cost, dx, dy)
+        if key < best_key:
+            best, best_key = (dx, dy), key
+            return True
+        return False
+
+    q2_cache: dict[MotionVector, float] = {}
+    best_mv = None
+    best_q2_key = _WORST_KEY
+
+    def try_q2(mv) -> bool:
+        """Rank one quarter-pel MV by the model cost; True if it won."""
+        nonlocal best_mv, best_q2_key
+        cost = q2_cache.get(mv)
+        if cost is None:
+            if not _mv_valid_q2(mv, block, cfg, layout):
+                cost = float("inf")
+            else:
+                cost = float(_model_sad(block, mv, cur_blk, ref_plane, layout, bank, advanced))
+                if cfg.lambda_:
+                    cost += cfg.lambda_ * mv_bits(mv, pred_for_bits)
+            q2_cache[mv] = cost
+        key = _mv_key(cost, mv.dx_q2, mv.dy_q2)
+        if key < best_q2_key:
+            best_mv, best_q2_key = mv, key
+            return True
+        return False
 
     # stage 1: zero MV plus rounded predictors
     starts = [(0, 0)]
@@ -239,16 +227,10 @@ def tzs_search(
         cand = (int(round_half_away(p.dx_q2 / 4.0)), int(round_half_away(p.dy_q2 / 4.0)))
         if cand not in starts:
             starts.append(cand)
-    starts = [c for c in starts if int_valid(*c)]
-    if not starts:
-        raise ValueError("no valid motion")
-
-    best = None
-    best_key = None
     for dx, dy in starts:
-        key = _mv_key(int_cost(dx, dy), dx, dy)
-        if best_key is None or _better(key, best_key):
-            best, best_key = (dx, dy), key
+        try_int(dx, dy)
+    if best is None:
+        raise ValueError("no valid motion")
 
     def diamond(center, dist):
         cx0, cy0 = center
@@ -269,13 +251,9 @@ def tzs_search(
     anchor = best
     best_dist = 0
     d = 1
-    while d <= cfg.search_range:
+    while d <= r:
         for dx, dy in diamond(anchor, d):
-            if not int_valid(dx, dy):
-                continue
-            key = _mv_key(int_cost(dx, dy), dx, dy)
-            if _better(key, best_key):
-                best, best_key = (dx, dy), key
+            if try_int(dx, dy):
                 best_dist = d
         if d >= 2 and best_dist <= 1:
             break
@@ -283,14 +261,9 @@ def tzs_search(
 
     # stage 3: coarse raster only when the motion looks large
     if best_dist > 5:
-        r = cfg.search_range
-        for dy in range(-r, r + 1, cfg.raster_step):
-            for dx in range(-r, r + 1, cfg.raster_step):
-                if not int_valid(dx, dy):
-                    continue
-                key = _mv_key(int_cost(dx, dy), dx, dy)
-                if _better(key, best_key):
-                    best, best_key = (dx, dy), key
+        for dy in range(-r, r + 1, RASTER_STEP):
+            for dx in range(-r, r + 1, RASTER_STEP):
+                try_int(dx, dy)
 
     # stage 4: re-centering small-diamond refinement
     improved = True
@@ -298,40 +271,17 @@ def tzs_search(
         improved = False
         for d in (1, 2):
             for dx, dy in diamond(best, d):
-                if not int_valid(dx, dy):
-                    continue
-                key = _mv_key(int_cost(dx, dy), dx, dy)
-                if _better(key, best_key):
-                    best, best_key = (dx, dy), key
-                    improved = True
+                improved |= try_int(dx, dy)
             if improved:
                 break
 
-    # stage 5: quarter-pel refinement under the model cost
-    if pred_for_bits is None:
-        pred_for_bits = predictors[0] if predictors else MotionVector(0, 0)
-    evaluate = _ModelCost(block, cur, ref_plane, cfg, layout, bank, advanced, pred_for_bits)
-
+    # stage 5: quarter-pel refinement under the model cost, seeded with
+    # the integer winner and every predictor
     anchor_q2 = MotionVector(4 * best[0], 4 * best[1])
-    seeds = [anchor_q2]
-    for p in predictors:
-        if p not in seeds:
-            seeds.append(p)
-
-    best_mv = None
-    best_q2_key = None
-    for mv in seeds:
-        key = _mv_key(evaluate(mv), mv.dx_q2, mv.dy_q2)
-        if best_q2_key is None or _better(key, best_q2_key):
-            best_mv, best_q2_key = mv, key
-    if best_mv is None or best_q2_key[0] == float("inf"):
+    for mv in [anchor_q2, *predictors]:
+        try_q2(mv)
+    if best_q2_key[0] == float("inf"):
         raise ValueError("no valid motion")
-
-    def in_window(mv):
-        return (
-            abs(mv.dx_q2 - anchor_q2.dx_q2) <= cfg.refine_window_q2
-            and abs(mv.dy_q2 - anchor_q2.dy_q2) <= cfg.refine_window_q2
-        )
 
     step = 2
     while step >= 1:
@@ -339,12 +289,9 @@ def tzs_search(
         for ox, oy in ((step, 0), (-step, 0), (0, step), (0, -step),
                        (step, step), (step, -step), (-step, step), (-step, -step)):
             cand = MotionVector(best_mv.dx_q2 + ox, best_mv.dy_q2 + oy)
-            if not in_window(cand):
-                continue
-            key = _mv_key(evaluate(cand), cand.dx_q2, cand.dy_q2)
-            if _better(key, best_q2_key):
-                best_mv, best_q2_key = cand, key
-                moved = True
+            if (abs(cand.dx_q2 - anchor_q2.dx_q2) <= REFINE_WINDOW_Q2
+                    and abs(cand.dy_q2 - anchor_q2.dy_q2) <= REFINE_WINDOW_Q2):
+                moved |= try_q2(cand)
         if not moved:
             step //= 2
     return best_mv, best_q2_key[0]
@@ -398,30 +345,17 @@ def merge_candidate(grid: BlockGrid, block: Block, layout: CubeLayout) -> Motion
     return None
 
 
-def amvp_predictor(
-    grid: BlockGrid,
-    block: Block,
-    target_ref: ReferencePicture,
-    refs: list[ReferencePicture],
-    layout: CubeLayout,
-) -> MotionVector:
+def amvp_predictor(grid: BlockGrid, block: Block, layout: CubeLayout) -> MotionVector:
     """Predictor for the searched advanced mode; zero MV as fallback.
 
     The first decided neighbor supplies its MV, transported to this
-    block's center and rescaled when it points at a different reference.
+    block's center.
     """
     cur_center = block.center
     for _, step in _AMVP_OFFSETS:
         nb, rec = _neighbor(grid, block, step)
-        if rec is None:
-            continue
-        mv = transport_mv_predictor(nb.center, rec.mv, cur_center, layout)
-        nb_ref = refs[rec.ref_index]
-        if nb_ref.poc != target_ref.poc:
-            d_target = grid.poc - target_ref.poc
-            d_neighbor = grid.poc - nb_ref.poc
-            mv = scale_mv(mv, d_target, d_neighbor)
-        return mv
+        if rec is not None:
+            return transport_mv_predictor(nb.center, rec.mv, cur_center, layout)
     return MotionVector(0, 0)
 
 
@@ -433,7 +367,6 @@ def mode_decide(
     cfg: SearchConfig,
     layout: CubeLayout,
     bank: np.ndarray | None = None,
-    ref_index: int = 0,
     trans_result: tuple[MotionVector, float] | None = None,
 ) -> BlockRecord:
     """Pick the cheapest of translational / merge / AMVP for one block.
@@ -460,14 +393,13 @@ def mode_decide(
 
     merge_mv = merge_candidate(grid, block, layout)
     if merge_mv is not None and _mv_valid_q2(merge_mv, block, cfg, layout):
-        field = build_correspondence_field(block, merge_mv, layout)
-        pred_blk = warp_block(ref.frame.y, field, bank)
         cur_blk = cur[block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width]
-        cost_m = float(sad(cur_blk, pred_blk))  # merge codes no MV difference
+        # merge codes no MV difference, so its cost is the bare SAD
+        cost_m = float(_model_sad(block, merge_mv, cur_blk, ref.frame.y, layout, bank, advanced=True))
         if cost_m < cost:
             mode, mv, cost = PredMode.ADV_MERGE, merge_mv, cost_m
 
-    amvp = amvp_predictor(grid, block, ref, [ref], layout)
+    amvp = amvp_predictor(grid, block, layout)
     mv_a, cost_a = tzs_search(
         block, cur, ref, [amvp], cfg, layout, bank,
         advanced=True, pred_for_bits=amvp,
@@ -475,6 +407,6 @@ def mode_decide(
     if cost_a < cost:
         mode, mv, cost = PredMode.ADV_AMVP, mv_a, cost_a
 
-    rec = BlockRecord(mode, mv, ref_index, cost)
+    rec = BlockRecord(mode, mv, cost)
     grid.set_record(block, rec)
     return rec

@@ -1,5 +1,6 @@
 """Tests for the sequence evaluator and its CSV/summary emission."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -168,3 +169,38 @@ class TestFileInput:
         cfg = EvalConfig(input=str(clip), face_size=32, width=128, height=96)
         with pytest.raises(ValueError, match="multiple"):
             run_eval(cfg)
+
+
+# SHA-256 of the CSV and of its .summary for three synthetic clips.  Between
+# them they cover all three modes, the stage-3 raster, lambda > 0 and two
+# predicted frames, so any change to a search decision or a cost shows here.
+GOLDEN = [
+    (
+        dict(face_size=32, block_size=16, synth_velocity=(0.0, 3.5, 0.0), lambda_=4.0,
+             synth_frames=2),
+        "61d46abc52a9b0243d28e96f9256aacd74a2c07222cf4b5c4c8c00f94417530c",
+        "5404089aec58b267baa09d3e111f52624be3b03442c955bf57f1d4be5881527b",
+    ),
+    (
+        dict(face_size=64, block_size=32, synth_velocity=(0.0, 7.5, 0.0), lambda_=4.0,
+             synth_frames=2),
+        "84de84c66c69cdfea4920fdd836d7023e037f5b10f3f8fd901d32396f5d261b5",
+        "0daef753ba0f3876b1a8bbdbf729b25a9b34ba02e69ccae007a0ea8742da1c81",
+    ),
+    (
+        dict(face_size=32, block_size=16, synth_velocity=(2.0, 0.0, 0.0), lambda_=0.0,
+             synth_frames=3),
+        "4765634d56f69ba32543b0cec310e91195ab94f4e91d5c1fdbe1ec0eecca27ee",
+        "a15acf165f121d89d13acae7b311b19d7ec226bbfb893cda27ebaa4a86778a3c",
+    ),
+]
+
+
+@pytest.mark.parametrize("kw,csv_sha,summary_sha", GOLDEN)
+def test_golden_reports(tmp_path, kw, csv_sha, summary_sha):
+    cfg = EvalConfig(input="synthetic", seed=0, search_range=64, ref_distance=1, **kw)
+    path = tmp_path / "r.csv"
+    emit_csv(run_eval(cfg), path)
+    digest = lambda p: hashlib.sha256(p.read_bytes()).hexdigest()
+    assert digest(path) == csv_sha
+    assert digest(tmp_path / "r.csv.summary") == summary_sha

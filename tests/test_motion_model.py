@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 from cubemc.geometry import CubeLayout, sphere_to_unfold, unfold_to_sphere
+import cubemc.motion_model as motion_model
 from cubemc.motion_model import (
     Block,
     CorrespondenceField,
@@ -194,6 +195,29 @@ class TestCorrespondenceField:
         mv = MotionVector(274, -262)
         with pytest.raises(ValueError, match="invalid center MV"):
             build_correspondence_field(blk, mv, L64)
+
+    def test_degenerate_pixels_take_translational_fallback(self, monkeypatch):
+        # no real block degenerates, so raise the threshold into the middle
+        # of this block's |s1 - s0 + s2| range to make half of it fall back
+        blk, mv = Block(8, 72, 16, 16), MotionVector(24, -12)
+        want = build_correspondence_field(blk, mv, L64)
+        assert want.valid.all()
+        u0 = blk.center
+        s0 = unfold_to_sphere(u0[0], u0[1], L64)
+        s1 = unfold_to_sphere(u0[0] + mv.dx_q2 / 4, u0[1] + mv.dy_q2 / 4, L64)
+        s2 = motion_model._block_sphere_grid(*blk, L64)
+        norm = np.sqrt(sum((b - a + c) ** 2 for a, b, c in zip(s0, s1, s2)))
+        monkeypatch.setattr(motion_model, "DEGENERATE_NORM", np.median(norm) / L64.face_width)
+
+        got = build_correspondence_field(blk, mv, L64)
+        assert got.valid.any() and not got.valid.all()
+        trans = translational_field(blk, mv)
+        bad = ~got.valid
+        npt.assert_array_equal(got.rx_q6[bad], trans.rx_q6[bad])
+        npt.assert_array_equal(got.ry_q6[bad], trans.ry_q6[bad])
+        npt.assert_array_equal(got.rx_q6[got.valid], want.rx_q6[got.valid])
+        npt.assert_array_equal(got.ry_q6[got.valid], want.ry_q6[got.valid])
+        assert (got.rx_q6[bad] != want.rx_q6[bad]).any()
 
     def test_straddling_block_rejected(self):
         with pytest.raises(ValueError, match="single face"):

@@ -22,8 +22,9 @@ from cubemc.motion_search import (
     merge_candidate,
     mode_decide,
     mv_bits,
+    RASTER_STEP,
+    REFINE_WINDOW_Q2,
     sad,
-    scale_mv,
     tzs_search,
 )
 
@@ -72,31 +73,11 @@ class TestMvBits:
         assert mv_bits(MotionVector(8, 0), ZERO) == (1 + 8) + 1
 
 
-class TestScaleMv:
-    def test_equal_distances_identity(self):
-        assert scale_mv(MotionVector(7, -9), 3, 3) == MotionVector(7, -9)
-
-    def test_exact_doubling(self):
-        assert scale_mv(MotionVector(8, -4), 4, 2) == MotionVector(16, -8)
-
-    def test_rounds_half_away_from_zero(self):
-        assert scale_mv(MotionVector(3, 0), 1, 2) == MotionVector(2, 0)
-        assert scale_mv(MotionVector(-3, 0), 1, 2) == MotionVector(-2, 0)
-
-    def test_clips_to_q2_range(self):
-        assert scale_mv(MotionVector(30000, -30000), 2, 1) == MotionVector(32767, -32768)
-
-    def test_zero_neighbor_distance_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            scale_mv(MotionVector(1, 1), 1, 0)
-
-
 class TestSearchConfig:
     def test_defaults(self):
         cfg = SearchConfig()
-        assert (cfg.search_range, cfg.raster_step, cfg.refine_window_q2, cfg.lambda_) == (
-            64, 8, 8, 0.0,
-        )
+        assert (cfg.search_range, cfg.lambda_) == (64, 0.0)
+        assert (RASTER_STEP, REFINE_WINDOW_Q2) == (8, 8)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -195,13 +176,24 @@ class TestTzsSearch:
         }
         assert len(runs) == 1
 
+    def test_repeated_predictor_changes_nothing(self):
+        cur, refp, _ = synthetic_pair(velocity=(1.0, 1.0, 0.0), seed=4)
+        bank = generate_dctif_bank()
+        cfg = SearchConfig(lambda_=4.0)
+        for blk, p in ((Block(8, 72, 16, 16), MotionVector(6, -3)),
+                       (Block(168, 104, 16, 16), MotionVector(-5, 2))):
+            for advanced in (False, True):
+                once = tzs_search(blk, cur.y, refp, [p], cfg, L64, bank, advanced=advanced)
+                twice = tzs_search(blk, cur.y, refp, [p, p], cfg, L64, bank, advanced=advanced)
+                assert twice == once
+
 
 class TestMergeCandidate:
     def setup_method(self):
         self.grid = BlockGrid(L64, 16)
 
     def put(self, x0, y0, mode, mv):
-        self.grid.records[(x0, y0)] = BlockRecord(mode, mv, 0, 0.0)
+        self.grid.records[(x0, y0)] = BlockRecord(mode, mv, 0.0)
 
     def test_empty_grid_gives_none(self):
         assert merge_candidate(self.grid, Block(32, 96, 16, 16), L64) is None
@@ -254,16 +246,13 @@ class TestMergeCandidate:
 
 class TestAmvpPredictor:
     def setup_method(self):
-        self.grid = BlockGrid(L64, 16, poc=4)
-        dummy = None
-        self.target = ReferencePicture(dummy, 3)
-        self.refs = [self.target]
+        self.grid = BlockGrid(L64, 16)
 
-    def put(self, x0, y0, mv, ref_index=0):
-        self.grid.records[(x0, y0)] = BlockRecord(PredMode.TRANS, mv, ref_index, 0.0)
+    def put(self, x0, y0, mv):
+        self.grid.records[(x0, y0)] = BlockRecord(PredMode.TRANS, mv, 0.0)
 
     def test_no_neighbors_gives_zero(self):
-        got = amvp_predictor(self.grid, Block(32, 96, 16, 16), self.target, self.refs, L64)
+        got = amvp_predictor(self.grid, Block(32, 96, 16, 16), L64)
         assert got == ZERO
 
     def test_left_neighbor_same_ref_transported_unscaled(self):
@@ -271,7 +260,7 @@ class TestAmvpPredictor:
         nb = Block(16, 96, 16, 16)
         self.put(16, 96, MotionVector(16, 0))
         want = transport_mv_predictor(nb.center, MotionVector(16, 0), blk.center, L64)
-        assert amvp_predictor(self.grid, blk, self.target, self.refs, L64) == want
+        assert amvp_predictor(self.grid, blk, L64) == want
 
     def test_below_left_scanned_first(self):
         blk = Block(32, 96, 16, 16)
@@ -279,31 +268,19 @@ class TestAmvpPredictor:
         self.put(16, 96, MotionVector(8, 0))    # A1, left
         nb = Block(16, 112, 16, 16)
         want = transport_mv_predictor(nb.center, MotionVector(0, 8), blk.center, L64)
-        assert amvp_predictor(self.grid, blk, self.target, self.refs, L64) == want
+        assert amvp_predictor(self.grid, blk, L64) == want
 
     def test_zero_mv_neighbor_still_used(self):
         self.put(16, 96, ZERO)
-        got = amvp_predictor(self.grid, Block(32, 96, 16, 16), self.target, self.refs, L64)
+        got = amvp_predictor(self.grid, Block(32, 96, 16, 16), L64)
         assert got == ZERO
-
-    def test_different_reference_rescales(self):
-        # neighbor points 2 frames back, target is 4 frames back: doubled
-        far = ReferencePicture(None, 0)
-        near = ReferencePicture(None, 2)
-        refs = [near]
-        blk = Block(32, 96, 16, 16)
-        nb = Block(16, 96, 16, 16)
-        self.put(16, 96, MotionVector(6, -2), ref_index=0)
-        transported = transport_mv_predictor(nb.center, MotionVector(6, -2), blk.center, L64)
-        want = scale_mv(transported, 4, 2)
-        assert amvp_predictor(self.grid, blk, far, refs, L64) == want
 
 
 class TestModeDecide:
     def test_static_scene_picks_trans_zero(self):
         cur, _, _ = synthetic_pair(velocity=(1.0, 0.0, 0.0))
         refp = ReferencePicture(cur, 0)
-        grid = BlockGrid(L64, 16, poc=1)
+        grid = BlockGrid(L64, 16)
         cfg = SearchConfig()
         for blk in grid.blocks[:12]:
             rec = mode_decide(blk, cur.y, refp, grid, cfg, L64)
@@ -314,7 +291,7 @@ class TestModeDecide:
 
     def test_advanced_cost_never_above_translational(self):
         cur, refp, _ = synthetic_pair(velocity=(2.0, 0.0, 0.0))
-        grid = BlockGrid(L64, 16, poc=1)
+        grid = BlockGrid(L64, 16)
         cfg = SearchConfig()
         bank = generate_dctif_bank()
         for blk in grid.blocks:
@@ -327,6 +304,24 @@ class TestModeDecide:
             )
             assert rec.cost <= cost_t
 
+    def test_precomputed_translational_result_changes_nothing(self):
+        # the evaluator hands mode_decide the translational search it already
+        # ran; over a whole frame in raster order that must decide the same
+        cur, refp, _ = synthetic_pair(velocity=(2.0, 0.0, 0.0))
+        cfg = SearchConfig(lambda_=4.0)
+        bank = generate_dctif_bank()
+        own, shared = BlockGrid(L64, 16), BlockGrid(L64, 16)
+        for blk in own.blocks:
+            trans = tzs_search(
+                blk, cur.y, refp, [ZERO], cfg, L64, bank,
+                advanced=False, pred_for_bits=ZERO,
+            )
+            a = mode_decide(blk, cur.y, refp, own, cfg, L64, bank)
+            b = mode_decide(blk, cur.y, refp, shared, cfg, L64, bank, trans_result=trans)
+            assert a == b
+        assert own.records == shared.records
+        assert {rec.mode for rec in own.records.values()} == set(PredMode)
+
     def test_merge_cost_carries_no_mv_bits(self):
         cur, refp, _ = synthetic_pair(velocity=(2.0, 0.0, 0.0))
         bank = generate_dctif_bank()
@@ -338,8 +333,8 @@ class TestModeDecide:
         best_mv, _ = tzs_search(blk, cur.y, refp, [ZERO], SearchConfig(), L64, bank)
         nb_mv = transport_mv_predictor(blk.center, best_mv, nb.center, L64)
         assert nb_mv != ZERO
-        grid = BlockGrid(L64, 16, poc=1)
-        grid.records[(16, 96)] = BlockRecord(PredMode.ADV_AMVP, nb_mv, 0, 0.0)
+        grid = BlockGrid(L64, 16)
+        grid.records[(16, 96)] = BlockRecord(PredMode.ADV_AMVP, nb_mv, 0.0)
         cand = merge_candidate(grid, blk, L64)
         assert cand is not None
         # a large lambda makes every coded MV expensive; merge sends none,
