@@ -76,6 +76,10 @@ class EvalConfig:
             raise EvalConfigError("block_size must be 16, 32 or 64")
         if self.face_size < 8:
             raise EvalConfigError("face_size must be at least 8")
+        if self.face_size % 2:
+            raise EvalConfigError("face_size must be even (4:2:0 chroma)")
+        if self.face_size < self.block_size:
+            raise EvalConfigError("face_size must be at least block_size")
         if self.ref_distance < 1:
             raise EvalConfigError("ref_distance must be at least 1")
         if self.search_range < 1:

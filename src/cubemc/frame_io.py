@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cubemc.geometry import CubeLayout, _face_of_arrays, sphere_to_unfold, unfold_to_sphere
+from cubemc.geometry import CubeLayout, face_of, sphere_to_unfold, unfold_to_sphere
 
 __all__ = [
     "Frame",
@@ -137,7 +137,7 @@ def _face_grid(layout: CubeLayout, step: int):
     ys, xs = np.mgrid[0 : layout.canvas_height : step, 0 : layout.canvas_width : step]
     x = xs.astype(np.float64)
     y = ys.astype(np.float64)
-    mask = _face_of_arrays(x, y, layout) >= 0
+    mask = face_of(x, y, layout) >= 0
     return x, y, mask
 
 
@@ -197,6 +197,4 @@ def ground_truth_match(p, t_delta: float, spec: SyntheticSpec):
         sz + t_delta * spec.velocity[2],
         layout,
     )
-    if np.ndim(x) == 0:
-        return float(x), float(y)
     return x, y

@@ -17,12 +17,18 @@ Conventions
 * The sphere is the cube's inscribed-direction sphere of radius
   ``face_width / 2``; cube <-> sphere projection is radial.
 
-All transforms accept scalars or numpy arrays (broadcast elementwise) and
-are pure functions, safe to call concurrently.
+Each transform is an array core on float64 arrays behind one scalar
+adapter, which converts the coordinates once and broadcasts them
+elementwise.  When every coordinate is a scalar or 0-d array, results are
+Python values: ``float``, ``Face``, and ``None`` for ``NO_FACE``.
+Otherwise faces are int8 arrays with ``NO_FACE`` (-1) marking corner holes
+and off-canvas points.  All transforms are pure, safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -147,15 +153,37 @@ class CubeLayout:
         return ((x0 + x1) / 2.0, (y0 + y1) / 2.0)
 
 
-def _is_scalar(*values) -> bool:
-    return all(np.ndim(v) == 0 for v in values)
+def _elementwise(core):
+    """Lift an array core to the scalar-or-array API of the module docstring."""
+
+    @functools.wraps(core)
+    def transform(*args, **kwargs):
+        if kwargs:
+            args = inspect.signature(core).bind(*args, **kwargs).args
+        *coords, layout = args
+        arrays = [np.asarray(v, dtype=np.float64) for v in coords]
+        out = core(*arrays, layout)
+        if any(a.ndim for a in arrays):
+            return out
+        if isinstance(out, tuple):
+            return tuple(_python(v) for v in out)
+        return _python(out)
+
+    transform.__name__ = transform.__qualname__ = core.__name__.lstrip("_")
+    return transform
 
 
-def _face_of_arrays(x, y, layout: CubeLayout):
+def _python(v):
+    if v.dtype == np.int8:
+        return None if v == NO_FACE else Face(int(v))
+    return float(v)
+
+
+def _face_of(x_u, y_u, layout: CubeLayout):
     w, h = layout.face_width, layout.face_height
-    inside = (x >= 0) & (x < 4 * w) & (y >= 0) & (y < 3 * h)
-    col = np.clip(np.floor(x / w), 0, 3).astype(np.intp)
-    row = np.clip(np.floor(y / h), 0, 2).astype(np.intp)
+    inside = (x_u >= 0) & (x_u < 4 * w) & (y_u >= 0) & (y_u < 3 * h)
+    col = np.clip(np.floor(x_u / w), 0, 3).astype(np.intp)
+    row = np.clip(np.floor(y_u / h), 0, 2).astype(np.intp)
 
     top = inside & (row == 0) & (col == 0)
     mid = inside & (row == 1)
@@ -168,14 +196,15 @@ def _face_of_arrays(x, y, layout: CubeLayout):
     return face.astype(np.int8)
 
 
-def face_of(x_u, y_u, layout: CubeLayout):
-    """Face containing the unfold point, or none.
+_face_of_any = _elementwise(_face_of)
 
-    Scalar inputs return a :class:`Face` or ``None``; array inputs return
-    an int8 array with ``NO_FACE`` (-1) marking corner holes and
-    out-of-canvas points.  Face rectangles are half-open.  Real scalars
-    are resolved with plain float arithmetic and no numpy call, using the
-    same float64 division as the array path.
+
+def face_of(x_u, y_u, layout: CubeLayout):
+    """Face containing the unfold point, or none (``NO_FACE`` in arrays).
+
+    Face rectangles are half-open.  Real scalars are resolved with plain
+    float arithmetic and no numpy call, using the same float64 division
+    as the array path.
     """
     if isinstance(x_u, Real) and isinstance(y_u, Real):
         x, y = float(x_u), float(y_u)
@@ -188,135 +217,96 @@ def face_of(x_u, y_u, layout: CubeLayout):
         if col == 0:
             return Face.TOP if row == 0 else Face.BOTTOM
         return None
-    scalar = _is_scalar(x_u, y_u)
-    x = np.asarray(x_u, dtype=np.float64)
-    y = np.asarray(y_u, dtype=np.float64)
-    face = _face_of_arrays(x, y, layout)
-    if scalar:
-        f = int(face)
-        return None if f == NO_FACE else Face(f)
-    return face
+    return _face_of_any(x_u, y_u, layout)
 
 
-def unfold_to_cube(x_u, y_u, layout: CubeLayout):
+def _unfold_to_cube(x_u, y_u, layout: CubeLayout):
     """Map on-face unfold points to the cube surface.
 
     Returns ``(x_c, y_c, z_c)``.  Raises ``ValueError`` for points in
     corner holes or outside the canvas.
     """
-    scalar = _is_scalar(x_u, y_u)
-    x = np.asarray(x_u, dtype=np.float64)
-    y = np.asarray(y_u, dtype=np.float64)
-    face = _face_of_arrays(x, y, layout)
+    face = _face_of(x_u, y_u, layout)
     if np.any(face == NO_FACE):
         raise ValueError("not on a face")
-    out = _unfold_to_cube_on(face, x, y, layout)
-    if scalar:
-        return tuple(float(v) for v in out)
-    return out
-
-
-def _unfold_to_cube_on(face, x, y, layout: CubeLayout):
-    """Apply the per-face affine maps; ``face`` must already be valid."""
     w = float(layout.face_width)
     t = _TO_CUBE
-    x_c = t["xx"][face] * x + t["xy"][face] * y + t["xc"][face] * w
-    y_c = t["yx"][face] * x + t["yy"][face] * y + t["yc"][face] * w
-    z_c = t["zx"][face] * x + t["zy"][face] * y + t["zc"][face] * w
+    x_c = t["xx"][face] * x_u + t["xy"][face] * y_u + t["xc"][face] * w
+    y_c = t["yx"][face] * x_u + t["yy"][face] * y_u + t["yc"][face] * w
+    z_c = t["zx"][face] * x_u + t["zy"][face] * y_u + t["zc"][face] * w
     return x_c, y_c, z_c
 
 
-def _dominant_face(x_c, y_c, z_c):
-    """Face whose axis dominates, ties broken in Face priority order."""
-    m = np.maximum(np.maximum(np.abs(x_c), np.abs(y_c)), np.abs(z_c))
-    return np.select(
+def _max_abs(x, y, z):
+    return np.maximum(np.maximum(np.abs(x), np.abs(y)), np.abs(z))
+
+
+def _to_unfold(x_c, y_c, z_c, layout: CubeLayout):
+    """Dominant face of on-surface cube points (ties broken in Face
+    priority order) and their unfold coordinates."""
+    m = _max_abs(x_c, y_c, z_c)
+    face = np.select(
         [z_c == m, y_c == m, -z_c == m, x_c == m, -y_c == m],
         [Face.TOP, Face.FRONT, Face.BOTTOM, Face.RIGHT, Face.REAR],
         default=Face.LEFT,
-    ).astype(np.int8), m
-
-
-def _cube_to_unfold_on(face, x_c, y_c, z_c, layout: CubeLayout):
+    ).astype(np.int8)
     w = float(layout.face_width)
     t = _TO_UNFOLD
     x_u = t["ux"][face] * x_c + t["uy"][face] * y_c + t["uz"][face] * z_c + t["uc"][face] * w
     y_u = t["vx"][face] * x_c + t["vy"][face] * y_c + t["vz"][face] * z_c + t["vc"][face] * w
-    return x_u, y_u
+    return face, x_u, y_u
 
 
-def cube_to_unfold(x_c, y_c, z_c, layout: CubeLayout):
+def _cube_to_unfold(x_c, y_c, z_c, layout: CubeLayout):
     """Inverse of :func:`unfold_to_cube` for on-surface cube points.
 
     Returns ``(face, x_u, y_u)``.  Raises ``ValueError`` if the dominant
     coordinate is not ``+-face_width/2`` within ``1e-9 * face_width``.
     """
-    scalar = _is_scalar(x_c, y_c, z_c)
-    xc = np.asarray(x_c, dtype=np.float64)
-    yc = np.asarray(y_c, dtype=np.float64)
-    zc = np.asarray(z_c, dtype=np.float64)
-    face, m = _dominant_face(xc, yc, zc)
-    if np.any(np.abs(m - layout.radius) > 1e-9 * layout.face_width):
+    if np.any(np.abs(_max_abs(x_c, y_c, z_c) - layout.radius) > 1e-9 * layout.face_width):
         raise ValueError("not on surface")
-    x_u, y_u = _cube_to_unfold_on(face, xc, yc, zc, layout)
-    if scalar:
-        return Face(int(face)), float(x_u), float(y_u)
-    return face, x_u, y_u
+    return _to_unfold(x_c, y_c, z_c, layout)
 
 
-def cube_to_sphere(x_c, y_c, z_c, layout: CubeLayout):
-    """Radial projection of a cube point onto the sphere of radius w/2."""
-    scalar = _is_scalar(x_c, y_c, z_c)
-    xc = np.asarray(x_c, dtype=np.float64)
-    yc = np.asarray(y_c, dtype=np.float64)
-    zc = np.asarray(z_c, dtype=np.float64)
-    norm = np.sqrt(xc * xc + yc * yc + zc * zc)
-    if np.any(norm == 0.0):
+def _rescale(x, y, z, length, layout: CubeLayout):
+    """Scale each point by ``radius / length``; a zero length is degenerate."""
+    if np.any(length == 0.0):
         raise ValueError("degenerate direction")
-    scale = layout.radius / norm
-    out = (xc * scale, yc * scale, zc * scale)
-    if scalar:
-        return tuple(float(v) for v in out)
-    return out
+    scale = layout.radius / length
+    return x * scale, y * scale, z * scale
 
 
-def sphere_to_cube(x_s, y_s, z_s, layout: CubeLayout):
+def _cube_to_sphere(x_c, y_c, z_c, layout: CubeLayout):
+    """Radial projection of a cube point onto the sphere of radius w/2."""
+    return _rescale(x_c, y_c, z_c, np.sqrt(x_c * x_c + y_c * y_c + z_c * z_c), layout)
+
+
+def _sphere_to_cube(x_s, y_s, z_s, layout: CubeLayout):
     """Radial projection of any nonzero point onto the cube surface.
 
     The input need not lie on the sphere; only its direction matters.
     """
-    scalar = _is_scalar(x_s, y_s, z_s)
-    xs = np.asarray(x_s, dtype=np.float64)
-    ys = np.asarray(y_s, dtype=np.float64)
-    zs = np.asarray(z_s, dtype=np.float64)
-    m = np.maximum(np.maximum(np.abs(xs), np.abs(ys)), np.abs(zs))
-    if np.any(m == 0.0):
-        raise ValueError("degenerate direction")
-    scale = layout.radius / m
-    out = (xs * scale, ys * scale, zs * scale)
-    if scalar:
-        return tuple(float(v) for v in out)
-    return out
+    return _rescale(x_s, y_s, z_s, _max_abs(x_s, y_s, z_s), layout)
 
 
-def unfold_to_sphere(x_u, y_u, layout: CubeLayout):
+def _unfold_to_sphere(x_u, y_u, layout: CubeLayout):
     """Unfold -> cube -> sphere composition."""
-    return cube_to_sphere(*unfold_to_cube(x_u, y_u, layout), layout)
+    return _cube_to_sphere(*_unfold_to_cube(x_u, y_u, layout), layout)
 
 
-def sphere_to_unfold(x_s, y_s, z_s, layout: CubeLayout):
+def _sphere_to_unfold(x_s, y_s, z_s, layout: CubeLayout):
     """Sphere (or any nonzero direction) -> cube -> unfold composition.
 
     Total on nonzero inputs: every ray from the origin hits exactly one
     face, with edge/corner ties broken in Face priority order.
     Returns ``(face, x_u, y_u)``.
     """
-    scalar = _is_scalar(x_s, y_s, z_s)
-    xc, yc, zc = sphere_to_cube(x_s, y_s, z_s, layout)
-    xc = np.asarray(xc, dtype=np.float64)
-    yc = np.asarray(yc, dtype=np.float64)
-    zc = np.asarray(zc, dtype=np.float64)
-    face, _ = _dominant_face(xc, yc, zc)
-    x_u, y_u = _cube_to_unfold_on(face, xc, yc, zc, layout)
-    if scalar:
-        return Face(int(face)), float(x_u), float(y_u)
-    return face, x_u, y_u
+    return _to_unfold(*_sphere_to_cube(x_s, y_s, z_s, layout), layout)
+
+
+unfold_to_cube = _elementwise(_unfold_to_cube)
+cube_to_unfold = _elementwise(_cube_to_unfold)
+cube_to_sphere = _elementwise(_cube_to_sphere)
+sphere_to_cube = _elementwise(_sphere_to_cube)
+unfold_to_sphere = _elementwise(_unfold_to_sphere)
+sphere_to_unfold = _elementwise(_sphere_to_unfold)

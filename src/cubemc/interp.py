@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from cubemc.motion_model import CorrespondenceField
+from cubemc.motion_model import CorrespondenceField, round_half_away
 
 __all__ = [
     "TAPS",
@@ -84,7 +84,7 @@ def generate_dctif_bank() -> np.ndarray:
     sym = (raw + ext[::-1][:PHASES][:, ::-1]) / 2.0
 
     scaled = sym * _GAIN
-    bank = (np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)).astype(np.int32)
+    bank = round_half_away(scaled).astype(np.int32)
     for p in range(PHASES):
         diff = _GAIN - int(bank[p].sum())
         if diff:
@@ -188,19 +188,15 @@ def fetch_block(plane: np.ndarray, x0: int, y0: int, width: int, height: int) ->
     return plane[np.ix_(ys, xs)]
 
 
-def _halve_q6(v: np.ndarray) -> np.ndarray:
-    # v/2 in 1/64-pel units, rounded half away from zero
-    return (np.sign(v) * ((np.abs(v.astype(np.int64)) + 1) // 2)).astype(np.int32)
-
-
 def chroma_field(field: CorrespondenceField) -> CorrespondenceField:
     """Luma field adapted to half-resolution chroma planes.
 
-    Keeps every second row and column and halves the coordinates, so
-    chroma follows the luma correspondence without a second transport.
+    Keeps every second row and column and halves the coordinates,
+    rounded half away from zero, so chroma follows the luma
+    correspondence without a second transport.
     """
     return CorrespondenceField(
-        _halve_q6(field.rx_q6[::2, ::2]),
-        _halve_q6(field.ry_q6[::2, ::2]),
+        round_half_away(field.rx_q6[::2, ::2] / 2).astype(np.int32),
+        round_half_away(field.ry_q6[::2, ::2] / 2).astype(np.int32),
         field.valid[::2, ::2].copy(),
     )

@@ -22,8 +22,6 @@ import numpy as np
 
 from cubemc.geometry import (
     CubeLayout,
-    Face,
-    _face_of_arrays,
     face_of,
     sphere_to_unfold,
     unfold_to_sphere,
@@ -93,13 +91,15 @@ def round_half_away(x):
 
 
 def block_face(block: Block, layout: CubeLayout):
-    """The face containing the whole block; raises if it straddles."""
-    xs = np.array([block.x0, block.x0 + block.width - 1], dtype=np.float64)
-    ys = np.array([block.y0, block.y0 + block.height - 1], dtype=np.float64)
-    corners = _face_of_arrays(xs[[0, 1, 0, 1]], ys[[0, 0, 1, 1]], layout)
-    if corners[0] < 0 or np.any(corners != corners[0]):
+    """The face containing the whole block; raises if it straddles.
+
+    Face rectangles are axis-aligned, so two opposite corners decide.
+    """
+    face = face_of(block.x0, block.y0, layout)
+    far = face_of(block.x0 + block.width - 1, block.y0 + block.height - 1, layout)
+    if face is None or face != far:
         raise ValueError("block must lie inside a single face")
-    return Face(int(corners[0]))
+    return face
 
 
 def _transport_from_sphere(s0, s1, s2x, s2y, s2z, layout: CubeLayout):
@@ -134,7 +134,7 @@ def _block_sphere_grid(x0: int, y0: int, width: int, height: int, layout: CubeLa
     """Sphere positions of a block's pixel grid (cached; blocks recur
     across search candidates and frames)."""
     ys, xs = np.mgrid[y0 : y0 + height, x0 : x0 + width]
-    grid = unfold_to_sphere(xs.astype(np.float64), ys.astype(np.float64), layout)
+    grid = unfold_to_sphere(xs, ys, layout)
     for axis in grid:
         axis.flags.writeable = False
     return grid
@@ -147,13 +147,9 @@ def transport_point(u0, u1, u2, layout: CubeLayout) -> tuple[float, float]:
     a different face than u2.  Raises ``ValueError`` when the transported
     sphere point collapses toward the origin.
     """
-    x3, y3, ok = _transport_arrays(
-        u0, u1, np.float64(u2[0]), np.float64(u2[1]), layout
-    )
+    x3, y3, ok = _transport_arrays(u0, u1, u2[0], u2[1], layout)
     if not np.all(ok):
         raise ValueError("degenerate transport")
-    if np.ndim(x3) == 0:
-        return float(x3), float(y3)
     return x3, y3
 
 
@@ -213,11 +209,9 @@ def transport_mv_predictor(
     transport returns ``nb_mv`` unchanged.
     """
     u1 = (nb_center[0] + nb_mv.dx_q2 / MV_UNIT, nb_center[1] + nb_mv.dy_q2 / MV_UNIT)
-    x3, y3, ok = _transport_arrays(
-        nb_center, u1, np.float64(cur_center[0]), np.float64(cur_center[1]), layout
-    )
-    if not bool(ok):
+    x3, y3, ok = _transport_arrays(nb_center, u1, cur_center[0], cur_center[1], layout)
+    if not ok:
         return nb_mv
-    dx = int(round_half_away((float(x3) - cur_center[0]) * MV_UNIT))
-    dy = int(round_half_away((float(y3) - cur_center[1]) * MV_UNIT))
+    dx = int(round_half_away((x3 - cur_center[0]) * MV_UNIT))
+    dy = int(round_half_away((y3 - cur_center[1]) * MV_UNIT))
     return MotionVector(dx, dy)

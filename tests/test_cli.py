@@ -30,6 +30,16 @@ class TestExitCodes:
     def test_config_error_exits_2(self, tmp_path):
         assert main(eval_args(tmp_path, "--face-size", "4")) == 2
 
+    def test_odd_face_size_exits_2(self, tmp_path, capsys):
+        assert main(eval_args(tmp_path, "--face-size", "9")) == 2
+        assert "config error: face_size must be even" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("face", ["8", "10"])
+    def test_face_smaller_than_block_exits_2(self, tmp_path, capsys, face):
+        assert main(eval_args(tmp_path, "--face-size", face, "--block-size", "16")) == 2
+        assert "face_size must be at least block_size" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
+
     def test_velocity_too_large_exits_2(self, tmp_path):
         assert main(eval_args(tmp_path, "--synth-velocity", "99,0,0")) == 2
 

@@ -46,6 +46,24 @@ class TestConfigValidation:
         with pytest.raises(EvalConfigError, match="ref_distance"):
             small_cfg(ref_distance=0)
 
+    @pytest.mark.parametrize("face", [9, 33, 65])
+    def test_odd_face_size(self, face):
+        # a 4:2:0 canvas needs an even 3*face luma height
+        with pytest.raises(EvalConfigError, match="even"):
+            small_cfg(face_size=face)
+        with pytest.raises(EvalConfigError, match="even"):
+            EvalConfig(input="x.yuv", face_size=face, width=4 * face, height=3 * face)
+
+    @pytest.mark.parametrize("face,block", [(8, 16), (10, 16), (32, 64), (48, 64)])
+    def test_face_smaller_than_block(self, face, block):
+        # such a grid holds no block, so every PSNR would be empty
+        with pytest.raises(EvalConfigError, match="at least block_size"):
+            small_cfg(face_size=face, block_size=block)
+
+    @pytest.mark.parametrize("face,block", [(16, 16), (64, 64), (72, 16)])
+    def test_face_not_below_block_accepted(self, face, block):
+        assert small_cfg(face_size=face, block_size=block).face_size == face
+
     def test_velocity_bound_is_config_error(self):
         with pytest.raises(EvalConfigError, match="velocity"):
             run_eval(small_cfg(synth_velocity=(40.0, 0.0, 0.0)))

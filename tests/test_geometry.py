@@ -1,5 +1,6 @@
 """Unit and property tests for the unfold/cube/sphere transforms."""
 
+import inspect
 import math
 
 import numpy as np
@@ -7,19 +8,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cubemc.geometry as geometry
 from cubemc.geometry import (
     NO_FACE,
     CubeLayout,
     Face,
     cube_to_sphere,
     cube_to_unfold,
-    _face_of_arrays,
     face_of,
     sphere_to_cube,
     sphere_to_unfold,
     unfold_to_cube,
     unfold_to_sphere,
 )
+from cubemc.motion_model import Block, block_face
 
 L64 = CubeLayout(64, 64)
 
@@ -77,7 +79,7 @@ class TestFaceOf:
 
     @staticmethod
     def assert_scalar_matches_arrays(xs, ys, layout):
-        want = _face_of_arrays(np.asarray(xs), np.asarray(ys), layout)
+        want = face_of(np.asarray(xs), np.asarray(ys), layout)
         for x, y, f in zip(xs, ys, want.tolist()):
             assert face_of(x, y, layout) == (None if f == NO_FACE else Face(f)), (x, y)
 
@@ -279,3 +281,114 @@ class TestLayoutValidation:
                 assert disjoint
         for x0, y0, x1, y1 in rects:
             assert 0 <= x0 < x1 <= 256 and 0 <= y0 < y1 <= 192
+
+
+# Every public transform, its parameter names and the space its points live in.
+TRANSFORMS = [
+    (face_of, ("x_u", "y_u"), "unfold"),
+    (unfold_to_cube, ("x_u", "y_u"), "unfold"),
+    (unfold_to_sphere, ("x_u", "y_u"), "unfold"),
+    (cube_to_unfold, ("x_c", "y_c", "z_c"), "cube"),
+    (cube_to_sphere, ("x_c", "y_c", "z_c"), "cube"),
+    (sphere_to_cube, ("x_s", "y_s", "z_s"), "sphere"),
+    (sphere_to_unfold, ("x_s", "y_s", "z_s"), "sphere"),
+]
+TRANSFORM_IDS = [fn.__name__ for fn, _, _ in TRANSFORMS]
+
+# Face priority order for dominant-axis ties: (face, axis, sign).
+PRIORITY = [
+    (Face.TOP, 2, 1), (Face.FRONT, 1, 1), (Face.BOTTOM, 2, -1),
+    (Face.RIGHT, 0, 1), (Face.REAR, 1, -1), (Face.LEFT, 0, -1),
+]
+
+
+@st.composite
+def on_face_point(draw, w):
+    """A point of a face: its edges and corners (the first coordinate
+    and the double just below the next face's), or anywhere inside."""
+    x0, y0, x1, y1 = CubeLayout(w, w).face_rect(draw(st.sampled_from(list(Face))))
+
+    def coord(lo, hi):
+        edges = st.sampled_from([float(lo), math.nextafter(hi, -math.inf)])
+        return draw(st.one_of(edges, st.floats(lo, hi, exclude_max=True)))
+
+    return coord(x0, x1), coord(y0, y1)
+
+
+def _python(v):
+    v = v.item()
+    if isinstance(v, int):
+        return None if v == NO_FACE else Face(v)
+    return v
+
+
+class TestScalarAdapter:
+    @pytest.mark.parametrize("w", [8, 64, 72])
+    @pytest.mark.parametrize("fn,params,space", TRANSFORMS, ids=TRANSFORM_IDS)
+    @given(data=st.data())
+    def test_scalar_is_array_element(self, w, fn, params, space, data):
+        layout = CubeLayout(w, w)
+        xs, ys = map(np.array, zip(*data.draw(st.lists(on_face_point(w), min_size=1, max_size=8))))
+        coords = {
+            "unfold": (xs, ys),
+            "cube": unfold_to_cube(xs, ys, layout),
+            "sphere": unfold_to_sphere(xs, ys, layout),
+        }[space]
+        out = fn(*coords, layout)
+        out = out if isinstance(out, tuple) else (out,)
+        for i in range(len(xs)):
+            want = tuple(_python(o[i]) for o in out)
+            # Python floats and 0-d arrays are both scalars
+            for point in ([float(c[i]) for c in coords], [np.asarray(c[i]) for c in coords]):
+                got = fn(*point, layout)
+                got = got if isinstance(got, tuple) else (got,)
+                assert got == want, (fn.__name__, point)
+                assert [type(v) for v in got] == [type(v) for v in want]
+                assert all(type(v) in (float, Face, type(None)) for v in got)
+
+    def test_scalar_broadcasts_against_array(self):
+        xs = np.array([16.0, 48.0])
+        assert face_of(xs, 96.0, L64).tolist() == [Face.FRONT, Face.FRONT]
+        x_c, y_c, z_c = unfold_to_cube(xs, 96.0, L64)
+        assert (x_c.tolist(), y_c.tolist(), z_c.tolist()) == ([-16, 16], [32, 32], [0, 0])
+
+    @pytest.mark.parametrize("fn,params,space", TRANSFORMS, ids=TRANSFORM_IDS)
+    def test_signature_and_keyword_call(self, fn, params, space):
+        assert tuple(inspect.signature(fn).parameters) == (*params, "layout")
+        assert fn.__name__ == fn.__qualname__
+        assert getattr(geometry, fn.__name__) is fn
+        coords = {"unfold": (32.0, 96.0), "cube": (16.0, 32.0, 16.0), "sphere": (3.0, 9.0, 1.0)}[space]
+        assert fn(**dict(zip(params, coords)), layout=L64) == fn(*coords, L64)
+
+    @given(
+        r=st.floats(0.01, 1e3),
+        tied=st.sampled_from([(0, 1), (1, 2), (0, 2), (0, 1, 2)]),
+        signs=st.tuples(*[st.sampled_from([-1.0, 1.0])] * 3),
+        rest=st.floats(-1.0, 1.0),
+    )
+    def test_sphere_to_unfold_edge_and_corner_priority(self, r, tied, signs, rest):
+        v = [rest * r] * 3
+        for axis in tied:
+            v[axis] = r
+        v = [s * c for s, c in zip(signs, v)]
+        m = max(abs(c) for c in v)
+        want = next(f for f, axis, sign in PRIORITY if sign * v[axis] == m)
+        assert sphere_to_unfold(*v, L64)[0] is want
+        face, _, _ = sphere_to_unfold(*(np.array([c, c]) for c in v), L64)
+        assert face.tolist() == [want, want]
+
+
+class TestBlockFace:
+    @pytest.mark.parametrize("bs", [8, 16])
+    def test_matches_per_pixel_faces_at_every_position(self, bs):
+        ys, xs = np.mgrid[0 : L64.canvas_height, 0 : L64.canvas_width]
+        pixels = face_of(xs, ys, L64)
+        windows = np.lib.stride_tricks.sliding_window_view(pixels, (bs, bs))
+        lo, hi = windows.min(axis=(2, 3)), windows.max(axis=(2, 3))
+        for y0, x0 in np.ndindex(lo.shape):
+            block = Block(x0, y0, bs, bs)
+            if lo[y0, x0] == hi[y0, x0] != NO_FACE:
+                assert block_face(block, L64) is Face(int(lo[y0, x0]))
+            else:
+                with pytest.raises(ValueError, match="single face"):
+                    block_face(block, L64)

@@ -274,3 +274,11 @@ class TestChromaField:
         assert sub.ry_q6.tolist() == [[1, -4], [0, 64]]
         assert sub.valid.tolist() == [[True, True], [True, False]]
         assert sub.rx_q6.dtype == np.int32
+
+    def test_halving_rounds_half_away_on_integers(self):
+        # integer reference: |v|/2 rounded up, with the sign of v
+        v = np.arange(-300_000, 300_001, dtype=np.int32)
+        rx = np.zeros((2, 2 * v.size), dtype=np.int32)
+        rx[0, ::2] = v
+        sub = chroma_field(CorrespondenceField(rx, rx, np.ones(rx.shape, dtype=bool)))
+        npt.assert_array_equal(sub.rx_q6[0], np.sign(v) * ((np.abs(v) + 1) // 2))
