@@ -12,7 +12,6 @@ horizontal and one vertical pass, each with a (+32) >> 6 stage.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from cubemc.motion_model import CorrespondenceField, round_half_away
 
@@ -57,6 +56,27 @@ def _dct_row(t: float) -> np.ndarray:
     return w
 
 
+def _natural_spline(knots: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Natural cubic spline through ``values`` (one column per curve) at
+    the equally spaced ``knots``, evaluated at ``x`` in [knots[0], knots[-1]).
+
+    The second derivatives M are zero at both ends; the interior ones
+    solve the tridiagonal system M[i-1] + 4 M[i] + M[i+1] = 6 d2y[i] / h^2.
+    """
+    n, h = len(knots) - 1, knots[1] - knots[0]
+    system = 4.0 * np.eye(n - 1) + np.eye(n - 1, k=1) + np.eye(n - 1, k=-1)
+    m = np.zeros_like(values)
+    m[1:-1] = np.linalg.solve(system, 6.0 * np.diff(values, 2, axis=0) / (h * h))
+
+    i = np.minimum(((x - knots[0]) // h).astype(np.intp), n - 1)
+    a = ((knots[i + 1] - x) / h)[:, None]  # weight of the left knot
+    b = ((x - knots[i]) / h)[:, None]
+    return (
+        a * values[i] + b * values[i + 1]
+        + ((a**3 - a) * m[i] + (b**3 - b) * m[i + 1]) * (h * h / 6.0)
+    )
+
+
 def generate_dctif_bank() -> np.ndarray:
     """The (64, 8) int32 coefficient bank, built once and cached.
 
@@ -74,10 +94,8 @@ def generate_dctif_bank() -> np.ndarray:
     knots = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     anchors = np.vstack([_IDENT0, _QUARTER, _HALF, _QUARTER[::-1], _IDENT1])
     resid = anchors - np.vstack([_dct_row(3.0 + a) for a in knots])
-    corr = CubicSpline(knots, resid, axis=0, bc_type="natural")
-
     alphas = np.arange(PHASES) / PHASES
-    raw = np.vstack([_dct_row(3.0 + a) for a in alphas]) + corr(alphas)
+    raw = np.vstack([_dct_row(3.0 + a) for a in alphas]) + _natural_spline(knots, resid, alphas)
 
     # enforce w[p] == w[64 - p] reversed, with the identity as phase 64
     ext = np.vstack([raw, _IDENT1])
@@ -102,24 +120,26 @@ def _warp_arrays(
 ) -> np.ndarray:
     """Separable 8x8-tap filtering at 1/64-pel positions, int32 math.
 
-    ``rx_q6`` and ``ry_q6`` are (h, w) arrays.  Out-of-plane taps clamp
-    to the nearest edge pixel.  Only the edge-clamped window covering
-    the taps of the positions' bounding box is read (``fetch_block``)
-    and widened to int32, so the cost follows the block, not the plane.
-    Base positions further out than one full tap span are clipped first,
+    ``rx_q6`` and ``ry_q6`` are (h, w) arrays, or (n, h, w) for a batch
+    of n fields warped in one pass.  Out-of-plane taps clamp to the
+    nearest edge pixel.  Only the edge-clamped window covering the taps
+    of the positions' bounding box is read (``fetch_block``) and widened
+    to int32, so the cost follows the block, not the plane.  Base
+    positions further out than one full tap span are clipped first,
     which cannot change the clamped result and bounds the window by the
     plane.
 
-    A pure translation (``rx == rx[0, 0] + 64 * col`` and ``ry ==
+    A 2-D pure translation (``rx == rx[0, 0] + 64 * col`` and ``ry ==
     ry[0, 0] + 64 * row``) shares one phase per axis and is filtered by
-    two scalar-coefficient 8-tap passes over the window.  Any other field
-    gathers its 64 neighborhood samples per pixel.  Both give the same
-    integers: each pass rounds with (+32) >> 6 in the same order.
+    two scalar-coefficient 8-tap passes over the window.  Any other
+    field, and every batch, gathers its 64 neighborhood samples per
+    pixel.  Both give the same integers: each pass rounds with
+    (+32) >> 6 in the same order.
     """
     height, width = plane.shape
-    h, w = rx_q6.shape
-    x0, y0 = int(rx_q6[0, 0]), int(ry_q6[0, 0])
-    if (rx_q6 == x0 + PHASES * np.arange(w)).all() and (
+    h, w = rx_q6.shape[-2:]
+    x0, y0 = int(rx_q6.flat[0]), int(ry_q6.flat[0])
+    if rx_q6.ndim == 2 and (rx_q6 == x0 + PHASES * np.arange(w)).all() and (
         ry_q6 == y0 + PHASES * np.arange(h)[:, None]
     ).all():
         win = fetch_block(plane, (x0 >> 6) - 3, (y0 >> 6) - 3, w + TAPS - 1, h + TAPS - 1)
@@ -163,7 +183,8 @@ def warp_block(
     """Predict a block from ``plane`` at the field's reference positions.
 
     Taps falling outside the plane are clamped to the nearest edge
-    pixel; output is uint8 in [0, 255].
+    pixel; output is uint8 in [0, 255], shaped like the field: (h, w),
+    or (n, h, w) for a batch, whose slice i is the warp of field slice i.
     """
     if bank is None:
         bank = generate_dctif_bank()

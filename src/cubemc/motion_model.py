@@ -14,6 +14,7 @@ fields are 1/64-pel integers, both rounded half away from zero.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -33,6 +34,7 @@ __all__ = [
     "CorrespondenceField",
     "transport_point",
     "build_correspondence_field",
+    "build_correspondence_fields",
     "translational_field",
     "transport_mv_predictor",
     "round_half_away",
@@ -71,6 +73,8 @@ class Block(NamedTuple):
 class CorrespondenceField:
     """Per-pixel reference coordinates for one block, 1/64-pel integers.
 
+    The arrays are (h, w) for one field, or (n, h, w) for a batch of n
+    fields of the same block (``build_correspondence_fields``).
     ``valid`` is False only where the sphere transport degenerated and
     the entry was filled with the translational fallback.
     """
@@ -80,7 +84,7 @@ class CorrespondenceField:
     valid: np.ndarray
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.rx_q6.shape
 
 
@@ -162,26 +166,43 @@ def build_correspondence_field(
     are quantized to 1/64 pel.  Degenerate pixels fall back to plain
     translation and are flagged invalid.
     """
+    batch = build_correspondence_fields(block, [mv], layout)
+    return CorrespondenceField(batch.rx_q6[0], batch.ry_q6[0], batch.valid[0])
+
+
+def build_correspondence_fields(
+    block: Block, mvs: Sequence[MotionVector], layout: CubeLayout
+) -> CorrespondenceField:
+    """The fields of ``block`` under each of ``mvs``, as one (n, h, w) batch.
+
+    Slice i equals ``build_correspondence_field(block, mvs[i], layout)``.
+    The block check, the center's sphere point s0 and the block's sphere
+    grid are shared; only the chord s1 - s0 differs between MVs, so s0
+    and all the moved centers u1 are mapped in one call and the
+    transport broadcasts over the batch.  Raises ``ValueError`` if any
+    u1 is off the faces.
+    """
     block_face(block, layout)
-    u0 = block.center
-    u1 = (u0[0] + mv.dx_q2 / MV_UNIT, u0[1] + mv.dy_q2 / MV_UNIT)
-    if face_of(u1[0], u1[1], layout) is None:
+    cx, cy = block.center
+    u1 = [(cx + mv.dx_q2 / MV_UNIT, cy + mv.dy_q2 / MV_UNIT) for mv in mvs]
+    if any(face_of(x, y, layout) is None for x, y in u1):
         raise ValueError("invalid center MV")
 
-    s0 = unfold_to_sphere(u0[0], u0[1], layout)
-    s1 = unfold_to_sphere(u1[0], u1[1], layout)
+    # one geometry call maps the center u0 (entry 0) and every u1
+    xs, ys = np.array([(cx, cy), *u1], dtype=np.float64).T
+    s = unfold_to_sphere(xs, ys, layout)
+    s0 = [axis[0] for axis in s]
+    s1 = [axis[1:, None, None] for axis in s]
     s2x, s2y, s2z = _block_sphere_grid(block.x0, block.y0, block.width, block.height, layout)
     x3, y3, ok = _transport_from_sphere(s0, s1, s2x, s2y, s2z, layout)
 
     rx = round_half_away(x3 * FIELD_UNIT)
     ry = round_half_away(y3 * FIELD_UNIT)
     if not ok.all():
-        fallback = translational_field(block, mv)
-        rx = np.where(ok, rx, fallback.rx_q6)
-        ry = np.where(ok, ry, fallback.ry_q6)
-    return CorrespondenceField(
-        rx.astype(np.int32), ry.astype(np.int32), np.asarray(ok, dtype=bool)
-    )
+        fallback = [translational_field(block, mv) for mv in mvs]
+        rx = np.where(ok, rx, np.stack([f.rx_q6 for f in fallback]))
+        ry = np.where(ok, ry, np.stack([f.ry_q6 for f in fallback]))
+    return CorrespondenceField(rx.astype(np.int32), ry.astype(np.int32), ok)
 
 
 def translational_field(block: Block, mv: MotionVector) -> CorrespondenceField:

@@ -8,6 +8,20 @@ the requested motion model: for the advanced model that means building
 the per-pixel correspondence field and warping through the filter bank
 for every candidate.
 
+Under the advanced model that stage speculates.  When a quarter-pel MV
+misses the cost cache, the MVs the search is about to try next (the
+rest of the ring around the current best, or the remaining seeds) are
+costed with it in one batched field build and one batched warp, which
+pays numpy's per-call overhead once per batch instead of once per
+candidate.  Speculation only pre-fills the cache: candidates are still
+ranked one at a time in the same order with the same keys, so every
+result is what one-at-a-time evaluation gives.  A speculative MV the
+search never reaches is wasted per-pixel work, so a batch holds at most
+``BATCH_PIXELS`` pixels: 16 candidates of 16x16, 4 of 32x32, and one
+64x64 candidate, which is evaluated alone as without batching.  The
+translational model is always costed one candidate at a time, because
+its separable pure-translation warp beats a batched gather.
+
 Mode decision compares three flavors per block: translational,
 advanced-merge (a transported neighbor MV, no search, no MV-difference
 bits) and advanced-AMVP (searched, predictor-differential bits).
@@ -29,6 +43,7 @@ from cubemc.motion_model import (
     Block,
     MotionVector,
     build_correspondence_field,
+    build_correspondence_fields,
     round_half_away,
     translational_field,
     transport_mv_predictor,
@@ -50,6 +65,7 @@ __all__ = [
 
 RASTER_STEP = 8         # pixels, stage-3 grid
 REFINE_WINDOW_Q2 = 8    # quarter-pel units, stage-5 window
+BATCH_PIXELS = 4096     # pixels, cap of one speculative stage-5 batch
 
 
 class PredMode(Enum):
@@ -144,6 +160,14 @@ def _model_sad(block, mv, cur_blk, ref_plane, layout, bank, advanced) -> int:
     return sad(cur_blk, warp_block(ref_plane, field, bank))
 
 
+def _advanced_sads(block, mvs, cur_blk, ref_plane, layout, bank) -> list[int]:
+    """Advanced-model SADs of ``block`` at several MVs: one batched field
+    build and one batched warp."""
+    pred = warp_block(ref_plane, build_correspondence_fields(block, mvs, layout), bank)
+    diff = pred.astype(np.int64) - cur_blk.astype(np.int64)
+    return np.abs(diff).sum(axis=(1, 2)).tolist()
+
+
 def _mv_key(cost, dx, dy):
     # tie-break: cost, then shorter MV, then smaller dy, then smaller dx
     return (cost, dx * dx + dy * dy, dy, dx)
@@ -202,19 +226,37 @@ def tzs_search(
     q2_cache: dict[MotionVector, float] = {}
     best_mv = None
     best_q2_key = _WORST_KEY
+    batch_cap = max(1, BATCH_PIXELS // (block.width * block.height)) if advanced else 1
 
-    def try_q2(mv) -> bool:
-        """Rank one quarter-pel MV by the model cost; True if it won."""
+    def try_q2(mv, ahead=()) -> bool:
+        """Rank one quarter-pel MV by the model cost; True if it won.
+
+        On a cache miss, the valid uncached MVs of ``ahead`` (the ones
+        the caller will try next) are costed in the same batch, up to
+        ``batch_cap`` MVs in all.
+        """
         nonlocal best_mv, best_q2_key
-        cost = q2_cache.get(mv)
-        if cost is None:
+        if mv not in q2_cache:
             if not _mv_valid_q2(mv, block, cfg, layout):
-                cost = float("inf")
+                q2_cache[mv] = float("inf")
             else:
-                cost = float(_model_sad(block, mv, cur_blk, ref_plane, layout, bank, advanced))
-                if cfg.lambda_:
-                    cost += cfg.lambda_ * mv_bits(mv, pred_for_bits)
-            q2_cache[mv] = cost
+                batch = [mv]
+                for m in ahead:
+                    if len(batch) == batch_cap:
+                        break
+                    if (m not in q2_cache and m not in batch
+                            and _mv_valid_q2(m, block, cfg, layout)):
+                        batch.append(m)
+                if len(batch) == 1:  # every translational MV, and lone advanced ones
+                    sads = [_model_sad(block, mv, cur_blk, ref_plane, layout, bank, advanced)]
+                else:
+                    sads = _advanced_sads(block, batch, cur_blk, ref_plane, layout, bank)
+                for m, s in zip(batch, sads):
+                    cost = float(s)
+                    if cfg.lambda_:
+                        cost += cfg.lambda_ * mv_bits(m, pred_for_bits)
+                    q2_cache[m] = cost
+        cost = q2_cache[mv]
         key = _mv_key(cost, mv.dx_q2, mv.dy_q2)
         if key < best_q2_key:
             best_mv, best_q2_key = mv, key
@@ -278,20 +320,33 @@ def tzs_search(
     # stage 5: quarter-pel refinement under the model cost, seeded with
     # the integer winner and every predictor
     anchor_q2 = MotionVector(4 * best[0], 4 * best[1])
-    for mv in [anchor_q2, *predictors]:
-        try_q2(mv)
+    seeds = [anchor_q2, *predictors]
+    for i, mv in enumerate(seeds):
+        try_q2(mv, seeds[i + 1 :])
     if best_q2_key[0] == float("inf"):
         raise ValueError("no valid motion")
+
+    def in_window(mv):
+        return (abs(mv.dx_q2 - anchor_q2.dx_q2) <= REFINE_WINDOW_Q2
+                and abs(mv.dy_q2 - anchor_q2.dy_q2) <= REFINE_WINDOW_Q2)
+
+    def around_best(offsets):
+        """MVs at ``offsets`` from the current best that lie in the window."""
+        for ox, oy in offsets:
+            cand = MotionVector(best_mv.dx_q2 + ox, best_mv.dy_q2 + oy)
+            if in_window(cand):
+                yield cand
 
     step = 2
     while step >= 1:
         moved = False
-        for ox, oy in ((step, 0), (-step, 0), (0, step), (0, -step),
-                       (step, step), (step, -step), (-step, step), (-step, -step)):
+        ring = ((step, 0), (-step, 0), (0, step), (0, -step),
+                (step, step), (step, -step), (-step, step), (-step, -step))
+        for i, (ox, oy) in enumerate(ring):
             cand = MotionVector(best_mv.dx_q2 + ox, best_mv.dy_q2 + oy)
-            if (abs(cand.dx_q2 - anchor_q2.dx_q2) <= REFINE_WINDOW_Q2
-                    and abs(cand.dy_q2 - anchor_q2.dy_q2) <= REFINE_WINDOW_Q2):
-                moved |= try_q2(cand)
+            if in_window(cand):
+                # a miss also costs the rest of the ring around the current best
+                moved |= try_q2(cand, around_best(ring[i + 1 :]))
         if not moved:
             step //= 2
     return best_mv, best_q2_key[0]

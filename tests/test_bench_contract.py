@@ -16,6 +16,7 @@ import pytest
 
 from cubemc import evaluate, motion_search
 from cubemc.evaluate import EvalConfig, run_eval
+from cubemc.motion_model import MotionVector
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SOURCES = sorted(PERFBENCH.glob("*.py"))
@@ -110,3 +111,24 @@ def test_searches_pass_advanced_by_keyword(monkeypatch):
     run_eval(EvalConfig(input="synthetic", face_size=32, synth_frames=2,
                         synth_velocity=(1.0, 0.0, 0.0)))
     assert set(seen) == {False, True}
+
+
+def test_singular_field_builds_take_one_mv(monkeypatch):
+    """The tracer reads ``args[1].dx_q2`` of every traced field build.
+
+    ``motion_search.build_correspondence_field`` is wrapped by name, so a
+    batch of MVs passed to it would crash every traced run; batches go
+    through ``build_correspondence_fields`` instead.
+    """
+    seen = []
+    inner = motion_search.build_correspondence_field
+
+    def record(*args, **kwargs):
+        seen.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(motion_search, "build_correspondence_field", record)
+    run_eval(EvalConfig(input="synthetic", face_size=32, synth_frames=2,
+                        synth_velocity=(1.0, 0.0, 0.0)))
+    assert seen
+    assert all(isinstance(mv, MotionVector) for mv in seen)

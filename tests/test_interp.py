@@ -1,5 +1,11 @@
 """Tests for the DCT filter bank and fixed-point warping."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -19,8 +25,11 @@ from cubemc.motion_model import (
     CorrespondenceField,
     MotionVector,
     build_correspondence_field,
+    build_correspondence_fields,
     translational_field,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def oracle_sample(plane, bank, x_q6, y_q6):
@@ -77,6 +86,24 @@ class TestBankStructure:
         assert bank.shape == (64, 8)
         assert bank.dtype == np.int32
         assert not bank.flags.writeable
+
+    def test_whole_bank_pinned(self):
+        # every phase, not just the published ones: the digest of the
+        # bank built with scipy's CubicSpline before the closed-form
+        # natural spline replaced it
+        bank = np.ascontiguousarray(generate_dctif_bank())
+        assert (bank.shape, bank.dtype) == ((64, 8), np.int32)
+        digest = hashlib.sha256(bank.tobytes()).hexdigest()
+        assert digest == "1c9e09ec6548aa23fc81a6ca3f7800f5316d365033357a836a5c0983093ea75a"
+
+    def test_import_leaves_scipy_out(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        code = "import sys, cubemc; cubemc.generate_dctif_bank(); print('scipy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestSampling:
@@ -219,6 +246,55 @@ class TestWarpAgainstOracle:
         else:
             ry = ry + noise.astype(np.int32)
         assert_warp_matches_oracle(plane, CorrespondenceField(rx, ry, trans.valid))
+
+
+class TestBatchedWarp:
+    """A (n, h, w) field warps to the stack of its slices' warps."""
+
+    @given(data=st.data())
+    def test_equals_per_slice_warps(self, data):
+        layout = CubeLayout(16, 16)
+        plane = random_plane(data.draw(st.integers(0, 2**32 - 1)), 48, 64)
+        n = data.draw(st.integers(1, 5))
+        rx, ry = [], []
+        for _ in range(n):
+            kind = data.draw(st.sampled_from(["translation", "face edge", "off plane"]))
+            mv = MotionVector(data.draw(st.integers(-24, 24)), data.draw(st.integers(-24, 24)))
+            if kind == "translation":
+                # a translation slice that, warped alone, takes the separable path
+                x0, y0 = data.draw(st.integers(-4, 60)), data.draw(st.integers(-4, 44))
+                field = translational_field(Block(x0, y0, 8, 8), mv)
+            elif kind == "face edge":
+                face = data.draw(st.sampled_from(list(Face)))
+                fx, fy, _, _ = layout.face_rect(face)
+                blk = Block(fx + data.draw(st.integers(0, 8)), fy + data.draw(st.integers(0, 8)), 8, 8)
+                try:
+                    field = build_correspondence_field(blk, mv, layout)
+                except ValueError:  # center MV leaves the faces
+                    field = translational_field(blk, mv)
+            else:
+                # 8-tap support wholly beyond an edge of the plane
+                x0 = data.draw(st.integers(-40, -12) | st.integers(68, 100))
+                field = translational_field(Block(x0, data.draw(st.integers(-8, 48)), 8, 8), mv)
+                jitter = np.random.default_rng(x0 & 0xFF).integers(-90, 91, size=(8, 8))
+                field = CorrespondenceField(field.rx_q6 + jitter.astype(np.int32), field.ry_q6, field.valid)
+            rx.append(field.rx_q6)
+            ry.append(field.ry_q6)
+        batch = CorrespondenceField(np.stack(rx), np.stack(ry), np.ones((n, 8, 8), dtype=bool))
+        got = warp_block(plane, batch)
+        assert got.shape == (n, 8, 8) and got.dtype == np.uint8
+        for i in range(n):
+            one = CorrespondenceField(rx[i], ry[i], np.ones((8, 8), dtype=bool))
+            npt.assert_array_equal(got[i], warp_block(plane, one))
+
+    def test_batched_fields_of_one_block(self):
+        layout = CubeLayout(64, 64)
+        plane = random_plane(5, layout.canvas_height, layout.canvas_width)
+        blk = Block(40, 72, 16, 16)
+        mvs = [MotionVector(0, 0), MotionVector(3, -2), MotionVector(-40, 9), MotionVector(8, 0)]
+        got = warp_block(plane, build_correspondence_fields(blk, mvs, layout))
+        for i, mv in enumerate(mvs):
+            npt.assert_array_equal(got[i], warp_block(plane, build_correspondence_field(blk, mv, layout)))
 
 
 class TestFetchBlock:

@@ -3,9 +3,11 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from cubemc.geometry import CubeLayout, sphere_to_unfold, unfold_to_sphere
+from cubemc.geometry import CubeLayout, Face, face_of, sphere_to_unfold, unfold_to_sphere
 import cubemc.motion_model as motion_model
 from cubemc.motion_model import (
     Block,
@@ -14,6 +16,7 @@ from cubemc.motion_model import (
     _transport_arrays,
     block_face,
     build_correspondence_field,
+    build_correspondence_fields,
     round_half_away,
     translational_field,
     transport_mv_predictor,
@@ -222,6 +225,90 @@ class TestCorrespondenceField:
     def test_straddling_block_rejected(self):
         with pytest.raises(ValueError, match="single face"):
             build_correspondence_field(Block(56, 88, 16, 16), MotionVector(0, 0), L64)
+
+
+def assert_batch_matches_singles(blk, mvs, layout):
+    batch = build_correspondence_fields(blk, mvs, layout)
+    assert batch.shape == (len(mvs), blk.height, blk.width)
+    assert (batch.rx_q6.dtype, batch.ry_q6.dtype, batch.valid.dtype) == (np.int32, np.int32, bool)
+    for i, mv in enumerate(mvs):
+        one = build_correspondence_field(blk, mv, layout)
+        npt.assert_array_equal(batch.rx_q6[i], one.rx_q6)
+        npt.assert_array_equal(batch.ry_q6[i], one.ry_q6)
+        npt.assert_array_equal(batch.valid[i], one.valid)
+    return batch
+
+
+class TestBatchedFields:
+    """One batched build equals the stacked single builds, bit for bit."""
+
+    @given(
+        w=st.sampled_from([64, 72, 192]),
+        face=st.sampled_from(list(Face)),
+        size=st.sampled_from([8, 16]),
+        data=st.data(),
+    )
+    def test_equals_stacked_single_builds(self, w, face, size, data):
+        layout = CubeLayout(w, w)
+        fx, fy, _, _ = layout.face_rect(face)
+        blk = Block(
+            fx + data.draw(st.integers(0, w - size)), fy + data.draw(st.integers(0, w - size)),
+            size, size,
+        )
+        # up to a quarter face away, so many centers land across a seam
+        reach = w  # quarter-pel units
+        mvs = data.draw(st.lists(
+            st.builds(MotionVector, st.integers(-reach, reach), st.integers(-reach, reach)),
+            min_size=1, max_size=6,
+        ))
+        cx, cy = blk.center
+        mvs = [mv for mv in mvs if face_of(cx + mv.dx_q2 / 4, cy + mv.dy_q2 / 4, layout) is not None]
+        if mvs:
+            assert_batch_matches_singles(blk, mvs, layout)
+
+    @pytest.mark.parametrize("w", [64, 72, 192])
+    def test_fields_crossing_a_seam(self, w):
+        layout = CubeLayout(w, w)
+        # a FRONT block at the RIGHT seam, moved across it and back
+        blk = Block(w - 16, w + 8, 16, 16)
+        mvs = [MotionVector(40, 0), MotionVector(-40, 12), MotionVector(0, 0), MotionVector(40, 0)]
+        batch = assert_batch_matches_singles(blk, mvs, layout)
+        faces = face_of(batch.rx_q6[0] / 64, batch.ry_q6[0] / 64, layout)
+        assert {Face.FRONT, Face.RIGHT} <= set(faces.ravel().tolist())
+
+    def test_degenerate_fallback_per_candidate(self, monkeypatch):
+        # as in TestCorrespondenceField: raise the threshold into the
+        # middle of one MV's |s1 - s0 + s2| range, so that MV falls back
+        # on about half its pixels and the others on more or fewer
+        blk = Block(8, 72, 16, 16)
+        mvs = [MotionVector(24, -12), MotionVector(0, 0), MotionVector(-20, 16), MotionVector(6, 30)]
+        u0 = blk.center
+        s0 = unfold_to_sphere(u0[0], u0[1], L64)
+        s1 = unfold_to_sphere(u0[0] + 6, u0[1] - 3, L64)
+        s2 = motion_model._block_sphere_grid(*blk, L64)
+        norm = np.sqrt(sum((b - a + c) ** 2 for a, b, c in zip(s0, s1, s2)))
+        monkeypatch.setattr(motion_model, "DEGENERATE_NORM", np.median(norm) / L64.face_width)
+
+        batch = assert_batch_matches_singles(blk, mvs, L64)
+        assert batch.valid.any() and not batch.valid.all()
+        for i, mv in enumerate(mvs):
+            bad = ~batch.valid[i]
+            trans = translational_field(blk, mv)
+            npt.assert_array_equal(batch.rx_q6[i][bad], trans.rx_q6[bad])
+            npt.assert_array_equal(batch.ry_q6[i][bad], trans.ry_q6[bad])
+        # the fallback is per candidate, not shared across the batch
+        assert len({batch.valid[i].sum() for i in range(len(mvs))}) > 1
+
+    def test_off_face_mv_rejected(self):
+        blk = Block(24, 88, 16, 16)
+        off = MotionVector(274, -262)  # the corner-hole MV of TestCorrespondenceField
+        for mvs in ([off], [MotionVector(0, 0), off], [off, MotionVector(4, 4)]):
+            with pytest.raises(ValueError, match="invalid center MV"):
+                build_correspondence_fields(blk, mvs, L64)
+
+    def test_straddling_block_rejected(self):
+        with pytest.raises(ValueError, match="single face"):
+            build_correspondence_fields(Block(56, 88, 16, 16), [MotionVector(0, 0)], L64)
 
 
 class TestTranslationalField:

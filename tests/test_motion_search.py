@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cubemc import motion_search
 from cubemc.frame_io import SyntheticSpec, generate_synthetic
 from cubemc.geometry import CubeLayout
 from cubemc.interp import fetch_block, generate_dctif_bank, warp_block
@@ -186,6 +187,96 @@ class TestTzsSearch:
                 once = tzs_search(blk, cur.y, refp, [p], cfg, L64, bank, advanced=advanced)
                 twice = tzs_search(blk, cur.y, refp, [p, p], cfg, L64, bank, advanced=advanced)
                 assert twice == once
+
+
+def _search_every_block(cur, refp, layout, block_size, cfg, advanced, predictors):
+    bank = generate_dctif_bank()
+    return [
+        tzs_search(blk, cur.y, refp, predictors, cfg, layout, bank, advanced=advanced)
+        for blk in BlockGrid(layout, block_size).blocks
+    ]
+
+
+class TestBatchedStageFive:
+    """Batching only pre-fills the quarter-pel cost cache: every search
+    returns what one-candidate-at-a-time evaluation returns."""
+
+    PREDICTORS = ([ZERO], [MotionVector(7, -3), MotionVector(-10, 14), ZERO])
+
+    @pytest.mark.parametrize("block_size", [16, 32, 64])
+    @pytest.mark.parametrize("advanced", [False, True])
+    @pytest.mark.parametrize("lambda_", [0.0, 4.0])
+    def test_same_results_as_unbatched(self, monkeypatch, block_size, advanced, lambda_):
+        cur, refp, _ = synthetic_pair(velocity=(0.0, 2.0, 0.0), seed=3)
+        cfg = SearchConfig(lambda_=lambda_)
+        for preds in self.PREDICTORS:
+            batched = _search_every_block(cur, refp, L64, block_size, cfg, advanced, preds)
+            with monkeypatch.context() as m:
+                m.setattr(motion_search, "BATCH_PIXELS", 1)
+                single = _search_every_block(cur, refp, L64, block_size, cfg, advanced, preds)
+            assert batched == single
+
+    @pytest.mark.parametrize("advanced", [False, True])
+    def test_same_results_under_fast_motion(self, monkeypatch, advanced):
+        # 7.5 px/frame at face 64: the integer stages fire the stage-3 raster
+        cur, refp, _ = synthetic_pair(velocity=(0.0, 7.5, 0.0), seed=5)
+        fetches = []
+        inner = motion_search.fetch_block
+        monkeypatch.setattr(
+            motion_search, "fetch_block", lambda *a: fetches.append(a) or inner(*a)
+        )
+        cfg = SearchConfig(lambda_=4.0)
+        bank = generate_dctif_bank()
+        raster_fired = False
+        for blk in BlockGrid(L64, 16).blocks:
+            fetches.clear()
+            batched = tzs_search(blk, cur.y, refp, [ZERO], cfg, L64, bank, advanced=advanced)
+            # stages 2 and 4 alone never read this many integer offsets
+            raster_fired |= len(fetches) > 150
+            with monkeypatch.context() as m:
+                m.setattr(motion_search, "BATCH_PIXELS", 1)
+                single = tzs_search(blk, cur.y, refp, [ZERO], cfg, L64, bank, advanced=advanced)
+            assert batched == single
+        assert raster_fired
+
+    def _count_builds(self, monkeypatch, block_size):
+        """Run every advanced search; return (batched builds, single
+        builds, advanced candidates costed)."""
+        calls = {"batched": 0, "single": 0, "candidates": 0}
+        batched_fn = motion_search.build_correspondence_fields
+        single_fn = motion_search.build_correspondence_field
+
+        def batched(block, mvs, layout):
+            calls["batched"] += 1
+            calls["candidates"] += len(mvs)
+            return batched_fn(block, mvs, layout)
+
+        def single(block, mv, layout):
+            calls["single"] += 1
+            calls["candidates"] += 1
+            return single_fn(block, mv, layout)
+
+        monkeypatch.setattr(motion_search, "build_correspondence_fields", batched)
+        monkeypatch.setattr(motion_search, "build_correspondence_field", single)
+        cur, refp, _ = synthetic_pair(velocity=(0.0, 2.0, 0.0), seed=3)
+        for preds in self.PREDICTORS:
+            _search_every_block(cur, refp, L64, block_size, SearchConfig(), True, preds)
+        return calls["batched"], calls["single"], calls["candidates"]
+
+    def test_small_blocks_are_batched(self, monkeypatch):
+        batched, single, candidates = self._count_builds(monkeypatch, 16)
+        print(f"16 px: {batched} batched + {single} single builds for {candidates} candidates")
+        assert batched < candidates
+        assert batched + single <= candidates / 2
+
+    def test_cap_of_one_builds_one_candidate_per_call(self, monkeypatch):
+        monkeypatch.setattr(motion_search, "BATCH_PIXELS", 1)
+        batched, single, candidates = self._count_builds(monkeypatch, 16)
+        assert batched == 0 and single == candidates
+        # at 64 px the default cap is one candidate too
+        monkeypatch.setattr(motion_search, "BATCH_PIXELS", 4096)
+        batched, single, candidates = self._count_builds(monkeypatch, 64)
+        assert batched == 0 and single == candidates
 
 
 class TestMergeCandidate:
