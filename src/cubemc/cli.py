@@ -9,6 +9,8 @@ import argparse
 import sys
 
 from cubemc.evaluate import EvalConfig, EvalConfigError, emit_csv, run_eval
+from cubemc.geometry import CubeLayout
+from cubemc.motion_search import BlockGrid
 
 _EVAL_DESCRIPTION = """\
 Compare translational and advanced (sphere-uniform) motion compensation
@@ -84,6 +86,16 @@ def _eval_command(args: argparse.Namespace) -> int:
     except EvalConfigError as exc:
         print(f"cubemc: config error: {exc}", file=sys.stderr)
         return 2
+
+    if cfg.face_size % cfg.block_size:
+        # blocks tile the canvas, so face border strips fall outside every block
+        grid = BlockGrid(CubeLayout(cfg.face_size, cfg.face_size), cfg.block_size)
+        dropped = 1 - len(grid.blocks) * cfg.block_size**2 / (6 * cfg.face_size**2)
+        print(
+            f"cubemc: warning: {dropped:.1%} of face pixels lie outside the "
+            f"{cfg.block_size}-px block grid and are left out of the PSNR",
+            file=sys.stderr,
+        )
 
     try:
         report = run_eval(cfg)

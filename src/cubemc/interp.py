@@ -21,6 +21,7 @@ __all__ = [
     "generate_dctif_bank",
     "sample_fractional",
     "warp_block",
+    "phase_planes",
     "fetch_block",
     "chroma_field",
 ]
@@ -130,11 +131,10 @@ def _warp_arrays(
     plane.
 
     A 2-D pure translation (``rx == rx[0, 0] + 64 * col`` and ``ry ==
-    ry[0, 0] + 64 * row``) shares one phase per axis and is filtered by
-    two scalar-coefficient 8-tap passes over the window.  Any other
-    field, and every batch, gathers its 64 neighborhood samples per
-    pixel.  Both give the same integers: each pass rounds with
-    (+32) >> 6 in the same order.
+    ry[0, 0] + 64 * row``) shares one phase per axis: it is the one-phase,
+    no-margin case of ``phase_planes``.  Any other field, and every batch,
+    gathers its 64 neighborhood samples per pixel.  Both give the same
+    integers: each pass rounds with (+32) >> 6 in the same order.
     """
     height, width = plane.shape
     h, w = rx_q6.shape[-2:]
@@ -142,13 +142,7 @@ def _warp_arrays(
     if rx_q6.ndim == 2 and (rx_q6 == x0 + PHASES * np.arange(w)).all() and (
         ry_q6 == y0 + PHASES * np.arange(h)[:, None]
     ).all():
-        win = fetch_block(plane, (x0 >> 6) - 3, (y0 >> 6) - 3, w + TAPS - 1, h + TAPS - 1)
-        win = win.astype(np.int32)
-        ch, cv = bank[x0 & 63], bank[y0 & 63]
-        rows = sum(ch[k] * win[:, k : k + w] for k in range(TAPS))
-        rows = (rows + 32) >> 6
-        out = (sum(cv[k] * rows[k : k + h] for k in range(TAPS)) + 32) >> 6
-        return np.clip(out, 0, 255).astype(np.uint8)
+        return phase_planes(plane, x0 >> 6, y0 >> 6, w, h, [x0 & 63], [y0 & 63], bank)[0, 0]
 
     xi = np.clip(rx_q6 >> 6, -TAPS + 3, width + TAPS - 4)
     yi = np.clip(ry_q6 >> 6, -TAPS + 3, height + TAPS - 4)
@@ -164,6 +158,22 @@ def _warp_arrays(
     rows = (np.einsum("...rc,...c->...r", sel, ch, dtype=np.int32) + 32) >> 6
     out = (np.einsum("...r,...r->...", cv, rows, dtype=np.int32) + 32) >> 6
     return np.clip(out, 0, 255).astype(np.uint8)
+
+
+def phase_planes(plane, x, y, width, height, xphases, yphases, bank) -> np.ndarray:
+    """A ``height`` x ``width`` window of ``plane`` filtered at every pair
+    of phases: uint8 ``out[j, i, r, c]`` is the edge-clamped sample at
+    1/64-pel ``(64 * (x + c) + xphases[i], 64 * (y + r) + yphases[j])``.
+    One horizontal 8-tap pass per x-phase over the fetched window, then
+    one vertical pass per y-phase, each rounding with (+32) >> 6.
+    """
+    win = fetch_block(plane, x - 3, y - 3, width + TAPS - 1, height + TAPS - 1).astype(np.int32)
+    ch, cv = bank[xphases][:, :, None, None], bank[yphases][:, None, :, None, None]
+    rows = (sum(ch[:, k] * win[:, k : k + width] for k in range(TAPS)) + 32) >> 6
+    out = cv[:, :, 0] * rows[:, :height]  # summed in place to keep peak memory down
+    for k in range(1, TAPS):
+        out += cv[:, :, k] * rows[:, k : k + height]
+    return np.clip((out + 32) >> 6, 0, 255).astype(np.uint8)
 
 
 def sample_fractional(

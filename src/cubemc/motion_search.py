@@ -8,6 +8,12 @@ the requested motion model: for the advanced model that means building
 the per-pixel correspondence field and warping through the filter bank
 for every candidate.
 
+Under the translational model every refinement candidate lies within
+``REFINE_WINDOW_Q2`` of the integer winner, so, as in the HEVC reference
+encoder, the stage filters that window once at the 16 quarter-pel phases
+(``phase_planes``) and each such candidate costs one slice and one SAD.
+Seeds outside the window keep one warp each.
+
 Under the advanced model that stage speculates.  When a quarter-pel MV
 misses the cost cache, the MVs the search is about to try next (the
 rest of the ring around the current best, or the remaining seeds) are
@@ -18,9 +24,7 @@ ranked one at a time in the same order with the same keys, so every
 result is what one-at-a-time evaluation gives.  A speculative MV the
 search never reaches is wasted per-pixel work, so a batch holds at most
 ``BATCH_PIXELS`` pixels: 16 candidates of 16x16, 4 of 32x32, and one
-64x64 candidate, which is evaluated alone as without batching.  The
-translational model is always costed one candidate at a time, because
-its separable pure-translation warp beats a batched gather.
+64x64 candidate, which is evaluated alone as without batching.
 
 Mode decision compares three flavors per block: translational,
 advanced-merge (a transported neighbor MV, no search, no MV-difference
@@ -38,7 +42,7 @@ import numpy as np
 
 from cubemc.frame_io import Frame
 from cubemc.geometry import CubeLayout, face_of
-from cubemc.interp import fetch_block, generate_dctif_bank, warp_block
+from cubemc.interp import PHASES, fetch_block, generate_dctif_bank, phase_planes, warp_block
 from cubemc.motion_model import (
     Block,
     MotionVector,
@@ -247,7 +251,9 @@ def tzs_search(
                     if (m not in q2_cache and m not in batch
                             and _mv_valid_q2(m, block, cfg, layout)):
                         batch.append(m)
-                if len(batch) == 1:  # every translational MV, and lone advanced ones
+                if not advanced and in_window(mv):
+                    sads = [window_sad(mv)]
+                elif len(batch) == 1:  # out-of-window translations, lone advanced MVs
                     sads = [_model_sad(block, mv, cur_blk, ref_plane, layout, bank, advanced)]
                 else:
                     sads = _advanced_sads(block, batch, cur_blk, ref_plane, layout, bank)
@@ -320,15 +326,30 @@ def tzs_search(
     # stage 5: quarter-pel refinement under the model cost, seeded with
     # the integer winner and every predictor
     anchor_q2 = MotionVector(4 * best[0], 4 * best[1])
+
+    def in_window(mv):
+        return (abs(mv.dx_q2 - anchor_q2.dx_q2) <= REFINE_WINDOW_Q2
+                and abs(mv.dy_q2 - anchor_q2.dy_q2) <= REFINE_WINDOW_Q2)
+
+    if not advanced:
+        # the window's 16 quarter-pel phases, filtered once for the whole stage
+        m, phases = REFINE_WINDOW_Q2 // 4, np.arange(0, PHASES, PHASES // 4)
+        planes = phase_planes(ref_plane, block.x0 + best[0] - m, block.y0 + best[1] - m,
+                              block.width + 2 * m, block.height + 2 * m, phases, phases, bank)
+
+    def window_sad(mv) -> int:
+        """Translational SAD of an in-window ``mv``: a slice of ``planes``."""
+        ox = mv.dx_q2 - anchor_q2.dx_q2 + REFINE_WINDOW_Q2  # quarter-pels into the window
+        oy = mv.dy_q2 - anchor_q2.dy_q2 + REFINE_WINDOW_Q2
+        pred = planes[oy & 3, ox & 3, oy >> 2 : (oy >> 2) + block.height,
+                      ox >> 2 : (ox >> 2) + block.width]
+        return sad(cur_blk, pred)
+
     seeds = [anchor_q2, *predictors]
     for i, mv in enumerate(seeds):
         try_q2(mv, seeds[i + 1 :])
     if best_q2_key[0] == float("inf"):
         raise ValueError("no valid motion")
-
-    def in_window(mv):
-        return (abs(mv.dx_q2 - anchor_q2.dx_q2) <= REFINE_WINDOW_Q2
-                and abs(mv.dy_q2 - anchor_q2.dy_q2) <= REFINE_WINDOW_Q2)
 
     def around_best(offsets):
         """MVs at ``offsets`` from the current best that lie in the window."""

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import hashlib
+
 import pytest
 
 from cubemc.cli import build_parser, main
@@ -104,3 +106,27 @@ class TestOutputs:
         ]
         assert main(args) == 0
         assert (tmp_path / "file.csv").exists()
+
+
+class TestGridCoverageWarning:
+    def test_face_not_a_multiple_of_block_warns_once(self, tmp_path, capsys):
+        # 6 faces of 72x72 keep 4x4 blocks of 16 px each: 1 - 64^2 / 72^2
+        assert main(eval_args(tmp_path, "--face-size", "72", "--block-size", "16")) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "cubemc: warning: 21.0% of face pixels lie outside the 16-px block grid "
+            "and are left out of the PSNR"
+        ]
+        # the report is byte for byte what it was before the warning existed
+        digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest("report.csv") == (
+            "afb540c4b4576d375a389d26fd33dc1fed11c998b456a026b20ceb0c893d898c"
+        )
+        assert digest("report.csv.summary") == (
+            "7ca8bbf5b0f0657207ca9dde424076648088e5fef004131acfac94cba2222a2e"
+        )
+
+    @pytest.mark.parametrize("face,block", [("32", "16"), ("64", "32"), ("64", "64")])
+    def test_exact_multiples_print_nothing(self, tmp_path, capsys, face, block):
+        assert main(eval_args(tmp_path, "--face-size", face, "--block-size", block)) == 0
+        assert capsys.readouterr().err == ""

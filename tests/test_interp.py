@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubemc.geometry import CubeLayout, Face
@@ -17,6 +17,7 @@ from cubemc.interp import (
     chroma_field,
     fetch_block,
     generate_dctif_bank,
+    phase_planes,
     sample_fractional,
     warp_block,
 )
@@ -261,7 +262,7 @@ class TestBatchedWarp:
             kind = data.draw(st.sampled_from(["translation", "face edge", "off plane"]))
             mv = MotionVector(data.draw(st.integers(-24, 24)), data.draw(st.integers(-24, 24)))
             if kind == "translation":
-                # a translation slice that, warped alone, takes the separable path
+                # a translation slice: warped alone, it is one phase_planes call
                 x0, y0 = data.draw(st.integers(-4, 60)), data.draw(st.integers(-4, 44))
                 field = translational_field(Block(x0, y0, 8, 8), mv)
             elif kind == "face edge":
@@ -295,6 +296,86 @@ class TestBatchedWarp:
         got = warp_block(plane, build_correspondence_fields(blk, mvs, layout))
         for i, mv in enumerate(mvs):
             npt.assert_array_equal(got[i], warp_block(plane, build_correspondence_field(blk, mv, layout)))
+
+
+def _gathered(plane, field):
+    """``field`` warped as a batch of one, which takes the 64-sample gather."""
+    one = CorrespondenceField(field.rx_q6[None], field.ry_q6[None], field.valid[None])
+    return warp_block(plane, one)[0]
+
+
+def _window_origin(data, placement, size, layout):
+    """Integer reference position of a ``size``-px block: inside the
+    canvas, straddling an edge of a face (the canvas border included),
+    or with its window and 8-tap support wholly beyond the canvas."""
+    width, height = layout.canvas_width, layout.canvas_height
+    if placement == "inside":
+        return data.draw(st.integers(0, width - size)), data.draw(st.integers(0, height - size))
+    edge_x = data.draw(st.booleans())
+    if placement == "face edge":
+        fx0, fy0, fx1, fy1 = layout.face_rect(data.draw(st.sampled_from(list(Face))))
+        edges = (fx0, fx1) if edge_x else (fy0, fy1)
+        across = data.draw(st.sampled_from(edges)) - data.draw(st.integers(1, size - 1))
+        along = data.draw(st.integers(fy0, fy1 - size) if edge_x else st.integers(fx0, fx1 - size))
+    else:
+        extent = width if edge_x else height
+        across = data.draw(st.integers(-size - 40, -size - 16) | st.integers(extent + 16, extent + 40))
+        along = data.draw(st.integers(0, (height if edge_x else width) - size))
+    return (across, along) if edge_x else (along, across)
+
+
+class TestPhasePlanes:
+    """Every slice of a block's quarter-pel phase window is the warp of
+    the translation it stands for."""
+
+    @pytest.mark.parametrize("size", [16, 32, 64])
+    @pytest.mark.parametrize("placement", ["inside", "face edge", "off plane"])
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_window_slices_equal_warps(self, size, placement, data):
+        layout = CubeLayout(64, 64)
+        bank = generate_dctif_bank()
+        plane = random_plane(
+            data.draw(st.integers(0, 2**32 - 1)), layout.canvas_height, layout.canvas_width
+        )
+        px, py = _window_origin(data, placement, size, layout)
+        # the block sits an integer anchor (ax, ay) away from its reference position
+        ax, ay = data.draw(st.integers(-16, 16)), data.draw(st.integers(-16, 16))
+        block = Block(px - ax, py - ay, size, size)
+        phases = np.arange(0, 64, 16)
+        planes = phase_planes(plane, px - 2, py - 2, size + 4, size + 4, phases, phases, bank)
+        assert planes.shape == (4, 4, size + 4, size + 4) and planes.dtype == np.uint8
+        for oy in range(17):  # quarter-pels into the +-2 px window
+            for ox in range(17):
+                field = translational_field(block, MotionVector(4 * ax + ox - 8, 4 * ay + oy - 8))
+                got = planes[oy & 3, ox & 3, oy >> 2 : (oy >> 2) + size, ox >> 2 : (ox >> 2) + size]
+                npt.assert_array_equal(got, warp_block(plane, field, bank))
+        # and one slice against the gather, which shares no code with phase_planes
+        ox, oy = data.draw(st.integers(0, 16)), data.draw(st.integers(0, 16))
+        field = translational_field(block, MotionVector(4 * ax + ox - 8, 4 * ay + oy - 8))
+        got = planes[oy & 3, ox & 3, oy >> 2 : (oy >> 2) + size, ox >> 2 : (ox >> 2) + size]
+        npt.assert_array_equal(got, _gathered(plane, field))
+
+    @pytest.mark.parametrize("size", [16, 32, 64])
+    @pytest.mark.parametrize("placement", ["inside", "face edge", "off plane"])
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_one_phase_call_at_chroma_phases(self, size, placement, data):
+        layout = CubeLayout(64, 64)
+        bank = generate_dctif_bank()
+        plane = random_plane(
+            data.draw(st.integers(0, 2**32 - 1)), layout.canvas_height // 2, layout.canvas_width // 2
+        )
+        px, py = _window_origin(data, placement, size, layout)
+        mv = MotionVector(data.draw(st.integers(-24, 24)), data.draw(st.integers(-24, 24)))
+        cfld = chroma_field(translational_field(Block(px, py, size, size), mv))
+        x_q6, y_q6 = int(cfld.rx_q6[0, 0]), int(cfld.ry_q6[0, 0])
+        assert x_q6 % 8 == 0 and y_q6 % 8 == 0  # 1/8-pel chroma phases
+        got = phase_planes(plane, x_q6 >> 6, y_q6 >> 6, size // 2, size // 2,
+                           [x_q6 & 63], [y_q6 & 63], bank)
+        assert got.shape == (1, 1, size // 2, size // 2)
+        npt.assert_array_equal(got[0, 0], warp_block(plane, cfld, bank))
+        npt.assert_array_equal(got[0, 0], _gathered(plane, cfld))
 
 
 class TestFetchBlock:

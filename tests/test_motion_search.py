@@ -1,5 +1,7 @@
 """Tests for zone search, predictor derivation and mode decision."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,84 @@ class TestBatchedStageFive:
         monkeypatch.setattr(motion_search, "BATCH_PIXELS", 4096)
         batched, single, candidates = self._count_builds(monkeypatch, 64)
         assert batched == 0 and single == candidates
+
+
+class TestTranslationalWindow:
+    """The translational stage 5 filters one quarter-pel window per search;
+    only seeds outside it are warped one at a time."""
+
+    @pytest.mark.parametrize("predictors", TestBatchedStageFive.PREDICTORS)
+    def test_one_window_per_search(self, monkeypatch, predictors):
+        # 7.5 px/frame: some integer winners lie far from the zero seed
+        cur, refp, _ = synthetic_pair(velocity=(0.0, 7.5, 0.0), seed=5)
+        windows, warped = [], []
+        build, warp = motion_search.phase_planes, motion_search.warp_block
+
+        def counted_build(*args):
+            windows.append(args)
+            return build(*args)
+
+        def counted_warp(plane, field, bank=None):
+            warped.append(field)
+            return warp(plane, field, bank)
+
+        monkeypatch.setattr(motion_search, "phase_planes", counted_build)
+        monkeypatch.setattr(motion_search, "warp_block", counted_warp)
+        bank = generate_dctif_bank()
+        out_of_window = 0
+        for blk in BlockGrid(L64, 16).blocks:
+            windows.clear()
+            warped.clear()
+            tzs_search(blk, cur.y, refp, predictors, SearchConfig(), L64, bank, advanced=False)
+            assert len(windows) == 1
+            # the window starts 2 px up and left of the integer winner
+            _, x, y, width, height, *_ = windows[0]
+            assert (width, height) == (16 + 4, 16 + 4)
+            anchor = (4 * (x + 2 - blk.x0), 4 * (y + 2 - blk.y0))
+            for field in warped:
+                mv = MotionVector((int(field.rx_q6[0, 0]) - 64 * blk.x0) // 16,
+                                  (int(field.ry_q6[0, 0]) - 64 * blk.y0) // 16)
+                assert mv in predictors
+                assert max(abs(mv.dx_q2 - anchor[0]), abs(mv.dy_q2 - anchor[1])) > REFINE_WINDOW_Q2
+            assert len(warped) <= len(predictors)
+            out_of_window += len(warped)
+        assert out_of_window > 0
+
+
+class TestTranslationalGolden:
+    """Every block's translational ``(mv, cost)``, pinned on the code that
+    filtered each quarter-pel candidate with its own warp."""
+
+    GOLDEN = [
+        # face, block, velocity, lambda, blocks, SHA-256 of "dx,dy,cost" lines
+        (64, 16, (0.0, 2.0, 0.0), 0.0, 96,
+         "bda044af79834adc76446b073d8ffddb3eaf8cc9812dc3ffd19a1e43e3fe5ac6"),
+        (128, 32, (0.0, 12.0, 0.0), 4.0, 96,
+         "a5806daf160ae6efb6b4727d52f41fbfbfc745a3d878a6279383ae9e728d761f"),
+        (128, 64, (0.0, 2.0, 0.0), 0.0, 24,
+         "d46c71d333307a9135727e80a556da383f7ddf05f950280eaff9399b32f769ca"),
+    ]
+
+    @pytest.mark.parametrize(
+        "face,block_size,velocity,lambda_,blocks,digest", GOLDEN,
+        ids=["16px-lambda0", "32px-fast-lambda4", "64px-face128"],
+    )
+    def test_every_block_pinned(self, face, block_size, velocity, lambda_, blocks, digest):
+        spec = SyntheticSpec(face_width=face, frames=2, velocity=velocity, seed=1)
+        prev, cur = generate_synthetic(spec)
+        layout = CubeLayout(face, face)
+        results = _search_every_block(
+            cur, ReferencePicture(prev, 0), layout, block_size,
+            SearchConfig(lambda_=lambda_), False, [ZERO],
+        )
+        assert len(results) == blocks
+        if velocity[1] > 10:
+            # the winner lies more than 4 px from zero, so its integer
+            # anchor is more than 2 px away: the zero seed is costed
+            # outside the anchor's quarter-pel window
+            assert any(abs(mv.dy_q2) > 4 * 4 for mv, _ in results)
+        text = "\n".join(f"{mv.dx_q2},{mv.dy_q2},{cost!r}" for mv, cost in results)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestMergeCandidate:
