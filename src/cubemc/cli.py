@@ -6,6 +6,7 @@ Exit codes: 0 on success, 2 on configuration errors, 3 on I/O errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from cubemc.evaluate import EvalConfig, EvalConfigError, emit_csv, run_eval
@@ -69,20 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _eval_command(args: argparse.Namespace) -> int:
     try:
-        cfg = EvalConfig(
-            input=args.input,
-            face_size=args.face_size,
-            width=args.width,
-            height=args.height,
-            block_size=args.block_size,
-            ref_distance=args.ref_distance,
-            search_range=args.search_range,
-            lambda_=args.lambda_,
-            out=args.out,
-            synth_velocity=args.synth_velocity,
-            synth_frames=args.synth_frames,
-            seed=args.seed,
-        )
+        # every option's dest is the name of its EvalConfig field
+        cfg = EvalConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(EvalConfig)})
     except EvalConfigError as exc:
         print(f"cubemc: config error: {exc}", file=sys.stderr)
         return 2

@@ -84,8 +84,8 @@ class EvalConfig:
             raise EvalConfigError("ref_distance must be at least 1")
         if self.search_range < 1:
             raise EvalConfigError("search_range must be positive")
-        if self.lambda_ < 0:
-            raise EvalConfigError("lambda must be non-negative")
+        if not (math.isfinite(self.lambda_) and self.lambda_ >= 0):
+            raise EvalConfigError("lambda must be finite and non-negative")
         if self.input != "synthetic":
             if self.width != 4 * self.face_size or self.height != 3 * self.face_size:
                 raise EvalConfigError(

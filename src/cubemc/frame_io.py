@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cubemc.geometry import CubeLayout, face_of, sphere_to_unfold, unfold_to_sphere
+from cubemc.geometry import CubeLayout, Face, face_of, sphere_to_unfold, unfold_to_sphere
 
 __all__ = [
     "Frame",
@@ -102,6 +102,10 @@ class SyntheticSpec:
             raise ValueError("face_width must be >= 8 and frames >= 1")
         if self.lobes < 3:
             raise ValueError("need at least 3 texture lobes")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if not all(math.isfinite(c) for c in self.velocity):
+            raise ValueError("velocity components must be finite")
         speed = math.sqrt(sum(c * c for c in self.velocity))
         if speed >= self.face_width / 8.0:
             raise ValueError("velocity magnitude must stay below face_width/8")
@@ -142,11 +146,9 @@ def _face_grid(layout: CubeLayout, step: int):
 
 
 def _render_plane(tex, x, y, mask, t, velocity, layout, lo, hi) -> np.ndarray:
-    sx, sy, sz = unfold_to_sphere(
-        np.where(mask, x, layout.face_width / 2.0),
-        np.where(mask, y, layout.face_height * 1.5),
-        layout,
-    )
+    # hole pixels are rendered at a face center, then overwritten
+    hole_x, hole_y = layout.face_center(Face.FRONT)
+    sx, sy, sz = unfold_to_sphere(np.where(mask, x, hole_x), np.where(mask, y, hole_y), layout)
     qx = sx - t * velocity[0]
     qy = sy - t * velocity[1]
     qz = sz - t * velocity[2]

@@ -5,13 +5,17 @@ Conventions
 * The unfolded canvas is ``4*face_width`` wide and ``3*face_height`` tall.
   The top-left pixel has continuous coordinate ``(0, 0)``; integer
   coordinates are pixel centers.
-* Face placement on the canvas (column, row in face units)::
+* The cube map is stated twice, in two tables.  ``_CELLS`` places the
+  faces on the 4x3 grid of face-sized cells::
 
-      TOP    = (0, 0)
-      FRONT  = (0, 1)   RIGHT = (1, 1)   REAR = (2, 1)   LEFT = (3, 1)
-      BOTTOM = (0, 2)
+      TOP
+      FRONT  RIGHT  REAR  LEFT
+      BOTTOM
 
-  The remaining six cells of the 4x3 grid are unused corner holes.
+  and the remaining six cells are unused corner holes.  ``_FRAME`` orients
+  each face: its outward axis and the cube axes along which canvas x and
+  y grow.  Every cell lookup and every coefficient of the unfold <-> cube
+  maps derives from these two tables.
 * The cube is centered at the origin with half-edge ``face_width / 2``;
   every on-surface point has dominant coordinate ``+-face_width / 2``.
 * The sphere is the cube's inscribed-direction sphere of radius
@@ -62,49 +66,45 @@ class Face(IntEnum):
     LEFT = 5    # -x
 
 
-# Face placement on the unfolded canvas, (column, row) in face units.
+# The 4x3 canvas in face units: _CELLS[row][col] is the face drawn in
+# that cell, or None for a corner hole.
+_CELLS = (
+    (Face.TOP, None, None, None),
+    (Face.FRONT, Face.RIGHT, Face.REAR, Face.LEFT),
+    (Face.BOTTOM, None, None, None),
+)
+
+# Face frames in Face order: the outward axis n, and the cube axes e_u and
+# e_v along which canvas x and y grow on the face.  The face plane is
+# n * w/2 + s * e_u + t * e_v for all real s, t, not only its cell.
+_FRAME = (
+    # n           e_u          e_v
+    ((0, 0, 1), (1, 0, 0), (0, 1, 0)),     # TOP
+    ((0, 1, 0), (1, 0, 0), (0, 0, -1)),    # FRONT
+    ((0, 0, -1), (1, 0, 0), (0, -1, 0)),   # BOTTOM
+    ((1, 0, 0), (0, -1, 0), (0, 0, -1)),   # RIGHT
+    ((0, -1, 0), (-1, 0, 0), (0, 0, -1)),  # REAR
+    ((-1, 0, 0), (0, 1, 0), (0, 0, -1)),   # LEFT
+)
+
+# (column, row) of each face's cell, and the cell lookup of the array path.
 _FACE_CELL = {
-    Face.TOP: (0, 0),
-    Face.FRONT: (0, 1),
-    Face.RIGHT: (1, 1),
-    Face.REAR: (2, 1),
-    Face.LEFT: (3, 1),
-    Face.BOTTOM: (0, 2),
+    f: (col, row) for row, cells in enumerate(_CELLS) for col, f in enumerate(cells) if f is not None
 }
+_CELL_FACE = np.array(
+    [[NO_FACE if f is None else f for f in cells] for cells in _CELLS], dtype=np.int8
+)
 
-# Middle-row faces indexed by canvas column.
-_ROW1 = (Face.FRONT, Face.RIGHT, Face.REAR, Face.LEFT)
-_ROW1_FACES = np.array(_ROW1, dtype=np.int8)
-
-# Per-face affine maps from unfold (x_u, y_u) to cube (x_c, y_c, z_c),
-# expressed as coeff_x * x_u + coeff_y * y_u + const, with the constant in
-# units of the face width.  Order follows the Face enum.
-_TO_CUBE = {
-    # x_c
-    "xx": np.array([1.0, 1.0, 1.0, 0.0, -1.0, 0.0]),
-    "xy": np.zeros(6),
-    "xc": np.array([-0.5, -0.5, -0.5, 0.5, 2.5, -0.5]),
-    # y_c
-    "yx": np.array([0.0, 0.0, 0.0, -1.0, 0.0, 1.0]),
-    "yy": np.array([1.0, 0.0, -1.0, 0.0, 0.0, 0.0]),
-    "yc": np.array([-0.5, 0.5, 2.5, 1.5, -0.5, -3.5]),
-    # z_c
-    "zx": np.zeros(6),
-    "zy": np.array([0.0, -1.0, 0.0, -1.0, -1.0, -1.0]),
-    "zc": np.array([0.5, 1.5, -0.5, 1.5, 1.5, 1.5]),
-}
-
-# Inverse maps from cube (x_c, y_c, z_c) back to unfold (x_u, y_u).
-_TO_UNFOLD = {
-    "ux": np.array([1.0, 1.0, 1.0, 0.0, -1.0, 0.0]),
-    "uy": np.array([0.0, 0.0, 0.0, -1.0, 0.0, 1.0]),
-    "uz": np.zeros(6),
-    "uc": np.array([0.5, 0.5, 0.5, 1.5, 2.5, 3.5]),
-    "vx": np.zeros(6),
-    "vy": np.array([1.0, 0.0, -1.0, 0.0, 0.0, 0.0]),
-    "vz": np.array([0.0, -1.0, 0.0, -1.0, -1.0, -1.0]),
-    "vc": np.array([0.5, 1.5, 2.5, 1.5, 1.5, 1.5]),
-}
+# Per-face coefficient vectors, in Face order.  _N, _EU and _EV hold one
+# row per cube axis; _CU and _CV are the face-center coordinates in face
+# widths.  The unfold point (x_u, y_u) of a face sits on the cube at
+# n * w/2 + e_u * (x_u - _CU * w) + e_v * (y_u - _CV * w), so each cube
+# axis is one +-1 term of x_u or y_u plus the constant _C * w; the inverse
+# is x_u = e_u . c + _CU * w and y_u = e_v . c + _CV * w.
+_N, _EU, _EV = np.array(_FRAME, dtype=np.float64).transpose(1, 2, 0).copy()
+_CU = np.array([_FACE_CELL[f][0] + 0.5 for f in Face])
+_CV = np.array([_FACE_CELL[f][1] + 0.5 for f in Face])
+_C = 0.5 * _N - _EU * _CU - _EV * _CV
 
 
 @dataclass(frozen=True)
@@ -184,16 +184,7 @@ def _face_of(x_u, y_u, layout: CubeLayout):
     inside = (x_u >= 0) & (x_u < 4 * w) & (y_u >= 0) & (y_u < 3 * h)
     col = np.clip(np.floor(x_u / w), 0, 3).astype(np.intp)
     row = np.clip(np.floor(y_u / h), 0, 2).astype(np.intp)
-
-    top = inside & (row == 0) & (col == 0)
-    mid = inside & (row == 1)
-    bot = inside & (row == 2) & (col == 0)
-    face = np.where(
-        top, np.int8(Face.TOP),
-        np.where(bot, np.int8(Face.BOTTOM),
-                 np.where(mid, _ROW1_FACES[col], np.int8(NO_FACE))),
-    )
-    return face.astype(np.int8)
+    return np.where(inside, _CELL_FACE[row, col], np.int8(NO_FACE))
 
 
 _face_of_any = _elementwise(_face_of)
@@ -211,12 +202,7 @@ def face_of(x_u, y_u, layout: CubeLayout):
         w, h = layout.face_width, layout.face_height
         if not (0 <= x < 4 * w and 0 <= y < 3 * h):  # also rejects NaN
             return None
-        col, row = math.floor(x / w), math.floor(y / h)
-        if row == 1:
-            return _ROW1[col]
-        if col == 0:
-            return Face.TOP if row == 0 else Face.BOTTOM
-        return None
+        return _CELLS[math.floor(y / h)][math.floor(x / w)]
     return _face_of_any(x_u, y_u, layout)
 
 
@@ -230,11 +216,7 @@ def _unfold_to_cube(x_u, y_u, layout: CubeLayout):
     if np.any(face == NO_FACE):
         raise ValueError("not on a face")
     w = float(layout.face_width)
-    t = _TO_CUBE
-    x_c = t["xx"][face] * x_u + t["xy"][face] * y_u + t["xc"][face] * w
-    y_c = t["yx"][face] * x_u + t["yy"][face] * y_u + t["yc"][face] * w
-    z_c = t["zx"][face] * x_u + t["zy"][face] * y_u + t["zc"][face] * w
-    return x_c, y_c, z_c
+    return tuple(cx[face] * x_u + cy[face] * y_u + c[face] * w for cx, cy, c in zip(_EU, _EV, _C))
 
 
 def _max_abs(x, y, z):
@@ -245,15 +227,17 @@ def _to_unfold(x_c, y_c, z_c, layout: CubeLayout):
     """Dominant face of on-surface cube points (ties broken in Face
     priority order) and their unfold coordinates."""
     m = _max_abs(x_c, y_c, z_c)
+    # the conditions are _FRAME's outward axes n, in Face order
     face = np.select(
         [z_c == m, y_c == m, -z_c == m, x_c == m, -y_c == m],
         [Face.TOP, Face.FRONT, Face.BOTTOM, Face.RIGHT, Face.REAR],
         default=Face.LEFT,
     ).astype(np.int8)
     w = float(layout.face_width)
-    t = _TO_UNFOLD
-    x_u = t["ux"][face] * x_c + t["uy"][face] * y_c + t["uz"][face] * z_c + t["uc"][face] * w
-    y_u = t["vx"][face] * x_c + t["vy"][face] * y_c + t["vz"][face] * z_c + t["vc"][face] * w
+    x_u, y_u = (
+        e[0][face] * x_c + e[1][face] * y_c + e[2][face] * z_c + c[face] * w
+        for e, c in ((_EU, _CU), (_EV, _CV))
+    )
     return face, x_u, y_u
 
 

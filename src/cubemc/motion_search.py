@@ -35,6 +35,7 @@ as merge/AMVP neighbors, which fixes the scan order to raster order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -86,8 +87,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.search_range <= 0:
             raise ValueError("search_range must be positive")
-        if self.lambda_ < 0:
-            raise ValueError("lambda must be non-negative")
+        if not (math.isfinite(self.lambda_) and self.lambda_ >= 0):
+            raise ValueError("lambda must be finite and non-negative")
 
 
 @dataclass

@@ -1,11 +1,12 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from cubemc.cli import build_parser, main
-from cubemc.evaluate import CSV_HEADER
+from cubemc.evaluate import CSV_HEADER, EvalConfig
 from cubemc.frame_io import SyntheticSpec, generate_synthetic, write_yuv420
 
 
@@ -44,6 +45,21 @@ class TestExitCodes:
 
     def test_velocity_too_large_exits_2(self, tmp_path):
         assert main(eval_args(tmp_path, "--synth-velocity", "99,0,0")) == 2
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (("--synth-velocity", "nan,0,0"), "velocity components must be finite"),
+            (("--lambda", "nan"), "lambda must be finite"),
+            (("--lambda", "inf"), "lambda must be finite"),
+            (("--seed", "-1"), "seed must be non-negative"),
+        ],
+        ids=["nan-velocity", "nan-lambda", "inf-lambda", "negative-seed"],
+    )
+    def test_bad_numeric_input_exits_2(self, tmp_path, capsys, extra, message):
+        assert main(eval_args(tmp_path, *extra)) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
 
     def test_missing_file_exits_3(self, tmp_path):
         args = [
@@ -85,6 +101,12 @@ class TestHelpText:
              "--synth-velocity", "0.5,-1,2"]
         )
         assert args.synth_velocity == (0.5, -1.0, 2.0)
+
+
+class TestParserMatchesConfig:
+    def test_every_eval_config_field_is_an_eval_dest(self):
+        args = build_parser().parse_args(["eval", "--input", "synthetic", "--face-size", "32"])
+        assert {f.name for f in dataclasses.fields(EvalConfig)} <= set(vars(args))
 
 
 class TestOutputs:

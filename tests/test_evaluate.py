@@ -68,6 +68,11 @@ class TestConfigValidation:
         with pytest.raises(EvalConfigError, match="velocity"):
             run_eval(small_cfg(synth_velocity=(40.0, 0.0, 0.0)))
 
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+    def test_lambda_must_be_finite_and_non_negative(self, lam):
+        with pytest.raises(EvalConfigError, match="lambda"):
+            small_cfg(lambda_=lam)
+
     def test_too_few_frames_for_distance(self):
         with pytest.raises(EvalConfigError, match="frames"):
             run_eval(small_cfg(synth_frames=2, ref_distance=2))

@@ -1,5 +1,7 @@
 """Tests for YUV I/O and the synthetic oracle sequences."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -100,6 +102,20 @@ class TestSyntheticSpecValidation:
     def test_frame_minimum(self):
         with pytest.raises(ValueError):
             SyntheticSpec(face_width=64, frames=0, velocity=(1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_velocity_must_be_finite(self, bad, axis):
+        # nan fails every comparison, so it would slip past the speed bound
+        velocity = [0.0, 0.0, 0.0]
+        velocity[axis] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SyntheticSpec(face_width=64, frames=2, velocity=tuple(velocity))
+
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="seed"):
+            SyntheticSpec(face_width=64, frames=2, velocity=(1.0, 0.0, 0.0), seed=-1)
+        SyntheticSpec(face_width=64, frames=2, velocity=(1.0, 0.0, 0.0), seed=0)
 
 
 class TestGenerateSynthetic:

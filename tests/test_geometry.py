@@ -1,6 +1,8 @@
 """Unit and property tests for the unfold/cube/sphere transforms."""
 
+import hashlib
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -392,3 +394,82 @@ class TestBlockFace:
             else:
                 with pytest.raises(ValueError, match="single face"):
                     block_face(block, L64)
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _quarter_pel_face_points(layout):
+    """Every quarter-pel point of the six face rectangles, face by face."""
+    xs, ys = [], []
+    for f in Face:
+        x0, y0, x1, y1 = layout.face_rect(f)
+        y, x = np.mgrid[4 * y0 : 4 * y1, 4 * x0 : 4 * x1] / 4.0
+        xs.append(x.ravel())
+        ys.append(y.ravel())
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def _directions_with_ties(seed=11, n=4096):
+    """Seeded random directions, then exact ties of two or three axes in
+    every sign combination, scaled so the tied magnitude dominates."""
+    rng = np.random.default_rng(seed)
+    dirs = [rng.normal(size=(n, 3)) * rng.uniform(0.1, 300.0, size=(n, 1))]
+    for tied in [(0, 1), (1, 2), (0, 2), (0, 1, 2)]:
+        for signs in itertools.product([-1.0, 1.0], repeat=3):
+            v = np.repeat(rng.uniform(-1.0, 1.0, size=(64, 1)), 3, axis=1)
+            v[:, list(tied)] = 1.0
+            dirs.append(v * rng.uniform(0.1, 300.0, size=(64, 1)) * signs)
+    return np.concatenate(dirs).T
+
+
+def _seam_grid(w):
+    """Every cell boundary k*w of the canvas, the double just below it,
+    and a half-pel lattice running past the canvas on every side."""
+    seams = [float(k * w) for k in range(-1, 6)]
+    coords = seams + [math.nextafter(v, -math.inf) for v in seams]
+    coords += list(np.arange(-w, 5 * w, 0.5))
+    return np.meshgrid(np.array(coords), np.array(coords))
+
+
+# SHA-256 of the transforms' float64/int8 outputs: a changed coefficient,
+# cell, seam rule or tie-break shows here, even where round trips still hold.
+GEOMETRY_GOLDEN = {
+    "unfold_to_sphere": {
+        64: "50f6d248b19448604522d8b6f3e1bc42b49da4fee1ffee5ec4c36e5b36b51f3c",
+        72: "db6fa9bd3fa2179df9fb96310b2d3a99cfb3b2b2720b273c6547d017ae40294d",
+    },
+    "sphere_to_unfold": {
+        64: "24f91982d9f7a37bab4a08c0467ae2a97cfcd602d97b01b6b494a931ec076e98",
+        72: "b94e8ccecd08e030ae0b70754585efa560430708dc571af74af113a56eabba15",
+    },
+    "face_of": {
+        64: "9e4976a495e4a5e2d80a6e83b4f51b0200294ac2e125475aa16b14b7137e06aa",
+        72: "9cdedced5a6f766c7a7ef15a152e2d917c9cd81a333b9f4f7e2f2d8331cf3edb",
+    },
+}
+
+
+class TestGeometryGolden:
+    @pytest.mark.parametrize("w", [64, 72])
+    def test_unfold_to_sphere_on_every_quarter_pel(self, w):
+        layout = CubeLayout(w, w)
+        out = unfold_to_sphere(*_quarter_pel_face_points(layout), layout)
+        assert _sha256(*out) == GEOMETRY_GOLDEN["unfold_to_sphere"][w]
+
+    @pytest.mark.parametrize("w", [64, 72])
+    def test_sphere_to_unfold_with_ties(self, w):
+        layout = CubeLayout(w, w)
+        out = sphere_to_unfold(*_directions_with_ties(), layout)
+        assert _sha256(*out) == GEOMETRY_GOLDEN["sphere_to_unfold"][w]
+
+    @pytest.mark.parametrize("w", [64, 72])
+    def test_face_of_on_seam_grid(self, w):
+        layout = CubeLayout(w, w)
+        assert _sha256(face_of(*_seam_grid(w), layout)) == GEOMETRY_GOLDEN["face_of"][w]

@@ -1,6 +1,7 @@
 """Tests for zone search, predictor derivation and mode decision."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -87,6 +88,9 @@ class TestSearchConfig:
             SearchConfig(search_range=0)
         with pytest.raises(ValueError):
             SearchConfig(lambda_=-1.0)
+        for lam in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SearchConfig(lambda_=lam)
 
 
 class TestBlockGrid:
