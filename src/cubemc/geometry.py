@@ -181,9 +181,11 @@ def _python(v):
 
 def _face_of(x_u, y_u, layout: CubeLayout):
     w, h = layout.face_width, layout.face_height
-    inside = (x_u >= 0) & (x_u < 4 * w) & (y_u >= 0) & (y_u < 3 * h)
-    col = np.clip(np.floor(x_u / w), 0, 3).astype(np.intp)
-    row = np.clip(np.floor(y_u / h), 0, 2).astype(np.intp)
+    inside = (x_u >= 0) & (x_u < 4 * w) & (y_u >= 0) & (y_u < 3 * h)  # False for NaN
+    # points off the canvas (NaN and +-inf too) look up cell (0, 0) and are
+    # masked below; x < 4w rounds to x / w < 4, as in the scalar path
+    col = np.floor(np.where(inside, x_u, 0.0) / w).astype(np.intp)
+    row = np.floor(np.where(inside, y_u, 0.0) / h).astype(np.intp)
     return np.where(inside, _CELL_FACE[row, col], np.int8(NO_FACE))
 
 
@@ -197,7 +199,10 @@ def face_of(x_u, y_u, layout: CubeLayout):
     float arithmetic and no numpy call, using the same float64 division
     as the array path.
     """
-    if isinstance(x_u, Real) and isinstance(y_u, Real):
+    # the Real ABC check is slow; try the concrete types first
+    if (isinstance(x_u, (float, int)) or isinstance(x_u, Real)) and (
+        isinstance(y_u, (float, int)) or isinstance(y_u, Real)
+    ):
         x, y = float(x_u), float(y_u)
         w, h = layout.face_width, layout.face_height
         if not (0 <= x < 4 * w and 0 <= y < 3 * h):  # also rejects NaN

@@ -5,13 +5,18 @@ resolution, so plain quarter-pel filters are not enough.  The bank here
 extends the standard quarter/half-pel 8-tap filters to all 64 phases:
 a DCT-derived kernel supplies smooth intermediate responses and a cubic
 spline correction pins the published quarter-, half- and integer-phase
-taps exactly.  All filtering is integer-only: 6-bit coefficients, one
+taps exactly.  Filtering has integer semantics: 6-bit coefficients, one
 horizontal and one vertical pass, each with a (+32) >> 6 stage.
+Translations filter in int32 (``phase_planes``).  Per-pixel fields gather
+each pixel's 8x8 support as 8 packed uint64 rows and filter it in float32
+matmuls, which is exact: the bank's tap sums keep every partial sum below
+40,000 in magnitude, far inside float32's exact-integer range (2**24).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from cubemc.motion_model import CorrespondenceField, round_half_away
 
@@ -119,22 +124,31 @@ def generate_dctif_bank() -> np.ndarray:
 def _warp_arrays(
     plane: np.ndarray, rx_q6: np.ndarray, ry_q6: np.ndarray, bank: np.ndarray
 ) -> np.ndarray:
-    """Separable 8x8-tap filtering at 1/64-pel positions, int32 math.
+    """Separable 8x8-tap filtering at 1/64-pel positions.
 
     ``rx_q6`` and ``ry_q6`` are (h, w) arrays, or (n, h, w) for a batch
     of n fields warped in one pass.  Out-of-plane taps clamp to the
     nearest edge pixel.  Only the edge-clamped window covering the taps
-    of the positions' bounding box is read (``fetch_block``) and widened
-    to int32, so the cost follows the block, not the plane.  Base
-    positions further out than one full tap span are clipped first,
-    which cannot change the clamped result and bounds the window by the
-    plane.
+    of the positions' bounding box is read (``fetch_block``), so the cost
+    follows the block, not the plane.  Base positions further out than
+    one full tap span are clipped first, which cannot change the clamped
+    result and bounds the window by the plane.
 
     A 2-D pure translation (``rx == rx[0, 0] + 64 * col`` and ``ry ==
     ry[0, 0] + 64 * row``) shares one phase per axis: it is the one-phase,
-    no-margin case of ``phase_planes``.  Any other field, and every batch,
-    gathers its 64 neighborhood samples per pixel.  Both give the same
-    integers: each pass rounds with (+32) >> 6 in the same order.
+    no-margin case of ``phase_planes``, in int32.  Any other field, and
+    every batch, gathers its 8x8 support per pixel as 8 packed rows: the
+    window is viewed, without a copy, as unaligned uint64 words of 8
+    horizontal samples, and viewed back as uint8 after the gather (the
+    words are never read as values, so byte order does not matter).
+
+    The gather filters in float32, and the result is still exact.  The
+    bank's positive taps sum to at most 88 and its negative taps to at
+    least -24, so pass 1 lies in [-6120, 22440], its rounded rows in
+    [-96, 351], and every partial sum of pass 2 below 40,000 in
+    magnitude: all exact integers in float32 (below 2**24) in any
+    summation order.  ``floor((x + 32) * 2**-6)`` is then ``(x + 32) >> 6``
+    exactly, so both branches give the same integers.
     """
     height, width = plane.shape
     h, w = rx_q6.shape[-2:]
@@ -146,18 +160,32 @@ def _warp_arrays(
 
     xi = np.clip(rx_q6 >> 6, -TAPS + 3, width + TAPS - 4)
     yi = np.clip(ry_q6 >> 6, -TAPS + 3, height + TAPS - 4)
-    ch = bank[rx_q6 & 63]  # (..., 8)
-    cv = bank[ry_q6 & 63]
+    fbank = bank.astype(np.float32)
+    ch = np.take(fbank, rx_q6 & 63, axis=0)[..., None]  # (..., 8, 1)
+    cv = np.take(fbank, ry_q6 & 63, axis=0)[..., None, :]  # (..., 1, 8)
 
     # window column 0 is the first tap (xi - 3) of the leftmost position
     bx, by = int(xi.min()) - 3, int(yi.min()) - 3
     win = fetch_block(plane, bx, by, int(xi.max()) + 5 - bx, int(yi.max()) + 5 - by)
-    win = win.astype(np.int32)
-    windows = np.lib.stride_tricks.sliding_window_view(win, (TAPS, TAPS))
-    sel = windows[yi - 3 - by, xi - 3 - bx]
-    rows = (np.einsum("...rc,...c->...r", sel, ch, dtype=np.int32) + 32) >> 6
-    out = (np.einsum("...r,...r->...", cv, rows, dtype=np.int32) + 32) >> 6
+    # supports[r, c, k] packs samples c..c+7 of window row r + k into one
+    # unaligned uint64 word: one zero-copy view of the 8x8 support of
+    # every window position
+    (wh, ww), row = win.shape, win.strides[0]
+    supports = as_strided(
+        win, (wh - TAPS + 1, ww - TAPS + 1, TAPS, TAPS), (row, 1, row, 1), writeable=False
+    ).view(np.uint64)[..., 0]
+    sel = supports[yi - 3 - by, xi - 3 - bx].view(np.uint8).reshape(*xi.shape, TAPS, TAPS)
+
+    rows = _shift6(np.matmul(sel.astype(np.float32), ch))  # (..., 8, 1)
+    out = _shift6(np.matmul(cv, rows)[..., 0, 0])
     return np.clip(out, 0, 255).astype(np.uint8)
+
+
+def _shift6(x: np.ndarray) -> np.ndarray:
+    """``(x + 32) >> 6`` in place on integer-valued float32 below 2**24."""
+    x += 32
+    x *= 1 / 64
+    return np.floor(x, out=x)
 
 
 def phase_planes(plane, x, y, width, height, xphases, yphases, bank) -> np.ndarray:

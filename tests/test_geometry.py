@@ -105,6 +105,23 @@ class TestFaceOf:
         assert face_of(bad, 96.0, L64) is None
         assert face_of(32.0, bad, L64) is None
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.filterwarnings("error")
+    def test_array_non_finite_is_no_face(self, bad):
+        # no cast warning, and the finite neighbours keep their faces
+        xs = np.array([bad, 5.0, 32.0, bad])
+        ys = np.array([5.0, bad, 96.0, bad])
+        f = face_of(xs, ys, L64)
+        assert f.dtype == np.int8
+        assert f.tolist() == [NO_FACE, NO_FACE, Face.FRONT, NO_FACE]
+        assert face_of(np.array([bad]), 96.0, L64).tolist() == [NO_FACE]
+
+    def test_scalar_types(self):
+        # Python and numpy scalars take the scalar path and agree
+        for x, y in [(32, 96), (32.0, 96.0), (np.float64(32), np.int64(96)),
+                     (np.int32(32), np.float32(96)), (True, 96)]:
+            assert face_of(x, y, L64) is Face.FRONT, (x, y)
+
     def test_rects_cover_exactly_six_cells(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(0, 256, 5000)

@@ -299,7 +299,7 @@ class TestBatchedWarp:
 
 
 def _gathered(plane, field):
-    """``field`` warped as a batch of one, which takes the 64-sample gather."""
+    """``field`` warped as a batch of one, which takes the 8x8 gather."""
     one = CorrespondenceField(field.rx_q6[None], field.ry_q6[None], field.valid[None])
     return warp_block(plane, one)[0]
 
@@ -376,6 +376,101 @@ class TestPhasePlanes:
         assert got.shape == (1, 1, size // 2, size // 2)
         npt.assert_array_equal(got[0, 0], warp_block(plane, cfld, bank))
         npt.assert_array_equal(got[0, 0], _gathered(plane, cfld))
+
+
+def oracle_warp(plane, rx_q6, ry_q6):
+    """``oracle_sample`` at every position of a field of any shape."""
+    bank = generate_dctif_bank()
+    want = [oracle_sample(plane, bank, int(x), int(y)) for x, y in zip(rx_q6.flat, ry_q6.flat)]
+    return np.array(want, dtype=np.uint8).reshape(rx_q6.shape)
+
+
+class TestGatherExactness:
+    """The float32 gather returns the integers of the fixed-point oracle."""
+
+    @pytest.mark.parametrize("placement", ["inside", "straddle", "off"])
+    @given(data=st.data())
+    def test_random_fields_match_oracle(self, placement, data):
+        height, width = 24, 32
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        plane = random_plane(seed, height, width)
+        bw, bh = data.draw(st.integers(2, 8)), data.draw(st.integers(2, 8))
+        n = data.draw(st.sampled_from([None, 1, 3]))
+        shape = (bh, bw) if n is None else (n, bh, bw)
+        edge_x = data.draw(st.booleans())
+        px = data.draw(_ref_origin(placement if edge_x else "inside", bw, width))
+        py = data.draw(_ref_origin("inside" if edge_x else placement, bh, height))
+        # a block's pixel lattice, each position moved by up to `span` 1/64-pels
+        span = data.draw(st.integers(1, 3 * 64))
+        rng = np.random.default_rng(seed)
+        rx = 64 * (px + np.arange(bw)) + rng.integers(-span, span + 1, size=shape)
+        ry = 64 * (py + np.arange(bh)[:, None]) + rng.integers(-span, span + 1, size=shape)
+        if n is None:  # never a pure translation, which skips the gather
+            rx[0, 0] = rx[0, 1] - 1
+        field = CorrespondenceField(rx.astype(np.int32), ry.astype(np.int32), np.ones(shape, dtype=bool))
+        got = warp_block(plane, field)
+        assert got.shape == shape and got.dtype == np.uint8
+        npt.assert_array_equal(got, oracle_warp(plane, rx, ry))
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("rows", ["same", "opposite", "mixed"])
+    def test_tap_sign_planes_reach_both_extremes(self, batched, rows):
+        # one 8x8 tile per phase pair (py, px), 255 where a horizontal tap
+        # has the sign chosen for its row, else 0, so every pass-1 sum is
+        # 255 times a positive or a negative tap sum.  Rows signed like
+        # the vertical taps ("same", "opposite") push pass 2 to its bounds
+        # too; random row signs ("mixed") leave many outputs unclipped.
+        bank = generate_dctif_bank()
+        taps = np.sign(bank)
+        row_sign = {
+            "same": np.broadcast_to(taps[:, None, :], (64, 64, 8)),
+            "opposite": np.broadcast_to(-taps[:, None, :], (64, 64, 8)),
+            "mixed": np.random.default_rng(0).choice([-1, 1], size=(64, 64, 8)),
+        }[rows]
+        tiles = np.where(row_sign[..., None] * taps[None, :, None, :] > 0, 255, 0)
+        p1 = np.einsum("yxrc,xc->yxr", tiles, bank)
+        assert (p1.min(), p1.max()) == (-255 * 24, 255 * 88)
+        plane = tiles.astype(np.uint8).transpose(0, 2, 1, 3).reshape(8 * 64, 8 * 64)
+        # pixel (j, i) reads tile (j, i) at phases (j, i)
+        phase = np.arange(64)
+        rx = np.tile((8 * phase + 3) * 64 + phase, (64, 1))
+        ry = rx.T.copy()
+        want = oracle_warp(plane, rx, ry)
+        if rows == "mixed":
+            assert ((want > 0) & (want < 255)).mean() > 0.2
+        if batched:
+            rx, ry, want = rx.reshape(4, 16, 64), ry.reshape(4, 16, 64), want.reshape(4, 16, 64)
+        field = CorrespondenceField(rx.astype(np.int32), ry.astype(np.int32), np.ones(rx.shape, dtype=bool))
+        npt.assert_array_equal(warp_block(plane, field, bank), want)
+
+    def test_bank_keeps_float32_sums_exact(self):
+        # the bounds the float32 gather's exactness rests on: a bank that
+        # breaks them must fail here, not drift silently
+        bank = generate_dctif_bank().astype(np.int64)
+        assert np.where(bank > 0, bank, 0).sum(axis=1).max() <= 88
+        assert np.where(bank < 0, bank, 0).sum(axis=1).min() >= -24
+        lo, hi = (-255 * 24 + 32) >> 6, (255 * 88 + 32) >> 6
+        assert (lo, hi) == (-96, 351)
+        # every pass-2 partial sum is at most sum(|taps|) * max(|row|)
+        assert (88 + 24) * max(-lo, hi) < 40_000 < 2**24
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_reference_plane_unchanged(self, batched):
+        rng = np.random.default_rng(23)
+        for writeable in (False, True):
+            plane = random_plane(29, 40, 48)
+            before = plane.copy()
+            plane.flags.writeable = writeable
+            # one field inside the plane (read through a view of it), one across its edge
+            for x0 in (8 * 64, -3 * 64):
+                shape = (2, 16, 16) if batched else (16, 16)
+                rx = x0 + 64 * np.arange(16) + rng.integers(-70, 71, size=shape)
+                ry = 8 * 64 + 64 * np.arange(16)[:, None] + rng.integers(-70, 71, size=shape)
+                field = CorrespondenceField(rx.astype(np.int32), ry.astype(np.int32), np.ones(shape, dtype=bool))
+                got = warp_block(plane, field)
+                assert got.flags.writeable and not np.shares_memory(got, plane)
+            npt.assert_array_equal(plane, before)
+            assert plane.flags.writeable is writeable
 
 
 class TestFetchBlock:
