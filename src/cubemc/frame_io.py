@@ -11,8 +11,8 @@ sequences usable as oracles for the motion model and the evaluator.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -53,25 +53,26 @@ class Frame:
 
 
 def read_yuv420(path, width: int, height: int) -> list[Frame]:
-    """Read a headerless planar 4:2:0 file; frame count from its size."""
+    """Read a headerless planar 4:2:0 file; frame count from its size.
+    Each plane is read straight into its own array, with no file copy."""
     if width % 2 or height % 2:
         raise ValueError("width and height must be even")
-    data = Path(path).read_bytes()
     frame_bytes = width * height * 3 // 2
-    if len(data) % frame_bytes:
-        raise ValueError(
-            f"file size {len(data)} is not a multiple of the "
-            f"{width}x{height} 4:2:0 frame size {frame_bytes}"
-        )
-    raw = np.frombuffer(data, dtype=np.uint8)
-    cw, ch = width // 2, height // 2
-    frames = []
-    for t in range(len(data) // frame_bytes):
-        base = t * frame_bytes
-        y = raw[base : base + width * height].reshape(height, width)
-        u = raw[base + width * height : base + width * height + cw * ch].reshape(ch, cw)
-        v = raw[base + width * height + cw * ch : base + frame_bytes].reshape(ch, cw)
-        frames.append(Frame(y.copy(), u.copy(), v.copy(), poc=t))
+    shapes = ((height, width), (height // 2, width // 2), (height // 2, width // 2))
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size % frame_bytes:
+            raise ValueError(
+                f"file size {size} is not a multiple of the "
+                f"{width}x{height} 4:2:0 frame size {frame_bytes}"
+            )
+        frames = []
+        for t in range(size // frame_bytes):
+            planes = [np.empty(shape, dtype=np.uint8) for shape in shapes]
+            for plane in planes:
+                if fh.readinto(plane) != plane.size:
+                    raise ValueError(f"short read in frame {t} of {size // frame_bytes}")
+            frames.append(Frame(*planes, poc=t))
     return frames
 
 

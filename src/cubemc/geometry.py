@@ -23,10 +23,18 @@ Conventions
 
 Each transform is an array core on float64 arrays behind one scalar
 adapter, which converts the coordinates once and broadcasts them
-elementwise.  When every coordinate is a scalar or 0-d array, results are
-Python values: ``float``, ``Face``, and ``None`` for ``NO_FACE``.
-Otherwise faces are int8 arrays with ``NO_FACE`` (-1) marking corner holes
-and off-canvas points.  All transforms are pure, safe to call concurrently.
+elementwise.  The cores that pick faces take one face's coefficients as
+scalars when every point lies on that face: unfold points whose bounding
+box fits in its cell, or cube points whose signed dominant axis equals
+the max magnitude everywhere while the other two are strictly smaller,
+which rules out every tie.  These are the same float64 values in the same
+operations as the per-point gather, which stays for mixed faces, ties and
+NaN, so every result is unchanged, signed zeros included.
+
+When every coordinate is a scalar or 0-d array, results are Python
+values: ``float``, ``Face``, and ``None`` for ``NO_FACE``.  Otherwise
+faces are int8 arrays with ``NO_FACE`` (-1) marking corner holes and
+off-canvas points.  All transforms are pure, safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -105,6 +113,7 @@ _N, _EU, _EV = np.array(_FRAME, dtype=np.float64).transpose(1, 2, 0).copy()
 _CU = np.array([_FACE_CELL[f][0] + 0.5 for f in Face])
 _CV = np.array([_FACE_CELL[f][1] + 0.5 for f in Face])
 _C = 0.5 * _N - _EU * _CU - _EV * _CV
+_AXIS = [next((a, v) for a, v in enumerate(n) if v) for n, _, _ in _FRAME]  # (axis, sign) of n
 
 
 @dataclass(frozen=True)
@@ -211,15 +220,26 @@ def face_of(x_u, y_u, layout: CubeLayout):
     return _face_of_any(x_u, y_u, layout)
 
 
+def _cell_face(x_u, y_u, layout: CubeLayout):
+    """The face whose cell holds every point, or None (also for NaN and
+    empty input); cells are axis-aligned, so the bounding box decides."""
+    if not (x_u.size and y_u.size):
+        return None
+    face = face_of(float(x_u.min()), float(y_u.min()), layout)
+    return face if face == face_of(float(x_u.max()), float(y_u.max()), layout) else None
+
+
 def _unfold_to_cube(x_u, y_u, layout: CubeLayout):
     """Map on-face unfold points to the cube surface.
 
     Returns ``(x_c, y_c, z_c)``.  Raises ``ValueError`` for points in
     corner holes or outside the canvas.
     """
-    face = _face_of(x_u, y_u, layout)
-    if np.any(face == NO_FACE):
-        raise ValueError("not on a face")
+    face = _cell_face(x_u, y_u, layout)
+    if face is None:
+        face = _face_of(x_u, y_u, layout)
+        if np.any(face == NO_FACE):
+            raise ValueError("not on a face")
     w = float(layout.face_width)
     return tuple(cx[face] * x_u + cy[face] * y_u + c[face] * w for cx, cy, c in zip(_EU, _EV, _C))
 
@@ -228,19 +248,38 @@ def _max_abs(x, y, z):
     return np.maximum(np.maximum(np.abs(x), np.abs(y)), np.abs(z))
 
 
+def _strict_face(x_c, y_c, z_c, m):
+    """The first point's dominant face if every point lies on it with no
+    tie, else None (also for NaN, the origin and empty input)."""
+    if not m.size:
+        return None
+    x, y, z = (float(v.flat[0]) for v in (x_c, y_c, z_c))
+    signed = [z, y, -z, x, -y, -x]  # _FRAME's outward axes, in Face order
+    face = signed.index(max(signed))
+    axis, sign = _AXIS[face]
+    coords = [x_c, y_c, z_c]
+    dominant = coords.pop(axis)
+    if (sign * dominant == m).all() and (np.maximum(*map(np.abs, coords)) < m).all():
+        return face
+    return None
+
+
 def _to_unfold(x_c, y_c, z_c, layout: CubeLayout):
     """Dominant face of on-surface cube points (ties broken in Face
     priority order) and their unfold coordinates."""
     m = _max_abs(x_c, y_c, z_c)
-    # the conditions are _FRAME's outward axes n, in Face order
-    face = np.select(
-        [z_c == m, y_c == m, -z_c == m, x_c == m, -y_c == m],
-        [Face.TOP, Face.FRONT, Face.BOTTOM, Face.RIGHT, Face.REAR],
-        default=Face.LEFT,
-    ).astype(np.int8)
+    k = _strict_face(x_c, y_c, z_c, m)
+    if k is not None:
+        face = np.full(m.shape, k, dtype=np.int8)
+    else:  # the conditions are _FRAME's outward axes n, in Face order
+        face = k = np.select(
+            [z_c == m, y_c == m, -z_c == m, x_c == m, -y_c == m],
+            [Face.TOP, Face.FRONT, Face.BOTTOM, Face.RIGHT, Face.REAR],
+            default=Face.LEFT,
+        ).astype(np.int8)
     w = float(layout.face_width)
     x_u, y_u = (
-        e[0][face] * x_c + e[1][face] * y_c + e[2][face] * z_c + c[face] * w
+        e[0][k] * x_c + e[1][k] * y_c + e[2][k] * z_c + c[k] * w
         for e, c in ((_EU, _CU), (_EV, _CV))
     )
     return face, x_u, y_u

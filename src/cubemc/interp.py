@@ -9,8 +9,9 @@ taps exactly.  Filtering has integer semantics: 6-bit coefficients, one
 horizontal and one vertical pass, each with a (+32) >> 6 stage.
 Translations filter in int32 (``phase_planes``).  Per-pixel fields gather
 each pixel's 8x8 support as 8 packed uint64 rows and filter it in float32
-matmuls, which is exact: the bank's tap sums keep every partial sum below
-40,000 in magnitude, far inside float32's exact-integer range (2**24).
+(a matmul, then an einsum), which is exact: the bank's tap sums keep every
+partial sum below 40,000 in magnitude, far inside float32's exact-integer
+range (2**24).
 """
 
 from __future__ import annotations
@@ -126,12 +127,13 @@ def _warp_arrays(
 ) -> np.ndarray:
     """Separable 8x8-tap filtering at 1/64-pel positions.
 
-    ``rx_q6`` and ``ry_q6`` are (h, w) arrays, or (n, h, w) for a batch
-    of n fields warped in one pass.  Out-of-plane taps clamp to the
-    nearest edge pixel.  Only the edge-clamped window covering the taps
-    of the positions' bounding box is read (``fetch_block``), so the cost
-    follows the block, not the plane.  Base positions further out than
-    one full tap span are clipped first, which cannot change the clamped
+    ``rx_q6`` and ``ry_q6`` are (h, w) integer arrays (int32 fields are
+    read as they are), or (n, h, w) for a batch of n fields warped in one
+    pass.  Out-of-plane taps clamp to the nearest edge pixel.  Only the
+    edge-clamped window covering the taps of the positions' bounding box
+    is read (``fetch_block``), so the cost follows the block, not the
+    plane.  Only when that box reaches further out than one full tap span
+    are the base positions clipped, which cannot change the clamped
     result and bounds the window by the plane.
 
     A 2-D pure translation (``rx == rx[0, 0] + 64 * col`` and ``ry ==
@@ -142,7 +144,8 @@ def _warp_arrays(
     horizontal samples, and viewed back as uint8 after the gather (the
     words are never read as values, so byte order does not matter).
 
-    The gather filters in float32, and the result is still exact.  The
+    The gather filters in float32 (pass 1 a per-pixel matmul, pass 2 one
+    ``einsum`` over the 8 taps), and the result is still exact.  The
     bank's positive taps sum to at most 88 and its negative taps to at
     least -24, so pass 1 lies in [-6120, 22440], its rounded rows in
     [-96, 351], and every partial sum of pass 2 below 40,000 in
@@ -158,15 +161,14 @@ def _warp_arrays(
     ).all():
         return phase_planes(plane, x0 >> 6, y0 >> 6, w, h, [x0 & 63], [y0 & 63], bank)[0, 0]
 
-    xi = np.clip(rx_q6 >> 6, -TAPS + 3, width + TAPS - 4)
-    yi = np.clip(ry_q6 >> 6, -TAPS + 3, height + TAPS - 4)
+    xi, xlo, xhi = _clipped_base(rx_q6, width)
+    yi, ylo, yhi = _clipped_base(ry_q6, height)
     fbank = bank.astype(np.float32)
     ch = np.take(fbank, rx_q6 & 63, axis=0)[..., None]  # (..., 8, 1)
-    cv = np.take(fbank, ry_q6 & 63, axis=0)[..., None, :]  # (..., 1, 8)
+    cv = np.take(fbank, ry_q6 & 63, axis=0)  # (..., 8)
 
     # window column 0 is the first tap (xi - 3) of the leftmost position
-    bx, by = int(xi.min()) - 3, int(yi.min()) - 3
-    win = fetch_block(plane, bx, by, int(xi.max()) + 5 - bx, int(yi.max()) + 5 - by)
+    win = fetch_block(plane, xlo - 3, ylo - 3, xhi - xlo + TAPS, yhi - ylo + TAPS)
     # supports[r, c, k] packs samples c..c+7 of window row r + k into one
     # unaligned uint64 word: one zero-copy view of the 8x8 support of
     # every window position
@@ -174,11 +176,23 @@ def _warp_arrays(
     supports = as_strided(
         win, (wh - TAPS + 1, ww - TAPS + 1, TAPS, TAPS), (row, 1, row, 1), writeable=False
     ).view(np.uint64)[..., 0]
-    sel = supports[yi - 3 - by, xi - 3 - bx].view(np.uint8).reshape(*xi.shape, TAPS, TAPS)
+    sel = supports[yi - ylo, xi - xlo].view(np.uint8).reshape(*xi.shape, TAPS, TAPS)
 
     rows = _shift6(np.matmul(sel.astype(np.float32), ch))  # (..., 8, 1)
-    out = _shift6(np.matmul(cv, rows)[..., 0, 0])
+    out = _shift6(np.einsum("...k,...k->...", cv, rows[..., 0]))
     return np.clip(out, 0, 255).astype(np.uint8)
+
+
+def _clipped_base(r_q6: np.ndarray, size: int):
+    """Base positions on an axis of ``size`` samples, and their min and
+    max, clipped to one tap span beyond the plane only if they reach it."""
+    base = r_q6 >> 6
+    lo, hi = int(base.min()), int(base.max())
+    first, last = 3 - TAPS, size + TAPS - 4
+    if lo < first or hi > last:
+        base = np.clip(base, first, last)
+        lo, hi = min(max(lo, first), last), min(max(hi, first), last)
+    return base, lo, hi
 
 
 def _shift6(x: np.ndarray) -> np.ndarray:
@@ -226,9 +240,7 @@ def warp_block(
     """
     if bank is None:
         bank = generate_dctif_bank()
-    return _warp_arrays(
-        plane, field.rx_q6.astype(np.int64), field.ry_q6.astype(np.int64), bank
-    )
+    return _warp_arrays(plane, field.rx_q6, field.ry_q6, bank)
 
 
 def fetch_block(plane: np.ndarray, x0: int, y0: int, width: int, height: int) -> np.ndarray:

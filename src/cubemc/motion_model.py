@@ -113,10 +113,11 @@ def _transport_from_sphere(s0, s1, s2x, s2y, s2z, layout: CubeLayout):
 
     norm = np.sqrt(s3x * s3x + s3y * s3y + s3z * s3z)
     ok = norm >= DEGENERATE_NORM * layout.face_width
-    # keep sphere_to_unfold total: substitute a unit ray where degenerate
-    s3x = np.where(ok, s3x, 1.0)
-    s3y = np.where(ok, s3y, 0.0)
-    s3z = np.where(ok, s3z, 0.0)
+    if not ok.all():
+        # keep sphere_to_unfold total: substitute a unit ray where degenerate
+        s3x = np.where(ok, s3x, 1.0)
+        s3y = np.where(ok, s3y, 0.0)
+        s3z = np.where(ok, s3z, 0.0)
     _, x3, y3 = sphere_to_unfold(s3x, s3y, s3z, layout)
     return x3, y3, ok
 
@@ -125,11 +126,14 @@ def _transport_arrays(u0, u1, x2, y2, layout: CubeLayout):
     """Vectorized sphere-uniform transport; returns (x3, y3, ok).
 
     Entries with ok == False hold unusable coordinates and must be
-    replaced by the caller's fallback.
+    replaced by the caller's fallback.  One geometry call maps all points.
     """
-    s0 = unfold_to_sphere(u0[0], u0[1], layout)
-    s1 = unfold_to_sphere(u1[0], u1[1], layout)
-    s2x, s2y, s2z = unfold_to_sphere(x2, y2, layout)
+    x2, y2 = np.broadcast_arrays(x2, y2)
+    xs = np.concatenate(([u0[0], u1[0]], x2.ravel()))
+    ys = np.concatenate(([u0[1], u1[1]], y2.ravel()))
+    s = unfold_to_sphere(xs, ys, layout)
+    s0, s1 = ([axis[i] for axis in s] for i in (0, 1))
+    s2x, s2y, s2z = (axis[2:].reshape(x2.shape) for axis in s)
     return _transport_from_sphere(s0, s1, s2x, s2y, s2z, layout)
 
 
@@ -142,6 +146,12 @@ def _block_sphere_grid(x0: int, y0: int, width: int, height: int, layout: CubeLa
     for axis in grid:
         axis.flags.writeable = False
     return grid
+
+
+@lru_cache(maxsize=4096)
+def _block_sphere_center(block: Block, layout: CubeLayout) -> tuple[float, float, float]:
+    """Sphere point s0 of the block center (cached like the grid)."""
+    return unfold_to_sphere(*block.center, layout)
 
 
 def transport_point(u0, u1, u2, layout: CubeLayout) -> tuple[float, float]:
@@ -177,8 +187,8 @@ def build_correspondence_fields(
 
     Slice i equals ``build_correspondence_field(block, mvs[i], layout)``.
     The block check, the center's sphere point s0 and the block's sphere
-    grid are shared; only the chord s1 - s0 differs between MVs, so s0
-    and all the moved centers u1 are mapped in one call and the
+    grid are shared (and cached); only the chord s1 - s0 differs between
+    MVs, so all the moved centers u1 are mapped in one call and the
     transport broadcasts over the batch.  Raises ``ValueError`` if any
     u1 is off the faces.
     """
@@ -188,11 +198,8 @@ def build_correspondence_fields(
     if any(face_of(x, y, layout) is None for x, y in u1):
         raise ValueError("invalid center MV")
 
-    # one geometry call maps the center u0 (entry 0) and every u1
-    xs, ys = np.array([(cx, cy), *u1], dtype=np.float64).T
-    s = unfold_to_sphere(xs, ys, layout)
-    s0 = [axis[0] for axis in s]
-    s1 = [axis[1:, None, None] for axis in s]
+    s0 = _block_sphere_center(block, layout)
+    s1 = [axis[:, None, None] for axis in unfold_to_sphere(*np.array(u1).T, layout)]
     s2x, s2y, s2z = _block_sphere_grid(block.x0, block.y0, block.width, block.height, layout)
     x3, y3, ok = _transport_from_sphere(s0, s1, s2x, s2y, s2z, layout)
 

@@ -308,10 +308,16 @@ def tzs_search(
             break
         d *= 2
 
-    # stage 3: coarse raster only when the motion looks large
+    def raster(c, size):
+        """Offsets -r + 8k in [-r, r] that keep ``c + offset`` in [0, size)."""
+        lo, hi = max(-r, math.ceil(-c)), min(r, math.ceil(size - c) - 1)
+        return range(lo + (-r - lo) % RASTER_STEP, hi + 1, RASTER_STEP)
+
+    # stage 3: coarse raster only when the motion looks large; offsets
+    # whose center leaves the canvas would be rejected, so none is visited
     if best_dist > 5:
-        for dy in range(-r, r + 1, RASTER_STEP):
-            for dx in range(-r, r + 1, RASTER_STEP):
+        for dy in raster(cy, layout.canvas_height):
+            for dx in raster(cx, layout.canvas_width):
                 try_int(dx, dy)
 
     # stage 4: re-centering small-diamond refinement

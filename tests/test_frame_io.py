@@ -1,11 +1,15 @@
 """Tests for YUV I/O and the synthetic oracle sequences."""
 
 import math
+import os
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from cubemc import frame_io
 from cubemc.frame_io import (
     Frame,
     SyntheticSpec,
@@ -85,6 +89,34 @@ class TestFileRoundTrip:
     def test_odd_dimensions_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="even"):
             read_yuv420(tmp_path / "x.yuv", 63, 48)
+
+    def test_reads_planes_without_a_file_copy(self, tmp_path):
+        path = tmp_path / "clip.yuv"
+        frames = random_frames(np.random.default_rng(5), 10, 256, 192)
+        write_yuv420(path, frames)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            back = read_yuv420(path, 256, 192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [f.poc for f in back] == list(range(10))
+        npt.assert_array_equal(back[-1].v, frames[-1].v)
+        # the frames themselves take the file size; a whole-file buffer
+        # or a second copy of the planes would double it
+        assert size <= peak < 1.5 * size
+
+    def test_short_read_rejected(self, tmp_path, monkeypatch):
+        # the file shrinks between its size check and the read
+        path = tmp_path / "clip.yuv"
+        write_yuv420(path, random_frames(np.random.default_rng(6), 2))
+        fstat = os.fstat
+        monkeypatch.setattr(
+            frame_io.os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 64 * 48 * 3 // 2)
+        )
+        with pytest.raises(ValueError, match="short read"):
+            read_yuv420(path, 64, 48)
 
 
 class TestSyntheticSpecValidation:

@@ -455,6 +455,42 @@ def _seam_grid(w):
     return np.meshgrid(np.array(coords), np.array(coords))
 
 
+def _lattice(lo, hi):
+    """Edges, a nine-point interior lattice and a third-pel point of
+    [lo, hi): the edge values lo and the double below hi, -0.0 when lo
+    is 0, and the center exactly."""
+    pts = [lo, math.nextafter(hi, -math.inf), lo + (hi - lo) / 3]
+    pts += list(np.linspace(lo, hi, 10)[1:-1]) + [(lo + hi) / 2]
+    return [-0.0] + pts if lo == 0 else pts
+
+
+def _single_face_unfold_sets(layout):
+    """Per face, its interior lattice and its edge and corner points on
+    the canvas, each a separate single-face point set."""
+    for f in Face:
+        x0, y0, x1, y1 = layout.face_rect(f)
+        xs, ys = _lattice(x0, x1), _lattice(y0, y1)
+        edge_x, edge_y = xs[: 3 if x0 == 0 else 2], ys[: 3 if y0 == 0 else 2]
+        inner = np.meshgrid(np.array(xs[len(edge_x):]), np.array(ys[len(edge_y):]))
+        edges = [(x, y) for x in xs for y in ys if x in edge_x or y in edge_y]
+        yield inner
+        yield np.array(edges).T
+
+
+def _single_face_cube_sets(r):
+    """Per face, on-surface cube points: an interior lattice with +-0
+    in-plane coordinates, then its edges (exact two-axis ties) and
+    corners (exact three-axis ties)."""
+    inner = [-0.0, 0.0, r / 3, -r / 3] + list(np.linspace(-r, r, 10)[1:-1])
+    rim = [-r, r]
+    for _, axis, sign in PRIORITY:
+        for s_vals, t_vals in ((inner, inner), (rim, inner + rim), (inner, rim)):
+            s, t = (v.ravel() for v in np.meshgrid(np.array(s_vals), np.array(t_vals)))
+            pts = [s, t]
+            pts.insert(axis, np.full(s.shape, sign * r))
+            yield np.array(pts)
+
+
 # SHA-256 of the transforms' float64/int8 outputs: a changed coefficient,
 # cell, seam rule or tie-break shows here, even where round trips still hold.
 GEOMETRY_GOLDEN = {
@@ -469,6 +505,24 @@ GEOMETRY_GOLDEN = {
     "face_of": {
         64: "9e4976a495e4a5e2d80a6e83b4f51b0200294ac2e125475aa16b14b7137e06aa",
         72: "9cdedced5a6f766c7a7ef15a152e2d917c9cd81a333b9f4f7e2f2d8331cf3edb",
+    },
+}
+
+
+# SHA-256 of the transforms on single-face point sets (see
+# test_single_face_point_sets), recorded before the face-uniform branch.
+SINGLE_FACE_GOLDEN = {
+    64: {
+        "unfold_to_cube": "37e525696d164278139d7ae82ff47522aff56719ede2ec4c868439edf9ae8428",
+        "unfold_to_sphere": "01c324160914272b844243fd17e7155af88fa88c69567d21b16694be77a54f1a",
+        "cube_to_unfold": "ef3b4b287a7537f99d1d20a84015097b0423d9981ddaf7e44f9b8bf71fdd9c61",
+        "sphere_to_unfold": "2d216c597d707e6f229eeeff93d630164d552ce9ce0272046b53fcd024bfb469",
+    },
+    72: {
+        "unfold_to_cube": "9ede48eff8162675bd8e66588dc2e84fd7037ad05f0966be485d5089e4123ef6",
+        "unfold_to_sphere": "94c40db8cc37637bf0ff74779d03cae2daef03d1f82b80a998fd304777d26b93",
+        "cube_to_unfold": "f20844055c0b79fa1ee4fe78df544300b01b370d1dceee6fd80bb73b66caf17d",
+        "sphere_to_unfold": "880947b879bdf26005881ca7328d16689276e23513d733b91265085b5e582a09",
     },
 }
 
@@ -490,3 +544,26 @@ class TestGeometryGolden:
     def test_face_of_on_seam_grid(self, w):
         layout = CubeLayout(w, w)
         assert _sha256(face_of(*_seam_grid(w), layout)) == GEOMETRY_GOLDEN["face_of"][w]
+
+    @pytest.mark.parametrize("w", [64, 72])
+    def test_single_face_point_sets(self, w):
+        # each face's points as their own calls, whether or not every
+        # point lies strictly on the face, and all of them in one call
+        layout = CubeLayout(w, w)
+        r = layout.radius
+        unfold = list(_single_face_unfold_sets(layout))
+        cube = list(_single_face_cube_sets(r))
+        calls = {
+            "unfold_to_cube": [unfold_to_cube(x, y, layout) for x, y in unfold],
+            "unfold_to_sphere": [unfold_to_sphere(x, y, layout) for x, y in unfold],
+            "cube_to_unfold": [cube_to_unfold(*c, layout) for c in cube],
+            # the same directions off the cube and on the sphere
+            "sphere_to_unfold": [sphere_to_unfold(*(c * 1.75), layout) for c in cube]
+            + [sphere_to_unfold(*(c * (r / np.sqrt((c * c).sum(axis=0)))), layout) for c in cube],
+        }
+        calls["unfold_to_cube"].append(
+            unfold_to_cube(*np.concatenate([np.reshape(u, (2, -1)) for u in unfold], axis=1), layout)
+        )
+        calls["cube_to_unfold"].append(cube_to_unfold(*np.concatenate(cube, axis=1), layout))
+        got = {name: _sha256(*(a for out in outs for a in out)) for name, outs in calls.items()}
+        assert got == SINGLE_FACE_GOLDEN[w]

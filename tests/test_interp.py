@@ -455,6 +455,23 @@ class TestGatherExactness:
         assert (88 + 24) * max(-lo, hi) < 40_000 < 2**24
 
     @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("x0, clipped", [(8, False), (-3, False), (-40, True), (60, True)])
+    def test_int32_and_int64_fields_agree(self, batched, x0, clipped):
+        # a block inside the 32-px-wide plane, across its left edge, and
+        # wholly off it on either side, where the base positions lie more
+        # than a tap span out and the gather clips them
+        plane = random_plane(31, 24, 32)
+        rng = np.random.default_rng(x0 + 100)
+        shape = (3, 8, 8) if batched else (8, 8)
+        rx = 64 * (x0 + np.arange(8)) + rng.integers(-60, 61, size=shape)
+        ry = 64 * (8 + np.arange(8)[:, None]) + rng.integers(-60, 61, size=shape)
+        assert bool((rx >> 6).min() < -5 or (rx >> 6).max() > 32 + 4) is clipped
+        want = oracle_warp(plane, rx, ry)
+        for dtype in (np.int32, np.int64):
+            field = CorrespondenceField(rx.astype(dtype), ry.astype(dtype), np.ones(shape, dtype=bool))
+            npt.assert_array_equal(warp_block(plane, field), want)
+
+    @pytest.mark.parametrize("batched", [False, True])
     def test_reference_plane_unchanged(self, batched):
         rng = np.random.default_rng(23)
         for writeable in (False, True):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from cubemc.geometry import CubeLayout, Face, face_of, sphere_to_unfold, unfold_to_sphere
+import cubemc.geometry as geometry
 import cubemc.motion_model as motion_model
 from cubemc.motion_model import (
     Block,
@@ -225,6 +226,40 @@ class TestCorrespondenceField:
     def test_straddling_block_rejected(self):
         with pytest.raises(ValueError, match="single face"):
             build_correspondence_field(Block(56, 88, 16, 16), MotionVector(0, 0), L64)
+
+
+class TestFaceUniformBuild:
+    """A build whose points all lie on one face maps them with the face's
+    coefficients as scalars: no per-point face pick and no gather."""
+
+    def _branches(self, monkeypatch, blk, mv, layout):
+        """Build one field from cold caches; return the results of the
+        face-uniform tests of both geometry cores."""
+        found = {"_cell_face": [], "_strict_face": []}
+        for name, results in found.items():
+            inner = getattr(geometry, name)
+            monkeypatch.setattr(
+                geometry, name, lambda *a, inner=inner, results=results: (
+                    results.append(inner(*a)) or results[-1]
+                ),
+            )
+        motion_model._block_sphere_grid.cache_clear()
+        motion_model._block_sphere_center.cache_clear()
+        build_correspondence_field(blk, mv, layout)
+        return found
+
+    def test_in_face_build_is_face_uniform(self, monkeypatch):
+        layout = CubeLayout(192, 192)
+        found = self._branches(monkeypatch, Block(64, 256, 64, 64), MotionVector(9, -7), layout)
+        # the center, the pixel grid and the moved center; the transported grid
+        assert len(found["_cell_face"]) == 3 and len(found["_strict_face"]) == 1
+        assert None not in found["_cell_face"] + found["_strict_face"]
+
+    def test_seam_crossing_build_is_not(self, monkeypatch):
+        layout = CubeLayout(192, 192)
+        # a FRONT block moved 50 px right, half of it onto RIGHT
+        found = self._branches(monkeypatch, Block(128, 256, 64, 64), MotionVector(200, 0), layout)
+        assert found["_strict_face"] == [None]
 
 
 def assert_batch_matches_singles(blk, mvs, layout):

@@ -285,6 +285,33 @@ class TestBatchedStageFive:
         assert batched == 0 and single == candidates
 
 
+class TestRasterBound:
+    """The stage-3 raster visits only offsets whose block center lands on
+    the canvas, so its cost follows the canvas, not the search range."""
+
+    def test_wide_ranges_agree_and_cost_the_canvas(self, monkeypatch):
+        cur, refp, _ = synthetic_pair(velocity=(0.0, 7.5, 0.0), seed=5)
+        calls = []
+        inner = motion_search.face_of
+        monkeypatch.setattr(motion_search, "face_of", lambda *a: calls.append(a) or inner(*a))
+        blk = Block(16, 64, 16, 16)
+        results, counts = {}, {}
+        for r in (1024, 4096):
+            calls.clear()
+            results[r] = tzs_search(blk, cur.y, refp, [ZERO], SearchConfig(search_range=r),
+                                    L64, advanced=False)
+            counts[r] = len(calls)
+        assert results[1024] == results[4096]
+        # the raster fired: stages 2, 4 and 5 alone make about 100 calls
+        assert counts[1024] > 500
+        # at most one raster call per 8x8 cell of the canvas, and fewer
+        # for the other stages (the two extra stage-2 rings of r = 4096
+        # add 16); at the full lattice r = 4096 would make ~10**6
+        cells = (L64.canvas_width // RASTER_STEP + 1) * (L64.canvas_height // RASTER_STEP + 1)
+        assert counts[4096] <= 2 * cells
+        assert counts[4096] - counts[1024] <= 16
+
+
 class TestTranslationalWindow:
     """The translational stage 5 filters one quarter-pel window per search;
     only seeds outside it are warped one at a time."""
