@@ -74,25 +74,33 @@ class EvalConfig:
     def __post_init__(self):
         if self.block_size not in (16, 32, 64):
             raise EvalConfigError("block_size must be 16, 32 or 64")
-        if self.face_size < 8:
-            raise EvalConfigError("face_size must be at least 8")
         if self.face_size % 2:
             raise EvalConfigError("face_size must be even (4:2:0 chroma)")
         if self.face_size < self.block_size:
             raise EvalConfigError("face_size must be at least block_size")
         if self.ref_distance < 1:
             raise EvalConfigError("ref_distance must be at least 1")
-        if self.search_range < 1:
-            raise EvalConfigError("search_range must be positive")
-        if not (math.isfinite(self.lambda_) and self.lambda_ >= 0):
-            raise EvalConfigError("lambda must be finite and non-negative")
-        if self.input != "synthetic":
-            if self.width != 4 * self.face_size or self.height != 3 * self.face_size:
-                raise EvalConfigError(
-                    "width/height must be 4x and 3x the face size for file input"
-                )
-        elif self.synth_frames < 1:
-            raise EvalConfigError("synth_frames must be at least 1")
+        # the search and clip settings are checked by the objects they configure
+        self._search_config()
+        if self.input == "synthetic":
+            self._synthetic_spec()
+        elif self.width != 4 * self.face_size or self.height != 3 * self.face_size:
+            raise EvalConfigError("width/height must be 4x and 3x the face size for file input")
+
+    def _search_config(self) -> SearchConfig:
+        return _checked(SearchConfig, search_range=self.search_range, lambda_=self.lambda_)
+
+    def _synthetic_spec(self) -> SyntheticSpec:
+        return _checked(SyntheticSpec, face_width=self.face_size, frames=self.synth_frames,
+                        velocity=self.synth_velocity, seed=self.seed)
+
+
+def _checked(make, **kwargs):
+    """``make(**kwargs)``, with its ``ValueError`` raised as ``EvalConfigError``."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise EvalConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -145,16 +153,7 @@ def _psnr(err_sq_sum: float, count: int) -> float:
 
 def _load_frames(cfg: EvalConfig) -> list[Frame]:
     if cfg.input == "synthetic":
-        try:
-            spec = SyntheticSpec(
-                face_width=cfg.face_size,
-                frames=cfg.synth_frames,
-                velocity=cfg.synth_velocity,
-                seed=cfg.seed,
-            )
-        except ValueError as exc:
-            raise EvalConfigError(str(exc)) from exc
-        return generate_synthetic(spec)
+        return generate_synthetic(cfg._synthetic_spec())
     return read_yuv420(cfg.input, cfg.width, cfg.height)
 
 
@@ -221,7 +220,7 @@ def run_eval(cfg: EvalConfig) -> EvalReport:
             f"need more than {cfg.ref_distance} frames for ref_distance {cfg.ref_distance}"
         )
 
-    search = SearchConfig(search_range=cfg.search_range, lambda_=cfg.lambda_)
+    search = cfg._search_config()
     bank = generate_dctif_bank()
     zero = MotionVector(0, 0)
 

@@ -16,6 +16,8 @@ range (2**24).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -42,8 +44,6 @@ _IDENT0 = np.array([0, 0, 0, 64, 0, 0, 0, 0], dtype=np.float64) / 64.0
 _IDENT1 = np.array([0, 0, 0, 0, 64, 0, 0, 0], dtype=np.float64) / 64.0
 _QUARTER = np.array([-1, 4, -10, 58, 17, -5, 1, 0], dtype=np.float64) / 64.0
 _HALF = np.array([-1, 4, -11, 40, 40, -11, 4, -1], dtype=np.float64) / 64.0
-
-_BANK: np.ndarray | None = None
 
 
 def _dct_row(t: float) -> np.ndarray:
@@ -84,6 +84,7 @@ def _natural_spline(knots: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.
     )
 
 
+@functools.cache
 def generate_dctif_bank() -> np.ndarray:
     """The (64, 8) int32 coefficient bank, built once and cached.
 
@@ -94,10 +95,6 @@ def generate_dctif_bank() -> np.ndarray:
     symmetrized so phase p mirrors phase 64 - p, rounded half away from
     zero, and sum-corrected to 64 on the largest-magnitude tap.
     """
-    global _BANK
-    if _BANK is not None:
-        return _BANK
-
     knots = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     anchors = np.vstack([_IDENT0, _QUARTER, _HALF, _QUARTER[::-1], _IDENT1])
     resid = anchors - np.vstack([_dct_row(3.0 + a) for a in knots])
@@ -118,7 +115,6 @@ def generate_dctif_bank() -> np.ndarray:
             bank[p, idx] += diff
 
     bank.flags.writeable = False
-    _BANK = bank
     return bank
 
 
@@ -264,10 +260,11 @@ def chroma_field(field: CorrespondenceField) -> CorrespondenceField:
 
     Keeps every second row and column and halves the coordinates,
     rounded half away from zero, so chroma follows the luma
-    correspondence without a second transport.
+    correspondence without a second transport.  A batch of n fields,
+    (n, h, w), gives the batch of their chroma fields, (n, h/2, w/2).
     """
     return CorrespondenceField(
-        round_half_away(field.rx_q6[::2, ::2] / 2).astype(np.int32),
-        round_half_away(field.ry_q6[::2, ::2] / 2).astype(np.int32),
-        field.valid[::2, ::2].copy(),
+        round_half_away(field.rx_q6[..., ::2, ::2] / 2).astype(np.int32),
+        round_half_away(field.ry_q6[..., ::2, ::2] / 2).astype(np.int32),
+        field.valid[..., ::2, ::2].copy(),
     )

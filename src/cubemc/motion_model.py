@@ -138,20 +138,18 @@ def _transport_arrays(u0, u1, x2, y2, layout: CubeLayout):
 
 
 @lru_cache(maxsize=4096)
-def _block_sphere_grid(x0: int, y0: int, width: int, height: int, layout: CubeLayout):
-    """Sphere positions of a block's pixel grid (cached; blocks recur
-    across search candidates and frames)."""
-    ys, xs = np.mgrid[y0 : y0 + height, x0 : x0 + width]
+def _block_sphere(block: Block, layout: CubeLayout):
+    """Sphere points of the block center (s0) and of its pixel grid,
+    after the single-face check.  Cached, as blocks recur across search
+    candidates and frames; exceptions are not cached, so a straddling
+    block raises on every call."""
+    block_face(block, layout)
+    s0 = unfold_to_sphere(*block.center, layout)
+    ys, xs = np.mgrid[block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width]
     grid = unfold_to_sphere(xs, ys, layout)
     for axis in grid:
         axis.flags.writeable = False
-    return grid
-
-
-@lru_cache(maxsize=4096)
-def _block_sphere_center(block: Block, layout: CubeLayout) -> tuple[float, float, float]:
-    """Sphere point s0 of the block center (cached like the grid)."""
-    return unfold_to_sphere(*block.center, layout)
+    return s0, grid
 
 
 def transport_point(u0, u1, u2, layout: CubeLayout) -> tuple[float, float]:
@@ -186,21 +184,20 @@ def build_correspondence_fields(
     """The fields of ``block`` under each of ``mvs``, as one (n, h, w) batch.
 
     Slice i equals ``build_correspondence_field(block, mvs[i], layout)``.
-    The block check, the center's sphere point s0 and the block's sphere
-    grid are shared (and cached); only the chord s1 - s0 differs between
-    MVs, so all the moved centers u1 are mapped in one call and the
-    transport broadcasts over the batch.  Raises ``ValueError`` if any
-    u1 is off the faces.
+    The block's face check, its center's sphere point s0 and its pixel
+    grid's sphere points are computed once per block and cached; only
+    the chord s1 - s0 differs between MVs, so all the moved centers u1
+    are mapped in one call and the transport broadcasts over the batch.
+    Raises ``ValueError`` if the block straddles faces ("single face")
+    or if any u1 is off the faces ("invalid center MV").
     """
-    block_face(block, layout)
+    s0, (s2x, s2y, s2z) = _block_sphere(block, layout)
     cx, cy = block.center
-    u1 = [(cx + mv.dx_q2 / MV_UNIT, cy + mv.dy_q2 / MV_UNIT) for mv in mvs]
-    if any(face_of(x, y, layout) is None for x, y in u1):
-        raise ValueError("invalid center MV")
-
-    s0 = _block_sphere_center(block, layout)
-    s1 = [axis[:, None, None] for axis in unfold_to_sphere(*np.array(u1).T, layout)]
-    s2x, s2y, s2z = _block_sphere_grid(block.x0, block.y0, block.width, block.height, layout)
+    u1 = np.array([(cx + mv.dx_q2 / MV_UNIT, cy + mv.dy_q2 / MV_UNIT) for mv in mvs])
+    try:
+        s1 = [axis[:, None, None] for axis in unfold_to_sphere(*u1.T, layout)]
+    except ValueError as exc:
+        raise ValueError("invalid center MV") from exc
     x3, y3, ok = _transport_from_sphere(s0, s1, s2x, s2y, s2z, layout)
 
     rx = round_half_away(x3 * FIELD_UNIT)

@@ -156,18 +156,15 @@ def _mv_valid_q2(mv: MotionVector, block: Block, cfg: SearchConfig, layout: Cube
     return face_of(cx + mv.dx_q2 / 4.0, cy + mv.dy_q2 / 4.0, layout) is not None
 
 
-def _model_sad(block, mv, cur_blk, ref_plane, layout, bank, advanced) -> int:
-    """SAD of ``block`` predicted at quarter-pel ``mv`` under one model."""
-    if advanced:
-        field = build_correspondence_field(block, mv, layout)
-    else:
-        field = translational_field(block, mv)
-    return sad(cur_blk, warp_block(ref_plane, field, bank))
-
-
 def _advanced_sads(block, mvs, cur_blk, ref_plane, layout, bank) -> list[int]:
-    """Advanced-model SADs of ``block`` at several MVs: one batched field
-    build and one batched warp."""
+    """Advanced-model SADs of ``block`` at ``mvs``, merge and AMVP alike.
+
+    Several MVs share one batched field build and warp; a lone MV takes
+    the single build and a 2-D warp, which keeps the separable branch of
+    ``warp_block`` for a pure-translation field."""
+    if len(mvs) == 1:
+        field = build_correspondence_field(block, mvs[0], layout)
+        return [sad(cur_blk, warp_block(ref_plane, field, bank))]
     pred = warp_block(ref_plane, build_correspondence_fields(block, mvs, layout), bank)
     diff = pred.astype(np.int64) - cur_blk.astype(np.int64)
     return np.abs(diff).sum(axis=(1, 2)).tolist()
@@ -252,12 +249,13 @@ def tzs_search(
                     if (m not in q2_cache and m not in batch
                             and _mv_valid_q2(m, block, cfg, layout)):
                         batch.append(m)
-                if not advanced and in_window(mv):
-                    sads = [window_sad(mv)]
-                elif len(batch) == 1:  # out-of-window translations, lone advanced MVs
-                    sads = [_model_sad(block, mv, cur_blk, ref_plane, layout, bank, advanced)]
-                else:
+                if advanced:
                     sads = _advanced_sads(block, batch, cur_blk, ref_plane, layout, bank)
+                elif in_window(mv):
+                    sads = [window_sad(mv)]
+                else:  # a seed outside the window
+                    pred = warp_block(ref_plane, translational_field(block, mv), bank)
+                    sads = [sad(cur_blk, pred)]
                 for m, s in zip(batch, sads):
                     cost = float(s)
                     if cfg.lambda_:
@@ -478,7 +476,7 @@ def mode_decide(
     if merge_mv is not None and _mv_valid_q2(merge_mv, block, cfg, layout):
         cur_blk = cur[block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width]
         # merge codes no MV difference, so its cost is the bare SAD
-        cost_m = float(_model_sad(block, merge_mv, cur_blk, ref.frame.y, layout, bank, advanced=True))
+        cost_m = float(_advanced_sads(block, [merge_mv], cur_blk, ref.frame.y, layout, bank)[0])
         if cost_m < cost:
             mode, mv, cost = PredMode.ADV_MERGE, merge_mv, cost_m
 

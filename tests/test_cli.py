@@ -61,6 +61,21 @@ class TestExitCodes:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (("--synth-velocity", "40,0,0"), "velocity magnitude"),
+            (("--seed", "-1"), "seed must be non-negative"),
+        ],
+        ids=["velocity", "negative-seed"],
+    )
+    def test_clip_error_exits_2_before_grid_warning(self, tmp_path, capsys, extra, message):
+        # face 72 leaves face pixels outside the 16-px grid, which warns
+        assert main(eval_args(tmp_path, "--face-size", "72", *extra)) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err
+        assert "warning" not in err
+
     def test_missing_file_exits_3(self, tmp_path):
         args = [
             "eval", "--input", str(tmp_path / "none.yuv"),

@@ -68,6 +68,22 @@ class TestConfigValidation:
         with pytest.raises(EvalConfigError, match="velocity"):
             run_eval(small_cfg(synth_velocity=(40.0, 0.0, 0.0)))
 
+    @pytest.mark.parametrize(
+        "kw,message",
+        [
+            (dict(synth_velocity=(40.0, 0.0, 0.0)), "velocity"),
+            (dict(seed=-1), "seed"),
+            (dict(synth_frames=0), "frames"),
+            (dict(search_range=0), "search_range"),
+        ],
+        ids=["velocity", "seed", "synth-frames", "search-range"],
+    )
+    def test_search_and_clip_settings_fail_at_construction(self, kw, message):
+        # checked by the SearchConfig and SyntheticSpec the config builds,
+        # when the config is built, not first when run_eval uses them
+        with pytest.raises(EvalConfigError, match=message):
+            small_cfg(**kw)
+
     @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
     def test_lambda_must_be_finite_and_non_negative(self, lam):
         with pytest.raises(EvalConfigError, match="lambda"):

@@ -87,6 +87,7 @@ class TestBankStructure:
         assert bank.shape == (64, 8)
         assert bank.dtype == np.int32
         assert not bank.flags.writeable
+        assert generate_dctif_bank() is bank  # built once
 
     def test_whole_bank_pinned(self):
         # every phase, not just the published ones: the digest of the
@@ -543,6 +544,17 @@ class TestChromaField:
         assert sub.ry_q6.tolist() == [[1, -4], [0, 64]]
         assert sub.valid.tolist() == [[True, True], [True, False]]
         assert sub.rx_q6.dtype == np.int32
+
+    def test_batch_equals_stacked_slices(self):
+        mvs = [MotionVector(0, 0), MotionVector(9, -7), MotionVector(-20, 16)]
+        batch = build_correspondence_fields(Block(8, 72, 16, 16), mvs, CubeLayout(64, 64))
+        got = chroma_field(batch)
+        assert got.shape == (3, 8, 8)
+        for i in range(len(mvs)):
+            one = chroma_field(CorrespondenceField(batch.rx_q6[i], batch.ry_q6[i], batch.valid[i]))
+            npt.assert_array_equal(got.rx_q6[i], one.rx_q6)
+            npt.assert_array_equal(got.ry_q6[i], one.ry_q6)
+            npt.assert_array_equal(got.valid[i], one.valid)
 
     def test_halving_rounds_half_away_on_integers(self):
         # integer reference: |v|/2 rounded up, with the sign of v

@@ -26,6 +26,13 @@ from cubemc.motion_model import (
 
 L64 = CubeLayout(64, 64)
 
+# MVs that move the center (31.5, 95.5) of Block(24, 88, 16, 16) off the faces
+OFF_FACE_MVS = (
+    MotionVector(274, -262),  # to (100.0, 30.0), in the top middle corner hole
+    MotionVector(898, 0),  # to (256.0, 95.5), past the right edge x = 4w
+    MotionVector(0, -386),  # to (31.5, -1.0), above the canvas
+)
+
 
 class TestRounding:
     def test_half_away_from_zero(self):
@@ -194,11 +201,10 @@ class TestCorrespondenceField:
         assert field.shape == (8, 16)
 
     def test_center_mv_landing_off_faces_rejected(self):
-        blk = Block(24, 88, 16, 16)
-        # u1 = (100.0, 30.0) sits in the top middle corner hole
-        mv = MotionVector(274, -262)
-        with pytest.raises(ValueError, match="invalid center MV"):
-            build_correspondence_field(blk, mv, L64)
+        blk = Block(24, 88, 16, 16)  # center (31.5, 95.5)
+        for mv in OFF_FACE_MVS:
+            with pytest.raises(ValueError, match="invalid center MV"):
+                build_correspondence_field(blk, mv, L64)
 
     def test_degenerate_pixels_take_translational_fallback(self, monkeypatch):
         # no real block degenerates, so raise the threshold into the middle
@@ -209,7 +215,7 @@ class TestCorrespondenceField:
         u0 = blk.center
         s0 = unfold_to_sphere(u0[0], u0[1], L64)
         s1 = unfold_to_sphere(u0[0] + mv.dx_q2 / 4, u0[1] + mv.dy_q2 / 4, L64)
-        s2 = motion_model._block_sphere_grid(*blk, L64)
+        _, s2 = motion_model._block_sphere(blk, L64)
         norm = np.sqrt(sum((b - a + c) ** 2 for a, b, c in zip(s0, s1, s2)))
         monkeypatch.setattr(motion_model, "DEGENERATE_NORM", np.median(norm) / L64.face_width)
 
@@ -224,8 +230,18 @@ class TestCorrespondenceField:
         assert (got.rx_q6[bad] != want.rx_q6[bad]).any()
 
     def test_straddling_block_rejected(self):
-        with pytest.raises(ValueError, match="single face"):
-            build_correspondence_field(Block(56, 88, 16, 16), MotionVector(0, 0), L64)
+        # twice: a failed block check must not be cached as a pass
+        for _ in range(2):
+            with pytest.raises(ValueError, match="single face"):
+                build_correspondence_field(Block(56, 88, 16, 16), MotionVector(0, 0), L64)
+
+    def test_second_build_of_a_block_hits_the_block_cache(self):
+        blk = Block(40, 72, 16, 16)
+        motion_model._block_sphere.cache_clear()
+        build_correspondence_field(blk, MotionVector(3, -5), L64)
+        build_correspondence_field(blk, MotionVector(-7, 2), L64)
+        info = motion_model._block_sphere.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestFaceUniformBuild:
@@ -243,8 +259,7 @@ class TestFaceUniformBuild:
                     results.append(inner(*a)) or results[-1]
                 ),
             )
-        motion_model._block_sphere_grid.cache_clear()
-        motion_model._block_sphere_center.cache_clear()
+        motion_model._block_sphere.cache_clear()
         build_correspondence_field(blk, mv, layout)
         return found
 
@@ -320,7 +335,7 @@ class TestBatchedFields:
         u0 = blk.center
         s0 = unfold_to_sphere(u0[0], u0[1], L64)
         s1 = unfold_to_sphere(u0[0] + 6, u0[1] - 3, L64)
-        s2 = motion_model._block_sphere_grid(*blk, L64)
+        _, s2 = motion_model._block_sphere(blk, L64)
         norm = np.sqrt(sum((b - a + c) ** 2 for a, b, c in zip(s0, s1, s2)))
         monkeypatch.setattr(motion_model, "DEGENERATE_NORM", np.median(norm) / L64.face_width)
 
@@ -336,14 +351,16 @@ class TestBatchedFields:
 
     def test_off_face_mv_rejected(self):
         blk = Block(24, 88, 16, 16)
-        off = MotionVector(274, -262)  # the corner-hole MV of TestCorrespondenceField
-        for mvs in ([off], [MotionVector(0, 0), off], [off, MotionVector(4, 4)]):
-            with pytest.raises(ValueError, match="invalid center MV"):
-                build_correspondence_fields(blk, mvs, L64)
+        for off in OFF_FACE_MVS:
+            for mvs in ([off], [MotionVector(0, 0), off], [off, MotionVector(4, 4)]):
+                with pytest.raises(ValueError, match="invalid center MV"):
+                    build_correspondence_fields(blk, mvs, L64)
 
     def test_straddling_block_rejected(self):
-        with pytest.raises(ValueError, match="single face"):
-            build_correspondence_fields(Block(56, 88, 16, 16), [MotionVector(0, 0)], L64)
+        # twice: a failed block check must not be cached as a pass
+        for _ in range(2):
+            with pytest.raises(ValueError, match="single face"):
+                build_correspondence_fields(Block(56, 88, 16, 16), [MotionVector(0, 0)], L64)
 
 
 class TestTranslationalField:
