@@ -4,7 +4,9 @@ For every frame t >= d the evaluator predicts the frame from frame
 t - d twice: once with the advanced modes disabled (every block gets
 its translational search result) and once with the full mode decision.
 Both policies share the translational search, which is seeded with the
-zero MV only and therefore independent of neighbor decisions.
+zero MV only and therefore independent of neighbor decisions.  Their
+luma predictions are read from the block's cost table, where the
+searches left them; only chroma is warped here.
 
 There is no entropy coder in this package, so there is no rate axis and
 no BD-rate; the reported figures are prediction PSNR deltas and
@@ -157,10 +159,10 @@ def _load_frames(cfg: EvalConfig) -> list[Frame]:
     return read_yuv420(cfg.input, cfg.width, cfg.height)
 
 
-def _field_for(block: Block, rec_mode: PredMode, mv: MotionVector, layout: CubeLayout):
-    if rec_mode is PredMode.TRANS:
-        return translational_field(block, mv)
-    return build_correspondence_field(block, mv, layout)
+def _field_for(block: Block, advanced: bool, mv: MotionVector, layout: CubeLayout):
+    if advanced:
+        return build_correspondence_field(block, mv, layout)
+    return translational_field(block, mv)
 
 
 class _Predictor:
@@ -174,12 +176,13 @@ class _Predictor:
         self.err = [0.0, 0.0, 0.0]
         self.count = [0, 0, 0]
 
-    def place(self, block: Block, fld, ref: Frame, bank) -> int:
-        """Warp one block (luma + chroma) into the picture; returns luma SAD."""
+    def place(self, costs, advanced: bool, mv: MotionVector, ref: Frame) -> int:
+        """Place the block of ``costs`` at ``mv``: luma from the table, chroma
+        warped along the same field; returns the luma SAD."""
+        block, bank = costs.block, costs.bank
         x0, y0, w, h = block.x0, block.y0, block.width, block.height
-        pred_y = warp_block(ref.y, fld, bank)
-        self.y[y0 : y0 + h, x0 : x0 + w] = pred_y
-        cfld = chroma_field(fld)
+        pred_y = self.y[y0 : y0 + h, x0 : x0 + w] = costs[advanced, mv][1]
+        cfld = chroma_field(_field_for(block, advanced, mv, costs.layout))
         pred_u = warp_block(ref.u, cfld, bank)
         pred_v = warp_block(ref.v, cfld, bank)
         cx, cy, cw, chh = x0 // 2, y0 // 2, w // 2, h // 2
@@ -241,10 +244,9 @@ def run_eval(cfg: EvalConfig) -> EvalReport:
                 block, cur.y, refp, grid, search, layout, bank,
                 trans_result=(mv_t, cost_t),
             )
-            sad_trans = pol_t.place(block, translational_field(block, mv_t), refp.frame, bank)
-            sad_adv = pol_a.place(
-                block, _field_for(block, rec.mode, rec.mv, layout), refp.frame, bank
-            )
+            costs = refp.costs(block, cur.y, layout, bank)
+            sad_trans = pol_t.place(costs, False, mv_t, refp.frame)
+            sad_adv = pol_a.place(costs, rec.mode is not PredMode.TRANS, rec.mv, refp.frame)
             rows.append(BlockResult(block.x0, block.y0, rec.mode, rec.mv, sad_trans, sad_adv))
         results.append(FrameResult(cur.poc, pol_t.psnr(), pol_a.psnr(), rows))
     return EvalReport(cfg, results)

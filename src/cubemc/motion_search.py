@@ -8,23 +8,23 @@ the requested motion model: for the advanced model that means building
 the per-pixel correspondence field and warping through the filter bank
 for every candidate.
 
+Both searches, the merge check and the evaluator's placement share one
+table per block and reference, ``(advanced, mv) -> (SAD, luma)``, so no
+MV of a block is fetched or warped twice.  An integer offset is the
+translation ``(4dx, 4dy)``: phase 0 of the bank is the identity.
+
 Under the translational model every refinement candidate lies within
 ``REFINE_WINDOW_Q2`` of the integer winner, so, as in the HEVC reference
 encoder, the stage filters that window once at the 16 quarter-pel phases
-(``phase_planes``) and each such candidate costs one slice and one SAD.
-Seeds outside the window keep one warp each.
-
-Under the advanced model that stage speculates.  When a quarter-pel MV
-misses the cost cache, the MVs the search is about to try next (the
-rest of the ring around the current best, or the remaining seeds) are
-costed with it in one batched field build and one batched warp, which
-pays numpy's per-call overhead once per batch instead of once per
-candidate.  Speculation only pre-fills the cache: candidates are still
-ranked one at a time in the same order with the same keys, so every
-result is what one-at-a-time evaluation gives.  A speculative MV the
-search never reaches is wasted per-pixel work, so a batch holds at most
-``BATCH_PIXELS`` pixels: 16 candidates of 16x16, 4 of 32x32, and one
-64x64 candidate, which is evaluated alone as without batching.
+(``phase_planes``) and each such candidate is a slice of it.  Under the
+advanced model a table miss speculates: the MVs the search tries next
+(the rest of the ring around the current best, or the remaining seeds)
+are costed with it in one batched field build and warp, which pays
+numpy's per-call overhead once per batch.  Ranking still goes one MV at
+a time in the same order, so every result is what one-at-a-time
+evaluation gives.  A speculative MV the search never reaches is wasted
+work, so a batch holds at most ``BATCH_PIXELS`` pixels: 16 candidates of
+16x16, 4 of 32x32, one of 64x64.
 
 Mode decision compares three flavors per block: translational,
 advanced-merge (a transported neighbor MV, no search, no MV-difference
@@ -36,7 +36,7 @@ as merge/AMVP neighbors, which fixes the scan order to raster order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -98,10 +98,60 @@ class BlockRecord:
     cost: float
 
 
+class _CostTable(dict):
+    """``(advanced, mv) -> (SAD, luma prediction)`` of one block in one
+    reference; reading a missing MV costs it on its own.  SADs are bare:
+    each search checks validity and adds its MV-bits term when it reads."""
+
+    def __init__(self, block: Block, cur: np.ndarray, plane: np.ndarray, layout, bank):
+        super().__init__()
+        self.block, self.cur, self.plane, self.layout, self.bank = block, cur, plane, layout, bank
+        self.cur_blk = cur[block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width]
+
+    def __missing__(self, key):
+        advanced, mv = key
+        b = self.block
+        if advanced:  # the singular build, whose 2-D warp can take the separable branch
+            fld = build_correspondence_field(b, mv, self.layout)
+        elif mv.dx_q2 % 4 or mv.dy_q2 % 4:
+            fld = translational_field(b, mv)
+        else:
+            x, y = b.x0 + mv.dx_q2 // 4, b.y0 + mv.dy_q2 // 4
+            return self.put(key, fetch_block(self.plane, x, y, b.width, b.height))
+        return self.put(key, warp_block(self.plane, fld, self.bank))
+
+    def put(self, key, pred: np.ndarray) -> tuple[int, np.ndarray]:
+        self[key] = entry = (sad(self.cur_blk, pred), pred)
+        return entry
+
+    def put_batch(self, mvs: list[MotionVector]) -> None:
+        """Cost advanced ``mvs`` in one batched field build and warp."""
+        fields = build_correspondence_fields(self.block, mvs, self.layout)
+        preds = warp_block(self.plane, fields, self.bank)
+        diff = preds.astype(np.int64) - self.cur_blk.astype(np.int64)
+        for mv, s, pred in zip(mvs, np.abs(diff).sum(axis=(1, 2)).tolist(), preds):
+            self[True, mv] = (s, pred)
+
+
 @dataclass
 class ReferencePicture:
+    """A reference frame and the cost table of the block costed last in
+    it.  Its planes must not change while the object is in use."""
+
     frame: Frame
     poc: int        # picture order count; the single-reference search ignores it
+    _table: _CostTable | None = field(default=None, init=False, repr=False, compare=False)
+
+    def costs(self, block: Block, cur: np.ndarray, layout: CubeLayout, bank=None) -> _CostTable:
+        """The cost table of ``block`` in ``cur``.  It is keyed by the block,
+        ``cur`` (by identity: its pixels must not change either), the layout
+        and the bank, and a new key starts an empty one."""
+        bank = generate_dctif_bank() if bank is None else bank
+        t = self._table
+        if t is None or not (t.block == block and t.cur is cur and t.layout == layout
+                             and t.bank is bank):
+            t = self._table = _CostTable(block, cur, self.frame.y, layout, bank)
+        return t
 
 
 class BlockGrid:
@@ -156,26 +206,21 @@ def _mv_valid_q2(mv: MotionVector, block: Block, cfg: SearchConfig, layout: Cube
     return face_of(cx + mv.dx_q2 / 4.0, cy + mv.dy_q2 / 4.0, layout) is not None
 
 
-def _advanced_sads(block, mvs, cur_blk, ref_plane, layout, bank) -> list[int]:
-    """Advanced-model SADs of ``block`` at ``mvs``, merge and AMVP alike.
-
-    Several MVs share one batched field build and warp; a lone MV takes
-    the single build and a 2-D warp, which keeps the separable branch of
-    ``warp_block`` for a pure-translation field."""
-    if len(mvs) == 1:
-        field = build_correspondence_field(block, mvs[0], layout)
-        return [sad(cur_blk, warp_block(ref_plane, field, bank))]
-    pred = warp_block(ref_plane, build_correspondence_fields(block, mvs, layout), bank)
-    diff = pred.astype(np.int64) - cur_blk.astype(np.int64)
-    return np.abs(diff).sum(axis=(1, 2)).tolist()
-
-
 def _mv_key(cost, dx, dy):
     # tie-break: cost, then shorter MV, then smaller dy, then smaller dx
     return (cost, dx * dx + dy * dy, dy, dx)
 
 
 _WORST_KEY = (float("inf"),) * 4  # ranks below every real candidate
+
+
+def _ring(center, axis: int, diag: int) -> list[tuple[int, int]]:
+    """Search-ring points around ``center``: four at ``axis`` along the
+    axes, then four at ``diag`` along the diagonals (none if ``diag`` is 0)."""
+    pts = [(axis, 0), (-axis, 0), (0, axis), (0, -axis)]
+    if diag:
+        pts += [(diag, diag), (diag, -diag), (-diag, diag), (-diag, -diag)]
+    return [(center[0] + ox, center[1] + oy) for ox, oy in pts]
 
 
 def tzs_search(
@@ -197,16 +242,12 @@ def tzs_search(
     stage, so the returned cost never exceeds the cost of any valid
     predictor.  Raises ``ValueError`` if no starting candidate is valid.
     """
-    if bank is None:
-        bank = generate_dctif_bank()
     if pred_for_bits is None:
         pred_for_bits = predictors[0] if predictors else MotionVector(0, 0)
-    ref_plane = ref.frame.y
-    cur_blk = cur[block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width]
+    table = ref.costs(block, cur, layout, bank)
     cx, cy = block.center
     r = cfg.search_range
 
-    int_cache: dict[tuple[int, int], int] = {}
     best = None
     best_key = _WORST_KEY
 
@@ -215,82 +256,56 @@ def tzs_search(
         nonlocal best, best_key
         if abs(dx) > r or abs(dy) > r or face_of(cx + dx, cy + dy, layout) is None:
             return False
-        cost = int_cache.get((dx, dy))
-        if cost is None:
-            patch = fetch_block(ref_plane, block.x0 + dx, block.y0 + dy, block.width, block.height)
-            cost = int_cache[(dx, dy)] = sad(cur_blk, patch)
-        key = _mv_key(cost, dx, dy)
+        key = _mv_key(table[False, MotionVector(4 * dx, 4 * dy)][0], dx, dy)
         if key < best_key:
             best, best_key = (dx, dy), key
             return True
         return False
 
-    q2_cache: dict[MotionVector, float] = {}
     best_mv = None
     best_q2_key = _WORST_KEY
-    batch_cap = max(1, BATCH_PIXELS // (block.width * block.height)) if advanced else 1
+    batch_cap = max(1, BATCH_PIXELS // (block.width * block.height))
 
     def try_q2(mv, ahead=()) -> bool:
         """Rank one quarter-pel MV by the model cost; True if it won.
 
-        On a cache miss, the valid uncached MVs of ``ahead`` (the ones
-        the caller will try next) are costed in the same batch, up to
-        ``batch_cap`` MVs in all.
+        On an advanced table miss, the valid uncosted MVs of ``ahead`` (the
+        ones the caller will try next) join it in one batch of at most
+        ``batch_cap`` MVs; any other miss is costed alone by the read.
         """
         nonlocal best_mv, best_q2_key
-        if mv not in q2_cache:
-            if not _mv_valid_q2(mv, block, cfg, layout):
-                q2_cache[mv] = float("inf")
-            else:
+        if not _mv_valid_q2(mv, block, cfg, layout):
+            return False
+        if (advanced, mv) not in table:
+            if advanced:
                 batch = [mv]
                 for m in ahead:
                     if len(batch) == batch_cap:
                         break
-                    if (m not in q2_cache and m not in batch
+                    if ((True, m) not in table and m not in batch
                             and _mv_valid_q2(m, block, cfg, layout)):
                         batch.append(m)
-                if advanced:
-                    sads = _advanced_sads(block, batch, cur_blk, ref_plane, layout, bank)
-                elif in_window(mv):
-                    sads = [window_sad(mv)]
-                else:  # a seed outside the window
-                    pred = warp_block(ref_plane, translational_field(block, mv), bank)
-                    sads = [sad(cur_blk, pred)]
-                for m, s in zip(batch, sads):
-                    cost = float(s)
-                    if cfg.lambda_:
-                        cost += cfg.lambda_ * mv_bits(m, pred_for_bits)
-                    q2_cache[m] = cost
-        cost = q2_cache[mv]
+                if len(batch) > 1:
+                    table.put_batch(batch)
+            elif in_window(mv):  # a slice of the filtered window
+                ox = mv.dx_q2 - anchor_q2.dx_q2 + REFINE_WINDOW_Q2  # quarter-pels into the window
+                oy = mv.dy_q2 - anchor_q2.dy_q2 + REFINE_WINDOW_Q2
+                table.put((False, mv), planes[oy & 3, ox & 3, oy >> 2 : (oy >> 2) + block.height,
+                                              ox >> 2 : (ox >> 2) + block.width])
+        cost = float(table[advanced, mv][0])
+        if cfg.lambda_:
+            cost += cfg.lambda_ * mv_bits(mv, pred_for_bits)
         key = _mv_key(cost, mv.dx_q2, mv.dy_q2)
         if key < best_q2_key:
             best_mv, best_q2_key = mv, key
             return True
         return False
 
-    # stage 1: zero MV plus rounded predictors
-    starts = [(0, 0)]
-    for p in predictors:
-        cand = (int(round_half_away(p.dx_q2 / 4.0)), int(round_half_away(p.dy_q2 / 4.0)))
-        if cand not in starts:
-            starts.append(cand)
-    for dx, dy in starts:
-        try_int(dx, dy)
+    # stage 1: zero MV plus rounded predictors (a repeat is a table hit)
+    for p in [MotionVector(0, 0), *predictors]:
+        try_int(int(round_half_away(p.dx_q2 / 4.0)), int(round_half_away(p.dy_q2 / 4.0)))
     if best is None:
         raise ValueError("no valid motion")
-
-    def diamond(center, dist):
-        cx0, cy0 = center
-        pts = [(cx0 + dist, cy0), (cx0 - dist, cy0), (cx0, cy0 + dist), (cx0, cy0 - dist)]
-        if dist >= 2:
-            h = dist // 2
-            pts += [
-                (cx0 + h, cy0 + h),
-                (cx0 + h, cy0 - h),
-                (cx0 - h, cy0 + h),
-                (cx0 - h, cy0 - h),
-            ]
-        return pts
 
     # stage 2: expanding diamond around the stage-1 winner; once the
     # rings pass distance 1 without moving the best away from the
@@ -299,7 +314,7 @@ def tzs_search(
     best_dist = 0
     d = 1
     while d <= r:
-        for dx, dy in diamond(anchor, d):
+        for dx, dy in _ring(anchor, d, d // 2):
             if try_int(dx, dy):
                 best_dist = d
         if d >= 2 and best_dist <= 1:
@@ -323,7 +338,7 @@ def tzs_search(
     while improved:
         improved = False
         for d in (1, 2):
-            for dx, dy in diamond(best, d):
+            for dx, dy in _ring(best, d, d // 2):
                 improved |= try_int(dx, dy)
             if improved:
                 break
@@ -339,22 +354,14 @@ def tzs_search(
     if not advanced:
         # the window's 16 quarter-pel phases, filtered once for the whole stage
         m, phases = REFINE_WINDOW_Q2 // 4, np.arange(0, PHASES, PHASES // 4)
-        planes = phase_planes(ref_plane, block.x0 + best[0] - m, block.y0 + best[1] - m,
-                              block.width + 2 * m, block.height + 2 * m, phases, phases, bank)
+        planes = phase_planes(ref.frame.y, block.x0 + best[0] - m, block.y0 + best[1] - m,
+                              block.width + 2 * m, block.height + 2 * m, phases, phases, table.bank)
 
-    def window_sad(mv) -> int:
-        """Translational SAD of an in-window ``mv``: a slice of ``planes``."""
-        ox = mv.dx_q2 - anchor_q2.dx_q2 + REFINE_WINDOW_Q2  # quarter-pels into the window
-        oy = mv.dy_q2 - anchor_q2.dy_q2 + REFINE_WINDOW_Q2
-        pred = planes[oy & 3, ox & 3, oy >> 2 : (oy >> 2) + block.height,
-                      ox >> 2 : (ox >> 2) + block.width]
-        return sad(cur_blk, pred)
-
+    # the anchor passed try_int's check, which is _mv_valid_q2 at 4x its
+    # offset, so stage 5 always ranks one
     seeds = [anchor_q2, *predictors]
     for i, mv in enumerate(seeds):
         try_q2(mv, seeds[i + 1 :])
-    if best_q2_key[0] == float("inf"):
-        raise ValueError("no valid motion")
 
     def around_best(offsets):
         """MVs at ``offsets`` from the current best that lie in the window."""
@@ -366,8 +373,7 @@ def tzs_search(
     step = 2
     while step >= 1:
         moved = False
-        ring = ((step, 0), (-step, 0), (0, step), (0, -step),
-                (step, step), (step, -step), (-step, step), (-step, -step))
+        ring = _ring((0, 0), step, step)
         for i, (ox, oy) in enumerate(ring):
             cand = MotionVector(best_mv.dx_q2 + ox, best_mv.dy_q2 + oy)
             if in_window(cand):
@@ -460,31 +466,22 @@ def mode_decide(
     the order TRANS, ADV_MERGE, ADV_AMVP.  The record is stored in the
     grid for use by later blocks.
     """
-    if bank is None:
-        bank = generate_dctif_bank()
-
-    if trans_result is None:
-        mv_t, cost_t = tzs_search(
-            block, cur, ref, [MotionVector(0, 0)], cfg, layout, bank,
-            advanced=False, pred_for_bits=MotionVector(0, 0),
-        )
+    if trans_result is None:  # the zero seed is also the MV-bits predictor
+        zero = MotionVector(0, 0)
+        mv_t, cost_t = tzs_search(block, cur, ref, [zero], cfg, layout, bank, advanced=False)
     else:
         mv_t, cost_t = trans_result
     mode, mv, cost = PredMode.TRANS, mv_t, cost_t
 
     merge_mv = merge_candidate(grid, block, layout)
     if merge_mv is not None and _mv_valid_q2(merge_mv, block, cfg, layout):
-        cur_blk = cur[block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width]
         # merge codes no MV difference, so its cost is the bare SAD
-        cost_m = float(_advanced_sads(block, [merge_mv], cur_blk, ref.frame.y, layout, bank)[0])
+        cost_m = float(ref.costs(block, cur, layout, bank)[True, merge_mv][0])
         if cost_m < cost:
             mode, mv, cost = PredMode.ADV_MERGE, merge_mv, cost_m
 
     amvp = amvp_predictor(grid, block, layout)
-    mv_a, cost_a = tzs_search(
-        block, cur, ref, [amvp], cfg, layout, bank,
-        advanced=True, pred_for_bits=amvp,
-    )
+    mv_a, cost_a = tzs_search(block, cur, ref, [amvp], cfg, layout, bank, advanced=True)
     if cost_a < cost:
         mode, mv, cost = PredMode.ADV_AMVP, mv_a, cost_a
 

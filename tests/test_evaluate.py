@@ -2,10 +2,12 @@
 
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from cubemc import evaluate, motion_search
 from cubemc.evaluate import (
     CSV_HEADER,
     BlockResult,
@@ -118,6 +120,44 @@ class TestRunEval:
         fr = report.frames[0]
         assert len(fr.blocks) == 6 * 4  # 32px faces, 16px blocks
         assert fr.poc == 1
+
+
+class TestNoRepeatedWork:
+    """Both searches, the merge check and placement share one cost table
+    per block: within a frame no block fetches an integer offset twice or
+    builds an advanced field twice, and placement warps chroma only."""
+
+    def test_face64_counts(self, monkeypatch):
+        block = {}
+        fetched, built, placed = Counter(), Counter(), []
+
+        def spy(module, name, record):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                record(args)
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        # the evaluator's translational search opens each block; the frame
+        # is told apart by its current luma array, which lives all run long
+        spy(evaluate, "tzs_search", lambda a: block.update(key=(id(a[1]), a[0])))
+        spy(motion_search, "fetch_block", lambda a: fetched.update([(block["key"], a[1], a[2])]))
+        spy(motion_search, "build_correspondence_field",
+            lambda a: built.update([(block["key"], a[1])]))
+        spy(motion_search, "build_correspondence_fields",
+            lambda a: built.update((block["key"], mv) for mv in a[1]))
+        spy(evaluate, "warp_block", placed.append)
+
+        report = run_eval(EvalConfig(input="synthetic", face_size=64, synth_frames=3,
+                                     synth_velocity=(2.0, 0.0, 0.0), lambda_=4.0, seed=0))
+        blocks = sum(len(f.blocks) for f in report.frames)
+        assert blocks == 2 * 96
+        assert {m for f in report.frames for m in (b.mode for b in f.blocks)} == set(PredMode)
+        assert fetched and max(fetched.values()) == 1
+        assert built and max(built.values()) == 1
+        assert len(placed) == 4 * blocks
 
 
 class TestEmitCsv:

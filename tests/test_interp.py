@@ -520,6 +520,21 @@ class TestFetchBlock:
         assert got.flags.writeable is not inside
         assert np.shares_memory(got, plane) is inside
 
+    @pytest.mark.parametrize("placement", ["inside", "straddle", "off"])
+    @given(data=st.data())
+    def test_integer_translation_warp_is_the_fetch(self, placement, data):
+        # the search's cost table stores an integer offset (dx, dy) as the
+        # translation (4dx, 4dy): exact only if phase 0 is the identity and
+        # the warp clamps edges as the fetch does
+        plane = random_plane(data.draw(st.integers(0, 2**32 - 1)), 40, 48)
+        bw, bh = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 16))
+        dx, dy = data.draw(st.integers(-24, 24)), data.draw(st.integers(-24, 24))
+        edge_x = data.draw(st.booleans())
+        px = data.draw(_ref_origin(placement if edge_x else "inside", bw, 48))
+        py = data.draw(_ref_origin("inside" if edge_x else placement, bh, 40))
+        field = translational_field(Block(px - dx, py - dy, bw, bh), MotionVector(4 * dx, 4 * dy))
+        npt.assert_array_equal(warp_block(plane, field), fetch_block(plane, px, py, bw, bh))
+
     def test_in_plane_read_protects_reference(self):
         plane = np.arange(100, dtype=np.uint8).reshape(10, 10)
         got = fetch_block(plane, 2, 3, 4, 2)

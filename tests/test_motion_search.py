@@ -178,8 +178,10 @@ class TestTzsSearch:
     def test_deterministic(self):
         cur, refp, _ = synthetic_pair()
         blk = Block(40, 104, 16, 16)
+        # a fresh reference per run, so the second is not served by the first's table
         runs = {
-            tzs_search(blk, cur.y, refp, [ZERO], SearchConfig(), L64) for _ in range(2)
+            tzs_search(blk, cur.y, ReferencePicture(refp.frame, 0), [ZERO], SearchConfig(), L64)
+            for _ in range(2)
         }
         assert len(runs) == 1
 
@@ -190,13 +192,17 @@ class TestTzsSearch:
         for blk, p in ((Block(8, 72, 16, 16), MotionVector(6, -3)),
                        (Block(168, 104, 16, 16), MotionVector(-5, 2))):
             for advanced in (False, True):
-                once = tzs_search(blk, cur.y, refp, [p], cfg, L64, bank, advanced=advanced)
-                twice = tzs_search(blk, cur.y, refp, [p, p], cfg, L64, bank, advanced=advanced)
+                once = tzs_search(blk, cur.y, ReferencePicture(refp.frame, 0), [p], cfg, L64,
+                                  bank, advanced=advanced)
+                twice = tzs_search(blk, cur.y, ReferencePicture(refp.frame, 0), [p, p], cfg, L64,
+                                   bank, advanced=advanced)
                 assert twice == once
 
 
-def _search_every_block(cur, refp, layout, block_size, cfg, advanced, predictors):
-    bank = generate_dctif_bank()
+def _search_every_block(cur, ref_frame, layout, block_size, cfg, advanced, predictors):
+    """Every block's search result, against a fresh ``ReferencePicture`` of
+    ``ref_frame``: no cost is served from an earlier call's table."""
+    bank, refp = generate_dctif_bank(), ReferencePicture(ref_frame, 0)
     return [
         tzs_search(blk, cur.y, refp, predictors, cfg, layout, bank, advanced=advanced)
         for blk in BlockGrid(layout, block_size).blocks
@@ -204,8 +210,9 @@ def _search_every_block(cur, refp, layout, block_size, cfg, advanced, predictors
 
 
 class TestBatchedStageFive:
-    """Batching only pre-fills the quarter-pel cost cache: every search
-    returns what one-candidate-at-a-time evaluation returns."""
+    """Batching only pre-fills the cost table: every search returns what
+    one-candidate-at-a-time evaluation returns.  Each side of a comparison
+    searches a fresh ``ReferencePicture``."""
 
     PREDICTORS = ([ZERO], [MotionVector(7, -3), MotionVector(-10, 14), ZERO])
 
@@ -216,10 +223,11 @@ class TestBatchedStageFive:
         cur, refp, _ = synthetic_pair(velocity=(0.0, 2.0, 0.0), seed=3)
         cfg = SearchConfig(lambda_=lambda_)
         for preds in self.PREDICTORS:
-            batched = _search_every_block(cur, refp, L64, block_size, cfg, advanced, preds)
+            batched = _search_every_block(cur, refp.frame, L64, block_size, cfg, advanced, preds)
             with monkeypatch.context() as m:
                 m.setattr(motion_search, "BATCH_PIXELS", 1)
-                single = _search_every_block(cur, refp, L64, block_size, cfg, advanced, preds)
+                single = _search_every_block(cur, refp.frame, L64, block_size, cfg, advanced,
+                                             preds)
             assert batched == single
 
     @pytest.mark.parametrize("advanced", [False, True])
@@ -236,12 +244,14 @@ class TestBatchedStageFive:
         raster_fired = False
         for blk in BlockGrid(L64, 16).blocks:
             fetches.clear()
-            batched = tzs_search(blk, cur.y, refp, [ZERO], cfg, L64, bank, advanced=advanced)
+            batched = tzs_search(blk, cur.y, ReferencePicture(refp.frame, 0), [ZERO], cfg, L64,
+                                 bank, advanced=advanced)
             # stages 2 and 4 alone never read this many integer offsets
             raster_fired |= len(fetches) > 150
             with monkeypatch.context() as m:
                 m.setattr(motion_search, "BATCH_PIXELS", 1)
-                single = tzs_search(blk, cur.y, refp, [ZERO], cfg, L64, bank, advanced=advanced)
+                single = tzs_search(blk, cur.y, ReferencePicture(refp.frame, 0), [ZERO], cfg,
+                                    L64, bank, advanced=advanced)
             assert batched == single
         assert raster_fired
 
@@ -266,7 +276,7 @@ class TestBatchedStageFive:
         monkeypatch.setattr(motion_search, "build_correspondence_field", single)
         cur, refp, _ = synthetic_pair(velocity=(0.0, 2.0, 0.0), seed=3)
         for preds in self.PREDICTORS:
-            _search_every_block(cur, refp, L64, block_size, SearchConfig(), True, preds)
+            _search_every_block(cur, refp.frame, L64, block_size, SearchConfig(), True, preds)
         return calls["batched"], calls["single"], calls["candidates"]
 
     def test_small_blocks_are_batched(self, monkeypatch):
@@ -314,9 +324,13 @@ class TestRasterBound:
 
 class TestTranslationalWindow:
     """The translational stage 5 filters one quarter-pel window per search;
-    only seeds outside it are warped one at a time."""
+    only fractional seeds outside it are warped one at a time (an integer
+    seed is read from the integer stages' entries of the cost table)."""
 
-    @pytest.mark.parametrize("predictors", TestBatchedStageFive.PREDICTORS)
+    FRACTIONAL_SEEDS = ([MotionVector(1, -2)],
+                        [MotionVector(7, -3), MotionVector(-10, 14), MotionVector(3, 1)])
+
+    @pytest.mark.parametrize("predictors", FRACTIONAL_SEEDS)
     def test_one_window_per_search(self, monkeypatch, predictors):
         # 7.5 px/frame: some integer winners lie far from the zero seed
         cur, refp, _ = synthetic_pair(velocity=(0.0, 7.5, 0.0), seed=5)
@@ -354,6 +368,68 @@ class TestTranslationalWindow:
         assert out_of_window > 0
 
 
+class TestCostTable:
+    """One ``ReferencePicture`` keeps the cost table of the block costed
+    last; a table is never served to a different block, ``cur`` array,
+    layout or bank."""
+
+    CFG = SearchConfig(lambda_=4.0)
+    A, B = Block(8, 72, 16, 16), Block(168, 104, 16, 16)
+
+    def search(self, blk, cur, refp, advanced, layout=L64, bank=None):
+        preds = [MotionVector(6, -3), ZERO]
+        return tzs_search(blk, cur, refp, preds, self.CFG, layout, bank, advanced=advanced)
+
+    @pytest.mark.parametrize("advanced", [False, True])
+    def test_returning_to_a_block_gives_fresh_results(self, advanced):
+        cur, refp, _ = synthetic_pair(velocity=(1.0, 1.0, 0.0), seed=4)
+        shared = [self.search(blk, cur.y, refp, advanced) for blk in (self.A, self.B, self.A)]
+        fresh = [self.search(blk, cur.y, ReferencePicture(refp.frame, 0), advanced)
+                 for blk in (self.A, self.B, self.A)]
+        assert shared == fresh
+
+    @pytest.mark.parametrize("change", ["cur", "cur-copy", "layout", "bank"])
+    @pytest.mark.parametrize("advanced", [False, True])
+    def test_other_key_is_never_served(self, monkeypatch, change, advanced):
+        cur, refp, _ = synthetic_pair(velocity=(1.0, 1.0, 0.0), seed=4)
+        other = {"cur": cur.y, "layout": L64, "bank": generate_dctif_bank()}
+        if change == "cur":  # other pixels in the block
+            other["cur"] = np.roll(cur.y, 5, axis=1)
+        elif change == "cur-copy":  # the same pixels in another array
+            other["cur"] = cur.y.copy()
+        elif change == "layout":
+            other["layout"] = CubeLayout(60, 60)
+        else:  # a bank equal in value but another object
+            other["bank"] = generate_dctif_bank().copy()
+        calls = []
+        for name in ("fetch_block", "warp_block"):
+            inner = getattr(motion_search, name)
+            monkeypatch.setattr(motion_search, name,
+                                lambda *a, _f=inner: calls.append(a) or _f(*a))
+
+        def costed(ref):
+            calls.clear()
+            result = self.search(self.A, other["cur"], ref, advanced,
+                                 other["layout"], other["bank"])
+            return result, len(calls)
+
+        self.search(self.A, cur.y, refp, advanced)
+        # after the first search the table holds block A under the first key;
+        # a search under the other key costs every candidate again
+        assert costed(refp) == costed(ReferencePicture(refp.frame, 0))
+        assert calls
+
+    def test_same_key_is_served(self, monkeypatch):
+        cur, refp, _ = synthetic_pair(velocity=(1.0, 1.0, 0.0), seed=4)
+        first = self.search(self.A, cur.y, refp, True)
+        calls = []
+        inner = motion_search.warp_block
+        monkeypatch.setattr(motion_search, "warp_block",
+                            lambda *a: calls.append(a) or inner(*a))
+        assert self.search(self.A, cur.y, refp, True) == first
+        assert not calls
+
+
 class TestTranslationalGolden:
     """Every block's translational ``(mv, cost)``, pinned on the code that
     filtered each quarter-pel candidate with its own warp."""
@@ -377,7 +453,7 @@ class TestTranslationalGolden:
         prev, cur = generate_synthetic(spec)
         layout = CubeLayout(face, face)
         results = _search_every_block(
-            cur, ReferencePicture(prev, 0), layout, block_size,
+            cur, prev, layout, block_size,
             SearchConfig(lambda_=lambda_), False, [ZERO],
         )
         assert len(results) == blocks
@@ -513,13 +589,15 @@ class TestModeDecide:
         cfg = SearchConfig(lambda_=4.0)
         bank = generate_dctif_bank()
         own, shared = BlockGrid(L64, 16), BlockGrid(L64, 16)
+        # one reference per side, so neither side reads the other's cost table
+        ref_own, ref_shared = ReferencePicture(refp.frame, 0), ReferencePicture(refp.frame, 0)
         for blk in own.blocks:
             trans = tzs_search(
-                blk, cur.y, refp, [ZERO], cfg, L64, bank,
+                blk, cur.y, ref_shared, [ZERO], cfg, L64, bank,
                 advanced=False, pred_for_bits=ZERO,
             )
-            a = mode_decide(blk, cur.y, refp, own, cfg, L64, bank)
-            b = mode_decide(blk, cur.y, refp, shared, cfg, L64, bank, trans_result=trans)
+            a = mode_decide(blk, cur.y, ref_own, own, cfg, L64, bank)
+            b = mode_decide(blk, cur.y, ref_shared, shared, cfg, L64, bank, trans_result=trans)
             assert a == b
         assert own.records == shared.records
         assert {rec.mode for rec in own.records.values()} == set(PredMode)
