@@ -213,11 +213,6 @@ def run_eval(cfg: EvalConfig) -> EvalReport:
     """
     frames = _load_frames(cfg)
     layout = CubeLayout(cfg.face_size, cfg.face_size)
-    expect = (layout.canvas_height, layout.canvas_width)
-    if frames and frames[0].y.shape != expect:
-        raise EvalConfigError(
-            f"frame size {frames[0].y.shape[::-1]} does not match face_size {cfg.face_size}"
-        )
     if len(frames) <= cfg.ref_distance:
         raise EvalConfigError(
             f"need more than {cfg.ref_distance} frames for ref_distance {cfg.ref_distance}"
@@ -236,10 +231,8 @@ def run_eval(cfg: EvalConfig) -> EvalReport:
         pol_a = _Predictor(cur)
         rows = []
         for block in grid.blocks:
-            mv_t, cost_t = tzs_search(
-                block, cur.y, refp, [zero], search, layout, bank,
-                advanced=False, pred_for_bits=zero,
-            )
+            mv_t, cost_t = tzs_search(block, cur.y, refp, [zero], search, layout, bank,
+                                      advanced=False)
             rec = mode_decide(
                 block, cur.y, refp, grid, search, layout, bank,
                 trans_result=(mv_t, cost_t),

@@ -7,11 +7,12 @@ a DCT-derived kernel supplies smooth intermediate responses and a cubic
 spline correction pins the published quarter-, half- and integer-phase
 taps exactly.  Filtering has integer semantics: 6-bit coefficients, one
 horizontal and one vertical pass, each with a (+32) >> 6 stage.
-Translations filter in int32 (``phase_planes``).  Per-pixel fields gather
-each pixel's 8x8 support as 8 packed uint64 rows and filter it in float32
-(a matmul, then an einsum), which is exact: the bank's tap sums keep every
-partial sum below 40,000 in magnitude, far inside float32's exact-integer
-range (2**24).
+``warp_block`` is the one warp: it gathers each pixel's 8x8 support as 8
+packed uint64 rows and filters it in float32 (a matmul, then an einsum),
+which is exact: the bank's tap sums keep every partial sum below 40,000
+in magnitude, far inside float32's exact-integer range (2**24).  The
+translational search's quarter-pel window is filtered at its 16 phases
+at once, in int32 (``phase_planes``).
 """
 
 from __future__ import annotations
@@ -132,13 +133,11 @@ def _warp_arrays(
     are the base positions clipped, which cannot change the clamped
     result and bounds the window by the plane.
 
-    A 2-D pure translation (``rx == rx[0, 0] + 64 * col`` and ``ry ==
-    ry[0, 0] + 64 * row``) shares one phase per axis: it is the one-phase,
-    no-margin case of ``phase_planes``, in int32.  Any other field, and
-    every batch, gathers its 8x8 support per pixel as 8 packed rows: the
-    window is viewed, without a copy, as unaligned uint64 words of 8
-    horizontal samples, and viewed back as uint8 after the gather (the
-    words are never read as values, so byte order does not matter).
+    Every field, a translation included, gathers its 8x8 support per
+    pixel as 8 packed rows: the window is viewed, without a copy, as
+    unaligned uint64 words of 8 horizontal samples, and viewed back as
+    uint8 after the gather (the words are never read as values, so byte
+    order does not matter).
 
     The gather filters in float32 (pass 1 a per-pixel matmul, pass 2 one
     ``einsum`` over the 8 taps), and the result is still exact.  The
@@ -147,16 +146,9 @@ def _warp_arrays(
     [-96, 351], and every partial sum of pass 2 below 40,000 in
     magnitude: all exact integers in float32 (below 2**24) in any
     summation order.  ``floor((x + 32) * 2**-6)`` is then ``(x + 32) >> 6``
-    exactly, so both branches give the same integers.
+    exactly, so it gives the integers of the int32 ``phase_planes``.
     """
     height, width = plane.shape
-    h, w = rx_q6.shape[-2:]
-    x0, y0 = int(rx_q6.flat[0]), int(ry_q6.flat[0])
-    if rx_q6.ndim == 2 and (rx_q6 == x0 + PHASES * np.arange(w)).all() and (
-        ry_q6 == y0 + PHASES * np.arange(h)[:, None]
-    ).all():
-        return phase_planes(plane, x0 >> 6, y0 >> 6, w, h, [x0 & 63], [y0 & 63], bank)[0, 0]
-
     xi, xlo, xhi = _clipped_base(rx_q6, width)
     yi, ylo, yhi = _clipped_base(ry_q6, height)
     fbank = bank.astype(np.float32)
@@ -203,7 +195,8 @@ def phase_planes(plane, x, y, width, height, xphases, yphases, bank) -> np.ndarr
     of phases: uint8 ``out[j, i, r, c]`` is the edge-clamped sample at
     1/64-pel ``(64 * (x + c) + xphases[i], 64 * (y + r) + yphases[j])``.
     One horizontal 8-tap pass per x-phase over the fetched window, then
-    one vertical pass per y-phase, each rounding with (+32) >> 6.
+    one vertical pass per y-phase, each rounding with (+32) >> 6.  It
+    serves only the translational search's quarter-pel window.
     """
     win = fetch_block(plane, x - 3, y - 3, width + TAPS - 1, height + TAPS - 1).astype(np.int32)
     ch, cv = bank[xphases][:, :, None, None], bank[yphases][:, None, :, None, None]

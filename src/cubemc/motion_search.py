@@ -1,12 +1,14 @@
 """Block motion estimation, predictor derivation and mode decision.
 
-The estimator is a staged zone search.  Integer-pel stages (predictors,
-expanding diamond, optional raster, diamond refinement) rank candidates
-with plain translational SAD, which is cheap and good enough to locate
-the basin.  The final quarter-pel stage re-ranks with the true cost of
-the requested motion model: for the advanced model that means building
-the per-pixel correspondence field and warping through the filter bank
-for every candidate.
+The estimator is a staged zone search over quarter-pel MVs, with one
+ranking and one validity rule for every stage.  Integer-pel stages
+(predictors, expanding diamond, optional raster, diamond refinement)
+visit MVs ``(4dx, 4dy)`` and rank them with plain translational SAD,
+which is cheap and good enough to locate the basin.  The final
+quarter-pel stage restarts the ranking from the integer winner with the
+true cost of the requested motion model: for the advanced model that
+means building the per-pixel correspondence field and warping through
+the filter bank (``warp_block``'s 8x8 gather) for every candidate.
 
 Both searches, the merge check and the evaluator's placement share one
 table per block and reference, ``(advanced, mv) -> (SAD, luma)``, so no
@@ -16,7 +18,8 @@ translation ``(4dx, 4dy)``: phase 0 of the bank is the identity.
 Under the translational model every refinement candidate lies within
 ``REFINE_WINDOW_Q2`` of the integer winner, so, as in the HEVC reference
 encoder, the stage filters that window once at the 16 quarter-pel phases
-(``phase_planes``) and each such candidate is a slice of it.  Under the
+(``phase_planes``, used for nothing else) and each such candidate is a
+slice of it; a predictor outside the window is gathered alone.  Under the
 advanced model a table miss speculates: the MVs the search tries next
 (the rest of the ring around the current best, or the remaining seeds)
 are costed with it in one batched field build and warp, which pays
@@ -111,13 +114,14 @@ class _CostTable(dict):
     def __missing__(self, key):
         advanced, mv = key
         b = self.block
-        if advanced:  # the singular build, whose 2-D warp can take the separable branch
-            fld = build_correspondence_field(b, mv, self.layout)
-        elif mv.dx_q2 % 4 or mv.dy_q2 % 4:
-            fld = translational_field(b, mv)
-        else:
+        if not (advanced or mv.dx_q2 % 4 or mv.dy_q2 % 4):  # an integer translation
             x, y = b.x0 + mv.dx_q2 // 4, b.y0 + mv.dy_q2 // 4
             return self.put(key, fetch_block(self.plane, x, y, b.width, b.height))
+        # a lone advanced MV keeps the singular build: the benchmark's tracer
+        # counts those builds and reads each one's MV, and the contract test
+        # test_singular_field_builds_take_one_mv needs run_eval to make them
+        fld = (build_correspondence_field(b, mv, self.layout) if advanced
+               else translational_field(b, mv))
         return self.put(key, warp_block(self.plane, fld, self.bank))
 
     def put(self, key, pred: np.ndarray) -> tuple[int, np.ndarray]:
@@ -198,12 +202,17 @@ def mv_bits(mv: MotionVector, pred: MotionVector) -> int:
     return bits
 
 
-def _mv_valid_q2(mv: MotionVector, block: Block, cfg: SearchConfig, layout: CubeLayout) -> bool:
+def _mv_check(block: Block, cfg: SearchConfig, layout: CubeLayout):
+    """The validity rule of ``block``'s MVs: each component within the
+    search range, and the moved block center on a face."""
     limit = 4 * cfg.search_range
-    if abs(mv.dx_q2) > limit or abs(mv.dy_q2) > limit:
-        return False
     cx, cy = block.center
-    return face_of(cx + mv.dx_q2 / 4.0, cy + mv.dy_q2 / 4.0, layout) is not None
+
+    def valid(mv: MotionVector) -> bool:
+        return (abs(mv.dx_q2) <= limit and abs(mv.dy_q2) <= limit
+                and face_of(cx + mv.dx_q2 / 4.0, cy + mv.dy_q2 / 4.0, layout) is not None)
+
+    return valid
 
 
 def _mv_key(cost, dx, dy):
@@ -214,13 +223,13 @@ def _mv_key(cost, dx, dy):
 _WORST_KEY = (float("inf"),) * 4  # ranks below every real candidate
 
 
-def _ring(center, axis: int, diag: int) -> list[tuple[int, int]]:
+def _ring(center: MotionVector, axis: int, diag: int) -> list[MotionVector]:
     """Search-ring points around ``center``: four at ``axis`` along the
     axes, then four at ``diag`` along the diagonals (none if ``diag`` is 0)."""
     pts = [(axis, 0), (-axis, 0), (0, axis), (0, -axis)]
     if diag:
         pts += [(diag, diag), (diag, -diag), (-diag, diag), (-diag, -diag)]
-    return [(center[0] + ox, center[1] + oy) for ox, oy in pts]
+    return [MotionVector(center.dx_q2 + ox, center.dy_q2 + oy) for ox, oy in pts]
 
 
 def tzs_search(
@@ -245,65 +254,33 @@ def tzs_search(
     if pred_for_bits is None:
         pred_for_bits = predictors[0] if predictors else MotionVector(0, 0)
     table = ref.costs(block, cur, layout, bank)
-    cx, cy = block.center
+    valid = _mv_check(block, cfg, layout)
     r = cfg.search_range
 
+    # every stage ranks quarter-pel MVs; an integer offset (dx, dy) is (4dx, 4dy)
     best = None
     best_key = _WORST_KEY
 
-    def try_int(dx, dy) -> bool:
-        """Rank one integer offset by translational SAD; True if it won."""
+    def rank(mv, cost) -> bool:
+        """Rank ``mv`` at ``cost``; True if it is the new best."""
         nonlocal best, best_key
-        if abs(dx) > r or abs(dy) > r or face_of(cx + dx, cy + dy, layout) is None:
-            return False
-        key = _mv_key(table[False, MotionVector(4 * dx, 4 * dy)][0], dx, dy)
-        if key < best_key:
-            best, best_key = (dx, dy), key
-            return True
-        return False
-
-    best_mv = None
-    best_q2_key = _WORST_KEY
-    batch_cap = max(1, BATCH_PIXELS // (block.width * block.height))
-
-    def try_q2(mv, ahead=()) -> bool:
-        """Rank one quarter-pel MV by the model cost; True if it won.
-
-        On an advanced table miss, the valid uncosted MVs of ``ahead`` (the
-        ones the caller will try next) join it in one batch of at most
-        ``batch_cap`` MVs; any other miss is costed alone by the read.
-        """
-        nonlocal best_mv, best_q2_key
-        if not _mv_valid_q2(mv, block, cfg, layout):
-            return False
-        if (advanced, mv) not in table:
-            if advanced:
-                batch = [mv]
-                for m in ahead:
-                    if len(batch) == batch_cap:
-                        break
-                    if ((True, m) not in table and m not in batch
-                            and _mv_valid_q2(m, block, cfg, layout)):
-                        batch.append(m)
-                if len(batch) > 1:
-                    table.put_batch(batch)
-            elif in_window(mv):  # a slice of the filtered window
-                ox = mv.dx_q2 - anchor_q2.dx_q2 + REFINE_WINDOW_Q2  # quarter-pels into the window
-                oy = mv.dy_q2 - anchor_q2.dy_q2 + REFINE_WINDOW_Q2
-                table.put((False, mv), planes[oy & 3, ox & 3, oy >> 2 : (oy >> 2) + block.height,
-                                              ox >> 2 : (ox >> 2) + block.width])
-        cost = float(table[advanced, mv][0])
-        if cfg.lambda_:
-            cost += cfg.lambda_ * mv_bits(mv, pred_for_bits)
         key = _mv_key(cost, mv.dx_q2, mv.dy_q2)
-        if key < best_q2_key:
-            best_mv, best_q2_key = mv, key
+        if key < best_key:
+            best, best_key = mv, key
             return True
         return False
+
+    def try_int(mv) -> bool:
+        return valid(mv) and rank(mv, table[False, mv][0])
+
+    def try_ring(center, axis, diag) -> bool:
+        """Try every point of an integer ring (pixels); True if one won."""
+        return any([try_int(mv) for mv in _ring(center, 4 * axis, 4 * diag)])
 
     # stage 1: zero MV plus rounded predictors (a repeat is a table hit)
     for p in [MotionVector(0, 0), *predictors]:
-        try_int(int(round_half_away(p.dx_q2 / 4.0)), int(round_half_away(p.dy_q2 / 4.0)))
+        try_int(MotionVector(4 * int(round_half_away(p.dx_q2 / 4.0)),
+                             4 * int(round_half_away(p.dy_q2 / 4.0))))
     if best is None:
         raise ValueError("no valid motion")
 
@@ -314,9 +291,8 @@ def tzs_search(
     best_dist = 0
     d = 1
     while d <= r:
-        for dx, dy in _ring(anchor, d, d // 2):
-            if try_int(dx, dy):
-                best_dist = d
+        if try_ring(anchor, d, d // 2):
+            best_dist = d
         if d >= 2 and best_dist <= 1:
             break
         d *= 2
@@ -329,59 +305,84 @@ def tzs_search(
     # stage 3: coarse raster only when the motion looks large; offsets
     # whose center leaves the canvas would be rejected, so none is visited
     if best_dist > 5:
+        cx, cy = block.center
         for dy in raster(cy, layout.canvas_height):
             for dx in raster(cx, layout.canvas_width):
-                try_int(dx, dy)
+                try_int(MotionVector(4 * dx, 4 * dy))
 
     # stage 4: re-centering small-diamond refinement
-    improved = True
-    while improved:
-        improved = False
-        for d in (1, 2):
-            for dx, dy in _ring(best, d, d // 2):
-                improved |= try_int(dx, dy)
-            if improved:
-                break
+    while try_ring(best, 1, 0) or try_ring(best, 2, 1):
+        pass
 
-    # stage 5: quarter-pel refinement under the model cost, seeded with
-    # the integer winner and every predictor
-    anchor_q2 = MotionVector(4 * best[0], 4 * best[1])
+    # stage 5: quarter-pel refinement under the model cost, restarted from
+    # the integer winner and seeded with every predictor; the translational
+    # model filters the winner's window at its 16 quarter-pel phases once
+    anchor, best_key = best, _WORST_KEY
+    m, phases = REFINE_WINDOW_Q2 // 4, np.arange(0, PHASES, PHASES // 4)
+    planes = None if advanced else phase_planes(
+        ref.frame.y, block.x0 + anchor.dx_q2 // 4 - m, block.y0 + anchor.dy_q2 // 4 - m,
+        block.width + 2 * m, block.height + 2 * m, phases, phases, table.bank)
 
     def in_window(mv):
-        return (abs(mv.dx_q2 - anchor_q2.dx_q2) <= REFINE_WINDOW_Q2
-                and abs(mv.dy_q2 - anchor_q2.dy_q2) <= REFINE_WINDOW_Q2)
+        return (abs(mv.dx_q2 - anchor.dx_q2) <= REFINE_WINDOW_Q2
+                and abs(mv.dy_q2 - anchor.dy_q2) <= REFINE_WINDOW_Q2)
 
-    if not advanced:
-        # the window's 16 quarter-pel phases, filtered once for the whole stage
-        m, phases = REFINE_WINDOW_Q2 // 4, np.arange(0, PHASES, PHASES // 4)
-        planes = phase_planes(ref.frame.y, block.x0 + best[0] - m, block.y0 + best[1] - m,
-                              block.width + 2 * m, block.height + 2 * m, phases, phases, table.bank)
+    batch_cap = max(1, BATCH_PIXELS // (block.width * block.height))
 
-    # the anchor passed try_int's check, which is _mv_valid_q2 at 4x its
-    # offset, so stage 5 always ranks one
-    seeds = [anchor_q2, *predictors]
-    for i, mv in enumerate(seeds):
-        try_q2(mv, seeds[i + 1 :])
+    def try_q2(mv, ahead=()) -> bool:
+        """Rank one quarter-pel MV by the model cost; True if it won.
+
+        On an advanced table miss, the valid uncosted MVs of ``ahead`` (the
+        ones the caller will try next) join it in one batch of at most
+        ``batch_cap`` MVs; any other miss is costed alone by the read.
+        """
+        if not valid(mv):
+            return False
+        if (advanced, mv) not in table:
+            if advanced:
+                batch = [mv]
+                for m in ahead:
+                    if len(batch) == batch_cap:
+                        break
+                    if (True, m) not in table and m not in batch and valid(m):
+                        batch.append(m)
+                if len(batch) > 1:
+                    table.put_batch(batch)
+            elif in_window(mv):  # a slice of the filtered window
+                ox = mv.dx_q2 - anchor.dx_q2 + REFINE_WINDOW_Q2  # quarter-pels into the window
+                oy = mv.dy_q2 - anchor.dy_q2 + REFINE_WINDOW_Q2
+                table.put((False, mv), planes[oy & 3, ox & 3, oy >> 2 : (oy >> 2) + block.height,
+                                              ox >> 2 : (ox >> 2) + block.width])
+        cost = float(table[advanced, mv][0])
+        if cfg.lambda_:
+            cost += cfg.lambda_ * mv_bits(mv, pred_for_bits)
+        return rank(mv, cost)
 
     def around_best(offsets):
         """MVs at ``offsets`` from the current best that lie in the window."""
-        for ox, oy in offsets:
-            cand = MotionVector(best_mv.dx_q2 + ox, best_mv.dy_q2 + oy)
+        for o in offsets:
+            cand = MotionVector(best.dx_q2 + o.dx_q2, best.dy_q2 + o.dy_q2)
             if in_window(cand):
                 yield cand
+
+    # the anchor passed the same check in the integer stages, so stage 5
+    # always ranks one
+    seeds = [anchor, *predictors]
+    for i, mv in enumerate(seeds):
+        try_q2(mv, seeds[i + 1 :])
 
     step = 2
     while step >= 1:
         moved = False
-        ring = _ring((0, 0), step, step)
-        for i, (ox, oy) in enumerate(ring):
-            cand = MotionVector(best_mv.dx_q2 + ox, best_mv.dy_q2 + oy)
+        ring = _ring(MotionVector(0, 0), step, step)
+        for i, o in enumerate(ring):
+            cand = MotionVector(best.dx_q2 + o.dx_q2, best.dy_q2 + o.dy_q2)
             if in_window(cand):
                 # a miss also costs the rest of the ring around the current best
                 moved |= try_q2(cand, around_best(ring[i + 1 :]))
         if not moved:
             step //= 2
-    return best_mv, best_q2_key[0]
+    return best, best_key[0]
 
 
 _MERGE_OFFSETS = (
@@ -474,7 +475,7 @@ def mode_decide(
     mode, mv, cost = PredMode.TRANS, mv_t, cost_t
 
     merge_mv = merge_candidate(grid, block, layout)
-    if merge_mv is not None and _mv_valid_q2(merge_mv, block, cfg, layout):
+    if merge_mv is not None and _mv_check(block, cfg, layout)(merge_mv):
         # merge codes no MV difference, so its cost is the bare SAD
         cost_m = float(ref.costs(block, cur, layout, bank)[True, merge_mv][0])
         if cost_m < cost:

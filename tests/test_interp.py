@@ -263,7 +263,7 @@ class TestBatchedWarp:
             kind = data.draw(st.sampled_from(["translation", "face edge", "off plane"]))
             mv = MotionVector(data.draw(st.integers(-24, 24)), data.draw(st.integers(-24, 24)))
             if kind == "translation":
-                # a translation slice: warped alone, it is one phase_planes call
+                # a translation slice: a field of one phase per axis
                 x0, y0 = data.draw(st.integers(-4, 60)), data.draw(st.integers(-4, 44))
                 field = translational_field(Block(x0, y0, 8, 8), mv)
             elif kind == "face edge":
@@ -299,12 +299,6 @@ class TestBatchedWarp:
             npt.assert_array_equal(got[i], warp_block(plane, build_correspondence_field(blk, mv, layout)))
 
 
-def _gathered(plane, field):
-    """``field`` warped as a batch of one, which takes the 8x8 gather."""
-    one = CorrespondenceField(field.rx_q6[None], field.ry_q6[None], field.valid[None])
-    return warp_block(plane, one)[0]
-
-
 def _window_origin(data, placement, size, layout):
     """Integer reference position of a ``size``-px block: inside the
     canvas, straddling an edge of a face (the canvas border included),
@@ -327,7 +321,8 @@ def _window_origin(data, placement, size, layout):
 
 class TestPhasePlanes:
     """Every slice of a block's quarter-pel phase window is the warp of
-    the translation it stands for."""
+    the translation it stands for (``warp_block``'s gather, which shares
+    no code with ``phase_planes``)."""
 
     @pytest.mark.parametrize("size", [16, 32, 64])
     @pytest.mark.parametrize("placement", ["inside", "face edge", "off plane"])
@@ -351,11 +346,6 @@ class TestPhasePlanes:
                 field = translational_field(block, MotionVector(4 * ax + ox - 8, 4 * ay + oy - 8))
                 got = planes[oy & 3, ox & 3, oy >> 2 : (oy >> 2) + size, ox >> 2 : (ox >> 2) + size]
                 npt.assert_array_equal(got, warp_block(plane, field, bank))
-        # and one slice against the gather, which shares no code with phase_planes
-        ox, oy = data.draw(st.integers(0, 16)), data.draw(st.integers(0, 16))
-        field = translational_field(block, MotionVector(4 * ax + ox - 8, 4 * ay + oy - 8))
-        got = planes[oy & 3, ox & 3, oy >> 2 : (oy >> 2) + size, ox >> 2 : (ox >> 2) + size]
-        npt.assert_array_equal(got, _gathered(plane, field))
 
     @pytest.mark.parametrize("size", [16, 32, 64])
     @pytest.mark.parametrize("placement", ["inside", "face edge", "off plane"])
@@ -376,7 +366,6 @@ class TestPhasePlanes:
                            [x_q6 & 63], [y_q6 & 63], bank)
         assert got.shape == (1, 1, size // 2, size // 2)
         npt.assert_array_equal(got[0, 0], warp_block(plane, cfld, bank))
-        npt.assert_array_equal(got[0, 0], _gathered(plane, cfld))
 
 
 def oracle_warp(plane, rx_q6, ry_q6):
@@ -406,8 +395,6 @@ class TestGatherExactness:
         rng = np.random.default_rng(seed)
         rx = 64 * (px + np.arange(bw)) + rng.integers(-span, span + 1, size=shape)
         ry = 64 * (py + np.arange(bh)[:, None]) + rng.integers(-span, span + 1, size=shape)
-        if n is None:  # never a pure translation, which skips the gather
-            rx[0, 0] = rx[0, 1] - 1
         field = CorrespondenceField(rx.astype(np.int32), ry.astype(np.int32), np.ones(shape, dtype=bool))
         got = warp_block(plane, field)
         assert got.shape == shape and got.dtype == np.uint8

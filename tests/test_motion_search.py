@@ -430,6 +430,30 @@ class TestCostTable:
         assert not calls
 
 
+class TestValidityChecks:
+    """A search checks an MV's validity (one scalar ``face_of``) once per
+    read.  The calls over every block of a fixed clip, both models and
+    both lambdas, are pinned, so a check repeated per read or per stage
+    shows up here before it shows up in the timings."""
+
+    FACE_OF_CALLS = 35859
+
+    def test_face_of_calls_pinned(self, monkeypatch):
+        cur, refp, _ = synthetic_pair(velocity=(1.0, 2.0, 0.0), seed=3)
+        bank = generate_dctif_bank()
+        grids = {lam: BlockGrid(L64, 16) for lam in (0.0, 4.0)}  # built before the count
+        calls = []
+        inner = motion_search.face_of
+        monkeypatch.setattr(motion_search, "face_of", lambda *a: calls.append(a) or inner(*a))
+        for lam, grid in grids.items():
+            cfg = SearchConfig(lambda_=lam)
+            for blk in grid.blocks:
+                trans = tzs_search(blk, cur.y, refp, [ZERO], cfg, L64, bank, advanced=False)
+                mode_decide(blk, cur.y, refp, grid, cfg, L64, bank, trans_result=trans)
+        assert {r.mode for g in grids.values() for r in g.records.values()} == set(PredMode)
+        assert len(calls) == self.FACE_OF_CALLS
+
+
 class TestTranslationalGolden:
     """Every block's translational ``(mv, cost)``, pinned on the code that
     filtered each quarter-pel candidate with its own warp."""
