@@ -4,7 +4,10 @@ The estimator is a staged zone search over quarter-pel MVs, with one
 ranking and one validity rule for every stage.  Integer-pel stages
 (predictors, expanding diamond, optional raster, diamond refinement)
 visit MVs ``(4dx, 4dy)`` and rank them with plain translational SAD,
-which is cheap and good enough to locate the basin.  The final
+which is cheap and good enough to locate the basin.  The raster is one
+array reduction per block (``_raster_best``: a strided view of one
+edge-clamped window, its SADs reduced a raster row at a time), whose
+winner both searches of the block share and rank.  The final
 quarter-pel stage restarts the ranking from the integer winner with the
 true cost of the requested motion model: for the advanced model that
 means building the per-pixel correspondence field and warping through
@@ -43,9 +46,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from cubemc.frame_io import Frame
-from cubemc.geometry import CubeLayout, face_of
+from cubemc.geometry import NO_FACE, CubeLayout, face_of
 from cubemc.interp import PHASES, fetch_block, generate_dctif_bank, phase_planes, warp_block
 from cubemc.motion_model import (
     Block,
@@ -110,6 +114,7 @@ class _CostTable(dict):
         super().__init__()
         self.block, self.cur, self.plane, self.layout, self.bank = block, cur, plane, layout, bank
         self.cur_blk = cur[block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width]
+        self.rasters = {}  # (dxs, dys) -> _raster_best
 
     def __missing__(self, key):
         advanced, mv = key
@@ -123,6 +128,12 @@ class _CostTable(dict):
         fld = (build_correspondence_field(b, mv, self.layout) if advanced
                else translational_field(b, mv))
         return self.put(key, warp_block(self.plane, fld, self.bank))
+
+    def raster_best(self, dxs, dys):
+        """``_raster_best``, run once per pair of ranges: both searches share it."""
+        if (dxs, dys) not in self.rasters:
+            self.rasters[dxs, dys] = _raster_best(self, dxs, dys)
+        return self.rasters[dxs, dys]
 
     def put(self, key, pred: np.ndarray) -> tuple[int, np.ndarray]:
         self[key] = entry = (sad(self.cur_blk, pred), pred)
@@ -215,6 +226,44 @@ def _mv_check(block: Block, cfg: SearchConfig, layout: CubeLayout):
     return valid
 
 
+def _raster(c: float, size: int, r: int) -> range:
+    """Stage-3 offsets -r + 8k in [-r, r] that keep ``c + offset`` in [0, size)."""
+    lo, hi = max(-r, math.ceil(-c)), min(r, math.ceil(size - c) - 1)
+    return range(lo + (-r - lo) % RASTER_STEP, hi + 1, RASTER_STEP)
+
+
+def _raster_best(t: _CostTable, dxs: range, dys: range):
+    """The lowest-``_mv_key`` valid MV ``(4dx, 4dy)`` of ``t``'s block over
+    the ``_raster`` offsets ``dxs`` x ``dys`` and its SAD, or None.
+
+    Each offset's block is a strided view of one edge-clamped window, equal
+    to its own ``fetch_block`` because clamping is per coordinate; SADs are
+    reduced in int16 one raster row at a time.  ``_raster`` keeps offsets
+    within the search range, so validity is ``_mv_check``'s face check.
+    """
+    b, cx, cy = t.block, *t.block.center
+    dx, dy = np.array(dxs), np.array(dys)
+    ok = face_of(cx + dx, cy + dy[:, None], t.layout) != NO_FACE  # 4dx / 4.0 == dx
+    if not ok.any():  # also for an empty range
+        return None
+    h, w = b.height, b.width
+    win = fetch_block(t.plane, b.x0 + dxs[0], b.y0 + dys[0],
+                      dxs[-1] - dxs[0] + w, dys[-1] - dys[0] + h)
+    s0, s1 = win.strides
+    blocks = as_strided(win, (len(dys), len(dxs), h, w),
+                        (RASTER_STEP * s0, RASTER_STEP * s1, s0, s1), writeable=False)
+    sads = np.zeros(ok.shape, dtype=np.int64)
+    diff = np.empty(blocks.shape[1:], dtype=np.int16)
+    for j in np.flatnonzero(ok.any(axis=1)):
+        np.subtract(blocks[j], t.cur_blk, out=diff, dtype=np.int16)
+        np.abs(diff, out=diff)
+        diff.sum(axis=(1, 2), dtype=np.int64, out=sads[j])
+    row, col = np.nonzero(ok)
+    x, y, s = 4 * dx[col], 4 * dy[row], sads[row, col]
+    i = np.lexsort((x, y, x * x + y * y, s))[0]  # _mv_key order
+    return MotionVector(int(x[i]), int(y[i])), int(s[i])
+
+
 def _mv_key(cost, dx, dy):
     # tie-break: cost, then shorter MV, then smaller dy, then smaller dx
     return (cost, dx * dx + dy * dy, dy, dx)
@@ -297,18 +346,16 @@ def tzs_search(
             break
         d *= 2
 
-    def raster(c, size):
-        """Offsets -r + 8k in [-r, r] that keep ``c + offset`` in [0, size)."""
-        lo, hi = max(-r, math.ceil(-c)), min(r, math.ceil(size - c) - 1)
-        return range(lo + (-r - lo) % RASTER_STEP, hi + 1, RASTER_STEP)
-
     # stage 3: coarse raster only when the motion looks large; offsets
-    # whose center leaves the canvas would be rejected, so none is visited
+    # whose center leaves the canvas would be rejected, so none is visited.
+    # It is one array reduction per block, shared by both searches; ranking
+    # only its best MV is exact, as distinct MVs never tie on ``_mv_key``
     if best_dist > 5:
         cx, cy = block.center
-        for dy in raster(cy, layout.canvas_height):
-            for dx in raster(cx, layout.canvas_width):
-                try_int(MotionVector(4 * dx, 4 * dy))
+        hit = table.raster_best(_raster(cx, layout.canvas_width, r),
+                                _raster(cy, layout.canvas_height, r))
+        if hit is not None:
+            rank(*hit)
 
     # stage 4: re-centering small-diamond refinement
     while try_ring(best, 1, 0) or try_ring(best, 2, 1):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubemc import motion_search
 from cubemc.frame_io import SyntheticSpec, generate_synthetic
@@ -234,26 +236,22 @@ class TestBatchedStageFive:
     def test_same_results_under_fast_motion(self, monkeypatch, advanced):
         # 7.5 px/frame at face 64: the integer stages fire the stage-3 raster
         cur, refp, _ = synthetic_pair(velocity=(0.0, 7.5, 0.0), seed=5)
-        fetches = []
-        inner = motion_search.fetch_block
+        rasters = []
+        inner = motion_search._raster_best
         monkeypatch.setattr(
-            motion_search, "fetch_block", lambda *a: fetches.append(a) or inner(*a)
+            motion_search, "_raster_best", lambda *a: rasters.append(a) or inner(*a)
         )
         cfg = SearchConfig(lambda_=4.0)
         bank = generate_dctif_bank()
-        raster_fired = False
         for blk in BlockGrid(L64, 16).blocks:
-            fetches.clear()
             batched = tzs_search(blk, cur.y, ReferencePicture(refp.frame, 0), [ZERO], cfg, L64,
                                  bank, advanced=advanced)
-            # stages 2 and 4 alone never read this many integer offsets
-            raster_fired |= len(fetches) > 150
             with monkeypatch.context() as m:
                 m.setattr(motion_search, "BATCH_PIXELS", 1)
                 single = tzs_search(blk, cur.y, ReferencePicture(refp.frame, 0), [ZERO], cfg,
                                     L64, bank, advanced=advanced)
             assert batched == single
-        assert raster_fired
+        assert rasters
 
     def _count_builds(self, monkeypatch, block_size):
         """Run every advanced search; return (batched builds, single
@@ -301,25 +299,151 @@ class TestRasterBound:
 
     def test_wide_ranges_agree_and_cost_the_canvas(self, monkeypatch):
         cur, refp, _ = synthetic_pair(velocity=(0.0, 7.5, 0.0), seed=5)
-        calls = []
-        inner = motion_search.face_of
-        monkeypatch.setattr(motion_search, "face_of", lambda *a: calls.append(a) or inner(*a))
+        calls, rasters, fetches = [], [], []
+        for name, log in (("face_of", calls), ("_raster_best", rasters),
+                          ("fetch_block", fetches)):
+            inner = getattr(motion_search, name)
+            monkeypatch.setattr(motion_search, name,
+                                lambda *a, _f=inner, _log=log: _log.append(a) or _f(*a))
         blk = Block(16, 64, 16, 16)
         results, counts = {}, {}
         for r in (1024, 4096):
             calls.clear()
-            results[r] = tzs_search(blk, cur.y, refp, [ZERO], SearchConfig(search_range=r),
-                                    L64, advanced=False)
+            rasters.clear()
+            fetches.clear()
+            results[r] = tzs_search(blk, cur.y, ReferencePicture(refp.frame, 0), [ZERO],
+                                    SearchConfig(search_range=r), L64, advanced=False)
             counts[r] = len(calls)
+            assert len(rasters) == 1
         assert results[1024] == results[4096]
-        # the raster fired: stages 2, 4 and 5 alone make about 100 calls
-        assert counts[1024] > 500
-        # at most one raster call per 8x8 cell of the canvas, and fewer
-        # for the other stages (the two extra stage-2 rings of r = 4096
-        # add 16); at the full lattice r = 4096 would make ~10**6
-        cells = (L64.canvas_width // RASTER_STEP + 1) * (L64.canvas_height // RASTER_STEP + 1)
-        assert counts[4096] <= 2 * cells
+        # the raster's one window covers the canvas at most, whatever the
+        # range: at r = 4096 the full lattice would span 8192 + 16 px
+        assert max(w for *_, w, _ in fetches) <= L64.canvas_width + blk.width
+        assert max(h for *_, h in fetches) <= L64.canvas_height + blk.height
+        # the two extra stage-2 rings of r = 4096 add 16 checks
         assert counts[4096] - counts[1024] <= 16
+
+
+class TestRasterKernel:
+    """Stage 3 is one array kernel, ``_raster_best``.  It returns what the
+    offset-by-offset raster ranked best: the lowest ``_mv_key`` over the
+    offsets ``_raster`` yields that pass ``_mv_check``, each costed as the
+    SAD of its own ``fetch_block``."""
+
+    @staticmethod
+    def oracle(plane, cur, block, layout, r):
+        valid = motion_search._mv_check(block, SearchConfig(search_range=r), layout)
+        cx, cy = block.center
+        cur_blk = cur[block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width]
+        best_key, best = None, None
+        for dy in motion_search._raster(cy, layout.canvas_height, r):
+            for dx in motion_search._raster(cx, layout.canvas_width, r):
+                mv = MotionVector(4 * dx, 4 * dy)
+                if valid(mv):
+                    cost = sad(cur_blk, fetch_block(plane, block.x0 + dx, block.y0 + dy,
+                                                    block.width, block.height))
+                    key = motion_search._mv_key(cost, mv.dx_q2, mv.dy_q2)
+                    if best_key is None or key < best_key:
+                        best_key, best = key, (mv, cost)
+        return best
+
+    @staticmethod
+    def kernel(plane, cur, block, layout, r, ranges=None):
+        """``_raster_best`` over ``ranges``, by default the ``_raster`` of r."""
+        cx, cy = block.center
+        dxs, dys = ranges or (motion_search._raster(cx, layout.canvas_width, r),
+                              motion_search._raster(cy, layout.canvas_height, r))
+        table = motion_search._CostTable(block, cur, plane, layout, None)
+        return motion_search._raster_best(table, dxs, dys)
+
+    @staticmethod
+    def pictures(layout, levels, seed):
+        """A reference and a current picture; few levels make SAD ties."""
+        rng = np.random.default_rng(seed)
+        shape = (layout.canvas_height, layout.canvas_width)
+        return (rng.integers(0, levels, shape, dtype=np.uint8),
+                rng.integers(0, levels, shape, dtype=np.uint8))
+
+    @given(data=st.data())
+    def test_matches_scalar_oracle(self, data):
+        layout = CubeLayout(64, 64)
+        bs = data.draw(st.sampled_from([16, 32, 64]), label="block size")
+        r = data.draw(st.sampled_from([8, 20, 64, 1024]), label="r")
+        # flush with an edge half the time, so the window often straddles it
+        x0 = data.draw(st.one_of(st.sampled_from([0, layout.canvas_width - bs]),
+                                 st.integers(0, layout.canvas_width - bs)), label="x0")
+        y0 = data.draw(st.one_of(st.sampled_from([0, layout.canvas_height - bs]),
+                                 st.integers(0, layout.canvas_height - bs)), label="y0")
+        levels = data.draw(st.sampled_from([1, 2, 256]), label="levels")
+        plane, cur = self.pictures(layout, levels, data.draw(st.integers(0, 2**32 - 1)))
+        block = Block(x0, y0, bs, bs)
+        assert (self.kernel(plane, cur, block, layout, r)
+                == self.oracle(plane, cur, block, layout, r))
+
+    # one block flush with each canvas edge, and the window edge that crosses it
+    EDGES = {"left": ((0, 80), lambda x, y, w, h, cw, ch: x < 0),
+             "right": ((224, 80), lambda x, y, w, h, cw, ch: x + w > cw),
+             "top": ((16, 0), lambda x, y, w, h, cw, ch: y < 0),
+             "bottom": ((16, 160), lambda x, y, w, h, cw, ch: y + h > ch)}
+
+    @pytest.mark.parametrize("edge", sorted(EDGES))
+    def test_window_straddles_each_edge(self, monkeypatch, edge):
+        (x0, y0), crosses = self.EDGES[edge]
+        plane, cur = self.pictures(L64, 256, 7)
+        block = Block(x0, y0, 32, 32)
+        fetches = []
+        inner = motion_search.fetch_block
+        monkeypatch.setattr(motion_search, "fetch_block",
+                            lambda *a: fetches.append(a) or inner(*a))
+        got = self.kernel(plane, cur, block, L64, 64)
+        (_, x, y, w, h), = fetches
+        assert crosses(x, y, w, h, L64.canvas_width, L64.canvas_height)
+        assert got is not None and got == self.oracle(plane, cur, block, L64, 64)
+
+    def test_ties_break_by_length_then_dy_then_dx(self):
+        # flat pictures but one reference pixel, read only by offsets with
+        # dx and dy both negative: (4, -4), (-4, 4) and (4, 4) tie at SAD 0
+        # and length, and the smaller dy wins, as in ``_mv_key``
+        block = Block(16, 80, 16, 16)
+        plane, cur = np.zeros((2, L64.canvas_height, L64.canvas_width), np.uint8)
+        plane[block.y0 - 4, block.x0 - 4] = 9
+        expected = (MotionVector(16, -16), 0)
+        assert self.oracle(plane, cur, block, L64, 20) == expected
+        assert self.kernel(plane, cur, block, L64, 20) == expected
+
+    def test_empty_ranges_and_no_valid_offset(self, monkeypatch):
+        plane, cur = self.pictures(L64, 256, 7)
+        fetches = []
+        inner = motion_search.fetch_block
+        monkeypatch.setattr(motion_search, "fetch_block",
+                            lambda *a: fetches.append(a) or inner(*a))
+        block = Block(16, 80, 16, 16)
+        for ranges in ((range(0), range(-8, 9, 8)), (range(-8, 9, 8), range(0))):
+            assert self.kernel(plane, cur, block, L64, 8, ranges) is None
+        # a block in the corner hole right of the top face: at r = 8 every
+        # moved center stays in the hole
+        hole = Block(80, 16, 16, 16)
+        assert self.kernel(plane, cur, hole, L64, 8) is None
+        assert self.oracle(plane, cur, hole, L64, 8) is None
+        assert not fetches
+
+    def test_both_searches_share_one_kernel_run(self, monkeypatch):
+        # 7.5 px/frame at face 64: the raster fires, in both searches of some blocks
+        cur, refp, _ = synthetic_pair(velocity=(0.0, 7.5, 0.0), seed=5)
+        reads, runs = [], []
+        read, run = motion_search._CostTable.raster_best, motion_search._raster_best
+        monkeypatch.setattr(motion_search._CostTable, "raster_best",
+                            lambda self, *a: reads.append(a) or read(self, *a))
+        monkeypatch.setattr(motion_search, "_raster_best", lambda *a: runs.append(a) or run(*a))
+        grid, cfg, bank = BlockGrid(L64, 16), SearchConfig(lambda_=4.0), generate_dctif_bank()
+        shared = 0
+        for blk in grid.blocks:
+            reads.clear()
+            runs.clear()
+            mode_decide(blk, cur.y, refp, grid, cfg, L64, bank)
+            assert len(runs) == min(len(reads), 1)
+            shared += len(reads) == 2
+        assert shared > 0
 
 
 class TestTranslationalWindow:
@@ -432,11 +556,12 @@ class TestCostTable:
 
 class TestValidityChecks:
     """A search checks an MV's validity (one scalar ``face_of``) once per
-    read.  The calls over every block of a fixed clip, both models and
-    both lambdas, are pinned, so a check repeated per read or per stage
-    shows up here before it shows up in the timings."""
+    read, and a stage-3 raster checks its whole grid in one array call.
+    The calls over every block of a fixed clip, both models and both
+    lambdas, are pinned, so a check repeated per read or per stage shows
+    up here before it shows up in the timings."""
 
-    FACE_OF_CALLS = 35859
+    FACE_OF_CALLS = 34651
 
     def test_face_of_calls_pinned(self, monkeypatch):
         cur, refp, _ = synthetic_pair(velocity=(1.0, 2.0, 0.0), seed=3)
