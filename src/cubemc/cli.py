@@ -11,7 +11,7 @@ import sys
 
 from cubemc.evaluate import EvalConfig, EvalConfigError, emit_csv, run_eval
 from cubemc.geometry import CubeLayout
-from cubemc.motion_search import BlockGrid
+from cubemc.motion_search import BLOCK_SIZES, BlockGrid
 
 _EVAL_DESCRIPTION = """\
 Compare translational and advanced (sphere-uniform) motion compensation
@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--width", type=int, default=0, help="canvas width (file input)")
     ev.add_argument("--height", type=int, default=0, help="canvas height (file input)")
     ev.add_argument("--face-size", type=int, required=True, help="cube face width in pixels")
-    ev.add_argument("--block-size", type=int, default=16, choices=(16, 32, 64))
+    ev.add_argument("--block-size", type=int, default=16, choices=BLOCK_SIZES)
     ev.add_argument("--ref-distance", type=int, default=1, help="frames between current and reference")
     ev.add_argument("--search-range", type=int, default=64, help="integer search range in pixels")
     ev.add_argument("--lambda", dest="lambda_", type=float, default=0.0,

@@ -20,17 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from cubemc.frame_io import (
-    HOLE_VALUE,
-    Frame,
-    SyntheticSpec,
-    generate_synthetic,
-    read_yuv420,
-)
+from cubemc.frame_io import Frame, SyntheticSpec, generate_synthetic, read_yuv420
 from cubemc.geometry import CubeLayout
 from cubemc.interp import chroma_field, generate_dctif_bank, warp_block
 from cubemc.motion_model import Block, MotionVector, build_correspondence_field, translational_field
 from cubemc.motion_search import (
+    BLOCK_SIZES,
     BlockGrid,
     PredMode,
     ReferencePicture,
@@ -74,7 +69,7 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.block_size not in (16, 32, 64):
+        if self.block_size not in BLOCK_SIZES:
             raise EvalConfigError("block_size must be 16, 32 or 64")
         if self.face_size % 2:
             raise EvalConfigError("face_size must be even (4:2:0 chroma)")
@@ -166,28 +161,24 @@ def _field_for(block: Block, advanced: bool, mv: MotionVector, layout: CubeLayou
 
 
 class _Predictor:
-    """Accumulates one predicted picture and its squared error."""
+    """One policy's squared prediction error and pixel count per plane;
+    the predicted picture itself is not kept."""
 
     def __init__(self, cur: Frame):
         self.cur = cur
-        self.y = np.full_like(cur.y, HOLE_VALUE)
-        self.u = np.full_like(cur.u, HOLE_VALUE)
-        self.v = np.full_like(cur.v, HOLE_VALUE)
         self.err = [0.0, 0.0, 0.0]
         self.count = [0, 0, 0]
 
     def place(self, costs, advanced: bool, mv: MotionVector, ref: Frame) -> int:
-        """Place the block of ``costs`` at ``mv``: luma from the table, chroma
+        """Predict the block of ``costs`` at ``mv``: luma from the table, chroma
         warped along the same field; returns the luma SAD."""
         block, bank = costs.block, costs.bank
         x0, y0, w, h = block.x0, block.y0, block.width, block.height
-        pred_y = self.y[y0 : y0 + h, x0 : x0 + w] = costs[advanced, mv][1]
+        pred_y = costs[advanced, mv][1]
         cfld = chroma_field(_field_for(block, advanced, mv, costs.layout))
         pred_u = warp_block(ref.u, cfld, bank)
         pred_v = warp_block(ref.v, cfld, bank)
         cx, cy, cw, chh = x0 // 2, y0 // 2, w // 2, h // 2
-        self.u[cy : cy + chh, cx : cx + cw] = pred_u
-        self.v[cy : cy + chh, cx : cx + cw] = pred_v
 
         cur_y = self.cur.y[y0 : y0 + h, x0 : x0 + w]
         cur_u = self.cur.u[cy : cy + chh, cx : cx + cw]

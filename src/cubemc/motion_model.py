@@ -137,12 +137,14 @@ def _transport_arrays(u0, u1, x2, y2, layout: CubeLayout):
     return _transport_from_sphere(s0, s1, s2x, s2y, s2z, layout)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=1)
 def _block_sphere(block: Block, layout: CubeLayout):
     """Sphere points of the block center (s0) and of its pixel grid,
-    after the single-face check.  Cached, as blocks recur across search
-    candidates and frames; exceptions are not cached, so a straddling
-    block raises on every call."""
+    after the single-face check.  Cached for the block costed last: every
+    candidate of a block is costed before the next block's, so one entry
+    serves the whole block, and each frame of a run rebuilds each block's
+    grid once.  Exceptions are not cached, so a straddling block raises
+    on every call."""
     block_face(block, layout)
     s0 = unfold_to_sphere(*block.center, layout)
     ys, xs = np.mgrid[block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width]

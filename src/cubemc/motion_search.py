@@ -75,6 +75,7 @@ __all__ = [
     "mode_decide",
 ]
 
+BLOCK_SIZES = (16, 32, 64)  # pixels, the square block sizes a grid can tile
 RASTER_STEP = 8         # pixels, stage-3 grid
 REFINE_WINDOW_Q2 = 8    # quarter-pel units, stage-5 window
 BATCH_PIXELS = 4096     # pixels, cap of one speculative stage-5 batch
@@ -177,7 +178,7 @@ class BlockGrid:
     """
 
     def __init__(self, layout: CubeLayout, block_size: int):
-        if block_size not in (16, 32, 64):
+        if block_size not in BLOCK_SIZES:
             raise ValueError("block_size must be 16, 32 or 64")
         self.layout = layout
         self.block_size = block_size
@@ -260,7 +261,7 @@ def _raster_best(t: _CostTable, dxs: range, dys: range):
         diff.sum(axis=(1, 2), dtype=np.int64, out=sads[j])
     row, col = np.nonzero(ok)
     x, y, s = 4 * dx[col], 4 * dy[row], sads[row, col]
-    i = np.lexsort((x, y, x * x + y * y, s))[0]  # _mv_key order
+    i = np.lexsort(_mv_key(s, x, y)[::-1])[0]  # lexsort sorts by its last key first
     return MotionVector(int(x[i]), int(y[i])), int(s[i])
 
 

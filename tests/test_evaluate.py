@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cubemc import evaluate, motion_search
+from cubemc import evaluate, motion_model, motion_search
 from cubemc.evaluate import (
     CSV_HEADER,
     BlockResult,
@@ -125,9 +125,12 @@ class TestRunEval:
 class TestNoRepeatedWork:
     """Both searches, the merge check and placement share one cost table
     per block: within a frame no block fetches an integer offset twice or
-    builds an advanced field twice, and placement warps chroma only."""
+    builds an advanced field twice, and placement warps chroma only.  Each
+    block's work is done before the next block's starts, so the one-entry
+    sphere-grid cache misses once per block and frame."""
 
     def test_face64_counts(self, monkeypatch):
+        motion_model._block_sphere.cache_clear()
         block = {}
         fetched, built, placed = Counter(), Counter(), []
 
@@ -158,6 +161,9 @@ class TestNoRepeatedWork:
         assert fetched and max(fetched.values()) == 1
         assert built and max(built.values()) == 1
         assert len(placed) == 4 * blocks
+        info = motion_model._block_sphere.cache_info()
+        assert (info.maxsize, info.currsize) == (1, 1)
+        assert (info.misses, info.hits) == (blocks, 962)
 
 
 class TestEmitCsv:
