@@ -55,6 +55,8 @@ class Frame:
 def read_yuv420(path, width: int, height: int) -> list[Frame]:
     """Read a headerless planar 4:2:0 file; frame count from its size.
     Each plane is read straight into its own array, with no file copy."""
+    if width <= 0 or height <= 0:
+        raise ValueError("width and height must be positive")
     if width % 2 or height % 2:
         raise ValueError("width and height must be even")
     frame_bytes = width * height * 3 // 2

@@ -29,7 +29,9 @@ box fits in its cell, or cube points whose signed dominant axis equals
 the max magnitude everywhere while the other two are strictly smaller,
 which rules out every tie.  These are the same float64 values in the same
 operations as the per-point gather, which stays for mixed faces, ties and
-NaN, so every result is unchanged, signed zeros included.
+NaN, except that cube -> unfold skips the two terms of each coordinate
+whose coefficient is zero; so every result is unchanged, signed zeros
+included.
 
 When every coordinate is a scalar or 0-d array, results are Python
 values: ``float``, ``Face``, and ``None`` for ``NO_FACE``.  Otherwise
@@ -113,7 +115,8 @@ _N, _EU, _EV = np.array(_FRAME, dtype=np.float64).transpose(1, 2, 0).copy()
 _CU = np.array([_FACE_CELL[f][0] + 0.5 for f in Face])
 _CV = np.array([_FACE_CELL[f][1] + 0.5 for f in Face])
 _C = 0.5 * _N - _EU * _CU - _EV * _CV
-_AXIS = [next((a, v) for a, v in enumerate(n) if v) for n, _, _ in _FRAME]  # (axis, sign) of n
+# (axis, sign) of each face's n, e_u and e_v: each is one signed cube axis
+_AXES = [[next((a, v) for a, v in enumerate(e) if v) for e in frame] for frame in _FRAME]
 
 
 @dataclass(frozen=True)
@@ -256,7 +259,7 @@ def _strict_face(x_c, y_c, z_c, m):
     x, y, z = (float(v.flat[0]) for v in (x_c, y_c, z_c))
     signed = [z, y, -z, x, -y, -x]  # _FRAME's outward axes, in Face order
     face = signed.index(max(signed))
-    axis, sign = _AXIS[face]
+    axis, sign = _AXES[face][0]
     coords = [x_c, y_c, z_c]
     dominant = coords.pop(axis)
     if (sign * dominant == m).all() and (np.maximum(*map(np.abs, coords)) < m).all():
@@ -269,15 +272,21 @@ def _to_unfold(x_c, y_c, z_c, layout: CubeLayout):
     priority order) and their unfold coordinates."""
     m = _max_abs(x_c, y_c, z_c)
     k = _strict_face(x_c, y_c, z_c, m)
-    if k is not None:
-        face = np.full(m.shape, k, dtype=np.int8)
-    else:  # the conditions are _FRAME's outward axes n, in Face order
-        face = k = np.select(
-            [z_c == m, y_c == m, -z_c == m, x_c == m, -y_c == m],
-            [Face.TOP, Face.FRONT, Face.BOTTOM, Face.RIGHT, Face.REAR],
-            default=Face.LEFT,
-        ).astype(np.int8)
     w = float(layout.face_width)
+    if k is not None:
+        # each unfold coordinate is one signed cube axis plus its face's
+        # nonzero constant: the same bits as the sum below, whose other two
+        # terms are signed zeros here (no NaN or inf passes _strict_face)
+        xyz = (x_c, y_c, z_c)
+        _, (au, su), (av, sv) = _AXES[k]
+        face = np.full(m.shape, k, dtype=np.int8)
+        return face, su * xyz[au] + _CU[k] * w, sv * xyz[av] + _CV[k] * w
+    # the conditions are _FRAME's outward axes n, in Face order
+    face = k = np.select(
+        [z_c == m, y_c == m, -z_c == m, x_c == m, -y_c == m],
+        [Face.TOP, Face.FRONT, Face.BOTTOM, Face.RIGHT, Face.REAR],
+        default=Face.LEFT,
+    ).astype(np.int8)
     x_u, y_u = (
         e[0][k] * x_c + e[1][k] * y_c + e[2][k] * z_c + c[k] * w
         for e, c in ((_EU, _CU), (_EV, _CV))

@@ -10,9 +10,16 @@ horizontal and one vertical pass, each with a (+32) >> 6 stage.
 ``warp_block`` is the one warp: it gathers each pixel's 8x8 support as 8
 packed uint64 rows and filters it in float32 (a matmul, then an einsum),
 which is exact: the bank's tap sums keep every partial sum below 40,000
-in magnitude, far inside float32's exact-integer range (2**24).  The
-translational search's quarter-pel window is filtered at its 16 phases
-at once, in int32 (``phase_planes``).
+in magnitude, far inside float32's exact-integer range (2**24).
+
+Two kernels filter a window once for many candidates.  ``row_bank`` runs
+the horizontal pass at all 64 phases over one block's window, in float32
+strips, and keeps it as int16 (pass 1 lies in [-96, 351]); ``warp_rows``
+then warps any field of that block with one take of 8 pass-1 values per
+pixel and the gather's vertical pass, and gathers only the pixels whose
+base leaves the bank (the far side of a face seam).  Both give the
+gather's integers.  The translational search's quarter-pel window is
+filtered at its 16 phases at once, in int32 (``phase_planes``).
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ __all__ = [
     "sample_fractional",
     "warp_block",
     "phase_planes",
+    "row_bank",
+    "warp_rows",
     "fetch_block",
     "chroma_field",
 ]
@@ -38,6 +47,7 @@ __all__ = [
 TAPS = 8
 PHASES = 64
 _GAIN = 64  # coefficient sum of every phase
+_STRIP = 8  # columns per float32 GEMM of row_bank
 
 # Published 8-tap luma filters that the generated bank must contain
 # verbatim (integer, quarter and half positions).
@@ -205,6 +215,66 @@ def phase_planes(plane, x, y, width, height, xphases, yphases, bank) -> np.ndarr
     for k in range(1, TAPS):
         out += cv[:, :, k] * rows[:, k : k + height]
     return np.clip((out + 32) >> 6, 0, 255).astype(np.uint8)
+
+
+def row_bank(plane, x, y, width, height, bank):
+    """Pass 1 of the gather, filtered once for every 1/64-pel position
+    whose base lies in the ``width`` x ``height`` rectangle at ``(x, y)``:
+    the horizontal 8-tap pass at all 64 phases over the edge-clamped
+    window, as int16 ``rows[p, c, r]``, the rounded pass-1 value at phase
+    ``p`` and base column ``x + c`` on sample row ``y - 3 + r``.  The width
+    is rounded up to whole strips of ``_STRIP`` columns, each one float32
+    GEMM, so the float32 temporary is one strip, not the window.  Returns
+    ``(x, y, rows)`` for ``warp_rows``.
+
+    The same 8 taps per sample give the same integers as the gather: the
+    GEMM multiplies by the taps / 64 and adds 1/2 through a ninth tap on a
+    row of ones, so it sums (x + 32) / 64 where the gather sums x.  Every
+    product and partial sum is a multiple of 1/64 below 2**9 in magnitude
+    (x lies in [-6120, 22440]), exact in float32 in any order, so its floor
+    is ``(x + 32) >> 6``, in [-96, 351]: int16 holds it.
+    """
+    width = -(-width // _STRIP) * _STRIP
+    win = fetch_block(plane, x - 3, y - 3, width + TAPS - 1, height + TAPS - 1)
+    (nrows, _), (s0, s1) = win.shape, win.strides
+    taps = as_strided(win, (TAPS, width, nrows), (s1, s1, s0), writeable=False)
+    fbank = np.empty((PHASES, TAPS + 1), dtype=np.float32)
+    fbank[:, :TAPS], fbank[:, TAPS] = bank / 64, 0.5
+    strip = np.ones((TAPS + 1, _STRIP, nrows), dtype=np.float32)
+    rows = np.empty((PHASES, width, nrows), dtype=np.int16)
+    for c in range(0, width, _STRIP):
+        strip[:TAPS] = taps[:, c : c + _STRIP]
+        out = fbank @ strip.reshape(TAPS + 1, -1)
+        rows[:, c : c + _STRIP] = np.floor(out, out=out).reshape(PHASES, _STRIP, nrows)
+    return x, y, rows
+
+
+def warp_rows(plane, rows, field, bank) -> np.ndarray:
+    """``warp_block(plane, field, bank)`` with pass 1 read from ``rows``
+    (``row_bank`` of the same plane and bank): one take of each pixel's 8
+    pass-1 values, then the gather's float32 pass 2.  Pixels whose base
+    lies outside the bank's rectangle (across a face seam, or a field far
+    from it) are gathered by ``_warp_arrays`` as one 1-D subset."""
+    x, y, r = rows
+    _, ncols, nrows = r.shape
+    rx, ry = field.rx_q6, field.ry_q6
+    col, row = (rx >> 6) - x, (ry >> 6) - y
+    outside = (col < 0) | (col >= ncols) | (row < 0) | (row > nrows - TAPS)
+    gather = outside.any()
+    idx = ((rx & 63) * ncols + col) * nrows + row
+    if gather:
+        idx[outside] = 0
+    # words[i] is the 16 bytes of the 8 int16 values from flat entry i on,
+    # a zero-copy view, so the take copies one word per pixel
+    flat = r.reshape(-1)
+    words = as_strided(flat, (flat.size - TAPS + 1, TAPS), (flat.itemsize,) * 2, writeable=False)
+    sel = words.view(np.dtype((np.void, 2 * TAPS)))[:, 0][idx].view(np.int16)
+    cv = np.take(bank.astype(np.float32), ry & 63, axis=0)  # (..., 8)
+    p2 = np.einsum("...k,...k->...", cv, sel.reshape(cv.shape).astype(np.float32))
+    pred = np.clip(_shift6(p2), 0, 255).astype(np.uint8)
+    if gather:
+        pred[outside] = _warp_arrays(plane, rx[outside], ry[outside], bank)
+    return pred
 
 
 def sample_fractional(

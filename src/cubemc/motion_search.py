@@ -11,7 +11,9 @@ winner both searches of the block share and rank.  The final
 quarter-pel stage restarts the ranking from the integer winner with the
 true cost of the requested motion model: for the advanced model that
 means building the per-pixel correspondence field and warping through
-the filter bank (``warp_block``'s 8x8 gather) for every candidate.
+the filter bank for every candidate, with pass 1 read from one row bank
+per stage (``row_bank``, freed when the stage returns); ``warp_block``'s
+gather serves pixels across a face seam and MVs costed before the stage.
 
 Both searches, the merge check and the evaluator's placement share one
 table per block and reference, ``(advanced, mv) -> (SAD, luma)``, so no
@@ -51,6 +53,7 @@ from numpy.lib.stride_tricks import as_strided
 from cubemc.frame_io import Frame
 from cubemc.geometry import NO_FACE, CubeLayout, face_of
 from cubemc.interp import PHASES, fetch_block, generate_dctif_bank, phase_planes, warp_block
+from cubemc.interp import row_bank, warp_rows
 from cubemc.motion_model import (
     Block,
     MotionVector,
@@ -78,6 +81,7 @@ __all__ = [
 BLOCK_SIZES = (16, 32, 64)  # pixels, the square block sizes a grid can tile
 RASTER_STEP = 8         # pixels, stage-3 grid
 REFINE_WINDOW_Q2 = 8    # quarter-pel units, stage-5 window
+BANK_MARGIN = REFINE_WINDOW_Q2 // 2  # pixels, stage-5 row bank beyond the block
 BATCH_PIXELS = 4096     # pixels, cap of one speculative stage-5 batch
 
 
@@ -116,6 +120,7 @@ class _CostTable(dict):
         self.block, self.cur, self.plane, self.layout, self.bank = block, cur, plane, layout, bank
         self.cur_blk = cur[block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width]
         self.rasters = {}  # (dxs, dys) -> _raster_best
+        self.rows = None  # the advanced stage 5's row_bank, while it runs
 
     def __missing__(self, key):
         advanced, mv = key
@@ -128,7 +133,13 @@ class _CostTable(dict):
         # test_singular_field_builds_take_one_mv needs run_eval to make them
         fld = (build_correspondence_field(b, mv, self.layout) if advanced
                else translational_field(b, mv))
-        return self.put(key, warp_block(self.plane, fld, self.bank))
+        return self.put(key, self.warp(fld))
+
+    def warp(self, fld) -> np.ndarray:
+        """``warp_block``, with pass 1 read from the row bank while one is built."""
+        if self.rows is None:
+            return warp_block(self.plane, fld, self.bank)
+        return warp_rows(self.plane, self.rows, fld, self.bank)
 
     def raster_best(self, dxs, dys):
         """``_raster_best``, run once per pair of ranges: both searches share it."""
@@ -143,7 +154,7 @@ class _CostTable(dict):
     def put_batch(self, mvs: list[MotionVector]) -> None:
         """Cost advanced ``mvs`` in one batched field build and warp."""
         fields = build_correspondence_fields(self.block, mvs, self.layout)
-        preds = warp_block(self.plane, fields, self.bank)
+        preds = self.warp(fields)
         diff = preds.astype(np.int64) - self.cur_blk.astype(np.int64)
         for mv, s, pred in zip(mvs, np.abs(diff).sum(axis=(1, 2)).tolist(), preds):
             self[True, mv] = (s, pred)
@@ -363,13 +374,15 @@ def tzs_search(
         pass
 
     # stage 5: quarter-pel refinement under the model cost, restarted from
-    # the integer winner and seeded with every predictor; the translational
-    # model filters the winner's window at its 16 quarter-pel phases once
+    # the integer winner and seeded with every predictor; the winner's window
+    # is filtered once, at 16 quarter-pel phases or (advanced) 64 x-phases
     anchor, best_key = best, _WORST_KEY
-    m, phases = REFINE_WINDOW_Q2 // 4, np.arange(0, PHASES, PHASES // 4)
-    planes = None if advanced else phase_planes(
-        ref.frame.y, block.x0 + anchor.dx_q2 // 4 - m, block.y0 + anchor.dy_q2 // 4 - m,
-        block.width + 2 * m, block.height + 2 * m, phases, phases, table.bank)
+    m = BANK_MARGIN if advanced else REFINE_WINDOW_Q2 // 4
+    window = (table.plane, block.x0 + anchor.dx_q2 // 4 - m, block.y0 + anchor.dy_q2 // 4 - m,
+              block.width + 2 * m, block.height + 2 * m)
+    phases = np.arange(0, PHASES, PHASES // 4)
+    table.rows = row_bank(*window, table.bank) if advanced else None
+    planes = None if advanced else phase_planes(*window, phases, phases, table.bank)
 
     def in_window(mv):
         return (abs(mv.dx_q2 - anchor.dx_q2) <= REFINE_WINDOW_Q2
@@ -430,6 +443,7 @@ def tzs_search(
                 moved |= try_q2(cand, around_best(ring[i + 1 :]))
         if not moved:
             step //= 2
+    table.rows = None
     return best, best_key[0]
 
 

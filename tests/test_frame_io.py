@@ -90,6 +90,15 @@ class TestFileRoundTrip:
         with pytest.raises(ValueError, match="even"):
             read_yuv420(tmp_path / "x.yuv", 63, 48)
 
+    @pytest.mark.parametrize("width, height", [(0, 0), (0, 2), (2, 0), (-2, 2), (2, -2)])
+    def test_non_positive_dimensions_rejected(self, tmp_path, width, height):
+        # checked before the frame size is used: a zero size would divide
+        # by zero and a negative one would be reported as a frame size
+        path = tmp_path / "x.yuv"
+        path.write_bytes(b"\0" * 12)
+        with pytest.raises(ValueError, match="positive"):
+            read_yuv420(path, width, height)
+
     def test_reads_planes_without_a_file_copy(self, tmp_path):
         path = tmp_path / "clip.yuv"
         frames = random_frames(np.random.default_rng(5), 10, 256, 192)

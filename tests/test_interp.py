@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,10 @@ from cubemc.interp import (
     fetch_block,
     generate_dctif_bank,
     phase_planes,
+    row_bank,
     sample_fractional,
     warp_block,
+    warp_rows,
 )
 from cubemc.motion_model import (
     Block,
@@ -31,6 +34,7 @@ from cubemc.motion_model import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+ZERO_MV = MotionVector(0, 0)
 
 
 def oracle_sample(plane, bank, x_q6, y_q6):
@@ -476,6 +480,178 @@ class TestGatherExactness:
                 assert got.flags.writeable and not np.shares_memory(got, plane)
             npt.assert_array_equal(plane, before)
             assert plane.flags.writeable is writeable
+
+
+def _bases_outside(rows, field):
+    """Where a field's base positions leave the rectangle of a row bank."""
+    x, y, r = rows
+    col, row = (field.rx_q6 >> 6) - x, (field.ry_q6 >> 6) - y
+    return (col < 0) | (col >= r.shape[1]) | (row < 0) | (row > r.shape[2] - 8)
+
+
+class TestRowBank:
+    """``warp_rows`` through a row bank equals ``warp_block``'s gather
+    (which ``TestGatherExactness`` checks against the oracle), wherever the
+    field lies: in the bank, partly across a face seam, wholly outside it,
+    or in a bank whose window straddles an edge of the canvas."""
+
+    L = CubeLayout(128, 128)  # faces of two 64-px blocks: room for one off the seams
+    MARGIN = 4  # pixels around the anchor's block, as the advanced stage 5 builds it
+
+    def fields(self, data, size, batched, corner=False):
+        """A block in one face, a stage-5 anchor MV, and its field (or a
+        batch of 3 fields at MVs within 2 px of the anchor).  ``corner``
+        puts the block in its face's top-left corner and moves it up and
+        left, across the face's edges."""
+        face = data.draw(st.sampled_from(list(Face)))
+        fx, fy, _, _ = self.L.face_rect(face)
+        span = 4 if corner else self.L.face_width - size
+        blk = Block(fx + data.draw(st.integers(0, span)), fy + data.draw(st.integers(0, span)),
+                    size, size)
+        step = st.integers(-6, -3) if corner else st.integers(-6, 6)
+        anchor = MotionVector(4 * data.draw(step), 4 * data.draw(step))
+        mvs = [MotionVector(anchor.dx_q2 + data.draw(st.integers(-8, 8)),
+                            anchor.dy_q2 + data.draw(st.integers(-8, 8)))
+               for _ in range(3 if batched else 1)]
+        try:
+            fields = build_correspondence_fields(blk, mvs, self.L)
+        except ValueError:  # a center MV leaves the faces
+            assume(False)
+        if not batched:
+            fields = CorrespondenceField(fields.rx_q6[0], fields.ry_q6[0], fields.valid[0])
+        return blk, anchor, fields
+
+    def bank_at_anchor(self, plane, blk, anchor):
+        m = self.MARGIN
+        return row_bank(plane, blk.x0 + anchor.dx_q2 // 4 - m, blk.y0 + anchor.dy_q2 // 4 - m,
+                        blk.width + 2 * m, blk.height + 2 * m, generate_dctif_bank())
+
+    def plane(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        return random_plane(seed, self.L.canvas_height, self.L.canvas_width)
+
+    def check(self, plane, rows, field):
+        bank = generate_dctif_bank()
+        got = warp_rows(plane, rows, field, bank)
+        assert got.shape == field.shape and got.dtype == np.uint8
+        npt.assert_array_equal(got, warp_block(plane, field, bank))
+
+    @pytest.mark.parametrize("size", [16, 32, 64])
+    @pytest.mark.parametrize("batched", [False, True])
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_fields_in_the_bank(self, size, batched, data):
+        plane = self.plane(data)
+        blk, anchor, field = self.fields(data, size, batched)
+        # a field whose bases span more than the block crosses a face seam
+        assume(max(np.ptp(field.rx_q6 >> 6), np.ptp(field.ry_q6 >> 6)) < size + 8)
+        # a bank over the bases' bounding box, each side 0-3 px wider
+        x0, y0 = int((field.rx_q6 >> 6).min()), int((field.ry_q6 >> 6).min())
+        left, top, right, bottom = (data.draw(st.integers(0, 3)) for _ in range(4))
+        rows = row_bank(plane, x0 - left, y0 - top,
+                        int((field.rx_q6 >> 6).max()) - x0 + 1 + left + right,
+                        int((field.ry_q6 >> 6).max()) - y0 + 1 + top + bottom,
+                        generate_dctif_bank())
+        assert not _bases_outside(rows, field).any()
+        self.check(plane, rows, field)
+
+    @pytest.mark.parametrize("size", [16, 32, 64])
+    @pytest.mark.parametrize("batched", [False, True])
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_fields_across_a_face_seam(self, size, batched, data):
+        plane = self.plane(data)
+        blk, anchor, field = self.fields(data, size, batched, corner=True)
+        rows = self.bank_at_anchor(plane, blk, anchor)
+        out = _bases_outside(rows, field)
+        assume(out.any())  # a few corner fields reach no seam
+        assert not out.all()
+        self.check(plane, rows, field)
+
+    @pytest.mark.parametrize("size", [16, 32, 64])
+    @pytest.mark.parametrize("batched", [False, True])
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_fields_outside_the_bank(self, size, batched, data):
+        plane = self.plane(data)
+        blk, anchor, field = self.fields(data, size, batched)
+        # the bank of an anchor at least a block and a margin away
+        far = data.draw(st.sampled_from([-1, 1])) * 4 * (size + 2 * self.MARGIN + 16)
+        if data.draw(st.booleans()):
+            anchor = MotionVector(anchor.dx_q2 + far, anchor.dy_q2)
+        else:
+            anchor = MotionVector(anchor.dx_q2, anchor.dy_q2 + far)
+        rows = self.bank_at_anchor(plane, blk, anchor)
+        assume(_bases_outside(rows, field).all())  # not if a seam leads into it
+        self.check(plane, rows, field)
+
+    @pytest.mark.parametrize("size", [16, 32, 64])
+    @pytest.mark.parametrize("edge", ["left", "right", "top", "bottom"])
+    @pytest.mark.parametrize("batched", [False, True])
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_bank_window_straddles_a_canvas_edge(self, size, edge, batched, data):
+        plane = self.plane(data)
+        width, height = self.L.canvas_width, self.L.canvas_height
+        # a block whose anchored window reaches up to a margin past the edge
+        across = data.draw(st.integers(-self.MARGIN - 4, 4))
+        x0 = {"left": across, "right": width - size - across}.get(edge)
+        y0 = {"top": across, "bottom": height - size - across}.get(edge)
+        x0 = data.draw(st.integers(0, width - size)) if x0 is None else x0
+        y0 = data.draw(st.integers(0, height - size)) if y0 is None else y0
+        n = 3 if batched else 1
+        # translations jittered by up to +-1 px per pixel, as a stage-5 field spreads
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        trans = translational_field(Block(x0, y0, size, size), ZERO_MV)
+        rx = trans.rx_q6 + rng.integers(-64, 65, size=(n, size, size))
+        ry = trans.ry_q6 + rng.integers(-64, 65, size=(n, size, size))
+        field = CorrespondenceField(rx.astype(np.int32), ry.astype(np.int32),
+                                    np.ones(rx.shape, dtype=bool))
+        if not batched:
+            field = CorrespondenceField(field.rx_q6[0], field.ry_q6[0], field.valid[0])
+        rows = self.bank_at_anchor(plane, Block(x0, y0, size, size), ZERO_MV)
+        x, y, r = rows
+        assert x - 3 < 0 or y - 3 < 0 or x + r.shape[1] + 4 > width or y + r.shape[2] - 4 > height
+        self.check(plane, rows, field)
+
+    def test_tap_sign_planes_reach_both_extremes(self):
+        # TestGatherExactness's tile plane: pixel (j, i) reads tile (j, i) at
+        # phases (j, i), so pass 1 reaches -255 * 24 and 255 * 88, which the
+        # bank stores as their rounded values -96 and 351
+        bank = generate_dctif_bank()
+        taps = np.sign(bank)
+        tiles = np.where(taps[:, None, :, None] * taps[None, :, None, :] > 0, 255, 0)
+        plane = tiles.astype(np.uint8).transpose(0, 2, 1, 3).reshape(8 * 64, 8 * 64)
+        phase = np.arange(64)
+        rx = np.tile((8 * phase + 3) * 64 + phase, (64, 1))
+        ry = rx.T.copy()
+        lo = hi = 0
+        for j in range(0, 64, 16):  # a band of 16 tile rows per bank
+            band = CorrespondenceField(rx[j : j + 16].astype(np.int32),
+                                       ry[j : j + 16].astype(np.int32),
+                                       np.ones((16, 64), dtype=bool))
+            rows = row_bank(plane, 3, 8 * j + 3, 8 * 63 + 1, 8 * 15 + 1, bank)
+            assert rows[2].dtype == np.int16
+            lo, hi = min(lo, int(rows[2].min())), max(hi, int(rows[2].max()))
+            assert not _bases_outside(rows, band).any()
+            npt.assert_array_equal(warp_rows(plane, rows, band, bank),
+                                   oracle_warp(plane, band.rx_q6, band.ry_q6))
+        assert (lo, hi) == ((-255 * 24 + 32) >> 6, (255 * 88 + 32) >> 6) == (-96, 351)
+
+    def test_float32_temporary_is_one_strip(self):
+        # a 64-px block's bank: int16 entries, and the float32 GEMM input and
+        # output of one strip of columns, not of the whole window
+        plane = random_plane(3, 192, 256)
+        width = height = 64 + 8
+        tracemalloc.start()
+        try:
+            rows = row_bank(plane, 40, 40, width, height, generate_dctif_bank())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows[2].dtype == np.int16 and rows[2].shape == (64, width, height + 7)
+        whole_window_f32 = 64 * width * (height + 7) * 4
+        assert peak < rows[2].nbytes + whole_window_f32 // 4
 
 
 class TestFetchBlock:

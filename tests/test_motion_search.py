@@ -16,6 +16,7 @@ from cubemc.motion_model import (
     Block,
     MotionVector,
     build_correspondence_field,
+    translational_field,
     transport_mv_predictor,
 )
 from cubemc.motion_search import (
@@ -490,6 +491,67 @@ class TestTranslationalWindow:
             assert len(warped) <= len(predictors)
             out_of_window += len(warped)
         assert out_of_window > 0
+
+
+class TestAdvancedRowBank:
+    """The advanced stage 5 reads pass 1 of every warp from one row bank
+    per search, freed when the search returns.  Over a face-128 clip of
+    64-px blocks, ``warp_block`` runs only for what is costed before or
+    without a bank: the merge MV (``mode_decide`` costs it before the AMVP
+    search) and translational seeds outside their quarter-pel window."""
+
+    def test_search_warps_go_through_the_bank(self, monkeypatch):
+        layout = CubeLayout(128, 128)
+        spec = SyntheticSpec(face_width=128, frames=2, velocity=(1.0, 2.0, 0.0), seed=2)
+        prev, cur = generate_synthetic(spec)
+        refp, grid, bank = ReferencePicture(prev, 0), BlockGrid(layout, 64), generate_dctif_bank()
+        cfg = SearchConfig(lambda_=4.0)
+        searching, gathered, banked = [], [], []
+        search, warp, through = (motion_search.tzs_search, motion_search.warp_block,
+                                 motion_search.warp_rows)
+
+        def spied_search(blk, cur_y, ref, predictors, *args, advanced=True, **kwargs):
+            searching.append(advanced)
+            try:
+                return search(blk, cur_y, ref, predictors, *args, advanced=advanced, **kwargs)
+            finally:
+                searching.pop()
+                assert ref.costs(blk, cur_y, layout, bank).rows is None
+
+        def spied_warp(plane, field, bank=None):
+            gathered.append((searching[-1] if searching else None, field))
+            return warp(plane, field, bank)
+
+        def spied_through(plane, rows, field, bank):
+            banked.append(searching[-1] if searching else None)
+            return through(plane, rows, field, bank)
+
+        monkeypatch.setattr(motion_search, "tzs_search", spied_search)
+        monkeypatch.setattr(motion_search, "warp_block", spied_warp)
+        monkeypatch.setattr(motion_search, "warp_rows", spied_through)
+        merges = seeds = 0
+        far = MotionVector(-37, 23)  # a fractional seed, outside most windows
+        for blk in grid.blocks:
+            gathered.clear()
+            merge_mv = merge_candidate(grid, blk, layout)
+            trans = motion_search.tzs_search(blk, cur.y, refp, [ZERO, far], cfg, layout, bank,
+                                             advanced=False)
+            mode_decide(blk, cur.y, refp, grid, cfg, layout, bank, trans_result=trans)
+            for context, field in gathered:
+                assert context is not True  # no gather inside an advanced search
+                if context is None:  # the merge MV, costed before the bank exists
+                    merges += 1
+                    want = build_correspondence_field(blk, merge_mv, layout)
+                    np.testing.assert_array_equal(field.rx_q6, want.rx_q6)
+                    np.testing.assert_array_equal(field.ry_q6, want.ry_q6)
+                else:  # the fractional translational seed
+                    seeds += 1
+                    want = translational_field(blk, far)
+                    np.testing.assert_array_equal(field.rx_q6, want.rx_q6)
+                    np.testing.assert_array_equal(field.ry_q6, want.ry_q6)
+        assert merges > 0 and seeds > 0
+        assert set(banked) == {True}
+        assert len(banked) >= len(grid.blocks)
 
 
 class TestCostTable:
