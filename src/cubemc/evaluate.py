@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -69,6 +70,10 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("face_size", "width", "height", "block_size", "ref_distance"):
+            v = getattr(self, name)
+            if not isinstance(v, Integral) or isinstance(v, bool):
+                raise EvalConfigError(f"{name} must be an integer")
         if self.block_size not in BLOCK_SIZES:
             raise EvalConfigError("block_size must be 16, 32 or 64")
         if self.face_size % 2:

@@ -6,6 +6,7 @@ texture on the sphere and translates it by a constant sphere-space
 velocity per frame, so the true inter-frame correspondence of every
 pixel is known in closed form (``ground_truth_match``).  That makes the
 sequences usable as oracles for the motion model and the evaluator.
+Only face pixels are rendered; the corner holes hold ``HOLE_VALUE``.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from cubemc.geometry import CubeLayout, Face, face_of, sphere_to_unfold, unfold_to_sphere
+from cubemc.geometry import CubeLayout, face_of, sphere_to_unfold, unfold_to_sphere
 
 __all__ = [
     "Frame",
@@ -28,6 +30,7 @@ __all__ = [
 ]
 
 HOLE_VALUE = 128  # unused corner regions of the 4x3 canvas
+LOBES = 4  # cosine lobes per texture
 
 LUMA_LO, LUMA_HI = 16, 235
 CHROMA_LO, CHROMA_HI = 16, 240
@@ -98,13 +101,14 @@ class SyntheticSpec:
     frames: int
     velocity: tuple[float, float, float]
     seed: int = 0
-    lobes: int = 4
 
     def __post_init__(self):
+        for name in ("face_width", "frames", "seed"):
+            v = getattr(self, name)
+            if not isinstance(v, Integral) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer")
         if self.face_width < 8 or self.frames < 1:
             raise ValueError("face_width must be >= 8 and frames >= 1")
-        if self.lobes < 3:
-            raise ValueError("need at least 3 texture lobes")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not all(math.isfinite(c) for c in self.velocity):
@@ -129,36 +133,33 @@ class _Texture:
         return out
 
 
-def _draw_texture(rng: np.random.Generator, lobes: int) -> _Texture:
-    amp = rng.uniform(0.5, 1.0, size=lobes)
+def _draw_texture(rng: np.random.Generator) -> _Texture:
+    amp = rng.uniform(0.5, 1.0, size=LOBES)
     amp /= amp.sum()
-    freq = rng.uniform(2.0, 5.0, size=lobes)
-    axes = rng.normal(size=(lobes, 3))
+    freq = rng.uniform(2.0, 5.0, size=LOBES)
+    axes = rng.normal(size=(LOBES, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=lobes)
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=LOBES)
     return _Texture(amp, freq, axes, phase)
 
 
 def _face_grid(layout: CubeLayout, step: int):
-    """Coordinates and face mask of a (possibly subsampled) canvas grid."""
-    ys, xs = np.mgrid[0 : layout.canvas_height : step, 0 : layout.canvas_width : step]
-    x = xs.astype(np.float64)
-    y = ys.astype(np.float64)
-    mask = face_of(x, y, layout) >= 0
-    return x, y, mask
+    """Face-pixel coordinates (in row-major order) and face mask of a subsampled canvas grid."""
+    ys, xs = np.mgrid[0.0 : layout.canvas_height : step, 0.0 : layout.canvas_width : step]
+    mask = face_of(xs, ys, layout) >= 0
+    return xs[mask], ys[mask], mask
 
 
 def _render_plane(tex, x, y, mask, t, velocity, layout, lo, hi) -> np.ndarray:
-    # hole pixels are rendered at a face center, then overwritten
-    hole_x, hole_y = layout.face_center(Face.FRONT)
-    sx, sy, sz = unfold_to_sphere(np.where(mask, x, hole_x), np.where(mask, y, hole_y), layout)
+    sx, sy, sz = unfold_to_sphere(x, y, layout)
     qx = sx - t * velocity[0]
     qy = sy - t * velocity[1]
     qz = sz - t * velocity[2]
     norm = np.sqrt(qx * qx + qy * qy + qz * qz)
     val = tex(qx / norm, qy / norm, qz / norm)
-    plane = lo + np.rint((val + 1.0) / 2.0 * (hi - lo))
-    return np.where(mask, plane, HOLE_VALUE).astype(np.uint8)
+    plane = np.full(mask.shape, HOLE_VALUE, dtype=np.uint8)
+    plane[mask] = lo + np.rint((val + 1.0) / 2.0 * (hi - lo))
+    return plane
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[Frame]:
@@ -170,9 +171,9 @@ def generate_synthetic(spec: SyntheticSpec) -> list[Frame]:
     """
     layout = CubeLayout(spec.face_width, spec.face_width)
     rng = np.random.default_rng(spec.seed)
-    tex_y = _draw_texture(rng, spec.lobes)
-    tex_u = _draw_texture(rng, spec.lobes)
-    tex_v = _draw_texture(rng, spec.lobes)
+    tex_y = _draw_texture(rng)
+    tex_u = _draw_texture(rng)
+    tex_v = _draw_texture(rng)
 
     # chroma samples are co-located with every second luma sample
     xl, yl, ml = _face_grid(layout, 1)

@@ -6,7 +6,7 @@ ranking and one validity rule for every stage.  Integer-pel stages
 visit MVs ``(4dx, 4dy)`` and rank them with plain translational SAD,
 which is cheap and good enough to locate the basin.  The raster is one
 array reduction per block (``_raster_best``: a strided view of one
-edge-clamped window, its SADs reduced a raster row at a time), whose
+edge-clamped window, ``sad`` over one raster row at a time), whose
 winner both searches of the block share and rank.  The final
 quarter-pel stage restarts the ranking from the integer winner with the
 true cost of the requested motion model: for the advanced model that
@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -97,6 +98,8 @@ class SearchConfig:
     lambda_: float = 0.0            # weight of the MV-bits proxy
 
     def __post_init__(self):
+        if not isinstance(self.search_range, Integral) or isinstance(self.search_range, bool):
+            raise ValueError("search_range must be an integer")
         if self.search_range <= 0:
             raise ValueError("search_range must be positive")
         if not (math.isfinite(self.lambda_) and self.lambda_ >= 0):
@@ -155,8 +158,7 @@ class _CostTable(dict):
         """Cost advanced ``mvs`` in one batched field build and warp."""
         fields = build_correspondence_fields(self.block, mvs, self.layout)
         preds = self.warp(fields)
-        diff = preds.astype(np.int64) - self.cur_blk.astype(np.int64)
-        for mv, s, pred in zip(mvs, np.abs(diff).sum(axis=(1, 2)).tolist(), preds):
+        for mv, s, pred in zip(mvs, sad(preds, self.cur_blk).tolist(), preds):
             self[True, mv] = (s, pred)
 
 
@@ -210,11 +212,16 @@ class BlockGrid:
         self.records[(block.x0, block.y0)] = rec
 
 
-def sad(a: np.ndarray, b: np.ndarray) -> int:
-    """Sum of absolute differences; blocks must share one shape."""
-    if a.shape != b.shape:
+def sad(a: np.ndarray, b: np.ndarray) -> int | np.ndarray:
+    """SAD of uint8 ``a`` against the (h, w) block ``b``, differenced in int16 and summed
+    in int64: an int for one (h, w) block ``a``, an int64 array for an (n, h, w) stack."""
+    if a.dtype != np.uint8 or b.dtype != np.uint8:
+        raise ValueError("blocks must be uint8")
+    if a.ndim not in (2, 3) or a.shape[-2:] != b.shape:
         raise ValueError("block dimensions differ")
-    return int(np.abs(a.astype(np.int64) - b.astype(np.int64)).sum())
+    diff = np.subtract(a, b, dtype=np.int16)
+    s = np.abs(diff, out=diff).sum(axis=(-2, -1), dtype=np.int64)
+    return int(s) if a.ndim == 2 else s
 
 
 def mv_bits(mv: MotionVector, pred: MotionVector) -> int:
@@ -249,8 +256,8 @@ def _raster_best(t: _CostTable, dxs: range, dys: range):
     the ``_raster`` offsets ``dxs`` x ``dys`` and its SAD, or None.
 
     Each offset's block is a strided view of one edge-clamped window, equal
-    to its own ``fetch_block`` because clamping is per coordinate; SADs are
-    reduced in int16 one raster row at a time.  ``_raster`` keeps offsets
+    to its own ``fetch_block`` because clamping is per coordinate; ``sad``
+    reduces one raster row at a time.  ``_raster`` keeps offsets
     within the search range, so validity is ``_mv_check``'s face check.
     """
     b, cx, cy = t.block, *t.block.center
@@ -265,11 +272,8 @@ def _raster_best(t: _CostTable, dxs: range, dys: range):
     blocks = as_strided(win, (len(dys), len(dxs), h, w),
                         (RASTER_STEP * s0, RASTER_STEP * s1, s0, s1), writeable=False)
     sads = np.zeros(ok.shape, dtype=np.int64)
-    diff = np.empty(blocks.shape[1:], dtype=np.int16)
     for j in np.flatnonzero(ok.any(axis=1)):
-        np.subtract(blocks[j], t.cur_blk, out=diff, dtype=np.int16)
-        np.abs(diff, out=diff)
-        diff.sum(axis=(1, 2), dtype=np.int64, out=sads[j])
+        sads[j] = sad(blocks[j], t.cur_blk)
     row, col = np.nonzero(ok)
     x, y, s = 4 * dx[col], 4 * dy[row], sads[row, col]
     i = np.lexsort(_mv_key(s, x, y)[::-1])[0]  # lexsort sorts by its last key first

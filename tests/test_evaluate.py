@@ -86,6 +86,28 @@ class TestConfigValidation:
         with pytest.raises(EvalConfigError, match=message):
             small_cfg(**kw)
 
+    @pytest.mark.parametrize("kw,name", [
+        (dict(search_range=64.0), "search_range"),
+        (dict(block_size=16.0), "block_size"),
+        (dict(face_size=32.0), "face_size"),
+        (dict(ref_distance=1.0), "ref_distance"),
+        (dict(synth_frames=2.0), "frames"),
+        (dict(seed=0.0), "seed"),
+        (dict(ref_distance=True), "ref_distance"),
+        (dict(input="x.yuv", face_size=32, width=128.0, height=96), "width"),
+        (dict(input="x.yuv", face_size=32, width=128, height=96.0), "height"),
+    ])
+    def test_non_integer_sizes_rejected(self, kw, name):
+        # each would pass the range checks, then fail mid-run where a size
+        # builds a range or an array shape
+        with pytest.raises(EvalConfigError, match=f"{name} must be an integer"):
+            small_cfg(**kw)
+
+    def test_numpy_integer_sizes_accepted(self):
+        cfg = small_cfg(face_size=np.int64(32), block_size=np.int32(16), ref_distance=np.int16(1),
+                        search_range=np.uint8(8), synth_frames=np.int64(2), seed=np.int64(2))
+        assert run_eval(cfg).frames[0].blocks
+
     @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
     def test_lambda_must_be_finite_and_non_negative(self, lam):
         with pytest.raises(EvalConfigError, match="lambda"):

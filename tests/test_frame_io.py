@@ -1,5 +1,6 @@
 """Tests for YUV I/O and the synthetic oracle sequences."""
 
+import hashlib
 import math
 import os
 import tracemalloc
@@ -136,9 +137,12 @@ class TestSyntheticSpecValidation:
     def test_velocity_under_bound_accepted(self):
         SyntheticSpec(face_width=64, frames=2, velocity=(7.9, 0.0, 0.0))
 
-    def test_lobe_minimum(self):
-        with pytest.raises(ValueError, match="lobes"):
-            SyntheticSpec(face_width=64, frames=2, velocity=(1.0, 0.0, 0.0), lobes=2)
+    @pytest.mark.parametrize("kw", [dict(face_width=64.0), dict(frames=2.0), dict(seed=1.0),
+                                    dict(frames=True), dict(seed=np.float64(1.0))])
+    def test_sizes_must_be_integers(self, kw):
+        base = dict(face_width=64, frames=2, velocity=(1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="must be an integer"):
+            SyntheticSpec(**{**base, **kw})
 
     def test_frame_minimum(self):
         with pytest.raises(ValueError):
@@ -196,6 +200,56 @@ class TestGenerateSynthetic:
             SyntheticSpec(face_width=64, frames=4, velocity=(1.0, 0.0, 0.0))
         )
         assert [f.poc for f in frames] == [0, 1, 2, 3]
+
+    # SHA-256 of every plane (y, u, v of frame 0, then of frame 1) of a
+    # 2-frame clip moving at (1.0, 0.5, -0.25) per frame, keyed by
+    # (face_width, seed); recorded before holes were left unrendered
+    RENDER_PINS = {
+        (16, 0): [
+            "080e77a4d10a529bd58e1e7d21cd95f3cc8bbdc014ac04c13300a89e7bea7149",
+            "6d43b5baa053a949bd4e2de7480fbbcce0732ef088d8cd8544f6af51db5107b6",
+            "9b6a248cce00e6f16c25c24e985e516234f0f9fd74f00081a5dc04fea650fa48",
+            "70ec128cee1643b6e2ad6a2a02da5c8d2c78eefbac8e340ce846728969284220",
+            "ef2385ea7cc36ddd77bd88694d59754f032f71cfbc910760dbf0281292555c0b",
+            "9661b6d4b5740e20d438e5dfd5fc22afdd0772ea36a668981ed561d4ed02614e",
+        ],
+        (16, 1): [
+            "71e1840c399a34202177567cfd9d844e8c81275213bfcb327b80d45ba625b1c8",
+            "ebdfe57dfd2a3139357ca7fb7f3a9b483c1c2afa34309410bcecc3f9b80df8c9",
+            "889d6f89246fb8fb34c77c40ceb731da54b4e798009f3934f188a7719e159e9d",
+            "e09fd350ad5c81ce48fc17b9f361f6e4b08983cfd6a71beec057bc6210bc13e9",
+            "e647e3c2e7e97024e8591cd62ddf6dca382792dc1f8e912a6679f287250bbf45",
+            "43fed180646d8fc2a5f3f640be80d059f5559d1c81b1e40ac38d645cf1f7d163",
+        ],
+        (64, 0): [
+            "4b3e7b3fc0c532448d7b0d7568a2df65dd0b4fbe97288fb8ed7538eaff321512",
+            "a41cdab21939b1af476a18145eed8b7f0497f3e04c83b114ceb11dd16fed59c1",
+            "8ef7b9634bec22151ce8ee2e22318d18062bf17c92b01ab947bf9a5ff5a825cc",
+            "1e210ec53753c99357a7293be94453e13d7da44bc5209f88ee76fa7b396c5966",
+            "2b22d63ebd6a9284ed8ffa87055d93e2ee15f181f1bf42fb3a80e45cc255a84f",
+            "54360c991d6d9d631add28988984845f6cc3135a16a5b3a3627b8cc17685a7e0",
+        ],
+        (64, 1): [
+            "888b337ef9a31345d4c4e20d0b0fa2288808ce33db93a98a1e0781c2d4654f5d",
+            "7a411753e9e56db15aa21127a87303371449fd26d65d406db9a068f9f1d87893",
+            "e70f145191cc696ea4c6c2b32d88492b4bdeb87a4cdf9f9b352f84e0b9d3796b",
+            "55c6edc4647b09061bf7f9ea70b8009087904ce80397aec4e752091c420df933",
+            "4f6f4b5201cec66922a89bfb9e2c24f9a9dacbda872b9be13c37f3a15991ceba",
+            "7329d15a7fcc69e24908ebff74c85f11c4d9b10bf598c3005a08d93ced80cb3b",
+        ],
+    }
+
+    @pytest.mark.parametrize("face, seed", sorted(RENDER_PINS))
+    def test_render_pins(self, face, seed):
+        frames = generate_synthetic(SyntheticSpec(face, 2, (1.0, 0.5, -0.25), seed=seed))
+        got = [hashlib.sha256(p.tobytes()).hexdigest() for f in frames for p in (f.y, f.u, f.v)]
+        assert got == self.RENDER_PINS[face, seed]
+
+    def test_numpy_integer_sizes_accepted(self):
+        spec = SyntheticSpec(np.int64(16), np.int32(2), (1.0, 0.5, -0.25), seed=np.uint8(1))
+        frames = generate_synthetic(spec)
+        got = [hashlib.sha256(p.tobytes()).hexdigest() for f in frames for p in (f.y, f.u, f.v)]
+        assert got == self.RENDER_PINS[16, 1]
 
     def test_different_seeds_differ(self):
         a = generate_synthetic(SyntheticSpec(64, 2, (1.0, 0.0, 0.0), seed=1))[0]

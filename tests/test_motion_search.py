@@ -69,6 +69,56 @@ class TestSad:
         with pytest.raises(ValueError, match="dimensions"):
             sad(np.zeros((4, 4), np.uint8), np.zeros((4, 5), np.uint8))
 
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((3, 4, 5), (4, 4)),      # a stack of other blocks
+        ((4, 4), (1, 4, 4)),      # the stack passed second
+        ((2, 3, 4, 4), (4, 4)),   # a stack of stacks
+        ((16,), (16,)),           # not a block
+    ])
+    def test_stack_shape_mismatch_rejected(self, a_shape, b_shape):
+        with pytest.raises(ValueError, match="dimensions"):
+            sad(np.zeros(a_shape, np.uint8), np.zeros(b_shape, np.uint8))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64, np.uint16, np.float32, bool])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_uint8_rejected(self, dtype, side):
+        blocks = [np.zeros((8, 8), np.uint8), np.zeros((8, 8), np.uint8)]
+        blocks[side] = blocks[side].astype(dtype)
+        with pytest.raises(ValueError, match="uint8"):
+            sad(*blocks)
+
+    def test_full_range_difference(self):
+        # 255 per pixel overflows int8 and, summed, int16
+        lo, hi = np.zeros((64, 64), np.uint8), np.full((64, 64), 255, np.uint8)
+        assert sad(lo, hi) == sad(hi, lo) == 4096 * 255 == 1_044_480
+        assert sad(np.stack([lo, hi, lo]), hi).tolist() == [1_044_480, 0, 1_044_480]
+
+    @pytest.mark.parametrize("size", [16, 32, 64])
+    def test_stack_equals_per_block_calls(self, size):
+        rng = np.random.default_rng(size)
+        cur = rng.integers(0, 256, (size, size), np.uint8)
+        stack = rng.integers(0, 256, (5, size, size), np.uint8)
+        got = sad(stack, cur)
+        assert got.dtype == np.int64 and got.shape == (5,)
+        assert got.tolist() == [sad(blk, cur) for blk in stack]
+        assert all(type(sad(blk, cur)) is int for blk in stack)
+
+    @pytest.mark.parametrize("size", [16, 32, 64])
+    def test_strided_raster_row_equals_per_block_calls(self, size):
+        # one raster row as _raster_best passes it: overlapping blocks, 8 px
+        # apart, viewed into one window without a copy
+        rng = np.random.default_rng(size + 1)
+        cur = rng.integers(0, 256, (size, size), np.uint8)
+        win = rng.integers(0, 256, (size, 5 * RASTER_STEP + size), np.uint8)
+        s0, s1 = win.strides
+        row = np.lib.stride_tricks.as_strided(
+            win, (6, size, size), (RASTER_STEP * s1, s0, s1), writeable=False)
+        want = [sad(win[:, k * RASTER_STEP : k * RASTER_STEP + size].copy(), cur)
+                for k in range(6)]
+        assert sad(row, cur).tolist() == want
+        naive = [int(np.abs(blk.astype(np.int64) - cur.astype(np.int64)).sum()) for blk in row]
+        assert want == naive
+
 
 class TestMvBits:
     def test_zero_difference(self):
@@ -89,6 +139,10 @@ class TestSearchConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(search_range=0)
+        for bad in (64.0, True, "64"):
+            with pytest.raises(ValueError, match="integer"):
+                SearchConfig(search_range=bad)
+        assert SearchConfig(search_range=np.int32(16)).search_range == 16
         with pytest.raises(ValueError):
             SearchConfig(lambda_=-1.0)
         for lam in (math.nan, math.inf):
