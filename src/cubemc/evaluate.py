@@ -8,6 +8,15 @@ zero MV only and therefore independent of neighbor decisions.  Their
 luma predictions are read from the block's cost table, where the
 searches left them; only chroma is warped here.
 
+Each frame's block rows are split across at most two processes, as a
+wavefront: this process decides the even rows and one forked helper the
+odd rows, exchanging decided blocks' records over two pipes.  A block
+starts only when the grid blocks above-left, above and above-right of it
+have records, so merge and AMVP see the neighbours raster order gives
+them and the report is the same on either schedule.  The helper is
+forked only when this process's CPU affinity holds at least two CPUs,
+``os.fork`` exists and the grid has at least two block rows.
+
 There is no entropy coder in this package, so there is no rate axis and
 no BD-rate; the reported figures are prediction PSNR deltas and
 per-block SAD, computed over face pixels only.
@@ -15,7 +24,10 @@ per-block SAD, computed over face pixels only.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import pickle
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -196,8 +208,165 @@ class _Predictor:
             self.count[i] += diff.size
         return sad(cur_y, pred_y)
 
+    def add(self, err, count) -> None:
+        """Add another process's sums over other blocks.  Every sum is an
+        integer (at most 255**2 per pixel) far below 2**53, so float64
+        holds each one exactly and no order of additions can change it."""
+        self.err = [a + b for a, b in zip(self.err, err)]
+        self.count = [a + b for a, b in zip(self.count, count)]
+
     def psnr(self) -> tuple[float, float, float]:
         return tuple(_psnr(e, c) for e, c in zip(self.err, self.count))
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _Peer:
+    """The other process of a two-process wavefront, over two pipes.
+
+    Messages are ``(kind, value)`` pickles: ``"rec"`` carries a decided
+    block's ``((x0, y0), BlockRecord)``, ``"done"`` the helper's block
+    results and its policies' error sums, ``"error"`` the exception that
+    stopped the helper and its traceback.
+    """
+
+    def __init__(self, rfd: int, wfd: int, grid: BlockGrid):
+        self.rx, self.tx, self.grid = os.fdopen(rfd, "rb"), os.fdopen(wfd, "wb"), grid
+
+    def send(self, kind: str, value) -> None:
+        self.tx.write(pickle.dumps((kind, value), pickle.HIGHEST_PROTOCOL))
+        self.tx.flush()
+
+    def receive(self):
+        """Read one message: store a record, raise the helper's error, or
+        return the helper's results (None after a record)."""
+        try:
+            kind, value = pickle.load(self.rx)
+        except EOFError:
+            raise RuntimeError("the wavefront helper exited without a result") from None
+        if kind == "rec":
+            self.grid.records[value[0]] = value[1]
+            return None
+        if kind == "error":
+            exc, tb = value
+            raise exc from RuntimeError(f"in the wavefront helper:\n{tb}")
+        return value
+
+    def close(self) -> None:
+        self.rx.close()
+        try:
+            self.tx.close()
+        except BrokenPipeError:  # a message left unflushed for a helper that is gone
+            pass
+
+
+def _predict_rows(grid: BlockGrid, rows, first: int, step: int, predict, peer=None) -> dict:
+    """``predict`` every block of ``rows[first::step]``: ``{(x0, y0): result}``.
+
+    With a ``peer`` deciding the other rows, a block starts only when the
+    grid blocks above-left, above and above-right of it have records, so
+    it sees the neighbours raster order gives it: merge and AMVP also read
+    the left neighbour, decided here before it, and the below-left one,
+    which waits for this block and so is never decided yet.  Blocks
+    outside the grid (holes, partial blocks) are never waited for.
+
+    A record is sent only when a grid block below waits for it, so the
+    peer reads every record before it finishes and no write finds the
+    pipe closed.  Neither side runs more than about one row ahead of the
+    other, so at most about one row of records sits in a pipe: under
+    200 bytes each, 64 per row at face 256 with 16-px blocks, so about
+    12 KiB against a pipe's 64 KiB, and a record write never waits on
+    the reader.
+    """
+    bs, out = grid.block_size, {}
+    on_grid = {(b.x0, b.y0) for b in grid.blocks}
+    for row in rows[first::step]:
+        for b in row:
+            if peer is not None:
+                for key in ((b.x0 - bs, b.y0 - bs), (b.x0, b.y0 - bs), (b.x0 + bs, b.y0 - bs)):
+                    while key in on_grid and key not in grid.records:
+                        peer.receive()
+            out[b.x0, b.y0] = predict(b)
+            if peer is not None and any((b.x0 + dx, b.y0 + bs) in on_grid for dx in (-bs, 0, bs)):
+                peer.send("rec", ((b.x0, b.y0), grid.records[b.x0, b.y0]))
+    return out
+
+
+def _predict_frame(grid: BlockGrid, predict, policies) -> dict:
+    """``predict`` every block of ``grid``: ``{(x0, y0): result}``; the
+    ``_Predictor``s that ``predict`` places with end up holding the sums
+    of every block.
+
+    With at least two CPUs in this process's affinity, ``os.fork`` and at
+    least two block rows, a forked helper decides the odd rows while this
+    process decides the even ones; otherwise this process decides all.
+    The helper leaves through ``os._exit`` only, so it never unwinds into
+    the caller's frames or flushes stdio buffers it inherited; it exits on
+    EOF or a broken pipe when this process fails, and it is reaped before
+    this returns or raises.
+    """
+    rows = [list(r) for _, r in itertools.groupby(grid.blocks, key=lambda b: b.y0)]
+    if len(rows) < 2 or _cpu_count() < 2 or not hasattr(os, "fork"):
+        return _predict_rows(grid, rows, 0, 1, predict)
+    down_r, down_w = os.pipe()  # this process -> helper
+    up_r, up_w = os.pipe()      # helper -> this process
+    try:
+        pid = os.fork()
+    except OSError:  # no room for another process: decide every row here
+        for fd in (down_r, down_w, up_r, up_w):
+            os.close(fd)
+        return _predict_rows(grid, rows, 0, 1, predict)
+    if pid == 0:
+        try:
+            os.close(down_w)
+            os.close(up_r)
+            peer = _Peer(down_r, up_w, grid)
+            try:
+                out = _predict_rows(grid, rows, 1, 2, predict, peer)
+            except BaseException as exc:  # the parent re-raises it
+                peer.send("error", _portable(exc))
+            else:
+                peer.send("done", (out, [(p.err, p.count) for p in policies]))
+        finally:
+            os._exit(0)
+    os.close(down_r)
+    os.close(up_w)
+    peer = _Peer(up_r, down_w, grid)
+    try:
+        try:
+            out = _predict_rows(grid, rows, 0, 2, predict, peer)
+        except BrokenPipeError:  # the helper stopped: raise the error it sent
+            while True:
+                peer.receive()
+        helper = None
+        while helper is None:
+            helper = peer.receive()
+        for p, sums in zip(policies, helper[1]):
+            p.add(*sums)
+        out.update(helper[0])
+        return out
+    finally:
+        peer.close()
+        os.waitpid(pid, 0)
+
+
+def _portable(exc: BaseException):
+    """``exc`` and its traceback, or a ``RuntimeError`` with its type and
+    message where ``exc`` does not survive pickling."""
+    import traceback  # only a failing helper needs it
+
+    tb = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc, tb
 
 
 def run_eval(cfg: EvalConfig) -> EvalReport:
@@ -223,10 +392,11 @@ def run_eval(cfg: EvalConfig) -> EvalReport:
         cur = frames[t]
         refp = ReferencePicture(frames[t - cfg.ref_distance], frames[t - cfg.ref_distance].poc)
         grid = BlockGrid(layout, cfg.block_size)
+
         pol_t = _Predictor(cur)
         pol_a = _Predictor(cur)
-        rows = []
-        for block in grid.blocks:
+
+        def predict(block):
             mv_t, cost_t = tzs_search(block, cur.y, refp, [zero], search, layout, bank,
                                       advanced=False)
             rec = mode_decide(
@@ -236,7 +406,10 @@ def run_eval(cfg: EvalConfig) -> EvalReport:
             costs = refp.costs(block, cur.y, layout, bank)
             sad_trans = pol_t.place(costs, False, mv_t, refp.frame)
             sad_adv = pol_a.place(costs, rec.mode is not PredMode.TRANS, rec.mv, refp.frame)
-            rows.append(BlockResult(block.x0, block.y0, rec.mode, rec.mv, sad_trans, sad_adv))
+            return BlockResult(block.x0, block.y0, rec.mode, rec.mv, sad_trans, sad_adv)
+
+        done = _predict_frame(grid, predict, (pol_t, pol_a))
+        rows = [done[b.x0, b.y0] for b in grid.blocks]
         results.append(FrameResult(cur.poc, pol_t.psnr(), pol_a.psnr(), rows))
     return EvalReport(cfg, results)
 

@@ -28,10 +28,13 @@ scalars when every point lies on that face: unfold points whose bounding
 box fits in its cell, or cube points whose signed dominant axis equals
 the max magnitude everywhere while the other two are strictly smaller,
 which rules out every tie.  These are the same float64 values in the same
-operations as the per-point gather, which stays for mixed faces, ties and
-NaN, except that cube -> unfold skips the two terms of each coordinate
-whose coefficient is zero; so every result is unchanged, signed zeros
-included.
+operations as the per-point gather, which unfold -> cube keeps for mixed
+faces and NaN, except that cube -> unfold skips the two terms of each
+coordinate whose coefficient is zero; so every result is unchanged,
+signed zeros included.  Cube -> unfold skips those terms for mixed faces
+and ties too, taking each point's one signed axis by its face index;
+where a coordinate is not finite it returns NaN in both coordinates, as
+the zero terms (0 * inf, 0 * NaN) did.
 
 When every coordinate is a scalar or 0-d array, results are Python
 values: ``float``, ``Face``, and ``None`` for ``NO_FACE``.  Otherwise
@@ -46,7 +49,7 @@ import inspect
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -117,6 +120,11 @@ _CV = np.array([_FACE_CELL[f][1] + 0.5 for f in Face])
 _C = 0.5 * _N - _EU * _CU - _EV * _CV
 # (axis, sign) of each face's n, e_u and e_v: each is one signed cube axis
 _AXES = [[next((a, v) for a, v in enumerate(e) if v) for e in frame] for frame in _FRAME]
+# the same per face as arrays, for the mixed-face branch of _to_unfold
+_U_IS_X = np.array([u[0] == 0 for _, u, _ in _AXES])
+_V_IS_Y = np.array([v[0] == 1 for _, _, v in _AXES])
+_SU = np.array([float(u[1]) for _, u, _ in _AXES])
+_SV = np.array([float(v[1]) for _, _, v in _AXES])
 
 
 @dataclass(frozen=True)
@@ -131,6 +139,10 @@ class CubeLayout:
     face_height: int
 
     def __post_init__(self) -> None:
+        for name in ("face_width", "face_height"):
+            v = getattr(self, name)
+            if not isinstance(v, Integral) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer")
         if self.face_width != self.face_height:
             raise ValueError("faces must be square")
         if self.face_width < 8:
@@ -281,17 +293,24 @@ def _to_unfold(x_c, y_c, z_c, layout: CubeLayout):
         _, (au, su), (av, sv) = _AXES[k]
         face = np.full(m.shape, k, dtype=np.int8)
         return face, su * xyz[au] + _CU[k] * w, sv * xyz[av] + _CV[k] * w
-    # the conditions are _FRAME's outward axes n, in Face order
-    face = k = np.select(
+    # the conditions are _FRAME's outward axes n, in Face order; k is intp,
+    # which numpy gathers several times faster than int8
+    k = np.select(
         [z_c == m, y_c == m, -z_c == m, x_c == m, -y_c == m],
         [Face.TOP, Face.FRONT, Face.BOTTOM, Face.RIGHT, Face.REAR],
         default=Face.LEFT,
-    ).astype(np.int8)
-    x_u, y_u = (
-        e[0][k] * x_c + e[1][k] * y_c + e[2][k] * z_c + c[k] * w
-        for e, c in ((_EU, _CU), (_EV, _CV))
     )
-    return face, x_u, y_u
+    # per point, the face-uniform branch's one signed axis plus constant:
+    # e_u is x or y and e_v is y or z on every face.  The gather formula
+    # e . (x, y, z) + c * w gives the same bits where all three coordinates
+    # are finite (its zero terms are signed zeros before a nonzero constant)
+    # and NaN in both coordinates elsewhere, as below.
+    x_u = _SU[k] * np.where(_U_IS_X[k], x_c, y_c) + (_CU * w)[k]
+    y_u = _SV[k] * np.where(_V_IS_Y[k], y_c, z_c) + (_CV * w)[k]
+    bad = ~np.isfinite(m)  # m is finite exactly where x, y and z all are
+    if bad.any():
+        x_u, y_u = np.where(bad, np.nan, x_u), np.where(bad, np.nan, y_u)
+    return k.astype(np.int8), x_u, y_u
 
 
 def _cube_to_unfold(x_c, y_c, z_c, layout: CubeLayout):

@@ -38,7 +38,9 @@ Mode decision compares three flavors per block: translational,
 advanced-merge (a transported neighbor MV, no search, no MV-difference
 bits) and advanced-AMVP (searched, predictor-differential bits).
 Decided blocks are written into the grid so later blocks can use them
-as merge/AMVP neighbors, which fixes the scan order to raster order.
+as merge/AMVP neighbors, which fixes the scan order: raster order, or a
+row wavefront that gives each block the same decided neighbors (the
+evaluator's, see ``evaluate``).
 """
 
 from __future__ import annotations
@@ -191,6 +193,8 @@ class BlockGrid:
     """
 
     def __init__(self, layout: CubeLayout, block_size: int):
+        if not isinstance(block_size, Integral) or isinstance(block_size, bool):
+            raise ValueError("block_size must be an integer")
         if block_size not in BLOCK_SIZES:
             raise ValueError("block_size must be 16, 32 or 64")
         self.layout = layout

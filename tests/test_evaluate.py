@@ -2,12 +2,13 @@
 
 import hashlib
 import math
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from cubemc import evaluate, motion_model, motion_search
+from cubemc import cli, evaluate, motion_model, motion_search
 from cubemc.evaluate import (
     CSV_HEADER,
     BlockResult,
@@ -21,6 +22,26 @@ from cubemc.evaluate import (
 from cubemc.frame_io import SyntheticSpec, generate_synthetic, write_yuv420
 from cubemc.motion_model import MotionVector
 from cubemc.motion_search import PredMode
+
+
+@pytest.fixture
+def one_cpu():
+    """Pin this process to one CPU, so ``run_eval`` decides every block
+    itself, and restore its affinity afterwards."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+    before = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(before)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, before)
+
+
+two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="the two-process wavefront needs two CPUs",
+)
 
 
 def small_cfg(**kw):
@@ -151,7 +172,9 @@ class TestNoRepeatedWork:
     block's work is done before the next block's starts, so the one-entry
     sphere-grid cache misses once per block and frame."""
 
-    def test_face64_counts(self, monkeypatch):
+    def test_face64_counts(self, monkeypatch, one_cpu):
+        # pinned to one CPU: the spies count in this process, and a
+        # wavefront helper would decide half the blocks out of their sight
         motion_model._block_sphere.cache_clear()
         block = {}
         fetched, built, placed = Counter(), Counter(), []
@@ -186,6 +209,80 @@ class TestNoRepeatedWork:
         info = motion_model._block_sphere.cache_info()
         assert (info.maxsize, info.currsize) == (1, 1)
         assert (info.misses, info.hits) == (blocks, 962)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@two_cpus
+class TestWavefront:
+    """Block rows split between this process and one forked helper give
+    the report raster order gives, and the helper never outlives run_eval."""
+
+    @pytest.mark.parametrize("kw", [
+        dict(face_size=64, synth_frames=3, synth_velocity=(2.0, 0.0, 0.0), lambda_=4.0),
+        dict(face_size=72),  # partial blocks, and block rows that hold none
+        dict(face_size=32),  # two block rows per face
+        dict(face_size=48),  # nine block rows: the parent decides the last
+        dict(face_size=128, block_size=32, synth_velocity=(0.0, 12.0, 0.0), lambda_=4.0),
+        # block rows at y 0, 32, 96, 160: the helper's last row waits for nothing
+        dict(face_size=72, block_size=32),
+    ], ids=["face64-lambda4-3frames", "face72", "face32", "face48-odd-rows", "face128-fast",
+            "face72-32px"])
+    def test_reports_equal_pinned_and_unpinned(self, request, monkeypatch, kw):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        cfg = small_cfg(**{"seed": 0, **kw})
+        split = run_eval(cfg)
+        assert_no_child_left()
+        assert len(forks) == len(split.frames)
+        request.getfixturevalue("one_cpu")
+        serial = run_eval(cfg)
+        assert len(forks) == len(split.frames)  # pinned: nothing forked
+        assert split.frames == serial.frames
+
+    @staticmethod
+    def fail_at(monkeypatch, where, exc):
+        """``evaluate.mode_decide`` raises ``exc`` on blocks where ``where(block)``."""
+        inner = evaluate.mode_decide
+
+        def failing(block, *args, **kwargs):
+            if where(block):
+                raise exc
+            return inner(block, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "mode_decide", failing)
+
+    @pytest.mark.parametrize("row", [0, 1, 2, 3])
+    @pytest.mark.parametrize("exc", [ValueError, KeyError])
+    def test_error_in_a_row_reaches_the_caller(self, monkeypatch, row, exc):
+        # even rows are decided here, odd rows in the helper
+        self.fail_at(monkeypatch, lambda b: (b.x0, b.y0) == (16, 16 * row),
+                     exc(f"injected at row {row}"))
+        with pytest.raises(exc, match=f"injected at row {row}"):
+            run_eval(small_cfg())
+        assert_no_child_left()
+
+    def test_unpicklable_error_keeps_type_name_and_message(self, monkeypatch):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        self.fail_at(monkeypatch, lambda b: b.y0 == 16, Local("from the helper"))
+        with pytest.raises(RuntimeError, match="Local: from the helper"):
+            run_eval(small_cfg())
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_cli_exit_code_for_a_row_error(self, monkeypatch, tmp_path, capsys, row):
+        self.fail_at(monkeypatch, lambda b: b.y0 == 16 * row, ValueError("injected"))
+        argv = ["eval", "--input", "synthetic", "--face-size", "32", "--synth-frames", "2",
+                "--out", str(tmp_path / "r.csv")]
+        assert cli.main(argv) == 3
+        assert "i/o error: injected" in capsys.readouterr().err
+        assert_no_child_left()
 
 
 class TestEmitCsv:

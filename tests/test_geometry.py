@@ -292,6 +292,20 @@ class TestLayoutValidation:
         with pytest.raises(ValueError, match=">= 8"):
             CubeLayout(4, 4)
 
+    @pytest.mark.parametrize("w,h,name", [
+        (32.0, 32.0, "face_width"),
+        (32, 32.0, "face_height"),
+        (np.float64(32), 32, "face_width"),
+        (True, True, "face_width"),
+    ])
+    def test_rejects_non_integer_sizes(self, w, h, name):
+        # a float size would build, then fail in range() or an array shape
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            CubeLayout(w, h)
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert CubeLayout(np.int64(32), np.int32(32)).canvas_width == 128
+
     def test_rect_disjointness(self):
         rects = [L64.face_rect(f) for f in Face]
         for i, a in enumerate(rects):
@@ -567,3 +581,35 @@ class TestGeometryGolden:
         calls["cube_to_unfold"].append(cube_to_unfold(*np.concatenate(cube, axis=1), layout))
         got = {name: _sha256(*(a for out in outs for a in out)) for name, outs in calls.items()}
         assert got == SINGLE_FACE_GOLDEN[w]
+
+    @given(
+        w=st.sampled_from([8, 64, 72]),
+        points=st.lists(
+            st.tuples(*[st.one_of(
+                st.sampled_from([1.0, -1.0, 0.0, -0.0, math.nan, math.inf, -math.inf]),
+                st.floats(-1.0, 1.0),
+            )] * 3),
+            min_size=1, max_size=40,
+        ),
+    )
+    def test_mixed_face_branch_matches_gather_formula(self, w, points):
+        # ±1 stands for ±r, so ties of two or three axes are common; an
+        # appended edge tie keeps every set off the face-uniform branch
+        r = w / 2.0
+        x, y, z = (np.array([*c, 1.0]) * r for c in zip(*points, (1.0, 1.0, 0.0)))
+        layout = CubeLayout(w, w)
+        face, x_u, y_u = geometry._to_unfold(x, y, z, layout)
+        m = np.maximum(np.maximum(np.abs(x), np.abs(y)), np.abs(z))
+        k = np.select([z == m, y == m, -z == m, x == m, -y == m], [0, 1, 2, 3, 4], default=5)
+        with np.errstate(invalid="ignore"):  # 0 * inf in the zero terms
+            want = [geometry._EU[0][k] * x + geometry._EU[1][k] * y + geometry._EU[2][k] * z
+                    + geometry._CU[k] * w,
+                    geometry._EV[0][k] * x + geometry._EV[1][k] * y + geometry._EV[2][k] * z
+                    + geometry._CV[k] * w]
+        assert face.dtype == np.int8 and face.tolist() == k.tolist()
+        finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(z)
+        for got, ref in zip((x_u, y_u), want):
+            # the same bits, signed zeros included, and NaN wherever any
+            # coordinate is non-finite
+            assert np.array_equal(got[finite].view(np.int64), ref[finite].view(np.int64))
+            assert np.isnan(got[~finite]).all() and np.isnan(ref[~finite]).all()

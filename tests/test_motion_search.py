@@ -175,6 +175,15 @@ class TestBlockGrid:
         with pytest.raises(ValueError, match="block_size"):
             BlockGrid(L64, 24)
 
+    @pytest.mark.parametrize("bs", [16.0, np.float64(32), True])
+    def test_non_integer_block_size_rejected(self, bs):
+        # 16.0 is in BLOCK_SIZES, and range() would fail on it mid-build
+        with pytest.raises(ValueError, match="block_size must be an integer"):
+            BlockGrid(L64, bs)
+
+    def test_numpy_integer_block_size_accepted(self):
+        assert len(BlockGrid(L64, np.int64(16)).blocks) == 6 * 16
+
 
 class TestTzsSearch:
     def test_identical_frames_give_zero_mv(self):
