@@ -9,8 +9,10 @@ luma predictions are read from the block's cost table, where the
 searches left them; only chroma is warped here.
 
 Each frame's block rows are split across at most two processes, as a
-wavefront: this process decides the even rows and one forked helper the
-odd rows, exchanging decided blocks' records over two pipes.  A block
+wavefront: this process and one forked helper each decide the rows a
+fixed unit-cost schedule gives them (``_owners``: mostly alternate rows,
+with runs of the BOTTOM face's short rows kept in one process), and
+exchange decided blocks' records over two pipes.  A block
 starts only when the grid blocks above-left, above and above-right of it
 have records, so merge and AMVP see the neighbours raster order gives
 them and the report is the same on either schedule.  The helper is
@@ -266,34 +268,69 @@ class _Peer:
             pass
 
 
-def _predict_rows(grid: BlockGrid, rows, first: int, step: int, predict, peer=None) -> dict:
-    """``predict`` every block of ``rows[first::step]``: ``{(x0, y0): result}``.
+def _owners(grid: BlockGrid, rows) -> list[int]:
+    """The process of each block row: 0 for this one, 1 for the helper.
+
+    The rows go out in order, each to the process whose simulated clock is
+    lower (a tie to this process).  Every block costs one unit: it finishes
+    at 1 + the later of its process's clock and the finish times of its
+    above-left, above and above-right grid blocks.  This alternates on
+    most grids (face 64 with 16-px blocks, 128 with 16- or 32-px ones),
+    and keeps runs of the BOTTOM face's short rows in one process where
+    alternating them would leave each waiting on the other: face 192 with
+    64-px blocks gives 010101000, which ends the unit-cost schedule at 30
+    instead of 35.
+    """
+    bs, done, clock, owners = grid.block_size, {}, [0, 0], []
+    for row in rows:
+        p = int(clock[1] < clock[0])
+        t = clock[p]
+        for b in row:
+            t = 1 + max(t, *(done.get((b.x0 + dx, b.y0 - bs), 0) for dx in (-bs, 0, bs)))
+            done[b.x0, b.y0] = t
+        clock[p] = t
+        owners.append(p)
+    return owners
+
+
+def _predict_rows(grid: BlockGrid, rows, owners, me: int, predict, peer=None) -> dict:
+    """``predict`` every block of the ``rows`` whose ``owners`` entry is
+    ``me``: ``{(x0, y0): result}``.
 
     With a ``peer`` deciding the other rows, a block starts only when the
     grid blocks above-left, above and above-right of it have records, so
     it sees the neighbours raster order gives it: merge and AMVP also read
     the left neighbour, decided here before it, and the below-left one,
     which waits for this block and so is never decided yet.  Blocks
-    outside the grid (holes, partial blocks) are never waited for.
+    outside the grid (holes, partial blocks) are never waited for.  Every
+    wait is for an earlier row, so neither process waits forever.
 
-    A record is sent only when a grid block below waits for it, so the
-    peer reads every record before it finishes and no write finds the
-    pipe closed.  Neither side runs more than about one row ahead of the
-    other, so at most about one row of records sits in a pipe: under
-    200 bytes each, 64 per row at face 256 with 16-px blocks, so about
-    12 KiB against a pipe's 64 KiB, and a record write never waits on
-    the reader.
+    A record is sent only when a grid block below it lies in a row the
+    peer owns, so the peer waits for, and so reads, every record before it
+    finishes, and no write finds the pipe closed.  A process starts a row
+    only once the peer has started the row above, when the peer owns it.
+    So while the reader is at its row b, every unread record comes from
+    one of two rows: row b - 1, which row b reads as it goes, and the row
+    the writer is deciding when the reader owns the next one.  Each row
+    the writer decided in between is followed by a row of its own, so it
+    sent nothing.  A record takes under 200 bytes, and a row holds 64 at
+    face 256 with 16-px blocks, so about 25 KiB sit in a pipe against its
+    64 KiB, and a record write never waits on the reader.
     """
     bs, out = grid.block_size, {}
     on_grid = {(b.x0, b.y0) for b in grid.blocks}
-    for row in rows[first::step]:
+    owner_at = {row[0].y0: p for row, p in zip(rows, owners)}
+    for row, owner in zip(rows, owners):
+        if owner != me:
+            continue
+        tell = peer is not None and owner_at.get(row[0].y0 + bs, me) != me
         for b in row:
             if peer is not None:
                 for key in ((b.x0 - bs, b.y0 - bs), (b.x0, b.y0 - bs), (b.x0 + bs, b.y0 - bs)):
                     while key in on_grid and key not in grid.records:
                         peer.receive()
             out[b.x0, b.y0] = predict(b)
-            if peer is not None and any((b.x0 + dx, b.y0 + bs) in on_grid for dx in (-bs, 0, bs)):
+            if tell and any((b.x0 + dx, b.y0 + bs) in on_grid for dx in (-bs, 0, bs)):
                 peer.send("rec", ((b.x0, b.y0), grid.records[b.x0, b.y0]))
     return out
 
@@ -304,8 +341,9 @@ def _predict_frame(grid: BlockGrid, predict, policies) -> dict:
     of every block.
 
     With at least two CPUs in this process's affinity, ``os.fork`` and at
-    least two block rows, a forked helper decides the odd rows while this
-    process decides the even ones; otherwise this process decides all.
+    least two block rows, a forked helper decides the rows that ``_owners``
+    gives it while this process decides the others; otherwise this process
+    decides all.
     The helper leaves through ``os._exit`` only, so it never unwinds into
     the caller's frames or flushes stdio buffers it inherited; it exits on
     EOF or a broken pipe when this process fails, and it is reaped before
@@ -313,7 +351,8 @@ def _predict_frame(grid: BlockGrid, predict, policies) -> dict:
     """
     rows = [list(r) for _, r in itertools.groupby(grid.blocks, key=lambda b: b.y0)]
     if len(rows) < 2 or _cpu_count() < 2 or not hasattr(os, "fork"):
-        return _predict_rows(grid, rows, 0, 1, predict)
+        return _predict_rows(grid, rows, [0] * len(rows), 0, predict)
+    owners = _owners(grid, rows)
     down_r, down_w = os.pipe()  # this process -> helper
     up_r, up_w = os.pipe()      # helper -> this process
     try:
@@ -321,14 +360,14 @@ def _predict_frame(grid: BlockGrid, predict, policies) -> dict:
     except OSError:  # no room for another process: decide every row here
         for fd in (down_r, down_w, up_r, up_w):
             os.close(fd)
-        return _predict_rows(grid, rows, 0, 1, predict)
+        return _predict_rows(grid, rows, [0] * len(rows), 0, predict)
     if pid == 0:
         try:
             os.close(down_w)
             os.close(up_r)
             peer = _Peer(down_r, up_w, grid)
             try:
-                out = _predict_rows(grid, rows, 1, 2, predict, peer)
+                out = _predict_rows(grid, rows, owners, 1, predict, peer)
             except BaseException as exc:  # the parent re-raises it
                 peer.send("error", _portable(exc))
             else:
@@ -340,7 +379,7 @@ def _predict_frame(grid: BlockGrid, predict, policies) -> dict:
     peer = _Peer(up_r, down_w, grid)
     try:
         try:
-            out = _predict_rows(grid, rows, 0, 2, predict, peer)
+            out = _predict_rows(grid, rows, owners, 0, predict, peer)
         except BrokenPipeError:  # the helper stopped: raise the error it sent
             while True:
                 peer.receive()

@@ -23,18 +23,19 @@ Conventions
 
 Each transform is an array core on float64 arrays behind one scalar
 adapter, which converts the coordinates once and broadcasts them
-elementwise.  The cores that pick faces take one face's coefficients as
-scalars when every point lies on that face: unfold points whose bounding
-box fits in its cell, or cube points whose signed dominant axis equals
-the max magnitude everywhere while the other two are strictly smaller,
-which rules out every tie.  These are the same float64 values in the same
-operations as the per-point gather, which unfold -> cube keeps for mixed
-faces and NaN, except that cube -> unfold skips the two terms of each
-coordinate whose coefficient is zero; so every result is unchanged,
-signed zeros included.  Cube -> unfold skips those terms for mixed faces
-and ties too, taking each point's one signed axis by its face index;
-where a coordinate is not finite it returns NaN in both coordinates, as
-the zero terms (0 * inf, 0 * NaN) did.
+elementwise.  Unfold -> cube takes one face's coefficients as scalars
+when the bounding box of the points fits in that face's cell: the same
+float64 values in the same operations as the per-point gather, which it
+keeps for mixed faces and NaN.  Cube -> unfold skips the two terms of
+each coordinate whose coefficient is zero, taking each point's one
+signed axis by its face index, so every result is unchanged, signed
+zeros included; where a coordinate is not finite it returns NaN in both
+coordinates, as the zero terms (0 * inf, 0 * NaN) did.  Sphere ->
+unfold first tries the first point's face for the whole call
+(``_one_face``): when a few reductions show every direction strictly
+inside that face's cone, it scales only the two in-face axes by the
+face's ``+-R / s[n]`` and adds the face constants, the bits the cube
+composite gives; otherwise it runs that composite.
 
 When every coordinate is a scalar or 0-d array, results are Python
 values: ``float``, ``Face``, and ``None`` for ``NO_FACE``.  Otherwise
@@ -120,7 +121,7 @@ _CV = np.array([_FACE_CELL[f][1] + 0.5 for f in Face])
 _C = 0.5 * _N - _EU * _CU - _EV * _CV
 # (axis, sign) of each face's n, e_u and e_v: each is one signed cube axis
 _AXES = [[next((a, v) for a, v in enumerate(e) if v) for e in frame] for frame in _FRAME]
-# the same per face as arrays, for the mixed-face branch of _to_unfold
+# the same per face as arrays, for _to_unfold's per-point pick
 _U_IS_X = np.array([u[0] == 0 for _, u, _ in _AXES])
 _V_IS_Y = np.array([v[0] == 1 for _, _, v in _AXES])
 _SU = np.array([float(u[1]) for _, u, _ in _AXES])
@@ -263,36 +264,11 @@ def _max_abs(x, y, z):
     return np.maximum(np.maximum(np.abs(x), np.abs(y)), np.abs(z))
 
 
-def _strict_face(x_c, y_c, z_c, m):
-    """The first point's dominant face if every point lies on it with no
-    tie, else None (also for NaN, the origin and empty input)."""
-    if not m.size:
-        return None
-    x, y, z = (float(v.flat[0]) for v in (x_c, y_c, z_c))
-    signed = [z, y, -z, x, -y, -x]  # _FRAME's outward axes, in Face order
-    face = signed.index(max(signed))
-    axis, sign = _AXES[face][0]
-    coords = [x_c, y_c, z_c]
-    dominant = coords.pop(axis)
-    if (sign * dominant == m).all() and (np.maximum(*map(np.abs, coords)) < m).all():
-        return face
-    return None
-
-
 def _to_unfold(x_c, y_c, z_c, layout: CubeLayout):
     """Dominant face of on-surface cube points (ties broken in Face
     priority order) and their unfold coordinates."""
     m = _max_abs(x_c, y_c, z_c)
-    k = _strict_face(x_c, y_c, z_c, m)
     w = float(layout.face_width)
-    if k is not None:
-        # each unfold coordinate is one signed cube axis plus its face's
-        # nonzero constant: the same bits as the sum below, whose other two
-        # terms are signed zeros here (no NaN or inf passes _strict_face)
-        xyz = (x_c, y_c, z_c)
-        _, (au, su), (av, sv) = _AXES[k]
-        face = np.full(m.shape, k, dtype=np.int8)
-        return face, su * xyz[au] + _CU[k] * w, sv * xyz[av] + _CV[k] * w
     # the conditions are _FRAME's outward axes n, in Face order; k is intp,
     # which numpy gathers several times faster than int8
     k = np.select(
@@ -300,11 +276,11 @@ def _to_unfold(x_c, y_c, z_c, layout: CubeLayout):
         [Face.TOP, Face.FRONT, Face.BOTTOM, Face.RIGHT, Face.REAR],
         default=Face.LEFT,
     )
-    # per point, the face-uniform branch's one signed axis plus constant:
-    # e_u is x or y and e_v is y or z on every face.  The gather formula
-    # e . (x, y, z) + c * w gives the same bits where all three coordinates
-    # are finite (its zero terms are signed zeros before a nonzero constant)
-    # and NaN in both coordinates elsewhere, as below.
+    # per point, its face's one signed axis plus constant: e_u is x or y
+    # and e_v is y or z on every face.  The gather formula e . (x, y, z)
+    # + c * w gives the same bits where all three coordinates are finite
+    # (its zero terms are signed zeros before a nonzero constant) and NaN
+    # in both coordinates elsewhere, as below.
     x_u = _SU[k] * np.where(_U_IS_X[k], x_c, y_c) + (_CU * w)[k]
     y_u = _SV[k] * np.where(_V_IS_Y[k], y_c, z_c) + (_CV * w)[k]
     bad = ~np.isfinite(m)  # m is finite exactly where x, y and z all are
@@ -350,14 +326,60 @@ def _unfold_to_sphere(x_u, y_u, layout: CubeLayout):
     return _cube_to_sphere(*_unfold_to_cube(x_u, y_u, layout), layout)
 
 
+def _one_face(x_s, y_s, z_s, layout: CubeLayout):
+    """``_sphere_to_unfold`` of directions that all lie strictly inside
+    one face's cone, or None.
+
+    Takes the first point's face k, with outward axis n = sign * axis,
+    and ``scale = sign * R / s[axis]``, then only the two in-face axes.
+    The result stands only if ``sign * s[axis]`` is positive and finite
+    everywhere and both in-face cube coordinates lie within
+    ``(1 - 1e-9) R`` of the face center.
+    Then |s[axis]| strictly exceeds the other two magnitudes everywhere
+    (a magnitude at least as large would scale to at least R(1 - 2**-52)),
+    so it is the max of ``_sphere_to_cube``, whose scale R / max is this
+    one, bit for bit; and the scaled dominant coordinate is R within
+    rounding, above both others, so ``_to_unfold`` picks face k for every
+    point and adds the same constants to the same signed products.
+    NaN, +-inf and a zero direction fail a test before any division.
+    """
+    if not (x_s.size and x_s.shape == y_s.shape == z_s.shape):
+        return None
+    s = (x_s, y_s, z_s)
+    first = [float(c.flat[0]) for c in s]
+    signed = [first[2], first[1], -first[2], first[0], -first[1], -first[0]]  # n, in Face order
+    k = signed.index(max(signed))
+    (an, sn), (au, su), (av, sv) = _AXES[k]
+    lo, hi = sn * s[an].min(), sn * s[an].max()  # NaN fails both tests below
+    if not (0.0 < min(lo, hi) and max(lo, hi) < math.inf):
+        return None
+    r, w = layout.radius, float(layout.face_width)
+    scale = (sn * r) / s[an]
+    bound = (1.0 - 1e-9) * r
+    out = []
+    for axis, sign, center in ((au, su, _CU[k]), (av, sv, _CV[k])):
+        c = np.asarray(s[axis] * scale)  # an array also for 0-d input
+        if not (-bound <= c.min() and c.max() <= bound):
+            return None
+        if sign < 0:
+            np.negative(c, out=c)
+        c += center * w
+        out.append(c)
+    return np.full(x_s.shape, k, dtype=np.int8), *out
+
+
 def _sphere_to_unfold(x_s, y_s, z_s, layout: CubeLayout):
     """Sphere (or any nonzero direction) -> cube -> unfold composition.
 
     Total on nonzero inputs: every ray from the origin hits exactly one
     face, with edge/corner ties broken in Face priority order.
-    Returns ``(face, x_u, y_u)``.
+    Returns ``(face, x_u, y_u)``.  Directions strictly inside one face's
+    cone take ``_one_face``: the same bits in fewer passes.
     """
-    return _to_unfold(*_sphere_to_cube(x_s, y_s, z_s, layout), layout)
+    out = _one_face(x_s, y_s, z_s, layout)
+    if out is None:
+        out = _to_unfold(*_sphere_to_cube(x_s, y_s, z_s, layout), layout)
+    return out
 
 
 unfold_to_cube = _elementwise(_unfold_to_cube)

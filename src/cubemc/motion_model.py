@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from cubemc.geometry import (
+    NO_FACE,
     CubeLayout,
     face_of,
     sphere_to_unfold,
@@ -32,6 +33,8 @@ __all__ = [
     "MotionVector",
     "Block",
     "CorrespondenceField",
+    "CenterLattice",
+    "center_lattice",
     "transport_point",
     "build_correspondence_field",
     "build_correspondence_fields",
@@ -167,8 +170,55 @@ def transport_point(u0, u1, u2, layout: CubeLayout) -> tuple[float, float]:
     return x3, y3
 
 
+class CenterLattice(NamedTuple):
+    """Sphere points of a block's moved center under every quarter-pel MV
+    within ``reach`` of ``anchor`` per component (``center_lattice``)."""
+
+    anchor: MotionVector
+    reach: int
+    s1: np.ndarray  # (3, 2 reach + 1, 2 reach + 1): axis, dy, dx; NaN off the faces
+
+    def centers(self, mvs: Sequence[MotionVector]):
+        """The s1 points of ``mvs`` as three (n, 1, 1) arrays, or None if
+        one lies outside the lattice; raises ``ValueError`` if one is off
+        the faces ("invalid center MV")."""
+        r, ax, ay = self.reach, self.anchor.dx_q2, self.anchor.dy_q2
+        ix = [mv.dx_q2 - ax + r for mv in mvs]
+        iy = [mv.dy_q2 - ay + r for mv in mvs]
+        if not (0 <= min(ix) and max(ix) <= 2 * r and 0 <= min(iy) and max(iy) <= 2 * r):
+            return None
+        s1 = self.s1[:, iy, ix]
+        if np.isnan(s1[0]).any():
+            raise ValueError("invalid center MV")
+        return s1[:, :, None, None]
+
+
+def center_lattice(block: Block, anchor: MotionVector, reach: int,
+                   layout: CubeLayout) -> CenterLattice:
+    """Map the moved centers of ``block`` under every quarter-pel MV within
+    ``reach`` of ``anchor`` in one ``unfold_to_sphere`` call (two when some
+    lie off the faces).
+
+    The geometry is elementwise and each center is the same float64 sum
+    ``cx + dx_q2 / 4`` a build computes, so every point has the bits that
+    the build's own call would give it.  Centers off the faces hold NaN.
+    """
+    cx, cy = block.center
+    q = np.arange(-reach, reach + 1)
+    # a row of xs and a column of ys: the transforms broadcast them
+    xs, ys = cx + (anchor.dx_q2 + q) / MV_UNIT, cy + (anchor.dy_q2 + q)[:, None] / MV_UNIT
+    try:
+        s1 = np.array(unfold_to_sphere(xs, ys, layout))
+    except ValueError:  # the window reaches off the faces: map the rest
+        xs, ys = np.broadcast_arrays(xs, ys)
+        on = face_of(xs, ys, layout) != NO_FACE
+        s1 = np.full((3, *on.shape), np.nan)
+        s1[:, on] = unfold_to_sphere(xs[on], ys[on], layout)
+    return CenterLattice(anchor, reach, s1)
+
+
 def build_correspondence_field(
-    block: Block, mv: MotionVector, layout: CubeLayout
+    block: Block, mv: MotionVector, layout: CubeLayout, lattice: CenterLattice | None = None
 ) -> CorrespondenceField:
     """Reference coordinates for every pixel of ``block`` under ``mv``.
 
@@ -176,12 +226,13 @@ def build_correspondence_field(
     are quantized to 1/64 pel.  Degenerate pixels fall back to plain
     translation and are flagged invalid.
     """
-    batch = build_correspondence_fields(block, [mv], layout)
+    batch = build_correspondence_fields(block, [mv], layout, lattice)
     return CorrespondenceField(batch.rx_q6[0], batch.ry_q6[0], batch.valid[0])
 
 
 def build_correspondence_fields(
-    block: Block, mvs: Sequence[MotionVector], layout: CubeLayout
+    block: Block, mvs: Sequence[MotionVector], layout: CubeLayout,
+    lattice: CenterLattice | None = None,
 ) -> CorrespondenceField:
     """The fields of ``block`` under each of ``mvs``, as one (n, h, w) batch.
 
@@ -189,26 +240,38 @@ def build_correspondence_fields(
     The block's face check, its center's sphere point s0 and its pixel
     grid's sphere points are computed once per block and cached; only
     the chord s1 - s0 differs between MVs, so all the moved centers u1
-    are mapped in one call and the transport broadcasts over the batch.
-    Raises ``ValueError`` if the block straddles faces ("single face")
-    or if any u1 is off the faces ("invalid center MV").
+    are mapped in one call, or read from ``lattice`` (a ``center_lattice``
+    of this block) when it holds every one, and the transport broadcasts
+    over the batch.  Raises ``ValueError`` if the block straddles faces
+    ("single face") or if any u1 is off the faces ("invalid center MV").
     """
     s0, (s2x, s2y, s2z) = _block_sphere(block, layout)
-    cx, cy = block.center
-    u1 = np.array([(cx + mv.dx_q2 / MV_UNIT, cy + mv.dy_q2 / MV_UNIT) for mv in mvs])
-    try:
-        s1 = [axis[:, None, None] for axis in unfold_to_sphere(*u1.T, layout)]
-    except ValueError as exc:
-        raise ValueError("invalid center MV") from exc
+    s1 = None if lattice is None else lattice.centers(mvs)
+    if s1 is None:
+        cx, cy = block.center
+        u1 = np.array([(cx + mv.dx_q2 / MV_UNIT, cy + mv.dy_q2 / MV_UNIT) for mv in mvs])
+        try:
+            s1 = [axis[:, None, None] for axis in unfold_to_sphere(*u1.T, layout)]
+        except ValueError as exc:
+            raise ValueError("invalid center MV") from exc
     x3, y3, ok = _transport_from_sphere(s0, s1, s2x, s2y, s2z, layout)
 
-    rx = round_half_away(x3 * FIELD_UNIT)
-    ry = round_half_away(y3 * FIELD_UNIT)
+    rx, ry = _to_q6(x3), _to_q6(y3)
     if not ok.all():
         fallback = [translational_field(block, mv) for mv in mvs]
         rx = np.where(ok, rx, np.stack([f.rx_q6 for f in fallback]))
         ry = np.where(ok, ry, np.stack([f.ry_q6 for f in fallback]))
-    return CorrespondenceField(rx.astype(np.int32), ry.astype(np.int32), ok)
+    return CorrespondenceField(rx, ry, ok)
+
+
+def _to_q6(x: np.ndarray) -> np.ndarray:
+    """``round_half_away(x * FIELD_UNIT)`` as int32, computed in place in
+    ``x`` as ``floor(64 x + 0.5)``: the same wherever ``64 x > -0.5``, and
+    an unfold coordinate from ``sphere_to_unfold`` is never below about
+    -1e-15 R (a face-center constant of at least R minus at most R)."""
+    x *= FIELD_UNIT
+    x += 0.5
+    return np.floor(x, out=x).astype(np.int32)
 
 
 def translational_field(block: Block, mv: MotionVector) -> CorrespondenceField:

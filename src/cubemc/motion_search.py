@@ -14,6 +14,10 @@ means building the per-pixel correspondence field and warping through
 the filter bank for every candidate, with pass 1 read from one row bank
 per stage (``row_bank``, freed when the stage returns); ``warp_block``'s
 gather serves pixels across a face seam and MVs costed before the stage.
+Likewise the stage maps the 17x17 quarter-pel lattice of moved block
+centers around its anchor once (``center_lattice``, freed with the bank),
+and each field build within that window reads its centers' sphere points
+from it instead of making its own geometry call.
 
 Both searches, the merge check and the evaluator's placement share one
 table per block and reference, ``(advanced, mv) -> (SAD, luma)``, so no
@@ -62,6 +66,7 @@ from cubemc.motion_model import (
     MotionVector,
     build_correspondence_field,
     build_correspondence_fields,
+    center_lattice,
     round_half_away,
     translational_field,
     transport_mv_predictor,
@@ -126,6 +131,7 @@ class _CostTable(dict):
         self.cur_blk = cur[block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width]
         self.rasters = {}  # (dxs, dys) -> _raster_best
         self.rows = None  # the advanced stage 5's row_bank, while it runs
+        self.lattice = None  # and its center_lattice
 
     def __missing__(self, key):
         advanced, mv = key
@@ -136,7 +142,7 @@ class _CostTable(dict):
         # a lone advanced MV keeps the singular build: the benchmark's tracer
         # counts those builds and reads each one's MV, and the contract test
         # test_singular_field_builds_take_one_mv needs run_eval to make them
-        fld = (build_correspondence_field(b, mv, self.layout) if advanced
+        fld = (build_correspondence_field(b, mv, self.layout, self.lattice) if advanced
                else translational_field(b, mv))
         return self.put(key, self.warp(fld))
 
@@ -158,7 +164,7 @@ class _CostTable(dict):
 
     def put_batch(self, mvs: list[MotionVector]) -> None:
         """Cost advanced ``mvs`` in one batched field build and warp."""
-        fields = build_correspondence_fields(self.block, mvs, self.layout)
+        fields = build_correspondence_fields(self.block, mvs, self.layout, self.lattice)
         preds = self.warp(fields)
         for mv, s, pred in zip(mvs, sad(preds, self.cur_blk).tolist(), preds):
             self[True, mv] = (s, pred)
@@ -390,6 +396,7 @@ def tzs_search(
               block.width + 2 * m, block.height + 2 * m)
     phases = np.arange(0, PHASES, PHASES // 4)
     table.rows = row_bank(*window, table.bank) if advanced else None
+    table.lattice = center_lattice(block, anchor, REFINE_WINDOW_Q2, layout) if advanced else None
     planes = None if advanced else phase_planes(*window, phases, phases, table.bank)
 
     def in_window(mv):
@@ -451,7 +458,7 @@ def tzs_search(
                 moved |= try_q2(cand, around_best(ring[i + 1 :]))
         if not moved:
             step //= 2
-    table.rows = None
+    table.rows = table.lattice = None
     return best, best_key[0]
 
 

@@ -1,6 +1,7 @@
 """Tests for the sequence evaluator and its CSV/summary emission."""
 
 import hashlib
+import itertools
 import math
 import os
 from collections import Counter
@@ -20,8 +21,9 @@ from cubemc.evaluate import (
     run_eval,
 )
 from cubemc.frame_io import SyntheticSpec, generate_synthetic, write_yuv420
+from cubemc.geometry import CubeLayout
 from cubemc.motion_model import MotionVector
-from cubemc.motion_search import PredMode
+from cubemc.motion_search import BlockGrid, PredMode
 
 
 @pytest.fixture
@@ -211,6 +213,40 @@ class TestNoRepeatedWork:
         assert (info.misses, info.hits) == (blocks, 962)
 
 
+def grid_rows(face, block_size):
+    grid = BlockGrid(CubeLayout(face, face), block_size)
+    return grid, [list(r) for _, r in itertools.groupby(grid.blocks, key=lambda b: b.y0)]
+
+
+class TestOwners:
+    """The unit-cost schedule that gives each block row to a process."""
+
+    @pytest.mark.parametrize("face,block_size", [
+        (32, 16), (48, 16), (64, 16), (72, 16), (72, 32), (96, 32), (128, 16), (128, 32),
+        (192, 64), (256, 16),
+    ])
+    def test_deterministic_and_one_process_per_row(self, face, block_size):
+        grid, rows = grid_rows(face, block_size)
+        owners = evaluate._owners(grid, rows)
+        assert len(owners) == len(rows) and set(owners) <= {0, 1}
+        assert evaluate._owners(*grid_rows(face, block_size)) == owners
+        assert owners[0] == 0  # a tie goes to the evaluating process
+
+    @pytest.mark.parametrize("face,block_size", [(64, 16), (128, 32), (128, 16)])
+    def test_parity_where_rows_are_alike(self, face, block_size):
+        # small-blocks, fast-motion and the gate's grid
+        grid, rows = grid_rows(face, block_size)
+        assert evaluate._owners(grid, rows) == [i % 2 for i in range(len(rows))]
+
+    @pytest.mark.parametrize("face,block_size", [(48, 16), (96, 32), (192, 64)])
+    def test_bottom_face_rows_stay_in_one_process(self, face, block_size):
+        # three block rows per face: the rows alternate down to the middle
+        # band's last, then the three short BOTTOM rows, which would only
+        # wait on each other across processes, go to the evaluating one
+        grid, rows = grid_rows(face, block_size)
+        assert "".join(map(str, evaluate._owners(grid, rows))) == "010101000"
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -225,12 +261,14 @@ class TestWavefront:
         dict(face_size=64, synth_frames=3, synth_velocity=(2.0, 0.0, 0.0), lambda_=4.0),
         dict(face_size=72),  # partial blocks, and block rows that hold none
         dict(face_size=32),  # two block rows per face
-        dict(face_size=48),  # nine block rows: the parent decides the last
+        dict(face_size=48),  # nine block rows: the BOTTOM face's three stay in this process
         dict(face_size=128, block_size=32, synth_velocity=(0.0, 12.0, 0.0), lambda_=4.0),
         # block rows at y 0, 32, 96, 160: the helper's last row waits for nothing
         dict(face_size=72, block_size=32),
+        # three block rows per face; the BOTTOM face's are all decided here
+        dict(face_size=96, block_size=32),
     ], ids=["face64-lambda4-3frames", "face72", "face32", "face48-odd-rows", "face128-fast",
-            "face72-32px"])
+            "face72-32px", "face96-32px"])
     def test_reports_equal_pinned_and_unpinned(self, request, monkeypatch, kw):
         forks = []
         fork = os.fork
@@ -259,7 +297,7 @@ class TestWavefront:
     @pytest.mark.parametrize("row", [0, 1, 2, 3])
     @pytest.mark.parametrize("exc", [ValueError, KeyError])
     def test_error_in_a_row_reaches_the_caller(self, monkeypatch, row, exc):
-        # even rows are decided here, odd rows in the helper
+        # rows 0 and 2 are decided here, rows 1 and 3 in the helper
         self.fail_at(monkeypatch, lambda b: (b.x0, b.y0) == (16, 16 * row),
                      exc(f"injected at row {row}"))
         with pytest.raises(exc, match=f"injected at row {row}"):

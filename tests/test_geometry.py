@@ -593,23 +593,49 @@ class TestGeometryGolden:
         ),
     )
     def test_mixed_face_branch_matches_gather_formula(self, w, points):
-        # ±1 stands for ±r, so ties of two or three axes are common; an
-        # appended edge tie keeps every set off the face-uniform branch
+        # ±1 stands for ±r, so ties of two or three axes are common; every
+        # set also holds the edge tie (r, r, 0)
         r = w / 2.0
         x, y, z = (np.array([*c, 1.0]) * r for c in zip(*points, (1.0, 1.0, 0.0)))
-        layout = CubeLayout(w, w)
-        face, x_u, y_u = geometry._to_unfold(x, y, z, layout)
-        m = np.maximum(np.maximum(np.abs(x), np.abs(y)), np.abs(z))
-        k = np.select([z == m, y == m, -z == m, x == m, -y == m], [0, 1, 2, 3, 4], default=5)
-        with np.errstate(invalid="ignore"):  # 0 * inf in the zero terms
-            want = [geometry._EU[0][k] * x + geometry._EU[1][k] * y + geometry._EU[2][k] * z
-                    + geometry._CU[k] * w,
-                    geometry._EV[0][k] * x + geometry._EV[1][k] * y + geometry._EV[2][k] * z
-                    + geometry._CV[k] * w]
-        assert face.dtype == np.int8 and face.tolist() == k.tolist()
-        finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(z)
-        for got, ref in zip((x_u, y_u), want):
-            # the same bits, signed zeros included, and NaN wherever any
-            # coordinate is non-finite
-            assert np.array_equal(got[finite].view(np.int64), ref[finite].view(np.int64))
-            assert np.isnan(got[~finite]).all() and np.isnan(ref[~finite]).all()
+        assert_to_unfold_matches_gather_formula(x, y, z, w)
+
+    @pytest.mark.parametrize("w", [8, 64])
+    @pytest.mark.parametrize("points", [
+        [(0, 0, math.inf)],
+        [(0.25, -0.5, 1), (0, 0, math.inf)],
+        [(0, 0, math.inf), (0.25, -0.5, 1)],
+        [(0.5, 0.5, -1), (-0.25, 0, -math.inf)],
+        [(0.25, -0.5, 1), (0, 0, math.nan)],
+        [(0.25, -0.5, 1), (math.nan, 0, 1)],
+        [(0.25, -0.5, 1), (math.inf, 0, 1)],
+    ], ids=["inf", "inf-later", "inf-first", "bottom-minus-inf", "nan-dominant", "nan-in-face",
+            "inf-in-face"])
+    def test_face_uniform_set_with_a_non_finite_point(self, w, points):
+        # every finite point lies strictly on one face (coordinates in
+        # units of r); the non-finite one must give NaN, as the gather does,
+        # not that face's coordinates
+        r = w / 2.0
+        x, y, z = (np.array(c, dtype=np.float64) * r for c in zip(*points))
+        assert_to_unfold_matches_gather_formula(x, y, z, w)
+
+
+def assert_to_unfold_matches_gather_formula(x, y, z, w):
+    """``geometry._to_unfold`` against the per-point gather of every face
+    coefficient: the same faces and bits, and NaN wherever a coordinate
+    is not finite."""
+    layout = CubeLayout(w, w)
+    face, x_u, y_u = geometry._to_unfold(x, y, z, layout)
+    m = np.maximum(np.maximum(np.abs(x), np.abs(y)), np.abs(z))
+    k = np.select([z == m, y == m, -z == m, x == m, -y == m], [0, 1, 2, 3, 4], default=5)
+    with np.errstate(invalid="ignore"):  # 0 * inf in the zero terms
+        want = [geometry._EU[0][k] * x + geometry._EU[1][k] * y + geometry._EU[2][k] * z
+                + geometry._CU[k] * w,
+                geometry._EV[0][k] * x + geometry._EV[1][k] * y + geometry._EV[2][k] * z
+                + geometry._CV[k] * w]
+    assert face.dtype == np.int8 and face.tolist() == k.tolist()
+    finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(z)
+    for got, ref in zip((x_u, y_u), want):
+        # the same bits, signed zeros included, and NaN wherever any
+        # coordinate is non-finite
+        assert np.array_equal(got[finite].view(np.int64), ref[finite].view(np.int64))
+        assert np.isnan(got[~finite]).all() and np.isnan(ref[~finite]).all()

@@ -1,5 +1,6 @@
 """Tests for the DCT filter bank and fixed-point warping."""
 
+import ast
 import hashlib
 import os
 import subprocess
@@ -103,13 +104,23 @@ class TestBankStructure:
         assert digest == "1c9e09ec6548aa23fc81a6ca3f7800f5316d365033357a836a5c0983093ea75a"
 
     def test_import_leaves_scipy_out(self):
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        code = "import sys, cubemc; cubemc.generate_dctif_bank(); print('scipy' in sys.modules)"
+        # nor anything for processes, threads or sockets: each adds to
+        # every run's start-up.  -S keeps site hooks (which may import
+        # threading) out, this process's path still finds numpy, and only
+        # what ``import cubemc`` adds counts
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), *filter(None, sys.path)]))
+        code = (
+            "import sys; before = set(sys.modules); import cubemc; cubemc.generate_dctif_bank(); "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
+        )
         proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+            [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        added = set(ast.literal_eval(proc.stdout.strip()))
+        assert "cubemc" in added
+        heavy = {"multiprocessing", "threading", "concurrent", "socket", "subprocess", "scipy"}
+        assert not added & heavy
 
 
 class TestSampling:

@@ -7,7 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from cubemc.geometry import CubeLayout, Face, face_of, sphere_to_unfold, unfold_to_sphere
+from cubemc.geometry import (
+    CubeLayout,
+    Face,
+    cube_to_unfold,
+    face_of,
+    sphere_to_cube,
+    sphere_to_unfold,
+    unfold_to_sphere,
+)
 import cubemc.geometry as geometry
 import cubemc.motion_model as motion_model
 from cubemc.motion_model import (
@@ -18,6 +26,7 @@ from cubemc.motion_model import (
     block_face,
     build_correspondence_field,
     build_correspondence_fields,
+    center_lattice,
     round_half_away,
     translational_field,
     transport_mv_predictor,
@@ -246,12 +255,14 @@ class TestCorrespondenceField:
 
 class TestFaceUniformBuild:
     """A build whose points all lie on one face maps them with the face's
-    coefficients as scalars: no per-point face pick and no gather."""
+    coefficients as scalars: no per-point face pick and no gather.  Its
+    transported grid, inside one face's cone, takes the one-face path of
+    sphere -> unfold."""
 
     def _branches(self, monkeypatch, blk, mv, layout):
-        """Build one field from cold caches; return the results of the
-        face-uniform tests of both geometry cores."""
-        found = {"_cell_face": [], "_strict_face": []}
+        """Build one field from cold caches; return the results of unfold
+        -> cube's face-uniform test and of sphere -> unfold's one-face path."""
+        found = {"_cell_face": [], "_one_face": []}
         for name, results in found.items():
             inner = getattr(geometry, name)
             monkeypatch.setattr(
@@ -267,14 +278,14 @@ class TestFaceUniformBuild:
         layout = CubeLayout(192, 192)
         found = self._branches(monkeypatch, Block(64, 256, 64, 64), MotionVector(9, -7), layout)
         # the center, the pixel grid and the moved center; the transported grid
-        assert len(found["_cell_face"]) == 3 and len(found["_strict_face"]) == 1
-        assert None not in found["_cell_face"] + found["_strict_face"]
+        assert len(found["_cell_face"]) == 3 and None not in found["_cell_face"]
+        assert len(found["_one_face"]) == 1 and found["_one_face"][0] is not None
 
     def test_seam_crossing_build_is_not(self, monkeypatch):
         layout = CubeLayout(192, 192)
         # a FRONT block moved 50 px right, half of it onto RIGHT
         found = self._branches(monkeypatch, Block(128, 256, 64, 64), MotionVector(200, 0), layout)
-        assert found["_strict_face"] == [None]
+        assert found["_one_face"] == [None]
 
 
 def assert_batch_matches_singles(blk, mvs, layout):
@@ -361,6 +372,116 @@ class TestBatchedFields:
         for _ in range(2):
             with pytest.raises(ValueError, match="single face"):
                 build_correspondence_fields(Block(56, 88, 16, 16), [MotionVector(0, 0)], L64)
+
+
+def reference_fields(blk, mvs, layout):
+    """The batched field build as it stood before the one-face transport,
+    the in-place rounding and the center lattice: every geometry call of
+    its own, sphere -> cube -> unfold through the general composite, and
+    ``round_half_away``.  Returns ``(rx_q6, ry_q6, valid)``."""
+    cx, cy = blk.center
+    s0 = unfold_to_sphere(cx, cy, layout)
+    ys, xs = np.mgrid[blk.y0 : blk.y0 + blk.height, blk.x0 : blk.x0 + blk.width]
+    s2 = unfold_to_sphere(xs, ys, layout)
+    u1 = np.array([(cx + mv.dx_q2 / 4, cy + mv.dy_q2 / 4) for mv in mvs])
+    s1 = [axis[:, None, None] for axis in unfold_to_sphere(*u1.T, layout)]
+    s3x, s3y, s3z = (b - a + c for a, b, c in zip(s0, s1, s2))
+    norm = np.sqrt(s3x * s3x + s3y * s3y + s3z * s3z)
+    ok = norm >= motion_model.DEGENERATE_NORM * layout.face_width
+    s3 = [np.where(ok, c, unit) for c, unit in zip((s3x, s3y, s3z), (1.0, 0.0, 0.0))]
+    # sphere_to_cube lands on the surface, so cube_to_unfold's check passes
+    _, x3, y3 = cube_to_unfold(*sphere_to_cube(*s3, layout), layout)
+    trans = [translational_field(blk, mv) for mv in mvs]
+    rx = np.where(ok, round_half_away(x3 * 64), np.stack([t.rx_q6 for t in trans]))
+    ry = np.where(ok, round_half_away(y3 * 64), np.stack([t.ry_q6 for t in trans]))
+    return rx.astype(np.int32), ry.astype(np.int32), ok
+
+
+@st.composite
+def blocks_and_mvs(draw):
+    """A block anywhere on a face (its corners often), a stage-5 anchor and
+    1-16 MVs: within the anchor's window (its edge often) or far from it.
+    Anchors and MVs often put the moved center on a face edge or a
+    quarter-pel either side of it, so centers and transported grids cross
+    seams and corners and land on ties."""
+    w = draw(st.sampled_from([64, 72, 192]))
+    layout = CubeLayout(w, w)
+    x0, y0, x1, y1 = layout.face_rect(draw(st.sampled_from(list(Face))))
+    size = draw(st.sampled_from([8, 16, 32]))
+    place = lambda lo, hi: draw(st.one_of(st.sampled_from([lo, hi - size]),
+                                          st.integers(lo, hi - size)))
+    blk = Block(place(x0, x1), place(y0, y1), size, size)
+
+    def component(c, lo, hi):
+        # quarter-pels that move c onto the edge lo or hi, give or take one
+        to_edge = st.builds(lambda e, j: int(4 * (e - c)) + j, st.sampled_from([lo, hi]),
+                            st.integers(-1, 1))
+        return draw(st.one_of(to_edge, st.integers(-16, 16), st.integers(-w, w)))
+
+    cx, cy = blk.center
+    anchor = MotionVector(component(cx, x0, x1), component(cy, y0, y1))
+    offset = st.one_of(st.sampled_from([-8, 8]), st.integers(-8, 8))
+    if draw(st.booleans()):  # some MVs far outside the window
+        offset = st.one_of(offset, st.integers(-2 * w, 2 * w))
+    offsets = draw(st.lists(st.tuples(offset, offset), min_size=1, max_size=16))
+    mvs = [MotionVector(anchor.dx_q2 + ox, anchor.dy_q2 + oy) for ox, oy in offsets]
+    mvs = [mv for mv in mvs if face_of(cx + mv.dx_q2 / 4, cy + mv.dy_q2 / 4, layout) is not None]
+    return layout, blk, anchor, mvs
+
+
+class TestLeanFieldBuild:
+    """The one-face transport, the in-place rounding and the stage-5
+    center lattice leave every field as it was."""
+
+    @given(case=blocks_and_mvs())
+    def test_equals_the_reference_build(self, case):
+        layout, blk, anchor, mvs = case
+        if not mvs:
+            return
+        want = reference_fields(blk, mvs, layout)
+        lattice = center_lattice(blk, anchor, 8, layout)
+        s1 = lattice.centers(mvs)
+        if s1 is not None:  # the bits of the build's own call
+            cx, cy = blk.center
+            u1 = [(cx + mv.dx_q2 / 4, cy + mv.dy_q2 / 4) for mv in mvs]
+            for got, ref in zip(s1, unfold_to_sphere(*np.array(u1).T, layout)):
+                assert np.array_equal(got.ravel().view(np.int64), ref.view(np.int64))
+        for lat in (None, lattice):
+            got = build_correspondence_fields(blk, mvs, layout, lat)
+            for a, b in zip((got.rx_q6, got.ry_q6, got.valid), want):
+                assert a.dtype == b.dtype
+                npt.assert_array_equal(a, b)
+        one = build_correspondence_field(blk, mvs[-1], layout, lattice)
+        npt.assert_array_equal(one.rx_q6, want[0][-1])
+        npt.assert_array_equal(one.ry_q6, want[1][-1])
+
+    def test_lattice_holds_the_centers_bits(self):
+        blk = Block(0, 64, 16, 16)  # FRONT's top-left corner block, center (7.5, 71.5)
+        anchor = MotionVector(-28, 4)  # the window reaches x = -1.5, off the canvas
+        lattice = center_lattice(blk, anchor, 8, L64)
+        assert lattice.s1.shape == (3, 17, 17)
+        q = np.arange(-8, 9)
+        xs, ys = np.meshgrid(7.5 + (anchor.dx_q2 + q) / 4, 71.5 + (anchor.dy_q2 + q) / 4)
+        on = face_of(xs, ys, L64) != -1
+        assert on.any() and not on.all()
+        assert np.isnan(lattice.s1[:, ~on]).all()
+        for axis, want in zip(lattice.s1, unfold_to_sphere(xs[on], ys[on], L64)):
+            assert np.array_equal(axis[on].view(np.int64), want.view(np.int64))
+
+    def test_off_face_lattice_center_rejected(self):
+        blk = Block(0, 64, 16, 16)
+        anchor = MotionVector(-28, 0)  # center x 0.5; the window reaches x -1.5
+        lattice = center_lattice(blk, anchor, 8, L64)
+        off = MotionVector(-32, 0)  # center x -0.5: inside the window, off the canvas
+        for mvs in ([off], [anchor, off], [off, MotionVector(-24, 8)]):
+            with pytest.raises(ValueError, match="invalid center MV"):
+                build_correspondence_fields(blk, mvs, L64, lattice)
+        with pytest.raises(ValueError, match="invalid center MV"):
+            build_correspondence_field(blk, off, L64, lattice)
+        # an MV outside the window takes the build's own geometry call
+        assert lattice.centers([MotionVector(-40, 0)]) is None
+        with pytest.raises(ValueError, match="invalid center MV"):
+            build_correspondence_fields(blk, [MotionVector(-40, 0)], L64, lattice)
 
 
 class TestTranslationalField:

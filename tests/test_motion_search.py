@@ -324,15 +324,16 @@ class TestBatchedStageFive:
         batched_fn = motion_search.build_correspondence_fields
         single_fn = motion_search.build_correspondence_field
 
-        def batched(block, mvs, layout):
+        # the rest is the layout and the stage's center lattice
+        def batched(block, mvs, *rest):
             calls["batched"] += 1
             calls["candidates"] += len(mvs)
-            return batched_fn(block, mvs, layout)
+            return batched_fn(block, mvs, *rest)
 
-        def single(block, mv, layout):
+        def single(block, mv, *rest):
             calls["single"] += 1
             calls["candidates"] += 1
-            return single_fn(block, mv, layout)
+            return single_fn(block, mv, *rest)
 
         monkeypatch.setattr(motion_search, "build_correspondence_fields", batched)
         monkeypatch.setattr(motion_search, "build_correspondence_field", single)
@@ -579,7 +580,8 @@ class TestAdvancedRowBank:
                 return search(blk, cur_y, ref, predictors, *args, advanced=advanced, **kwargs)
             finally:
                 searching.pop()
-                assert ref.costs(blk, cur_y, layout, bank).rows is None
+                table = ref.costs(blk, cur_y, layout, bank)
+                assert table.rows is None and table.lattice is None
 
         def spied_warp(plane, field, bank=None):
             gathered.append((searching[-1] if searching else None, field))
