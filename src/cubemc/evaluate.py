@@ -16,8 +16,10 @@ exchange decided blocks' records over two pipes.  A block
 starts only when the grid blocks above-left, above and above-right of it
 have records, so merge and AMVP see the neighbours raster order gives
 them and the report is the same on either schedule.  The helper is
-forked only when this process's CPU affinity holds at least two CPUs,
-``os.fork`` exists and the grid has at least two block rows.
+forked only where ``os.sched_getaffinity`` exists (Linux), holds at
+least two CPUs, and the grid has at least two block rows.  If the
+helper cannot be forked or is lost before it sends its results, this
+process re-decides the whole frame alone.
 
 There is no entropy coder in this package, so there is no rate axis and
 no BD-rate; the reported figures are prediction PSNR deltas and
@@ -38,7 +40,7 @@ import numpy as np
 from cubemc.frame_io import Frame, SyntheticSpec, generate_synthetic, read_yuv420
 from cubemc.geometry import CubeLayout
 from cubemc.interp import chroma_field, generate_dctif_bank, warp_block
-from cubemc.motion_model import Block, MotionVector, build_correspondence_field, translational_field
+from cubemc.motion_model import MotionVector, build_correspondence_field, translational_field
 from cubemc.motion_search import (
     BLOCK_SIZES,
     BlockGrid,
@@ -173,69 +175,42 @@ def _load_frames(cfg: EvalConfig) -> list[Frame]:
     return read_yuv420(cfg.input, cfg.width, cfg.height)
 
 
-def _field_for(block: Block, advanced: bool, mv: MotionVector, layout: CubeLayout):
+def _place(costs, advanced: bool, mv: MotionVector, cur: Frame, ref: Frame):
+    """Predict the block of ``costs`` at ``mv``: luma from the table, chroma
+    warped along the same field.  Returns the luma SAD and each plane's
+    squared prediction error; the predicted block itself is not kept."""
+    block, bank = costs.block, costs.bank
+    x0, y0, w, h = block.x0, block.y0, block.width, block.height
+    pred_y = costs[advanced, mv][1]
     if advanced:
-        return build_correspondence_field(block, mv, layout)
-    return translational_field(block, mv)
+        fld = build_correspondence_field(block, mv, costs.layout)
+    else:
+        fld = translational_field(block, mv)
+    cfld = chroma_field(fld)
+    pred_u = warp_block(ref.u, cfld, bank)
+    pred_v = warp_block(ref.v, cfld, bank)
+    cx, cy, cw, chh = x0 // 2, y0 // 2, w // 2, h // 2
 
-
-class _Predictor:
-    """One policy's squared prediction error and pixel count per plane;
-    the predicted picture itself is not kept."""
-
-    def __init__(self, cur: Frame):
-        self.cur = cur
-        self.err = [0.0, 0.0, 0.0]
-        self.count = [0, 0, 0]
-
-    def place(self, costs, advanced: bool, mv: MotionVector, ref: Frame) -> int:
-        """Predict the block of ``costs`` at ``mv``: luma from the table, chroma
-        warped along the same field; returns the luma SAD."""
-        block, bank = costs.block, costs.bank
-        x0, y0, w, h = block.x0, block.y0, block.width, block.height
-        pred_y = costs[advanced, mv][1]
-        cfld = chroma_field(_field_for(block, advanced, mv, costs.layout))
-        pred_u = warp_block(ref.u, cfld, bank)
-        pred_v = warp_block(ref.v, cfld, bank)
-        cx, cy, cw, chh = x0 // 2, y0 // 2, w // 2, h // 2
-
-        cur_y = self.cur.y[y0 : y0 + h, x0 : x0 + w]
-        cur_u = self.cur.u[cy : cy + chh, cx : cx + cw]
-        cur_v = self.cur.v[cy : cy + chh, cx : cx + cw]
-        for i, (got, want) in enumerate(
-            ((pred_y, cur_y), (pred_u, cur_u), (pred_v, cur_v))
-        ):
-            diff = got.astype(np.float64) - want.astype(np.float64)
-            self.err[i] += float((diff * diff).sum())
-            self.count[i] += diff.size
-        return sad(cur_y, pred_y)
-
-    def add(self, err, count) -> None:
-        """Add another process's sums over other blocks.  Every sum is an
-        integer (at most 255**2 per pixel) far below 2**53, so float64
-        holds each one exactly and no order of additions can change it."""
-        self.err = [a + b for a, b in zip(self.err, err)]
-        self.count = [a + b for a, b in zip(self.count, count)]
-
-    def psnr(self) -> tuple[float, float, float]:
-        return tuple(_psnr(e, c) for e, c in zip(self.err, self.count))
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    cur_y = cur.y[y0 : y0 + h, x0 : x0 + w]
+    cur_u = cur.u[cy : cy + chh, cx : cx + cw]
+    cur_v = cur.v[cy : cy + chh, cx : cx + cw]
+    err = []
+    for got, want in ((pred_y, cur_y), (pred_u, cur_u), (pred_v, cur_v)):
+        diff = got.astype(np.float64) - want.astype(np.float64)
+        err.append(float((diff * diff).sum()))
+    return sad(cur_y, pred_y), err
 
 
 class _Peer:
-    """The other process of a two-process wavefront, over two pipes.
+    """The other process of a two-process wavefront, over two pipes; there
+    is one only where ``os.sched_getaffinity`` exists (Linux).
 
     Messages are ``(kind, value)`` pickles: ``"rec"`` carries a decided
     block's ``((x0, y0), BlockRecord)``, ``"done"`` the helper's block
-    results and its policies' error sums, ``"error"`` the exception that
-    stopped the helper and its traceback.
+    results.  The helper sends nothing else: when it stops early, for
+    any reason, a read here ends in ``EOFError`` (or a partial pickle)
+    and a write in ``BrokenPipeError``, and ``_predict_frame`` decides
+    the frame again in this process.
     """
 
     def __init__(self, rfd: int, wfd: int, grid: BlockGrid):
@@ -246,18 +221,12 @@ class _Peer:
         self.tx.flush()
 
     def receive(self):
-        """Read one message: store a record, raise the helper's error, or
-        return the helper's results (None after a record)."""
-        try:
-            kind, value = pickle.load(self.rx)
-        except EOFError:
-            raise RuntimeError("the wavefront helper exited without a result") from None
+        """Read one message: store a record and return None, or return
+        the helper's block results."""
+        kind, value = pickle.load(self.rx)
         if kind == "rec":
             self.grid.records[value[0]] = value[1]
             return None
-        if kind == "error":
-            exc, tb = value
-            raise exc from RuntimeError(f"in the wavefront helper:\n{tb}")
         return value
 
     def close(self) -> None:
@@ -316,6 +285,10 @@ def _predict_rows(grid: BlockGrid, rows, owners, me: int, predict, peer=None) ->
     sent nothing.  A record takes under 200 bytes, and a row holds 64 at
     face 256 with 16-px blocks, so about 25 KiB sit in a pipe against its
     64 KiB, and a record write never waits on the reader.
+
+    When this process owns every row, every block above a row is decided
+    before the row starts and no row's records are sent, so no ``peer``
+    is needed.
     """
     bs, out = grid.block_size, {}
     on_grid = {(b.x0, b.y0) for b in grid.blocks}
@@ -323,89 +296,80 @@ def _predict_rows(grid: BlockGrid, rows, owners, me: int, predict, peer=None) ->
     for row, owner in zip(rows, owners):
         if owner != me:
             continue
-        tell = peer is not None and owner_at.get(row[0].y0 + bs, me) != me
+        tell = owner_at.get(row[0].y0 + bs, me) != me
         for b in row:
-            if peer is not None:
-                for key in ((b.x0 - bs, b.y0 - bs), (b.x0, b.y0 - bs), (b.x0 + bs, b.y0 - bs)):
-                    while key in on_grid and key not in grid.records:
-                        peer.receive()
+            for key in ((b.x0 - bs, b.y0 - bs), (b.x0, b.y0 - bs), (b.x0 + bs, b.y0 - bs)):
+                while key in on_grid and key not in grid.records:
+                    peer.receive()
             out[b.x0, b.y0] = predict(b)
             if tell and any((b.x0 + dx, b.y0 + bs) in on_grid for dx in (-bs, 0, bs)):
                 peer.send("rec", ((b.x0, b.y0), grid.records[b.x0, b.y0]))
     return out
 
 
-def _predict_frame(grid: BlockGrid, predict, policies) -> dict:
-    """``predict`` every block of ``grid``: ``{(x0, y0): result}``; the
-    ``_Predictor``s that ``predict`` places with end up holding the sums
-    of every block.
+def _predict_frame(grid: BlockGrid, predict) -> dict:
+    """``predict`` every block of ``grid``: ``{(x0, y0): result}``.
 
-    With at least two CPUs in this process's affinity, ``os.fork`` and at
-    least two block rows, a forked helper decides the rows that ``_owners``
-    gives it while this process decides the others; otherwise this process
-    decides all.
-    The helper leaves through ``os._exit`` only, so it never unwinds into
-    the caller's frames or flushes stdio buffers it inherited; it exits on
-    EOF or a broken pipe when this process fails, and it is reaped before
-    this returns or raises.
+    Where ``os.sched_getaffinity`` exists (Linux) and holds at least two
+    CPUs, and the grid has at least two block rows, a forked helper
+    decides the rows that ``_owners`` gives it while this process decides
+    the others.  If the helper cannot be forked, or is gone before it
+    sends its results, the records are dropped and this process decides
+    every row itself: an error the helper met in its rows is then raised
+    here, and a helper killed from outside costs one re-decision.
     """
     rows = [list(r) for _, r in itertools.groupby(grid.blocks, key=lambda b: b.y0)]
-    if len(rows) < 2 or _cpu_count() < 2 or not hasattr(os, "fork"):
-        return _predict_rows(grid, rows, [0] * len(rows), 0, predict)
+    if (len(rows) > 1 and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1):
+        out = _split_frame(grid, rows, predict)
+        if out is not None:
+            return out
+        grid.records.clear()
+    return _predict_rows(grid, rows, [0] * len(rows), 0, predict)
+
+
+def _split_frame(grid: BlockGrid, rows, predict) -> dict | None:
+    """The two-process wavefront of ``_predict_frame``, or None where the
+    helper could not be forked or was lost.
+
+    The helper leaves through ``os._exit`` only, so it never unwinds into
+    the caller's frames or flushes stdio buffers it inherited.  It exits
+    without a word on an error in its own rows, and on EOF or a broken
+    pipe when this process fails; it is reaped before this returns or
+    raises.
+    """
     owners = _owners(grid, rows)
     down_r, down_w = os.pipe()  # this process -> helper
     up_r, up_w = os.pipe()      # helper -> this process
     try:
         pid = os.fork()
-    except OSError:  # no room for another process: decide every row here
+    except OSError:  # no room for another process
         for fd in (down_r, down_w, up_r, up_w):
             os.close(fd)
-        return _predict_rows(grid, rows, [0] * len(rows), 0, predict)
+        return None
     if pid == 0:
         try:
             os.close(down_w)
             os.close(up_r)
             peer = _Peer(down_r, up_w, grid)
-            try:
-                out = _predict_rows(grid, rows, owners, 1, predict, peer)
-            except BaseException as exc:  # the parent re-raises it
-                peer.send("error", _portable(exc))
-            else:
-                peer.send("done", (out, [(p.err, p.count) for p in policies]))
+            peer.send("done", _predict_rows(grid, rows, owners, 1, predict, peer))
         finally:
             os._exit(0)
     os.close(down_r)
     os.close(up_w)
     peer = _Peer(up_r, down_w, grid)
     try:
-        try:
-            out = _predict_rows(grid, rows, owners, 0, predict, peer)
-        except BrokenPipeError:  # the helper stopped: raise the error it sent
-            while True:
-                peer.receive()
+        out = _predict_rows(grid, rows, owners, 0, predict, peer)
         helper = None
         while helper is None:
             helper = peer.receive()
-        for p, sums in zip(policies, helper[1]):
-            p.add(*sums)
-        out.update(helper[0])
-        return out
+    except (EOFError, pickle.UnpicklingError, BrokenPipeError):  # the helper is gone
+        return None
     finally:
         peer.close()
         os.waitpid(pid, 0)
-
-
-def _portable(exc: BaseException):
-    """``exc`` and its traceback, or a ``RuntimeError`` with its type and
-    message where ``exc`` does not survive pickling."""
-    import traceback  # only a failing helper needs it
-
-    tb = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-    return exc, tb
+    out.update(helper)
+    return out
 
 
 def run_eval(cfg: EvalConfig) -> EvalReport:
@@ -432,9 +396,6 @@ def run_eval(cfg: EvalConfig) -> EvalReport:
         refp = ReferencePicture(frames[t - cfg.ref_distance], frames[t - cfg.ref_distance].poc)
         grid = BlockGrid(layout, cfg.block_size)
 
-        pol_t = _Predictor(cur)
-        pol_a = _Predictor(cur)
-
         def predict(block):
             mv_t, cost_t = tzs_search(block, cur.y, refp, [zero], search, layout, bank,
                                       advanced=False)
@@ -443,13 +404,18 @@ def run_eval(cfg: EvalConfig) -> EvalReport:
                 trans_result=(mv_t, cost_t),
             )
             costs = refp.costs(block, cur.y, layout, bank)
-            sad_trans = pol_t.place(costs, False, mv_t, refp.frame)
-            sad_adv = pol_a.place(costs, rec.mode is not PredMode.TRANS, rec.mv, refp.frame)
-            return BlockResult(block.x0, block.y0, rec.mode, rec.mv, sad_trans, sad_adv)
+            sad_t, err_t = _place(costs, False, mv_t, cur, refp.frame)
+            sad_a, err_a = _place(costs, rec.mode is not PredMode.TRANS, rec.mv, cur, refp.frame)
+            return BlockResult(block.x0, block.y0, rec.mode, rec.mv, sad_t, sad_a), err_t, err_a
 
-        done = _predict_frame(grid, predict, (pol_t, pol_a))
-        rows = [done[b.x0, b.y0] for b in grid.blocks]
-        results.append(FrameResult(cur.poc, pol_t.psnr(), pol_a.psnr(), rows))
+        done = _predict_frame(grid, predict)
+        out = [done[b.x0, b.y0] for b in grid.blocks]
+        # each error is an integer of at most 255**2 per pixel and each sum
+        # stays far below 2**53, so float64 adds them exactly in any order
+        luma = len(out) * cfg.block_size**2
+        psnr = lambda i: tuple(_psnr(sum(o[i][p] for o in out), n)
+                               for p, n in enumerate((luma, luma // 4, luma // 4)))
+        results.append(FrameResult(cur.poc, psnr(1), psnr(2), [o[0] for o in out]))
     return EvalReport(cfg, results)
 
 

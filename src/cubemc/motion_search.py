@@ -215,12 +215,6 @@ class BlockGrid:
                 if f0 is not None and f0 == f1:
                     self.blocks.append(Block(x0, y0, bs, bs))
 
-    def record(self, block: Block) -> BlockRecord | None:
-        return self.records.get((block.x0, block.y0))
-
-    def set_record(self, block: Block, rec: BlockRecord) -> None:
-        self.records[(block.x0, block.y0)] = rec
-
 
 def sad(a: np.ndarray, b: np.ndarray) -> int | np.ndarray:
     """SAD of uint8 ``a`` against the (h, w) block ``b``, differenced in int16 and summed
@@ -564,5 +558,5 @@ def mode_decide(
         mode, mv, cost = PredMode.ADV_AMVP, mv_a, cost_a
 
     rec = BlockRecord(mode, mv, cost)
-    grid.set_record(block, rec)
+    grid.records[block.x0, block.y0] = rec
     return rec

@@ -270,17 +270,90 @@ class TestWavefront:
     ], ids=["face64-lambda4-3frames", "face72", "face32", "face48-odd-rows", "face128-fast",
             "face72-32px", "face96-32px"])
     def test_reports_equal_pinned_and_unpinned(self, request, monkeypatch, kw):
-        forks = []
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        forks, calls = self.count_forks(monkeypatch), []
+        inner = evaluate._predict_rows
+        monkeypatch.setattr(evaluate, "_predict_rows",
+                            lambda *a, **k: calls.append(1) or inner(*a, **k))
         cfg = small_cfg(**{"seed": 0, **kw})
         split = run_eval(cfg)
         assert_no_child_left()
         assert len(forks) == len(split.frames)
+        # one call per frame here (the helper's is in its own process): a
+        # second one would be a re-decision hiding a fault in the exchange
+        assert len(calls) == len(split.frames)
         request.getfixturevalue("one_cpu")
         serial = run_eval(cfg)
         assert len(forks) == len(split.frames)  # pinned: nothing forked
+        assert len(calls) == 2 * len(split.frames)
         assert split.frames == serial.frames
+
+    @staticmethod
+    def count_forks(monkeypatch) -> list:
+        """A list that gains an entry on every ``os.fork``."""
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return forks
+
+    def test_helper_lost_mid_frame(self, request, monkeypatch, tmp_path):
+        # the helper owns block row 3 of a face-32 grid (the middle band's
+        # second) and dies halfway along it without a word, as if killed.
+        # This process has read the records of the row's first blocks by
+        # then, and at lambda 4 a stale below-left record would change
+        # the AMVP decisions of row 2 when the frame is decided again
+        parent, inner = os.getpid(), evaluate.mode_decide
+
+        def dying(block, *args, **kwargs):
+            if os.getpid() != parent and (block.x0, block.y0) == (64, 48):
+                os._exit(1)
+            return inner(block, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "mode_decide", dying)
+        forks = self.count_forks(monkeypatch)
+        cfg = small_cfg(synth_frames=3, synth_velocity=(2.0, 0.0, 0.0), lambda_=4.0)
+        lost = run_eval(cfg)
+        assert_no_child_left()
+        assert len(forks) == 2
+        argv = ["eval", "--input", "synthetic", "--face-size", "32", "--synth-frames", "3",
+                "--synth-velocity", "2,0,0", "--lambda", "4", "--seed", "2",
+                "--out", str(tmp_path / "lost.csv")]
+        assert cli.main(argv) == 0
+        assert_no_child_left()
+        assert len(forks) == 4
+        request.getfixturevalue("one_cpu")
+        serial = run_eval(cfg)
+        assert lost.config == serial.config
+        assert len(lost.frames) == len(serial.frames) == 2
+        for got, want in zip(lost.frames, serial.frames):
+            assert got.poc == want.poc
+            assert got.psnr_trans == want.psnr_trans
+            assert got.psnr_adv == want.psnr_adv
+            assert got.blocks == want.blocks
+        emit_csv(serial, tmp_path / "serial.csv")
+        for suffix in ("", ".summary"):
+            assert ((tmp_path / f"lost.csv{suffix}").read_bytes()
+                    == (tmp_path / f"serial.csv{suffix}").read_bytes())
+
+    def test_fork_failure_decides_every_row_here(self, request, monkeypatch):
+        def no_fork():
+            raise OSError("no room for another process")
+
+        cfg = small_cfg()
+        fds = len(os.listdir("/proc/self/fd"))
+        with monkeypatch.context() as m:
+            m.setattr(os, "fork", no_fork)
+            alone = run_eval(cfg)
+        assert len(os.listdir("/proc/self/fd")) == fds  # both pipes closed
+        assert_no_child_left()
+        request.getfixturevalue("one_cpu")
+        assert alone == run_eval(cfg)
+
+    def test_no_affinity_call_forks_nothing(self, monkeypatch):
+        cfg = small_cfg()
+        split = run_eval(cfg)
+        forks = self.count_forks(monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert run_eval(cfg) == split
+        assert forks == []
 
     @staticmethod
     def fail_at(monkeypatch, where, exc):
@@ -304,12 +377,13 @@ class TestWavefront:
             run_eval(small_cfg())
         assert_no_child_left()
 
-    def test_unpicklable_error_keeps_type_name_and_message(self, monkeypatch):
+    def test_unpicklable_error_is_raised_with_its_own_class(self, monkeypatch):
         class Local(Exception):  # a local class does not pickle
             pass
 
+        # the helper's row fails; deciding the frame again here raises it
         self.fail_at(monkeypatch, lambda b: b.y0 == 16, Local("from the helper"))
-        with pytest.raises(RuntimeError, match="Local: from the helper"):
+        with pytest.raises(Local, match="from the helper"):
             run_eval(small_cfg())
         assert_no_child_left()
 

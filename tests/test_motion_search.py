@@ -841,7 +841,7 @@ class TestModeDecide:
             assert rec.mode is PredMode.TRANS
             assert rec.mv == ZERO
             assert rec.cost == 0.0
-            assert grid.record(blk) is rec
+            assert grid.records[blk.x0, blk.y0] is rec
 
     def test_advanced_cost_never_above_translational(self):
         cur, refp, _ = synthetic_pair(velocity=(2.0, 0.0, 0.0))
