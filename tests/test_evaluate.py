@@ -377,14 +377,15 @@ class TestWavefront:
             run_eval(small_cfg())
         assert_no_child_left()
 
-    def test_unpicklable_error_is_raised_with_its_own_class(self, monkeypatch):
+    def test_unpicklable_error_keeps_type_name_and_message(self, monkeypatch):
         class Local(Exception):  # a local class does not pickle
             pass
 
         # the helper's row fails; deciding the frame again here raises it
         self.fail_at(monkeypatch, lambda b: b.y0 == 16, Local("from the helper"))
-        with pytest.raises(Local, match="from the helper"):
+        with pytest.raises(Local, match="from the helper") as info:
             run_eval(small_cfg())
+        assert type(info.value).__name__ == "Local"
         assert_no_child_left()
 
     @pytest.mark.parametrize("row", [0, 1])
