@@ -106,6 +106,11 @@ def _eval_command(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value such as -1,0,0 for an option: pass it in the = form
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--synth-velocity" and argv[i + 1].startswith("-"):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     if args.command == "eval":
         return _eval_command(args)

@@ -12,10 +12,11 @@ Each frame's block rows are split across at most two processes, as a
 wavefront: this process and one forked helper each decide the rows a
 fixed unit-cost schedule gives them (``_owners``: mostly alternate rows,
 with runs of the BOTTOM face's short rows kept in one process), and
-exchange decided blocks' records over two pipes.  A block
-starts only when the grid blocks above-left, above and above-right of it
-have records, so merge and AMVP see the neighbours raster order gives
-them and the report is the same on either schedule.  The helper is
+exchange decided blocks' records over two pipes.  The waits, the sends
+and the schedule all come from ``BlockGrid.above``, the upper neighbours
+the merge and AMVP scans read: a block starts only when those have
+records, so merge and AMVP see the neighbours raster order gives them
+and the report is the same on either schedule.  The helper is
 forked only where ``os.sched_getaffinity`` exists (Linux), holds at
 least two CPUs, and the grid has at least two block rows.  If the
 helper cannot be forked or is lost before it sends its results, this
@@ -28,7 +29,6 @@ per-block SAD, computed over face pixels only.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import pickle
@@ -180,25 +180,21 @@ def _place(costs, advanced: bool, mv: MotionVector, cur: Frame, ref: Frame):
     warped along the same field.  Returns the luma SAD and each plane's
     squared prediction error; the predicted block itself is not kept."""
     block, bank = costs.block, costs.bank
-    x0, y0, w, h = block.x0, block.y0, block.width, block.height
     pred_y = costs[advanced, mv][1]
-    if advanced:
-        fld = build_correspondence_field(block, mv, costs.layout)
-    else:
-        fld = translational_field(block, mv)
+    fld = (build_correspondence_field(block, mv, costs.layout) if advanced
+           else translational_field(block, mv))
     cfld = chroma_field(fld)
     pred_u = warp_block(ref.u, cfld, bank)
     pred_v = warp_block(ref.v, cfld, bank)
-    cx, cy, cw, chh = x0 // 2, y0 // 2, w // 2, h // 2
+    cx, cy, cw, ch = block.x0 // 2, block.y0 // 2, block.width // 2, block.height // 2
 
-    cur_y = cur.y[y0 : y0 + h, x0 : x0 + w]
-    cur_u = cur.u[cy : cy + chh, cx : cx + cw]
-    cur_v = cur.v[cy : cy + chh, cx : cx + cw]
+    cur_u = cur.u[cy : cy + ch, cx : cx + cw]
+    cur_v = cur.v[cy : cy + ch, cx : cx + cw]
     err = []
-    for got, want in ((pred_y, cur_y), (pred_u, cur_u), (pred_v, cur_v)):
+    for got, want in ((pred_y, costs.cur_blk), (pred_u, cur_u), (pred_v, cur_v)):
         diff = got.astype(np.float64) - want.astype(np.float64)
         err.append(float((diff * diff).sum()))
-    return sad(cur_y, pred_y), err
+    return sad(costs.cur_blk, pred_y), err
 
 
 class _Peer:
@@ -237,73 +233,67 @@ class _Peer:
             pass
 
 
-def _owners(grid: BlockGrid, rows) -> list[int]:
-    """The process of each block row: 0 for this one, 1 for the helper.
+def _owners(grid: BlockGrid) -> list[int]:
+    """The process of each of ``grid.rows``: 0 for this one, 1 for the helper.
 
     The rows go out in order, each to the process whose simulated clock is
     lower (a tie to this process).  Every block costs one unit: it finishes
-    at 1 + the later of its process's clock and the finish times of its
-    above-left, above and above-right grid blocks.  This alternates on
-    most grids (face 64 with 16-px blocks, 128 with 16- or 32-px ones),
-    and keeps runs of the BOTTOM face's short rows in one process where
-    alternating them would leave each waiting on the other: face 192 with
-    64-px blocks gives 010101000, which ends the unit-cost schedule at 30
-    instead of 35.
+    at 1 + the later of its process's clock and the finish times of the
+    blocks it waits for, ``grid.above`` (the merge and AMVP scans' upper
+    neighbours).  This alternates on most grids (face 64 with 16-px
+    blocks, 128 with 16- or 32-px ones), and keeps runs of the BOTTOM
+    face's short rows in one process where alternating them would leave
+    each waiting on the other: face 192 with 64-px blocks gives
+    010101000, which ends the unit-cost schedule at 30 instead of 35.
     """
-    bs, done, clock, owners = grid.block_size, {}, [0, 0], []
-    for row in rows:
+    done, clock, owners = {}, [0, 0], []
+    for row in grid.rows:
         p = int(clock[1] < clock[0])
-        t = clock[p]
         for b in row:
-            t = 1 + max(t, *(done.get((b.x0 + dx, b.y0 - bs), 0) for dx in (-bs, 0, bs)))
-            done[b.x0, b.y0] = t
-        clock[p] = t
+            up = [done[k] for k in grid.above[b.x0, b.y0]]
+            clock[p] = done[b.x0, b.y0] = 1 + max([clock[p], *up])
         owners.append(p)
     return owners
 
 
-def _predict_rows(grid: BlockGrid, rows, owners, me: int, predict, peer=None) -> dict:
-    """``predict`` every block of the ``rows`` whose ``owners`` entry is
-    ``me``: ``{(x0, y0): result}``.
+def _predict_rows(grid: BlockGrid, owners, me: int, predict, peer=None) -> dict:
+    """``predict`` every block of the ``grid.rows`` whose ``owners`` entry
+    is ``me``: ``{(x0, y0): result}``.
 
-    With a ``peer`` deciding the other rows, a block starts only when the
-    grid blocks above-left, above and above-right of it have records, so
-    it sees the neighbours raster order gives it: merge and AMVP also read
-    the left neighbour, decided here before it, and the below-left one,
-    which waits for this block and so is never decided yet.  Blocks
-    outside the grid (holes, partial blocks) are never waited for.  Every
-    wait is for an earlier row, so neither process waits forever.
+    With a ``peer`` deciding the other rows, a block starts only when its
+    ``grid.above`` blocks have records: the upper neighbours the merge and
+    AMVP scans read, so it sees the neighbours raster order gives it.  The
+    scans' other neighbours are the left one, decided here before it, and
+    the below-left one, which waits for this block and so is never decided
+    yet.  Every wait is for an earlier row, so neither process waits
+    forever.
 
-    A record is sent only when a grid block below it lies in a row the
-    peer owns, so the peer waits for, and so reads, every record before it
-    finishes, and no write finds the pipe closed.  A process starts a row
-    only once the peer has started the row above, when the peer owns it.
-    So while the reader is at its row b, every unread record comes from
-    one of two rows: row b - 1, which row b reads as it goes, and the row
-    the writer is deciding when the reader owns the next one.  Each row
-    the writer decided in between is followed by a row of its own, so it
-    sent nothing.  A record takes under 200 bytes, and a row holds 64 at
-    face 256 with 16-px blocks, so about 25 KiB sit in a pipe against its
+    A record is sent only to a process with a block that reads it, that
+    is, when a block the peer owns lists it in ``grid.above``; so the peer
+    waits for, and so reads, every record before it finishes, and no write
+    finds the pipe closed.  A process starts a row only once the peer has
+    started the row above, when the peer owns it.  So while the reader is
+    at its row b, every unread record comes from one of two rows: row
+    b - 1, which row b reads as it goes, and the row the writer is
+    deciding when the reader owns the next one.  Each row the writer
+    decided in between is followed by a row of its own, so it sent
+    nothing.  A record takes under 200 bytes, and a row holds 64 at face
+    256 with 16-px blocks, so about 25 KiB sit in a pipe against its
     64 KiB, and a record write never waits on the reader.
 
     When this process owns every row, every block above a row is decided
-    before the row starts and no row's records are sent, so no ``peer``
-    is needed.
+    before the row starts and no record is sent, so no ``peer`` is needed.
     """
-    bs, out = grid.block_size, {}
-    on_grid = {(b.x0, b.y0) for b in grid.blocks}
-    owner_at = {row[0].y0: p for row, p in zip(rows, owners)}
-    for row, owner in zip(rows, owners):
-        if owner != me:
-            continue
-        tell = owner_at.get(row[0].y0 + bs, me) != me
-        for b in row:
-            for key in ((b.x0 - bs, b.y0 - bs), (b.x0, b.y0 - bs), (b.x0 + bs, b.y0 - bs)):
-                while key in on_grid and key not in grid.records:
-                    peer.receive()
-            out[b.x0, b.y0] = predict(b)
-            if tell and any((b.x0 + dx, b.y0 + bs) in on_grid for dx in (-bs, 0, bs)):
-                peer.send("rec", ((b.x0, b.y0), grid.records[b.x0, b.y0]))
+    mine = {(b.x0, b.y0): b for row, p in zip(grid.rows, owners) if p == me for b in row}
+    read = {k for key, up in grid.above.items() if key not in mine for k in up}
+    out = {}
+    for key, b in mine.items():
+        for k in grid.above[key]:
+            while k not in grid.records:
+                peer.receive()
+        out[key] = predict(b)
+        if key in read:
+            peer.send("rec", (key, grid.records[key]))
     return out
 
 
@@ -318,17 +308,16 @@ def _predict_frame(grid: BlockGrid, predict) -> dict:
     every row itself: an error the helper met in its rows is then raised
     here, and a helper killed from outside costs one re-decision.
     """
-    rows = [list(r) for _, r in itertools.groupby(grid.blocks, key=lambda b: b.y0)]
-    if (len(rows) > 1 and hasattr(os, "sched_getaffinity")
+    if (len(grid.rows) > 1 and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) > 1):
-        out = _split_frame(grid, rows, predict)
+        out = _split_frame(grid, predict)
         if out is not None:
             return out
         grid.records.clear()
-    return _predict_rows(grid, rows, [0] * len(rows), 0, predict)
+    return _predict_rows(grid, [0] * len(grid.rows), 0, predict)
 
 
-def _split_frame(grid: BlockGrid, rows, predict) -> dict | None:
+def _split_frame(grid: BlockGrid, predict) -> dict | None:
     """The two-process wavefront of ``_predict_frame``, or None where the
     helper could not be forked or was lost.
 
@@ -338,7 +327,7 @@ def _split_frame(grid: BlockGrid, rows, predict) -> dict | None:
     pipe when this process fails; it is reaped before this returns or
     raises.
     """
-    owners = _owners(grid, rows)
+    owners = _owners(grid)
     down_r, down_w = os.pipe()  # this process -> helper
     up_r, up_w = os.pipe()      # helper -> this process
     try:
@@ -352,14 +341,14 @@ def _split_frame(grid: BlockGrid, rows, predict) -> dict | None:
             os.close(down_w)
             os.close(up_r)
             peer = _Peer(down_r, up_w, grid)
-            peer.send("done", _predict_rows(grid, rows, owners, 1, predict, peer))
+            peer.send("done", _predict_rows(grid, owners, 1, predict, peer))
         finally:
             os._exit(0)
     os.close(down_r)
     os.close(up_w)
     peer = _Peer(up_r, down_w, grid)
     try:
-        out = _predict_rows(grid, rows, owners, 0, predict, peer)
+        out = _predict_rows(grid, owners, 0, predict, peer)
         helper = None
         while helper is None:
             helper = peer.receive()
@@ -405,7 +394,9 @@ def run_eval(cfg: EvalConfig) -> EvalReport:
             )
             costs = refp.costs(block, cur.y, layout, bank)
             sad_t, err_t = _place(costs, False, mv_t, cur, refp.frame)
-            sad_a, err_a = _place(costs, rec.mode is not PredMode.TRANS, rec.mv, cur, refp.frame)
+            # a TRANS record holds mv_t, whose placement is the one just made
+            sad_a, err_a = ((sad_t, err_t) if rec.mode is PredMode.TRANS
+                            else _place(costs, True, rec.mv, cur, refp.frame))
             return BlockResult(block.x0, block.y0, rec.mode, rec.mv, sad_t, sad_a), err_t, err_a
 
         done = _predict_frame(grid, predict)

@@ -44,7 +44,8 @@ bits) and advanced-AMVP (searched, predictor-differential bits).
 Decided blocks are written into the grid so later blocks can use them
 as merge/AMVP neighbors, which fixes the scan order: raster order, or a
 row wavefront that gives each block the same decided neighbors (the
-evaluator's, see ``evaluate``).
+evaluator's, see ``evaluate``), waiting for the ones ``BlockGrid.above``
+derives from the two scans.
 """
 
 from __future__ import annotations
@@ -196,6 +197,13 @@ class BlockGrid:
 
     Only blocks fully inside a single face are part of the grid;
     partial blocks at face borders and the corner holes are skipped.
+
+    ``blocks`` lists the grid in raster order and ``rows`` groups it by
+    block row, leaving out rows that hold no block.  ``above`` maps each
+    block's ``(x0, y0)`` to the grid blocks, as ``(x0, y0)`` keys, that
+    the merge and AMVP scans (``_MERGE_OFFSETS``, ``_AMVP_OFFSETS``, read
+    when the grid is built) reach in an earlier row: the decided
+    neighbours a block may read that a row wavefront must wait for.
     """
 
     def __init__(self, layout: CubeLayout, block_size: int):
@@ -206,14 +214,23 @@ class BlockGrid:
         self.layout = layout
         self.block_size = block_size
         self.records: dict[tuple[int, int], BlockRecord] = {}
-        self.blocks: list[Block] = []
+        self.rows: list[list[Block]] = []
         bs = block_size
         for y0 in range(0, layout.canvas_height - bs + 1, bs):
+            row = []
             for x0 in range(0, layout.canvas_width - bs + 1, bs):
-                f0 = face_of(x0, y0, layout)
-                f1 = face_of(x0 + bs - 1, y0 + bs - 1, layout)
+                f0, f1 = face_of(x0, y0, layout), face_of(x0 + bs - 1, y0 + bs - 1, layout)
                 if f0 is not None and f0 == f1:
-                    self.blocks.append(Block(x0, y0, bs, bs))
+                    row.append(Block(x0, y0, bs, bs))
+            if row:
+                self.rows.append(row)
+        self.blocks: list[Block] = [b for row in self.rows for b in row]
+        # the scans' steps into earlier rows, each once; the wavefront's pipe
+        # argument (evaluate._predict_rows) assumes none reaches two rows up
+        up = dict.fromkeys(s for _, s in _MERGE_OFFSETS + _AMVP_OFFSETS if s[1] < 0)
+        keys = {(b.x0, b.y0) for b in self.blocks}
+        self.above = {(x, y): [n for dx, dy in up if (n := (x + dx * bs, y + dy * bs)) in keys]
+                      for x, y in keys}
 
 
 def sad(a: np.ndarray, b: np.ndarray) -> int | np.ndarray:

@@ -118,6 +118,20 @@ class TestHelpText:
         assert args.synth_velocity == (0.5, -1.0, 2.0)
 
 
+class TestNegativeVelocity:
+    @pytest.mark.parametrize("velocity", ["-1,0,0", "0.5,-1,-2"])
+    def test_space_form_equals_equals_form(self, tmp_path, velocity):
+        # argparse alone takes "-1,0,0" for an option and exits 2
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        base = ["eval", "--input", "synthetic", "--face-size", "32", "--synth-frames", "2"]
+        assert main([*base, "--synth-velocity", velocity, "--out", str(spaced)]) == 0
+        assert main([*base, f"--synth-velocity={velocity}", "--out", str(joined)]) == 0
+        for suffix in ("", ".summary"):
+            assert (tmp_path / f"spaced.csv{suffix}").read_bytes() == (
+                tmp_path / f"joined.csv{suffix}"
+            ).read_bytes()
+
+
 class TestParserMatchesConfig:
     def test_every_eval_config_field_is_an_eval_dest(self):
         args = build_parser().parse_args(["eval", "--input", "synthetic", "--face-size", "32"])

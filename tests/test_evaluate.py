@@ -1,10 +1,11 @@
 """Tests for the sequence evaluator and its CSV/summary emission."""
 
 import hashlib
-import itertools
+import json
 import math
 import os
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,9 +171,10 @@ class TestRunEval:
 class TestNoRepeatedWork:
     """Both searches, the merge check and placement share one cost table
     per block: within a frame no block fetches an integer offset twice or
-    builds an advanced field twice, and placement warps chroma only.  Each
-    block's work is done before the next block's starts, so the one-entry
-    sphere-grid cache misses once per block and frame."""
+    builds an advanced field twice, and placement warps chroma only, once
+    per distinct placement.  Each block's work is done before the next
+    block's starts, so the one-entry sphere-grid cache misses once per
+    block and frame."""
 
     def test_face64_counts(self, monkeypatch, one_cpu):
         # pinned to one CPU: the spies count in this process, and a
@@ -207,15 +209,13 @@ class TestNoRepeatedWork:
         assert {m for f in report.frames for m in (b.mode for b in f.blocks)} == set(PredMode)
         assert fetched and max(fetched.values()) == 1
         assert built and max(built.values()) == 1
-        assert len(placed) == 4 * blocks
+        # two chroma warps per distinct placement: a TRANS block's advanced
+        # placement is its translational one, made once
+        advanced = sum(b.mode is not PredMode.TRANS for f in report.frames for b in f.blocks)
+        assert len(placed) == 2 * (blocks + advanced)
         info = motion_model._block_sphere.cache_info()
         assert (info.maxsize, info.currsize) == (1, 1)
         assert (info.misses, info.hits) == (blocks, 962)
-
-
-def grid_rows(face, block_size):
-    grid = BlockGrid(CubeLayout(face, face), block_size)
-    return grid, [list(r) for _, r in itertools.groupby(grid.blocks, key=lambda b: b.y0)]
 
 
 class TestOwners:
@@ -226,25 +226,25 @@ class TestOwners:
         (192, 64), (256, 16),
     ])
     def test_deterministic_and_one_process_per_row(self, face, block_size):
-        grid, rows = grid_rows(face, block_size)
-        owners = evaluate._owners(grid, rows)
-        assert len(owners) == len(rows) and set(owners) <= {0, 1}
-        assert evaluate._owners(*grid_rows(face, block_size)) == owners
+        grid = BlockGrid(CubeLayout(face, face), block_size)
+        owners = evaluate._owners(grid)
+        assert len(owners) == len(grid.rows) and set(owners) <= {0, 1}
+        assert evaluate._owners(BlockGrid(CubeLayout(face, face), block_size)) == owners
         assert owners[0] == 0  # a tie goes to the evaluating process
 
     @pytest.mark.parametrize("face,block_size", [(64, 16), (128, 32), (128, 16)])
     def test_parity_where_rows_are_alike(self, face, block_size):
         # small-blocks, fast-motion and the gate's grid
-        grid, rows = grid_rows(face, block_size)
-        assert evaluate._owners(grid, rows) == [i % 2 for i in range(len(rows))]
+        grid = BlockGrid(CubeLayout(face, face), block_size)
+        assert evaluate._owners(grid) == [i % 2 for i in range(len(grid.rows))]
 
     @pytest.mark.parametrize("face,block_size", [(48, 16), (96, 32), (192, 64)])
     def test_bottom_face_rows_stay_in_one_process(self, face, block_size):
         # three block rows per face: the rows alternate down to the middle
         # band's last, then the three short BOTTOM rows, which would only
         # wait on each other across processes, go to the evaluating one
-        grid, rows = grid_rows(face, block_size)
-        assert "".join(map(str, evaluate._owners(grid, rows))) == "010101000"
+        grid = BlockGrid(CubeLayout(face, face), block_size)
+        assert "".join(map(str, evaluate._owners(grid))) == "010101000"
 
 
 def assert_no_child_left():
@@ -252,23 +252,27 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+SPLIT_CONFIGS = [
+    dict(face_size=64, synth_frames=3, synth_velocity=(2.0, 0.0, 0.0), lambda_=4.0),
+    dict(face_size=72),  # partial blocks, and block rows that hold none
+    dict(face_size=32),  # two block rows per face
+    dict(face_size=48),  # nine block rows: the BOTTOM face's three stay in this process
+    dict(face_size=128, block_size=32, synth_velocity=(0.0, 12.0, 0.0), lambda_=4.0),
+    # block rows at y 0, 32, 96, 160: the helper's last row waits for nothing
+    dict(face_size=72, block_size=32),
+    # three block rows per face; the BOTTOM face's are all decided here
+    dict(face_size=96, block_size=32),
+]
+SPLIT_IDS = ["face64-lambda4-3frames", "face72", "face32", "face48-odd-rows", "face128-fast",
+             "face72-32px", "face96-32px"]
+
+
 @two_cpus
 class TestWavefront:
     """Block rows split between this process and one forked helper give
     the report raster order gives, and the helper never outlives run_eval."""
 
-    @pytest.mark.parametrize("kw", [
-        dict(face_size=64, synth_frames=3, synth_velocity=(2.0, 0.0, 0.0), lambda_=4.0),
-        dict(face_size=72),  # partial blocks, and block rows that hold none
-        dict(face_size=32),  # two block rows per face
-        dict(face_size=48),  # nine block rows: the BOTTOM face's three stay in this process
-        dict(face_size=128, block_size=32, synth_velocity=(0.0, 12.0, 0.0), lambda_=4.0),
-        # block rows at y 0, 32, 96, 160: the helper's last row waits for nothing
-        dict(face_size=72, block_size=32),
-        # three block rows per face; the BOTTOM face's are all decided here
-        dict(face_size=96, block_size=32),
-    ], ids=["face64-lambda4-3frames", "face72", "face32", "face48-odd-rows", "face128-fast",
-            "face72-32px", "face96-32px"])
+    @pytest.mark.parametrize("kw", SPLIT_CONFIGS, ids=SPLIT_IDS)
     def test_reports_equal_pinned_and_unpinned(self, request, monkeypatch, kw):
         forks, calls = self.count_forks(monkeypatch), []
         inner = evaluate._predict_rows
@@ -286,6 +290,21 @@ class TestWavefront:
         assert len(forks) == len(split.frames)  # pinned: nothing forked
         assert len(calls) == 2 * len(split.frames)
         assert split.frames == serial.frames
+
+    @pytest.mark.parametrize("kw", SPLIT_CONFIGS, ids=SPLIT_IDS)
+    def test_waits_follow_the_scan_tables(self, request, monkeypatch, kw):
+        # an AMVP scan that first reads two blocks right in the row above:
+        # the grid's upper neighbours, and so the waits, sends and schedule,
+        # follow it, and the report stays the raster order's
+        monkeypatch.setattr(motion_search, "_AMVP_OFFSETS",
+                            (("X", (2, -1)), *motion_search._AMVP_OFFSETS))
+        forks = self.count_forks(monkeypatch)
+        cfg = small_cfg(**{"seed": 0, **kw})
+        split = run_eval(cfg)
+        assert_no_child_left()
+        assert len(forks) == len(split.frames)
+        request.getfixturevalue("one_cpu")
+        assert split.frames == run_eval(cfg).frames
 
     @staticmethod
     def count_forks(monkeypatch) -> list:
@@ -521,3 +540,21 @@ def test_golden_reports(tmp_path, kw, csv_sha, summary_sha):
     digest = lambda p: hashlib.sha256(p.read_bytes()).hexdigest()
     assert digest(path) == csv_sha
     assert digest(tmp_path / "r.csv.summary") == summary_sha
+
+
+# Configs drawn off the benchmark's band (partial grids, the wavefront's
+# 010101000 owners, search range 2-4, ref distance 2, lambda with 64-px
+# blocks, motion toward cube corners), with the seed commit's digests;
+# tests/data/make_seed_corpus.py writes the file.  CI's one-CPU step runs
+# these with the one-process schedule, its main step with the wavefront.
+SEED_CORPUS = json.loads((Path(__file__).parent / "data" / "seed_corpus.json").read_text())
+
+
+@pytest.mark.parametrize("entry", SEED_CORPUS["entries"], ids=lambda e: e["name"])
+def test_seed_corpus(tmp_path, capsys, entry):
+    path = tmp_path / "r.csv"
+    assert cli.main([*entry["argv"], "--out", str(path)]) == 0
+    assert "evaluated" in capsys.readouterr().out
+    digest = lambda p: hashlib.sha256(p.read_bytes()).hexdigest()
+    assert digest(path) == entry["csv_sha256"]
+    assert digest(tmp_path / "r.csv.summary") == entry["summary_sha256"]

@@ -184,6 +184,32 @@ class TestBlockGrid:
     def test_numpy_integer_block_size_accepted(self):
         assert len(BlockGrid(L64, np.int64(16)).blocks) == 6 * 16
 
+    @pytest.mark.parametrize("face,bs", [(64, 16), (40, 16), (72, 32), (192, 64)])
+    def test_rows_group_the_blocks_by_row(self, face, bs):
+        grid = BlockGrid(CubeLayout(face, face), bs)
+        assert [b for row in grid.rows for b in row] == grid.blocks
+        assert all(row and {b.y0 for b in row} == {row[0].y0} for row in grid.rows)
+        assert [row[0].y0 for row in grid.rows] == sorted({b.y0 for b in grid.blocks})
+
+    @pytest.mark.parametrize("face,bs", [(64, 16), (40, 16), (72, 32), (192, 64)])
+    def test_above_is_the_upper_three_on_grid(self, face, bs):
+        # the merge and AMVP scans reach above-left, above and above-right
+        grid = BlockGrid(CubeLayout(face, face), bs)
+        keys = {(b.x0, b.y0) for b in grid.blocks}
+        assert set(grid.above) == keys
+        for (x, y), up in grid.above.items():
+            assert len(up) == len(set(up))
+            assert set(up) == {(x + dx, y - bs) for dx in (-bs, 0, bs)} & keys
+
+    def test_above_follows_the_scan_tables(self, monkeypatch):
+        # read when the grid is built, so a patched scan moves the waits
+        monkeypatch.setattr(motion_search, "_AMVP_OFFSETS",
+                            (("X", (2, -1)), *motion_search._AMVP_OFFSETS))
+        grid = BlockGrid(L64, 16)
+        assert set(grid.above[0, 80]) == {(0, 64), (16, 64), (32, 64)}
+        assert set(grid.above[16, 80]) == {(0, 64), (16, 64), (32, 64), (48, 64)}
+        assert grid.above[0, 0] == []
+
 
 class TestTzsSearch:
     def test_identical_frames_give_zero_mv(self):
