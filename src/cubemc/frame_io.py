@@ -150,8 +150,9 @@ def _face_grid(layout: CubeLayout, step: int):
     return xs[mask], ys[mask], mask
 
 
-def _render_plane(tex, x, y, mask, t, velocity, layout, lo, hi) -> np.ndarray:
-    sx, sy, sz = unfold_to_sphere(x, y, layout)
+def _render_plane(tex, points, mask, t, velocity, lo, hi) -> np.ndarray:
+    """Frame ``t`` of ``tex`` at the sphere ``points`` of the ``mask`` pixels."""
+    sx, sy, sz = points
     qx = sx - t * velocity[0]
     qy = sy - t * velocity[1]
     qz = sz - t * velocity[2]
@@ -167,7 +168,9 @@ def generate_synthetic(spec: SyntheticSpec) -> list[Frame]:
 
     Frame t shows the texture translated by t * velocity in sphere
     space; corner holes hold 128.  Chroma uses two companion textures
-    rendered at half resolution with the same motion.
+    rendered at half resolution with the same motion.  Each sample grid
+    is mapped to the sphere once per clip, and its planes are rendered
+    before the next grid is mapped.
     """
     layout = CubeLayout(spec.face_width, spec.face_width)
     rng = np.random.default_rng(spec.seed)
@@ -176,16 +179,15 @@ def generate_synthetic(spec: SyntheticSpec) -> list[Frame]:
     tex_v = _draw_texture(rng)
 
     # chroma samples are co-located with every second luma sample
-    xl, yl, ml = _face_grid(layout, 1)
-    xc, yc, mc = _face_grid(layout, 2)
-
-    frames = []
-    for t in range(spec.frames):
-        y = _render_plane(tex_y, xl, yl, ml, t, spec.velocity, layout, LUMA_LO, LUMA_HI)
-        u = _render_plane(tex_u, xc, yc, mc, t, spec.velocity, layout, CHROMA_LO, CHROMA_HI)
-        v = _render_plane(tex_v, xc, yc, mc, t, spec.velocity, layout, CHROMA_LO, CHROMA_HI)
-        frames.append(Frame(y, u, v, poc=t))
-    return frames
+    planes = []  # per texture, its plane of every frame
+    for step, textures, lo, hi in ((1, (tex_y,), LUMA_LO, LUMA_HI),
+                                   (2, (tex_u, tex_v), CHROMA_LO, CHROMA_HI)):
+        xs, ys, mask = _face_grid(layout, step)
+        points = unfold_to_sphere(xs, ys, layout)
+        for tex in textures:
+            planes.append([_render_plane(tex, points, mask, t, spec.velocity, lo, hi)
+                           for t in range(spec.frames)])
+    return [Frame(y, u, v, poc=t) for t, (y, u, v) in enumerate(zip(*planes))]
 
 
 def ground_truth_match(p, t_delta: float, spec: SyntheticSpec):

@@ -12,17 +12,19 @@ quarter-pel stage restarts the ranking from the integer winner with the
 true cost of the requested motion model: for the advanced model that
 means building the per-pixel correspondence field and warping through
 the filter bank for every candidate, with pass 1 read from one row bank
-per stage (``row_bank``, freed when the stage returns); ``warp_block``'s
-gather serves pixels across a face seam and MVs costed before the stage.
-Likewise the stage maps the 17x17 quarter-pel lattice of moved block
-centers around its anchor once (``center_lattice``, freed with the bank),
-and each field build within that window reads its centers' sphere points
-from it instead of making its own geometry call.
+per stage (``row_bank``); ``warp_block``'s gather serves pixels across a
+face seam and MVs costed outside the stage.  Likewise the stage maps the
+17x17 quarter-pel lattice of moved block centers around its anchor once
+(``center_lattice``), and each field build within that window reads its
+centers' sphere points from it instead of making its own geometry call.
+The bank and the lattice are locals of the stage, passed to each costing
+call and freed when the search returns.
 
 Both searches, the merge check and the evaluator's placement share one
 table per block and reference, ``(advanced, mv) -> (SAD, luma)``, so no
-MV of a block is fetched or warped twice.  An integer offset is the
-translation ``(4dx, 4dy)``: phase 0 of the bank is the identity.
+MV of a block is fetched or warped twice.  Its ``put`` writes every
+translation and its ``put_batch`` every advanced MV.  An integer offset
+is the translation ``(4dx, 4dy)``: phase 0 of the bank is the identity.
 
 Under the translational model every refinement candidate lies within
 ``REFINE_WINDOW_Q2`` of the integer winner, so, as in the HEVC reference
@@ -123,35 +125,27 @@ class BlockRecord:
 
 class _CostTable(dict):
     """``(advanced, mv) -> (SAD, luma prediction)`` of one block in one
-    reference; reading a missing MV costs it on its own.  SADs are bare:
-    each search checks validity and adds its MV-bits term when it reads."""
+    reference, written by one method per model: ``put`` for translations,
+    ``put_batch`` for advanced MVs.  Reading a missing MV costs it on its
+    own.  SADs are bare: each search checks validity and adds its MV-bits
+    term when it reads."""
 
     def __init__(self, block: Block, cur: np.ndarray, plane: np.ndarray, layout, bank):
         super().__init__()
         self.block, self.cur, self.plane, self.layout, self.bank = block, cur, plane, layout, bank
         self.cur_blk = cur[block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width]
         self.rasters = {}  # (dxs, dys) -> _raster_best
-        self.rows = None  # the advanced stage 5's row_bank, while it runs
-        self.lattice = None  # and its center_lattice
 
     def __missing__(self, key):
         advanced, mv = key
+        if advanced:
+            self.put_batch([mv])
+            return self[key]
         b = self.block
-        if not (advanced or mv.dx_q2 % 4 or mv.dy_q2 % 4):  # an integer translation
-            x, y = b.x0 + mv.dx_q2 // 4, b.y0 + mv.dy_q2 // 4
-            return self.put(key, fetch_block(self.plane, x, y, b.width, b.height))
-        # a lone advanced MV keeps the singular build: the benchmark's tracer
-        # counts those builds and reads each one's MV, and the contract test
-        # test_singular_field_builds_take_one_mv needs run_eval to make them
-        fld = (build_correspondence_field(b, mv, self.layout, self.lattice) if advanced
-               else translational_field(b, mv))
-        return self.put(key, self.warp(fld))
-
-    def warp(self, fld) -> np.ndarray:
-        """``warp_block``, with pass 1 read from the row bank while one is built."""
-        if self.rows is None:
-            return warp_block(self.plane, fld, self.bank)
-        return warp_rows(self.plane, self.rows, fld, self.bank)
+        if mv.dx_q2 % 4 or mv.dy_q2 % 4:
+            return self.put(key, warp_block(self.plane, translational_field(b, mv), self.bank))
+        x, y = b.x0 + mv.dx_q2 // 4, b.y0 + mv.dy_q2 // 4
+        return self.put(key, fetch_block(self.plane, x, y, b.width, b.height))
 
     def raster_best(self, dxs, dys):
         """``_raster_best``, run once per pair of ranges: both searches share it."""
@@ -163,12 +157,24 @@ class _CostTable(dict):
         self[key] = entry = (sad(self.cur_blk, pred), pred)
         return entry
 
-    def put_batch(self, mvs: list[MotionVector]) -> None:
-        """Cost advanced ``mvs`` in one batched field build and warp."""
-        fields = build_correspondence_fields(self.block, mvs, self.layout, self.lattice)
-        preds = self.warp(fields)
-        for mv, s, pred in zip(mvs, sad(preds, self.cur_blk).tolist(), preds):
-            self[True, mv] = (s, pred)
+    def put_batch(self, mvs: list[MotionVector], rows=None, lattice=None) -> None:
+        """Cost advanced ``mvs`` in one field build and warp, reading pass 1
+        from ``rows`` (a ``row_bank``) and moved centers from ``lattice``
+        (a ``center_lattice``) when given.  A lone MV keeps the singular
+        build, whose MV the benchmark's tracer reads (the contract test
+        test_singular_field_builds_take_one_mv), and a 2-D ``sad``."""
+        b, plane, bank = self.block, self.plane, self.bank
+        if len(mvs) == 1:
+            fields = build_correspondence_field(b, mvs[0], self.layout, lattice)
+        else:
+            fields = build_correspondence_fields(b, mvs, self.layout, lattice)
+        preds = (warp_block(plane, fields, bank) if rows is None
+                 else warp_rows(plane, rows, fields, bank))
+        if len(mvs) == 1:
+            self[True, mvs[0]] = (sad(self.cur_blk, preds), preds)
+        else:
+            for mv, s, pred in zip(mvs, sad(preds, self.cur_blk).tolist(), preds):
+                self[True, mv] = (s, pred)
 
 
 @dataclass
@@ -406,8 +412,8 @@ def tzs_search(
     window = (table.plane, block.x0 + anchor.dx_q2 // 4 - m, block.y0 + anchor.dy_q2 // 4 - m,
               block.width + 2 * m, block.height + 2 * m)
     phases = np.arange(0, PHASES, PHASES // 4)
-    table.rows = row_bank(*window, table.bank) if advanced else None
-    table.lattice = center_lattice(block, anchor, REFINE_WINDOW_Q2, layout) if advanced else None
+    rows = row_bank(*window, table.bank) if advanced else None
+    lattice = center_lattice(block, anchor, REFINE_WINDOW_Q2, layout) if advanced else None
     planes = None if advanced else phase_planes(*window, phases, phases, table.bank)
 
     def in_window(mv):
@@ -421,7 +427,8 @@ def tzs_search(
 
         On an advanced table miss, the valid uncosted MVs of ``ahead`` (the
         ones the caller will try next) join it in one batch of at most
-        ``batch_cap`` MVs; any other miss is costed alone by the read.
+        ``batch_cap`` MVs; a translational miss outside the window is
+        costed alone by the read.
         """
         if not valid(mv):
             return False
@@ -433,8 +440,7 @@ def tzs_search(
                         break
                     if (True, m) not in table and m not in batch and valid(m):
                         batch.append(m)
-                if len(batch) > 1:
-                    table.put_batch(batch)
+                table.put_batch(batch, rows, lattice)
             elif in_window(mv):  # a slice of the filtered window
                 ox = mv.dx_q2 - anchor.dx_q2 + REFINE_WINDOW_Q2  # quarter-pels into the window
                 oy = mv.dy_q2 - anchor.dy_q2 + REFINE_WINDOW_Q2
@@ -469,7 +475,6 @@ def tzs_search(
                 moved |= try_q2(cand, around_best(ring[i + 1 :]))
         if not moved:
             step //= 2
-    table.rows = table.lattice = None
     return best, best_key[0]
 
 
@@ -490,13 +495,15 @@ _AMVP_OFFSETS = (
 )
 
 
-def _neighbor(grid: BlockGrid, block: Block, step: tuple[int, int]):
+def _decided(grid: BlockGrid, block: Block, offsets):
+    """The decided neighbours of ``block`` at ``offsets`` (in blocks), in
+    scan order, as ``(center, record)``."""
     bs = grid.block_size
-    nx, ny = block.x0 + step[0] * bs, block.y0 + step[1] * bs
-    rec = grid.records.get((nx, ny))
-    if rec is None:
-        return None, None
-    return Block(nx, ny, bs, bs), rec
+    for _, (dx, dy) in offsets:
+        x, y = block.x0 + dx * bs, block.y0 + dy * bs
+        rec = grid.records.get((x, y))
+        if rec is not None:
+            yield Block(x, y, bs, bs).center, rec
 
 
 def merge_candidate(grid: BlockGrid, block: Block, layout: CubeLayout) -> MotionVector | None:
@@ -507,17 +514,12 @@ def merge_candidate(grid: BlockGrid, block: Block, layout: CubeLayout) -> Motion
     candidate that collapses to zero is skipped and the scan goes on.
     Returns None when no neighbor qualifies (merge unavailable).
     """
-    cur_center = block.center
-    for _, step in _MERGE_OFFSETS:
-        nb, rec = _neighbor(grid, block, step)
-        if rec is None or rec.mode is PredMode.TRANS:
-            continue
-        if rec.mv == MotionVector(0, 0):
-            continue
-        cand = transport_mv_predictor(nb.center, rec.mv, cur_center, layout)
-        if cand == MotionVector(0, 0):
-            continue
-        return cand
+    zero = MotionVector(0, 0)
+    for center, rec in _decided(grid, block, _MERGE_OFFSETS):
+        if rec.mode is not PredMode.TRANS and rec.mv != zero:
+            cand = transport_mv_predictor(center, rec.mv, block.center, layout)
+            if cand != zero:
+                return cand
     return None
 
 
@@ -527,11 +529,8 @@ def amvp_predictor(grid: BlockGrid, block: Block, layout: CubeLayout) -> MotionV
     The first decided neighbor supplies its MV, transported to this
     block's center.
     """
-    cur_center = block.center
-    for _, step in _AMVP_OFFSETS:
-        nb, rec = _neighbor(grid, block, step)
-        if rec is not None:
-            return transport_mv_predictor(nb.center, rec.mv, cur_center, layout)
+    for center, rec in _decided(grid, block, _AMVP_OFFSETS):
+        return transport_mv_predictor(center, rec.mv, block.center, layout)
     return MotionVector(0, 0)
 
 

@@ -16,6 +16,7 @@ The configs come from a fixed RNG seed, so a re-run writes the same file.
 Each case below fixes what the entry must cover (a grid shape, a short
 search range, ref distance 2, ...); the RNG draws the rest.  The shapes
 and frame counts keep each entry to about 0.3 s on the current tree.
+New cases go at the end, so the entries before them keep their argv.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ CASES = [
     dict(corner=True), dict(corner=True, shape=(64, 64)), dict(corner=True, shape=(48, 16)),
     dict(corner=True, shape=(32, 16), ref_distance=2),
     dict(corner=True, search_range=4),
+    # four and five frames: the renderer's frame loop, and each predicted
+    # frame's grid and cost tables built anew
+    dict(shape=(32, 32), frames=5), dict(shape=(32, 16), frames=5),
+    dict(shape=(40, 32), frames=4, ref_distance=2), dict(shape=(64, 64), frames=4),
+    dict(shape=(32, 16), frames=4, corner=True), dict(shape=(40, 16), frames=4, lambda_=4.0),
 ]
 
 
@@ -89,7 +95,7 @@ def draw(rng: random.Random, case: dict) -> list[str]:
     """The argv of one valid config: ``case`` fixed, the RNG drawing the rest."""
     face, block = case.get("shape") or rng.choice(sorted(SHAPES))
     ref = case.get("ref_distance", rng.choice((1, 1, 1, 2)))
-    frames = ref + rng.randint(1, SHAPES[face, block])
+    frames = case.get("frames", ref + rng.randint(1, SHAPES[face, block]))
     search = case.get("search_range", rng.choice((2, 4, 8, 16, 32, 64, 64, 200)))
     lam = case.get("lambda_", rng.choice((0.0, 0.0, 1.0, 4.0, round(rng.uniform(0, 16), 1))))
     velocity = _velocity(rng, face, case.get("corner", False))

@@ -119,17 +119,30 @@ class TestHelpText:
 
 
 class TestNegativeVelocity:
-    @pytest.mark.parametrize("velocity", ["-1,0,0", "0.5,-1,-2"])
-    def test_space_form_equals_equals_form(self, tmp_path, velocity):
+    @pytest.mark.parametrize("option, velocity", [
+        pytest.param("--synth-velocity", "-1,0,0", id="-1,0,0"),
+        pytest.param("--synth-velocity", "0.5,-1,-2", id="0.5,-1,-2"),
+        # an abbreviation that names the option alone
+        pytest.param("--synth-vel", "-1,0,0", id="--synth-vel"),
+        pytest.param("--synth-v", "0.5,-1,-2", id="--synth-v"),
+    ])
+    def test_space_form_equals_equals_form(self, tmp_path, option, velocity):
         # argparse alone takes "-1,0,0" for an option and exits 2
         spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
         base = ["eval", "--input", "synthetic", "--face-size", "32", "--synth-frames", "2"]
-        assert main([*base, "--synth-velocity", velocity, "--out", str(spaced)]) == 0
+        assert main([*base, option, velocity, "--out", str(spaced)]) == 0
         assert main([*base, f"--synth-velocity={velocity}", "--out", str(joined)]) == 0
         for suffix in ("", ".summary"):
             assert (tmp_path / f"spaced.csv{suffix}").read_bytes() == (
                 tmp_path / f"joined.csv{suffix}"
             ).read_bytes()
+
+    def test_ambiguous_prefix_still_exits_2(self, tmp_path):
+        # --synth- is a prefix of --synth-velocity and --synth-frames alike
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--input", "synthetic", "--face-size", "32",
+                  "--synth-", "-1,0,0", "--out", str(tmp_path / "r.csv")])
+        assert exc.value.code == 2
 
 
 class TestParserMatchesConfig:

@@ -179,7 +179,8 @@ class TestGenerateSynthetic:
             np.zeros(3), np.ones(3), np.eye(3), np.zeros(3)
         )  # sums to 0 everywhere
         x, y, mask = _face_grid(layout, 1)
-        plane = _render_plane(flat, x, y, mask, 2, (1.0, 0.0, 0.0), layout, 16, 235)
+        points = unfold_to_sphere(x, y, layout)
+        plane = _render_plane(flat, points, mask, 2, (1.0, 0.0, 0.0), 16, 235)
         assert set(np.unique(plane[mask])) == {np.uint8(126)}  # 16 + round(219/2)
 
     def test_sample_ranges_and_holes(self):
@@ -250,6 +251,16 @@ class TestGenerateSynthetic:
         frames = generate_synthetic(spec)
         got = [hashlib.sha256(p.tobytes()).hexdigest() for f in frames for p in (f.y, f.u, f.v)]
         assert got == self.RENDER_PINS[16, 1]
+
+    @pytest.mark.parametrize("frames", [2, 5])
+    def test_each_grid_is_mapped_to_the_sphere_once(self, monkeypatch, frames):
+        # one call per sample grid (luma and chroma), however many frames
+        calls = []
+        inner = frame_io.unfold_to_sphere
+        monkeypatch.setattr(frame_io, "unfold_to_sphere",
+                            lambda *a: calls.append(a) or inner(*a))
+        generate_synthetic(SyntheticSpec(16, frames, (1.0, 0.5, -0.25), seed=0))
+        assert len(calls) <= 3
 
     def test_different_seeds_differ(self):
         a = generate_synthetic(SyntheticSpec(64, 2, (1.0, 0.0, 0.0), seed=1))[0]

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cubemc import motion_search
+from cubemc.evaluate import EvalConfig, run_eval
 from cubemc.frame_io import SyntheticSpec, generate_synthetic
 from cubemc.geometry import CubeLayout
 from cubemc.interp import fetch_block, generate_dctif_bank, warp_block
@@ -606,8 +608,10 @@ class TestAdvancedRowBank:
                 return search(blk, cur_y, ref, predictors, *args, advanced=advanced, **kwargs)
             finally:
                 searching.pop()
+                # no stage state survives the search on the shared table
                 table = ref.costs(blk, cur_y, layout, bank)
-                assert table.rows is None and table.lattice is None
+                assert set(vars(table)) == {"block", "cur", "plane", "layout", "bank",
+                                            "cur_blk", "rasters"}
 
         def spied_warp(plane, field, bank=None):
             gathered.append((searching[-1] if searching else None, field))
@@ -705,6 +709,22 @@ class TestCostTable:
                             lambda *a: calls.append(a) or inner(*a))
         assert self.search(self.A, cur.y, refp, True) == first
         assert not calls
+
+    def test_advanced_entries_are_written_only_by_put_batch(self, monkeypatch):
+        # one process, so the spies see every block of the run
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        put_keys, batch_sizes = [], []
+        put, put_batch = motion_search._CostTable.put, motion_search._CostTable.put_batch
+        monkeypatch.setattr(motion_search._CostTable, "put",
+                            lambda self, key, pred: put_keys.append(key) or put(self, key, pred))
+        monkeypatch.setattr(motion_search._CostTable, "put_batch",
+                            lambda self, mvs, *a: batch_sizes.append(len(mvs))
+                            or put_batch(self, mvs, *a))
+        run_eval(EvalConfig(input="synthetic", face_size=32, synth_frames=3,
+                            synth_velocity=(1.0, 0.5, 0.0)))
+        assert put_keys and not any(advanced for advanced, _ in put_keys)
+        # lone MVs and speculative batches alike
+        assert 1 in batch_sizes and max(batch_sizes) > 1
 
 
 class TestValidityChecks:
