@@ -28,10 +28,10 @@ for phase in (0, 16, 32, 48):
 # A linear ramp interpolates exactly at every phase.
 ramp = np.arange(64, dtype=np.uint8).reshape(1, 64).repeat(8, axis=0)
 x_q6 = np.int32(10 * 64 + 32)            # x = 10.5
-val = sample_fractional(ramp, x_q6, np.int32(4 * 64), bank)
+val = sample_fractional(ramp, x_q6, np.int32(4 * 64))
 print(f"\nramp value at x=10.5: {val} (midpoint of 10 and 11)")
 
-vals = np.array([int(sample_fractional(ramp, 10 * 64 + p, 4 * 64, bank))
+vals = np.array([int(sample_fractional(ramp, 10 * 64 + p, 4 * 64))
                  for p in range(64)])
 steps = np.diff(vals)
 print(f"64 sub-pel steps from x=10 to x=11: values {vals[0]}..{vals[-1]}, "
@@ -44,10 +44,10 @@ plane = rng.integers(16, 236, size=(192, 256), dtype=np.uint8)
 layout = CubeLayout(64, 64)
 block = Block(24, 88, 16, 16)
 
-still = warp_block(plane, build_correspondence_field(block, MotionVector(0, 0), layout), bank)
+still = warp_block(plane, build_correspondence_field(block, MotionVector(0, 0), layout))
 src = plane[88:104, 24:40]
 print(f"\nzero-MV warp identical to copy: {np.array_equal(still, src)}")
 
-moved = warp_block(plane, build_correspondence_field(block, MotionVector(5, -3), layout), bank)
+moved = warp_block(plane, build_correspondence_field(block, MotionVector(5, -3), layout))
 print(f"quarter-pel warp (5,-3): mean |difference| vs copy "
       f"{np.abs(moved.astype(int) - src.astype(int)).mean():.1f} gray levels")

@@ -17,7 +17,6 @@ from cubemc import (
     ReferencePicture,
     SearchConfig,
     SyntheticSpec,
-    generate_dctif_bank,
     generate_synthetic,
     mode_decide,
 )
@@ -27,7 +26,6 @@ def main():
     spec = SyntheticSpec(face_width=64, frames=2, velocity=(0.0, 2.0, 0.0), seed=11)
     ref_frame, cur_frame = generate_synthetic(spec)
     layout = CubeLayout(spec.face_width, spec.face_width)
-    bank = generate_dctif_bank()
 
     grid = BlockGrid(layout, block_size=16)
     ref = ReferencePicture(ref_frame, poc=0)
@@ -35,7 +33,7 @@ def main():
 
     print(f"searching {len(grid.blocks)} blocks of {grid.block_size} px ...")
     for block in grid.blocks:
-        mode_decide(block, cur_frame.y, ref, grid, cfg, layout, bank=bank)
+        mode_decide(block, cur_frame.y, ref, grid, cfg, layout)
 
     modes = Counter(rec.mode.value for rec in grid.records.values())
     total = sum(modes.values())

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 
 from cubemc.evaluate import EvalConfig, EvalConfigError, emit_csv, run_eval
@@ -52,8 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="raw planar 8-bit YUV 4:2:0 file, or the word 'synthetic'",
     )
-    ev.add_argument("--width", type=int, default=0, help="canvas width (file input)")
-    ev.add_argument("--height", type=int, default=0, help="canvas height (file input)")
+    ev.add_argument("--width", type=int, help="canvas width, checked for file input (4 x face)")
+    ev.add_argument("--height", type=int, help="canvas height, checked for file input (3 x face)")
     ev.add_argument("--face-size", type=int, required=True, help="cube face width in pixels")
     ev.add_argument("--block-size", type=int, default=16, choices=BLOCK_SIZES)
     ev.add_argument("--ref-distance", type=int, default=1, help="frames between current and reference")
@@ -72,13 +73,18 @@ def _eval_command(args: argparse.Namespace) -> int:
     try:
         # every option's dest is the name of its EvalConfig field
         cfg = EvalConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(EvalConfig)})
+        layout = CubeLayout(cfg.face_size, cfg.face_size)
+        # the canvas follows the face size; --width/--height only check it
+        canvas = ((args.width, layout.canvas_width), (args.height, layout.canvas_height))
+        if cfg.input != "synthetic" and any(v not in (None, size) for v, size in canvas):
+            raise EvalConfigError("width/height must be 4x and 3x the face size for file input")
     except EvalConfigError as exc:
         print(f"cubemc: config error: {exc}", file=sys.stderr)
         return 2
 
     if cfg.face_size % cfg.block_size:
         # blocks tile the canvas, so face border strips fall outside every block
-        grid = BlockGrid(CubeLayout(cfg.face_size, cfg.face_size), cfg.block_size)
+        grid = BlockGrid(layout, cfg.block_size)
         dropped = 1 - len(grid.blocks) * cfg.block_size**2 / (6 * cfg.face_size**2)
         print(
             f"cubemc: warning: {dropped:.1%} of face pixels lie outside the "
@@ -107,11 +113,12 @@ def _eval_command(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse takes a value such as -1,0,0 for an option: pass it in the =
-    # form, after --synth-velocity or any prefix of it that is not ambiguous
+    # argparse takes a value such as -1,0,0 for an option: pass a value that
+    # starts with - and a digit or a dot in the = form, after --synth-velocity
+    # or any prefix of it that is not ambiguous; any other token stays an option
     for i in reversed(range(len(argv) - 1)):
         if (argv[i].startswith("--synth-v") and "--synth-velocity".startswith(argv[i])
-                and argv[i + 1].startswith("-")):
+                and re.match(r"-[\d.]", argv[i + 1])):
             argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     if args.command == "eval":

@@ -39,7 +39,7 @@ import numpy as np
 
 from cubemc.frame_io import Frame, SyntheticSpec, generate_synthetic, read_yuv420
 from cubemc.geometry import CubeLayout
-from cubemc.interp import chroma_field, generate_dctif_bank, warp_block
+from cubemc.interp import chroma_field, warp_block
 from cubemc.motion_model import MotionVector, build_correspondence_field, translational_field
 from cubemc.motion_search import (
     BLOCK_SIZES,
@@ -73,9 +73,7 @@ class EvalConfigError(ValueError):
 @dataclass(frozen=True)
 class EvalConfig:
     input: str                      # path to a raw 4:2:0 file, or "synthetic"
-    face_size: int
-    width: int = 0                  # required for file input; derived otherwise
-    height: int = 0
+    face_size: int                  # the canvas is 4 x 3 faces
     block_size: int = 16
     ref_distance: int = 1
     search_range: int = 64
@@ -86,7 +84,7 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("face_size", "width", "height", "block_size", "ref_distance"):
+        for name in ("face_size", "block_size", "ref_distance"):
             v = getattr(self, name)
             if not isinstance(v, Integral) or isinstance(v, bool):
                 raise EvalConfigError(f"{name} must be an integer")
@@ -102,8 +100,6 @@ class EvalConfig:
         self._search_config()
         if self.input == "synthetic":
             self._synthetic_spec()
-        elif self.width != 4 * self.face_size or self.height != 3 * self.face_size:
-            raise EvalConfigError("width/height must be 4x and 3x the face size for file input")
 
     def _search_config(self) -> SearchConfig:
         return _checked(SearchConfig, search_range=self.search_range, lambda_=self.lambda_)
@@ -169,23 +165,23 @@ def _psnr(err_sq_sum: float, count: int) -> float:
     return 10.0 * math.log10(255.0**2 / (err_sq_sum / count))
 
 
-def _load_frames(cfg: EvalConfig) -> list[Frame]:
+def _load_frames(cfg: EvalConfig, layout: CubeLayout) -> list[Frame]:
     if cfg.input == "synthetic":
         return generate_synthetic(cfg._synthetic_spec())
-    return read_yuv420(cfg.input, cfg.width, cfg.height)
+    return read_yuv420(cfg.input, layout.canvas_width, layout.canvas_height)
 
 
 def _place(costs, advanced: bool, mv: MotionVector, cur: Frame, ref: Frame):
     """Predict the block of ``costs`` at ``mv``: luma from the table, chroma
     warped along the same field.  Returns the luma SAD and each plane's
     squared prediction error; the predicted block itself is not kept."""
-    block, bank = costs.block, costs.bank
+    block = costs.block
     pred_y = costs[advanced, mv][1]
     fld = (build_correspondence_field(block, mv, costs.layout) if advanced
            else translational_field(block, mv))
     cfld = chroma_field(fld)
-    pred_u = warp_block(ref.u, cfld, bank)
-    pred_v = warp_block(ref.v, cfld, bank)
+    pred_u = warp_block(ref.u, cfld)
+    pred_v = warp_block(ref.v, cfld)
     cx, cy, cw, ch = block.x0 // 2, block.y0 // 2, block.width // 2, block.height // 2
 
     cur_u = cur.u[cy : cy + ch, cx : cx + cw]
@@ -368,15 +364,14 @@ def run_eval(cfg: EvalConfig) -> EvalReport:
     PSNR is accumulated over grid-covered face pixels only, identically
     for both policies.
     """
-    frames = _load_frames(cfg)
     layout = CubeLayout(cfg.face_size, cfg.face_size)
+    frames = _load_frames(cfg, layout)
     if len(frames) <= cfg.ref_distance:
         raise EvalConfigError(
             f"need more than {cfg.ref_distance} frames for ref_distance {cfg.ref_distance}"
         )
 
     search = cfg._search_config()
-    bank = generate_dctif_bank()
     zero = MotionVector(0, 0)
 
     results = []
@@ -386,13 +381,10 @@ def run_eval(cfg: EvalConfig) -> EvalReport:
         grid = BlockGrid(layout, cfg.block_size)
 
         def predict(block):
-            mv_t, cost_t = tzs_search(block, cur.y, refp, [zero], search, layout, bank,
-                                      advanced=False)
-            rec = mode_decide(
-                block, cur.y, refp, grid, search, layout, bank,
-                trans_result=(mv_t, cost_t),
-            )
-            costs = refp.costs(block, cur.y, layout, bank)
+            mv_t, cost_t = tzs_search(block, cur.y, refp, [zero], search, layout, advanced=False)
+            rec = mode_decide(block, cur.y, refp, grid, search, layout,
+                              trans_result=(mv_t, cost_t))
+            costs = refp.costs(block, cur.y, layout)
             sad_t, err_t = _place(costs, False, mv_t, cur, refp.frame)
             # a TRANS record holds mv_t, whose placement is the one just made
             sad_a, err_a = ((sad_t, err_t) if rec.mode is PredMode.TRANS

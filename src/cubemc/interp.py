@@ -12,6 +12,10 @@ packed uint64 rows and filters it in float32 (a matmul, then an einsum),
 which is exact: the bank's tap sums keep every partial sum below 40,000
 in magnitude, far inside float32's exact-integer range (2**24).
 
+The package has one bank, ``generate_dctif_bank()``, read only here, so
+these bounds hold for every call; a ``bank`` argument passed to
+``warp_block``, ``tzs_search`` or ``mode_decide`` must equal it.
+
 Two kernels filter a window once for many candidates.  ``row_bank`` runs
 the horizontal pass at all 64 phases over one block's window, in float32
 strips, and keeps it as int16 (pass 1 lies in [-96, 351]); ``warp_rows``
@@ -129,9 +133,7 @@ def generate_dctif_bank() -> np.ndarray:
     return bank
 
 
-def _warp_arrays(
-    plane: np.ndarray, rx_q6: np.ndarray, ry_q6: np.ndarray, bank: np.ndarray
-) -> np.ndarray:
+def _warp_arrays(plane: np.ndarray, rx_q6: np.ndarray, ry_q6: np.ndarray) -> np.ndarray:
     """Separable 8x8-tap filtering at 1/64-pel positions.
 
     ``rx_q6`` and ``ry_q6`` are (h, w) integer arrays (int32 fields are
@@ -161,7 +163,7 @@ def _warp_arrays(
     height, width = plane.shape
     xi, xlo, xhi = _clipped_base(rx_q6, width)
     yi, ylo, yhi = _clipped_base(ry_q6, height)
-    fbank = bank.astype(np.float32)
+    fbank = generate_dctif_bank().astype(np.float32)
     ch = np.take(fbank, rx_q6 & 63, axis=0)[..., None]  # (..., 8, 1)
     cv = np.take(fbank, ry_q6 & 63, axis=0)  # (..., 8)
 
@@ -200,7 +202,7 @@ def _shift6(x: np.ndarray) -> np.ndarray:
     return np.floor(x, out=x)
 
 
-def phase_planes(plane, x, y, width, height, xphases, yphases, bank) -> np.ndarray:
+def phase_planes(plane, x, y, width, height, xphases, yphases) -> np.ndarray:
     """A ``height`` x ``width`` window of ``plane`` filtered at every pair
     of phases: uint8 ``out[j, i, r, c]`` is the edge-clamped sample at
     1/64-pel ``(64 * (x + c) + xphases[i], 64 * (y + r) + yphases[j])``.
@@ -209,6 +211,7 @@ def phase_planes(plane, x, y, width, height, xphases, yphases, bank) -> np.ndarr
     serves only the translational search's quarter-pel window.
     """
     win = fetch_block(plane, x - 3, y - 3, width + TAPS - 1, height + TAPS - 1).astype(np.int32)
+    bank = generate_dctif_bank()
     ch, cv = bank[xphases][:, :, None, None], bank[yphases][:, None, :, None, None]
     rows = (sum(ch[:, k] * win[:, k : k + width] for k in range(TAPS)) + 32) >> 6
     out = cv[:, :, 0] * rows[:, :height]  # summed in place to keep peak memory down
@@ -217,7 +220,7 @@ def phase_planes(plane, x, y, width, height, xphases, yphases, bank) -> np.ndarr
     return np.clip((out + 32) >> 6, 0, 255).astype(np.uint8)
 
 
-def row_bank(plane, x, y, width, height, bank):
+def row_bank(plane, x, y, width, height):
     """Pass 1 of the gather, filtered once for every 1/64-pel position
     whose base lies in the ``width`` x ``height`` rectangle at ``(x, y)``:
     the horizontal 8-tap pass at all 64 phases over the edge-clamped
@@ -239,7 +242,7 @@ def row_bank(plane, x, y, width, height, bank):
     (nrows, _), (s0, s1) = win.shape, win.strides
     taps = as_strided(win, (TAPS, width, nrows), (s1, s1, s0), writeable=False)
     fbank = np.empty((PHASES, TAPS + 1), dtype=np.float32)
-    fbank[:, :TAPS], fbank[:, TAPS] = bank / 64, 0.5
+    fbank[:, :TAPS], fbank[:, TAPS] = generate_dctif_bank() / 64, 0.5
     strip = np.ones((TAPS + 1, _STRIP, nrows), dtype=np.float32)
     rows = np.empty((PHASES, width, nrows), dtype=np.int16)
     for c in range(0, width, _STRIP):
@@ -249,9 +252,9 @@ def row_bank(plane, x, y, width, height, bank):
     return x, y, rows
 
 
-def warp_rows(plane, rows, field, bank) -> np.ndarray:
-    """``warp_block(plane, field, bank)`` with pass 1 read from ``rows``
-    (``row_bank`` of the same plane and bank): one take of each pixel's 8
+def warp_rows(plane, rows, field) -> np.ndarray:
+    """``warp_block(plane, field)`` with pass 1 read from ``rows``
+    (``row_bank`` of the same plane): one take of each pixel's 8
     pass-1 values, then the gather's float32 pass 2.  Pixels whose base
     lies outside the bank's rectangle (across a face seam, or a field far
     from it) are gathered by ``_warp_arrays`` as one 1-D subset."""
@@ -269,23 +272,28 @@ def warp_rows(plane, rows, field, bank) -> np.ndarray:
     flat = r.reshape(-1)
     words = as_strided(flat, (flat.size - TAPS + 1, TAPS), (flat.itemsize,) * 2, writeable=False)
     sel = words.view(np.dtype((np.void, 2 * TAPS)))[:, 0][idx].view(np.int16)
-    cv = np.take(bank.astype(np.float32), ry & 63, axis=0)  # (..., 8)
+    cv = np.take(generate_dctif_bank().astype(np.float32), ry & 63, axis=0)  # (..., 8)
     p2 = np.einsum("...k,...k->...", cv, sel.reshape(cv.shape).astype(np.float32))
     pred = np.clip(_shift6(p2), 0, 255).astype(np.uint8)
     if gather:
-        pred[outside] = _warp_arrays(plane, rx[outside], ry[outside], bank)
+        pred[outside] = _warp_arrays(plane, rx[outside], ry[outside])
     return pred
 
 
-def sample_fractional(
-    plane: np.ndarray, x_q6: int, y_q6: int, bank: np.ndarray | None = None
-) -> int:
+def check_bank(given) -> None:
+    """Raise ``ValueError`` unless ``given`` is None or equal to
+    ``generate_dctif_bank()``.  The bank itself passes on one ``is``."""
+    if given is None or given is generate_dctif_bank():
+        return
+    if not np.array_equal(given, generate_dctif_bank()):
+        raise ValueError("bank must be None or equal to generate_dctif_bank()")
+
+
+def sample_fractional(plane: np.ndarray, x_q6: int, y_q6: int) -> int:
     """One interpolated sample at a 1/64-pel position (edge-clamped)."""
-    if bank is None:
-        bank = generate_dctif_bank()
     rx = np.full((1, 1), x_q6, dtype=np.int64)
     ry = np.full((1, 1), y_q6, dtype=np.int64)
-    return int(_warp_arrays(plane, rx, ry, bank)[0, 0])
+    return int(_warp_arrays(plane, rx, ry)[0, 0])
 
 
 def warp_block(
@@ -296,10 +304,11 @@ def warp_block(
     Taps falling outside the plane are clamped to the nearest edge
     pixel; output is uint8 in [0, 255], shaped like the field: (h, w),
     or (n, h, w) for a batch, whose slice i is the warp of field slice i.
+    ``bank``, kept for positional callers, must be None or equal to
+    ``generate_dctif_bank()`` (``check_bank``).
     """
-    if bank is None:
-        bank = generate_dctif_bank()
-    return _warp_arrays(plane, field.rx_q6, field.ry_q6, bank)
+    check_bank(bank)
+    return _warp_arrays(plane, field.rx_q6, field.ry_q6)
 
 
 def fetch_block(plane: np.ndarray, x0: int, y0: int, width: int, height: int) -> np.ndarray:

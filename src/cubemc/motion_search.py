@@ -17,7 +17,7 @@ face seam and MVs costed outside the stage.  Likewise the stage maps the
 17x17 quarter-pel lattice of moved block centers around its anchor once
 (``center_lattice``), and each field build within that window reads its
 centers' sphere points from it instead of making its own geometry call.
-The bank and the lattice are locals of the stage, passed to each costing
+The row bank and the lattice are locals of the stage, passed to each costing
 call and freed when the search returns.
 
 Both searches, the merge check and the evaluator's placement share one
@@ -62,8 +62,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from cubemc.frame_io import Frame
 from cubemc.geometry import NO_FACE, CubeLayout, face_of
-from cubemc.interp import PHASES, fetch_block, generate_dctif_bank, phase_planes, warp_block
-from cubemc.interp import row_bank, warp_rows
+from cubemc.interp import PHASES, check_bank, fetch_block, phase_planes, row_bank, warp_block
+from cubemc.interp import warp_rows
 from cubemc.motion_model import (
     Block,
     MotionVector,
@@ -130,9 +130,9 @@ class _CostTable(dict):
     own.  SADs are bare: each search checks validity and adds its MV-bits
     term when it reads."""
 
-    def __init__(self, block: Block, cur: np.ndarray, plane: np.ndarray, layout, bank):
+    def __init__(self, block: Block, cur: np.ndarray, plane: np.ndarray, layout):
         super().__init__()
-        self.block, self.cur, self.plane, self.layout, self.bank = block, cur, plane, layout, bank
+        self.block, self.cur, self.plane, self.layout = block, cur, plane, layout
         self.cur_blk = cur[block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width]
         self.rasters = {}  # (dxs, dys) -> _raster_best
 
@@ -143,7 +143,7 @@ class _CostTable(dict):
             return self[key]
         b = self.block
         if mv.dx_q2 % 4 or mv.dy_q2 % 4:
-            return self.put(key, warp_block(self.plane, translational_field(b, mv), self.bank))
+            return self.put(key, warp_block(self.plane, translational_field(b, mv)))
         x, y = b.x0 + mv.dx_q2 // 4, b.y0 + mv.dy_q2 // 4
         return self.put(key, fetch_block(self.plane, x, y, b.width, b.height))
 
@@ -163,13 +163,12 @@ class _CostTable(dict):
         (a ``center_lattice``) when given.  A lone MV keeps the singular
         build, whose MV the benchmark's tracer reads (the contract test
         test_singular_field_builds_take_one_mv), and a 2-D ``sad``."""
-        b, plane, bank = self.block, self.plane, self.bank
+        b, plane = self.block, self.plane
         if len(mvs) == 1:
             fields = build_correspondence_field(b, mvs[0], self.layout, lattice)
         else:
             fields = build_correspondence_fields(b, mvs, self.layout, lattice)
-        preds = (warp_block(plane, fields, bank) if rows is None
-                 else warp_rows(plane, rows, fields, bank))
+        preds = warp_block(plane, fields) if rows is None else warp_rows(plane, rows, fields)
         if len(mvs) == 1:
             self[True, mvs[0]] = (sad(self.cur_blk, preds), preds)
         else:
@@ -186,15 +185,13 @@ class ReferencePicture:
     poc: int        # picture order count; the single-reference search ignores it
     _table: _CostTable | None = field(default=None, init=False, repr=False, compare=False)
 
-    def costs(self, block: Block, cur: np.ndarray, layout: CubeLayout, bank=None) -> _CostTable:
+    def costs(self, block: Block, cur: np.ndarray, layout: CubeLayout) -> _CostTable:
         """The cost table of ``block`` in ``cur``.  It is keyed by the block,
-        ``cur`` (by identity: its pixels must not change either), the layout
-        and the bank, and a new key starts an empty one."""
-        bank = generate_dctif_bank() if bank is None else bank
+        ``cur`` (by identity: its pixels must not change either) and the
+        layout, and a new key starts an empty one."""
         t = self._table
-        if t is None or not (t.block == block and t.cur is cur and t.layout == layout
-                             and t.bank is bank):
-            t = self._table = _CostTable(block, cur, self.frame.y, layout, bank)
+        if t is None or not (t.block == block and t.cur is cur and t.layout == layout):
+            t = self._table = _CostTable(block, cur, self.frame.y, layout)
         return t
 
 
@@ -342,10 +339,13 @@ def tzs_search(
     quarter-pel predictors are also evaluated exactly in the final
     stage, so the returned cost never exceeds the cost of any valid
     predictor.  Raises ``ValueError`` if no starting candidate is valid.
+    ``bank``, kept for positional callers, must be None or equal to
+    ``generate_dctif_bank()`` (``check_bank``).
     """
+    check_bank(bank)
     if pred_for_bits is None:
         pred_for_bits = predictors[0] if predictors else MotionVector(0, 0)
-    table = ref.costs(block, cur, layout, bank)
+    table = ref.costs(block, cur, layout)
     valid = _mv_check(block, cfg, layout)
     r = cfg.search_range
 
@@ -412,9 +412,9 @@ def tzs_search(
     window = (table.plane, block.x0 + anchor.dx_q2 // 4 - m, block.y0 + anchor.dy_q2 // 4 - m,
               block.width + 2 * m, block.height + 2 * m)
     phases = np.arange(0, PHASES, PHASES // 4)
-    rows = row_bank(*window, table.bank) if advanced else None
+    rows = row_bank(*window) if advanced else None
     lattice = center_lattice(block, anchor, REFINE_WINDOW_Q2, layout) if advanced else None
-    planes = None if advanced else phase_planes(*window, phases, phases, table.bank)
+    planes = None if advanced else phase_planes(*window, phases, phases)
 
     def in_window(mv):
         return (abs(mv.dx_q2 - anchor.dx_q2) <= REFINE_WINDOW_Q2
@@ -552,11 +552,12 @@ def mode_decide(
     already run that search (the evaluator shares it across policies)
     can pass it as ``trans_result``.  Ties keep the earlier flavor in
     the order TRANS, ADV_MERGE, ADV_AMVP.  The record is stored in the
-    grid for use by later blocks.
+    grid for use by later blocks.  ``bank`` is checked as ``tzs_search``'s.
     """
+    check_bank(bank)
     if trans_result is None:  # the zero seed is also the MV-bits predictor
         zero = MotionVector(0, 0)
-        mv_t, cost_t = tzs_search(block, cur, ref, [zero], cfg, layout, bank, advanced=False)
+        mv_t, cost_t = tzs_search(block, cur, ref, [zero], cfg, layout, advanced=False)
     else:
         mv_t, cost_t = trans_result
     mode, mv, cost = PredMode.TRANS, mv_t, cost_t
@@ -564,12 +565,12 @@ def mode_decide(
     merge_mv = merge_candidate(grid, block, layout)
     if merge_mv is not None and _mv_check(block, cfg, layout)(merge_mv):
         # merge codes no MV difference, so its cost is the bare SAD
-        cost_m = float(ref.costs(block, cur, layout, bank)[True, merge_mv][0])
+        cost_m = float(ref.costs(block, cur, layout)[True, merge_mv][0])
         if cost_m < cost:
             mode, mv, cost = PredMode.ADV_MERGE, merge_mv, cost_m
 
     amvp = amvp_predictor(grid, block, layout)
-    mv_a, cost_a = tzs_search(block, cur, ref, [amvp], cfg, layout, bank, advanced=True)
+    mv_a, cost_a = tzs_search(block, cur, ref, [amvp], cfg, layout, advanced=True)
     if cost_a < cost:
         mode, mv, cost = PredMode.ADV_AMVP, mv_a, cost_a
 

@@ -137,6 +137,18 @@ class TestNegativeVelocity:
                 tmp_path / f"joined.csv{suffix}"
             ).read_bytes()
 
+    @pytest.mark.parametrize("option", ["--synth-velocity", "--synth-v"])
+    def test_missing_value_leaves_the_next_option_alone(self, tmp_path, capsys, option):
+        # only -<digit> and -.<digit> values are rewritten, so --out stays an option
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--input", "synthetic", "--face-size", "32",
+                  option, "--out", str(tmp_path / "r.csv")])
+        assert exc.value.code == 2
+        assert "argument --synth-velocity: expected one argument" in capsys.readouterr().err
+
+    def test_leading_dot_value_is_a_velocity(self, tmp_path):
+        assert main(eval_args(tmp_path, "--synth-velocity", "-.5,0,0")) == 0
+
     def test_ambiguous_prefix_still_exits_2(self, tmp_path):
         # --synth- is a prefix of --synth-velocity and --synth-frames alike
         with pytest.raises(SystemExit) as exc:
@@ -170,6 +182,48 @@ class TestOutputs:
         ]
         assert main(args) == 0
         assert (tmp_path / "file.csv").exists()
+
+
+class TestCanvasFlags:
+    """The canvas of file input is 4 x 3 faces of ``--face-size``; the
+    optional ``--width``/``--height`` are checked against it."""
+
+    @staticmethod
+    def clip(tmp_path):
+        spec = SyntheticSpec(face_width=32, frames=2, velocity=(1.0, 0.0, 0.0), seed=2)
+        path = tmp_path / "clip.yuv"
+        write_yuv420(path, generate_synthetic(spec))
+        return ["eval", "--input", str(path), "--face-size", "32", "--seed", "2"]
+
+    def test_file_input_without_flags_writes_the_same_report(self, tmp_path):
+        argv = self.clip(tmp_path)
+        with_flags, without = tmp_path / "with.csv", tmp_path / "without.csv"
+        assert main([*argv, "--width", "128", "--height", "96", "--out", str(with_flags)]) == 0
+        assert main([*argv, "--out", str(without)]) == 0
+        for suffix in ("", ".summary"):
+            assert (tmp_path / f"with.csv{suffix}").read_bytes() == (
+                tmp_path / f"without.csv{suffix}"
+            ).read_bytes()
+
+    @pytest.mark.parametrize("flags", [("--width", "256"), ("--height", "64"), ("--width", "0"),
+                                       ("--width", "128", "--height", "97")],
+                             ids=["width", "height", "zero-width", "height-with-width"])
+    def test_mismatched_canvas_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "r.csv"
+        assert main([*self.clip(tmp_path), *flags, "--out", str(out)]) == 2
+        assert ("config error: width/height must be 4x and 3x the face size for file input"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--width", "--height"])
+    def test_non_integer_canvas_size_exits_2(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.clip(tmp_path), flag, "128.0", "--out", str(tmp_path / "r.csv")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid int value" in capsys.readouterr().err
+
+    def test_synthetic_input_ignores_the_flags(self, tmp_path):
+        assert main(eval_args(tmp_path, "--width", "1", "--height", "1")) == 0
 
 
 class TestGridCoverageWarning:

@@ -64,9 +64,11 @@ class TestConfigValidation:
         with pytest.raises(EvalConfigError, match="block_size"):
             small_cfg(block_size=24)
 
-    def test_file_input_requires_matching_canvas(self):
-        with pytest.raises(EvalConfigError, match="width/height"):
-            EvalConfig(input="x.yuv", face_size=64, width=256, height=128)
+    def test_file_input_requires_matching_canvas(self, tmp_path, capsys):
+        # the canvas follows the face size; --width/--height only check it
+        argv = ["eval", "--input", "x.yuv", "--face-size", "64", "--out", str(tmp_path / "r.csv")]
+        assert cli.main([*argv, "--width", "256", "--height", "128"]) == 2
+        assert "config error: width/height must be 4x and 3x" in capsys.readouterr().err
 
     def test_ref_distance(self):
         with pytest.raises(EvalConfigError, match="ref_distance"):
@@ -78,7 +80,7 @@ class TestConfigValidation:
         with pytest.raises(EvalConfigError, match="even"):
             small_cfg(face_size=face)
         with pytest.raises(EvalConfigError, match="even"):
-            EvalConfig(input="x.yuv", face_size=face, width=4 * face, height=3 * face)
+            EvalConfig(input="x.yuv", face_size=face)
 
     @pytest.mark.parametrize("face,block", [(8, 16), (10, 16), (32, 64), (48, 64)])
     def test_face_smaller_than_block(self, face, block):
@@ -118,8 +120,6 @@ class TestConfigValidation:
         (dict(synth_frames=2.0), "frames"),
         (dict(seed=0.0), "seed"),
         (dict(ref_distance=True), "ref_distance"),
-        (dict(input="x.yuv", face_size=32, width=128.0, height=96), "width"),
-        (dict(input="x.yuv", face_size=32, width=128, height=96.0), "height"),
     ])
     def test_non_integer_sizes_rejected(self, kw, name):
         # each would pass the range checks, then fail mid-run where a size
@@ -485,9 +485,7 @@ class TestFileInput:
         spec = SyntheticSpec(face_width=32, frames=2, velocity=(1.0, 0.0, 0.0), seed=2)
         clip = tmp_path / "clip.yuv"
         write_yuv420(clip, generate_synthetic(spec))
-        file_cfg = EvalConfig(
-            input=str(clip), face_size=32, width=128, height=96, seed=2
-        )
+        file_cfg = EvalConfig(input=str(clip), face_size=32, seed=2)
         a = tmp_path / "file.csv"
         b = tmp_path / "synth.csv"
         emit_csv(run_eval(file_cfg), a)
@@ -495,14 +493,14 @@ class TestFileInput:
         assert a.read_bytes() == b.read_bytes()
 
     def test_missing_file_raises_oserror(self):
-        cfg = EvalConfig(input="/nonexistent/clip.yuv", face_size=32, width=128, height=96)
+        cfg = EvalConfig(input="/nonexistent/clip.yuv", face_size=32)
         with pytest.raises(OSError):
             run_eval(cfg)
 
     def test_bad_file_size_propagates(self, tmp_path):
         clip = tmp_path / "clip.yuv"
         clip.write_bytes(b"\0" * 1000)  # not a whole number of frames
-        cfg = EvalConfig(input=str(clip), face_size=32, width=128, height=96)
+        cfg = EvalConfig(input=str(clip), face_size=32)
         with pytest.raises(ValueError, match="multiple"):
             run_eval(cfg)
 

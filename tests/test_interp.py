@@ -191,6 +191,22 @@ class TestWarpBlock:
         field = translational_field(blk, MotionVector(4 * 3, 4 * -2))
         npt.assert_array_equal(warp_block(plane, field), plane[10:18, 15:23])
 
+    def test_foreign_bank_raises(self):
+        # the package's bank with phase 16 mirrored, and a bank of half the phases
+        mirrored = generate_dctif_bank().copy()
+        mirrored[16] = mirrored[16][::-1].copy()
+        plane = random_plane(5, 40, 40)
+        field = translational_field(Block(8, 8, 16, 16), MotionVector(1, 2))
+        for bank in (mirrored, generate_dctif_bank()[:32]):
+            with pytest.raises(ValueError, match="bank"):
+                warp_block(plane, field, bank)
+
+    def test_equal_bank_copy_warps_as_the_default(self):
+        plane = random_plane(5, 40, 40)
+        field = translational_field(Block(8, 8, 16, 16), MotionVector(1, 2))
+        npt.assert_array_equal(warp_block(plane, field, generate_dctif_bank().copy()),
+                               warp_block(plane, field))
+
 
 def _ref_origin(placement, size, extent):
     """Integer origin of a block of ``size`` px on an axis of ``extent``
@@ -354,7 +370,7 @@ class TestPhasePlanes:
         ax, ay = data.draw(st.integers(-16, 16)), data.draw(st.integers(-16, 16))
         block = Block(px - ax, py - ay, size, size)
         phases = np.arange(0, 64, 16)
-        planes = phase_planes(plane, px - 2, py - 2, size + 4, size + 4, phases, phases, bank)
+        planes = phase_planes(plane, px - 2, py - 2, size + 4, size + 4, phases, phases)
         assert planes.shape == (4, 4, size + 4, size + 4) and planes.dtype == np.uint8
         for oy in range(17):  # quarter-pels into the +-2 px window
             for ox in range(17):
@@ -378,7 +394,7 @@ class TestPhasePlanes:
         x_q6, y_q6 = int(cfld.rx_q6[0, 0]), int(cfld.ry_q6[0, 0])
         assert x_q6 % 8 == 0 and y_q6 % 8 == 0  # 1/8-pel chroma phases
         got = phase_planes(plane, x_q6 >> 6, y_q6 >> 6, size // 2, size // 2,
-                           [x_q6 & 63], [y_q6 & 63], bank)
+                           [x_q6 & 63], [y_q6 & 63])
         assert got.shape == (1, 1, size // 2, size // 2)
         npt.assert_array_equal(got[0, 0], warp_block(plane, cfld, bank))
 
@@ -535,17 +551,16 @@ class TestRowBank:
     def bank_at_anchor(self, plane, blk, anchor):
         m = self.MARGIN
         return row_bank(plane, blk.x0 + anchor.dx_q2 // 4 - m, blk.y0 + anchor.dy_q2 // 4 - m,
-                        blk.width + 2 * m, blk.height + 2 * m, generate_dctif_bank())
+                        blk.width + 2 * m, blk.height + 2 * m)
 
     def plane(self, data):
         seed = data.draw(st.integers(0, 2**32 - 1))
         return random_plane(seed, self.L.canvas_height, self.L.canvas_width)
 
     def check(self, plane, rows, field):
-        bank = generate_dctif_bank()
-        got = warp_rows(plane, rows, field, bank)
+        got = warp_rows(plane, rows, field)
         assert got.shape == field.shape and got.dtype == np.uint8
-        npt.assert_array_equal(got, warp_block(plane, field, bank))
+        npt.assert_array_equal(got, warp_block(plane, field))
 
     @pytest.mark.parametrize("size", [16, 32, 64])
     @pytest.mark.parametrize("batched", [False, True])
@@ -561,8 +576,7 @@ class TestRowBank:
         left, top, right, bottom = (data.draw(st.integers(0, 3)) for _ in range(4))
         rows = row_bank(plane, x0 - left, y0 - top,
                         int((field.rx_q6 >> 6).max()) - x0 + 1 + left + right,
-                        int((field.ry_q6 >> 6).max()) - y0 + 1 + top + bottom,
-                        generate_dctif_bank())
+                        int((field.ry_q6 >> 6).max()) - y0 + 1 + top + bottom)
         assert not _bases_outside(rows, field).any()
         self.check(plane, rows, field)
 
@@ -641,11 +655,11 @@ class TestRowBank:
             band = CorrespondenceField(rx[j : j + 16].astype(np.int32),
                                        ry[j : j + 16].astype(np.int32),
                                        np.ones((16, 64), dtype=bool))
-            rows = row_bank(plane, 3, 8 * j + 3, 8 * 63 + 1, 8 * 15 + 1, bank)
+            rows = row_bank(plane, 3, 8 * j + 3, 8 * 63 + 1, 8 * 15 + 1)
             assert rows[2].dtype == np.int16
             lo, hi = min(lo, int(rows[2].min())), max(hi, int(rows[2].max()))
             assert not _bases_outside(rows, band).any()
-            npt.assert_array_equal(warp_rows(plane, rows, band, bank),
+            npt.assert_array_equal(warp_rows(plane, rows, band),
                                    oracle_warp(plane, band.rx_q6, band.ry_q6))
         assert (lo, hi) == ((-255 * 24 + 32) >> 6, (255 * 88 + 32) >> 6) == (-96, 351)
 
@@ -656,7 +670,7 @@ class TestRowBank:
         width = height = 64 + 8
         tracemalloc.start()
         try:
-            rows = row_bank(plane, 40, 40, width, height, generate_dctif_bank())
+            rows = row_bank(plane, 40, 40, width, height)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -446,7 +446,7 @@ class TestRasterKernel:
         cx, cy = block.center
         dxs, dys = ranges or (motion_search._raster(cx, layout.canvas_width, r),
                               motion_search._raster(cy, layout.canvas_height, r))
-        table = motion_search._CostTable(block, cur, plane, layout, None)
+        table = motion_search._CostTable(block, cur, plane, layout)
         return motion_search._raster_best(table, dxs, dys)
 
     @staticmethod
@@ -609,17 +609,17 @@ class TestAdvancedRowBank:
             finally:
                 searching.pop()
                 # no stage state survives the search on the shared table
-                table = ref.costs(blk, cur_y, layout, bank)
-                assert set(vars(table)) == {"block", "cur", "plane", "layout", "bank",
-                                            "cur_blk", "rasters"}
+                table = ref.costs(blk, cur_y, layout)
+                assert set(vars(table)) == {"block", "cur", "plane", "layout", "cur_blk",
+                                            "rasters"}
 
         def spied_warp(plane, field, bank=None):
             gathered.append((searching[-1] if searching else None, field))
             return warp(plane, field, bank)
 
-        def spied_through(plane, rows, field, bank):
+        def spied_through(plane, rows, field):
             banked.append(searching[-1] if searching else None)
-            return through(plane, rows, field, bank)
+            return through(plane, rows, field)
 
         monkeypatch.setattr(motion_search, "tzs_search", spied_search)
         monkeypatch.setattr(motion_search, "warp_block", spied_warp)
@@ -649,10 +649,20 @@ class TestAdvancedRowBank:
         assert len(banked) >= len(grid.blocks)
 
 
+def spy_costing(monkeypatch) -> list:
+    """Record every fetch, warp and row-bank warp that costs a search MV."""
+    calls = []
+    for name in ("fetch_block", "warp_block", "warp_rows"):
+        inner = getattr(motion_search, name)
+        monkeypatch.setattr(motion_search, name, lambda *a, _f=inner: calls.append(a) or _f(*a))
+    return calls
+
+
 class TestCostTable:
     """One ``ReferencePicture`` keeps the cost table of the block costed
-    last; a table is never served to a different block, ``cur`` array,
-    layout or bank."""
+    last; a table is never served to a different block, ``cur`` array or
+    layout.  The bank is not part of the key: a search takes only the
+    package's one bank."""
 
     CFG = SearchConfig(lambda_=4.0)
     A, B = Block(8, 72, 16, 16), Block(168, 104, 16, 16)
@@ -669,29 +679,22 @@ class TestCostTable:
                  for blk in (self.A, self.B, self.A)]
         assert shared == fresh
 
-    @pytest.mark.parametrize("change", ["cur", "cur-copy", "layout", "bank"])
+    @pytest.mark.parametrize("change", ["cur", "cur-copy", "layout"])
     @pytest.mark.parametrize("advanced", [False, True])
     def test_other_key_is_never_served(self, monkeypatch, change, advanced):
         cur, refp, _ = synthetic_pair(velocity=(1.0, 1.0, 0.0), seed=4)
-        other = {"cur": cur.y, "layout": L64, "bank": generate_dctif_bank()}
+        other = {"cur": cur.y, "layout": L64}
         if change == "cur":  # other pixels in the block
             other["cur"] = np.roll(cur.y, 5, axis=1)
         elif change == "cur-copy":  # the same pixels in another array
             other["cur"] = cur.y.copy()
-        elif change == "layout":
+        else:
             other["layout"] = CubeLayout(60, 60)
-        else:  # a bank equal in value but another object
-            other["bank"] = generate_dctif_bank().copy()
-        calls = []
-        for name in ("fetch_block", "warp_block"):
-            inner = getattr(motion_search, name)
-            monkeypatch.setattr(motion_search, name,
-                                lambda *a, _f=inner: calls.append(a) or _f(*a))
+        calls = spy_costing(monkeypatch)
 
         def costed(ref):
             calls.clear()
-            result = self.search(self.A, other["cur"], ref, advanced,
-                                 other["layout"], other["bank"])
+            result = self.search(self.A, other["cur"], ref, advanced, other["layout"])
             return result, len(calls)
 
         self.search(self.A, cur.y, refp, advanced)
@@ -699,6 +702,15 @@ class TestCostTable:
         # a search under the other key costs every candidate again
         assert costed(refp) == costed(ReferencePicture(refp.frame, 0))
         assert calls
+
+    @pytest.mark.parametrize("advanced", [False, True])
+    def test_equal_bank_copy_is_served_from_the_same_table(self, monkeypatch, advanced):
+        cur, refp, _ = synthetic_pair(velocity=(1.0, 1.0, 0.0), seed=4)
+        first = self.search(self.A, cur.y, refp, advanced)
+        calls = spy_costing(monkeypatch)
+        copy = generate_dctif_bank().copy()
+        assert self.search(self.A, cur.y, refp, advanced, bank=copy) == first
+        assert not calls
 
     def test_same_key_is_served(self, monkeypatch):
         cur, refp, _ = synthetic_pair(velocity=(1.0, 1.0, 0.0), seed=4)
@@ -725,6 +737,50 @@ class TestCostTable:
         assert put_keys and not any(advanced for advanced, _ in put_keys)
         # lone MVs and speculative batches alike
         assert 1 in batch_sizes and max(batch_sizes) > 1
+
+
+def foreign_bank():
+    """The package's bank with phase 16 mirrored: a valid-looking bank
+    whose warps differ from the package's."""
+    bank = generate_dctif_bank().copy()
+    bank[16] = bank[16][::-1].copy()
+    return bank
+
+
+class TestOneBank:
+    """``tzs_search`` and ``mode_decide`` keep a ``bank`` parameter for
+    callers that pass the package's bank positionally.  It takes None or
+    an array equal to ``generate_dctif_bank()``; any other raises
+    ``ValueError``, and an equal copy is the default bank, served from the
+    same cost table (``TestCostTable`` checks this for ``tzs_search``)."""
+
+    BLOCK = Block(8, 72, 16, 16)
+
+    @pytest.mark.parametrize("advanced", [False, True])
+    def test_search_rejects_a_foreign_bank(self, advanced):
+        cur, refp, _ = synthetic_pair(velocity=(1.0, 1.0, 0.0), seed=4)
+        with pytest.raises(ValueError, match="bank"):
+            tzs_search(self.BLOCK, cur.y, refp, [ZERO], SearchConfig(), L64, foreign_bank(),
+                       advanced=advanced)
+
+    def test_mode_decide_rejects_a_foreign_bank(self):
+        cur, refp, _ = synthetic_pair(velocity=(1.0, 1.0, 0.0), seed=4)
+        grid = BlockGrid(L64, 16)
+        with pytest.raises(ValueError, match="bank"):
+            mode_decide(self.BLOCK, cur.y, refp, grid, SearchConfig(), L64, foreign_bank())
+        assert not grid.records
+
+    def test_mode_decide_with_an_equal_copy_decides_from_the_same_table(self, monkeypatch):
+        cur, refp, _ = synthetic_pair(velocity=(1.0, 2.0, 0.0), seed=3)
+        cfg, copy = SearchConfig(lambda_=4.0), generate_dctif_bank().copy()
+        default, copied = BlockGrid(L64, 16), BlockGrid(L64, 16)
+        for blk in default.blocks:
+            mode_decide(blk, cur.y, refp, default, cfg, L64)
+            with monkeypatch.context() as m:
+                calls = spy_costing(m)
+                mode_decide(blk, cur.y, refp, copied, cfg, L64, copy)
+            assert not calls
+        assert copied.records == default.records
 
 
 class TestValidityChecks:
