@@ -53,31 +53,33 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="raw planar 8-bit YUV 4:2:0 file, or the word 'synthetic'",
     )
-    ev.add_argument("--width", type=int, help="canvas width, checked for file input (4 x face)")
-    ev.add_argument("--height", type=int, help="canvas height, checked for file input (3 x face)")
+    ev.add_argument("--width", type=int, help="canvas width, checked against 4 x face")
+    ev.add_argument("--height", type=int, help="canvas height, checked against 3 x face")
     ev.add_argument("--face-size", type=int, required=True, help="cube face width in pixels")
-    ev.add_argument("--block-size", type=int, default=16, choices=BLOCK_SIZES)
-    ev.add_argument("--ref-distance", type=int, default=1, help="frames between current and reference")
-    ev.add_argument("--search-range", type=int, default=64, help="integer search range in pixels")
-    ev.add_argument("--lambda", dest="lambda_", type=float, default=0.0,
+    ev.add_argument("--block-size", type=int, choices=BLOCK_SIZES)
+    ev.add_argument("--ref-distance", type=int, help="frames between current and reference")
+    ev.add_argument("--search-range", type=int, help="integer search range in pixels")
+    ev.add_argument("--lambda", dest="lambda_", type=float,
                     help="weight of the MV-bits proxy in the search cost")
-    ev.add_argument("--out", default="report.csv", help="CSV output path")
-    ev.add_argument("--synth-velocity", type=_velocity, default=(2.0, 0.0, 0.0),
+    ev.add_argument("--out", help="CSV output path")
+    ev.add_argument("--synth-velocity", type=_velocity,
                     metavar="X,Y,Z", help="sphere velocity in pixels/frame (synthetic input)")
-    ev.add_argument("--synth-frames", type=int, default=5, help="frame count (synthetic input)")
-    ev.add_argument("--seed", type=int, default=0, help="texture seed (synthetic input)")
+    ev.add_argument("--synth-frames", type=int, help="frame count (synthetic input)")
+    ev.add_argument("--seed", type=int, help="texture seed (synthetic input)")
+    # every option's dest is the name of its EvalConfig field, whose default it takes
+    ev.set_defaults(**{f.name: f.default for f in dataclasses.fields(EvalConfig)
+                       if f.default is not dataclasses.MISSING})
     return parser
 
 
 def _eval_command(args: argparse.Namespace) -> int:
     try:
-        # every option's dest is the name of its EvalConfig field
         cfg = EvalConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(EvalConfig)})
         layout = CubeLayout(cfg.face_size, cfg.face_size)
         # the canvas follows the face size; --width/--height only check it
         canvas = ((args.width, layout.canvas_width), (args.height, layout.canvas_height))
-        if cfg.input != "synthetic" and any(v not in (None, size) for v, size in canvas):
-            raise EvalConfigError("width/height must be 4x and 3x the face size for file input")
+        if any(v not in (None, size) for v, size in canvas):
+            raise EvalConfigError("width/height must be 4x and 3x the face size")
     except EvalConfigError as exc:
         print(f"cubemc: config error: {exc}", file=sys.stderr)
         return 2

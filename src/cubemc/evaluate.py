@@ -55,12 +55,9 @@ from cubemc.motion_search import (
 __all__ = [
     "EvalConfig",
     "EvalConfigError",
-    "BlockResult",
-    "FrameResult",
     "EvalReport",
-    "run_eval",
     "emit_csv",
-    "CSV_HEADER",
+    "run_eval",
 ]
 
 CSV_HEADER = "frame,bx,by,mode,mv_x_q2,mv_y_q2,sad_trans,sad_adv"

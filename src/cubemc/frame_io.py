@@ -23,10 +23,10 @@ from cubemc.geometry import CubeLayout, face_of, sphere_to_unfold, unfold_to_sph
 __all__ = [
     "Frame",
     "SyntheticSpec",
-    "read_yuv420",
-    "write_yuv420",
     "generate_synthetic",
     "ground_truth_match",
+    "read_yuv420",
+    "write_yuv420",
 ]
 
 HOLE_VALUE = 128  # unused corner regions of the 4x3 canvas
@@ -111,6 +111,8 @@ class SyntheticSpec:
             raise ValueError("face_width must be >= 8 and frames >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if len(self.velocity) != 3:
+            raise ValueError("velocity must have three components")
         if not all(math.isfinite(c) for c in self.velocity):
             raise ValueError("velocity components must be finite")
         speed = math.sqrt(sum(c * c for c in self.velocity))

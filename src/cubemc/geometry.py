@@ -55,15 +55,16 @@ from numbers import Integral, Real
 import numpy as np
 
 __all__ = [
-    "Face",
+    "NO_FACE",
     "CubeLayout",
-    "face_of",
-    "unfold_to_cube",
-    "cube_to_unfold",
+    "Face",
     "cube_to_sphere",
+    "cube_to_unfold",
+    "face_of",
     "sphere_to_cube",
-    "unfold_to_sphere",
     "sphere_to_unfold",
+    "unfold_to_cube",
+    "unfold_to_sphere",
 ]
 
 NO_FACE = -1

@@ -36,16 +36,11 @@ from numpy.lib.stride_tricks import as_strided
 from cubemc.motion_model import CorrespondenceField, round_half_away
 
 __all__ = [
-    "TAPS",
-    "PHASES",
+    "chroma_field",
+    "fetch_block",
     "generate_dctif_bank",
     "sample_fractional",
     "warp_block",
-    "phase_planes",
-    "row_bank",
-    "warp_rows",
-    "fetch_block",
-    "chroma_field",
 ]
 
 TAPS = 8
@@ -202,17 +197,17 @@ def _shift6(x: np.ndarray) -> np.ndarray:
     return np.floor(x, out=x)
 
 
-def phase_planes(plane, x, y, width, height, xphases, yphases) -> np.ndarray:
-    """A ``height`` x ``width`` window of ``plane`` filtered at every pair
-    of phases: uint8 ``out[j, i, r, c]`` is the edge-clamped sample at
-    1/64-pel ``(64 * (x + c) + xphases[i], 64 * (y + r) + yphases[j])``.
-    One horizontal 8-tap pass per x-phase over the fetched window, then
-    one vertical pass per y-phase, each rounding with (+32) >> 6.  It
-    serves only the translational search's quarter-pel window.
+def phase_planes(plane, x, y, width, height) -> np.ndarray:
+    """A ``height`` x ``width`` window of ``plane`` filtered at the 16
+    quarter-pel phase pairs: uint8 ``out[j, i, r, c]`` is the edge-clamped
+    sample at quarter-pel ``(4 * (x + c) + i, 4 * (y + r) + j)``.  One
+    horizontal 8-tap pass per x-phase over the fetched window, then one
+    vertical pass per y-phase, each rounding with (+32) >> 6.  It serves
+    only the translational search's quarter-pel window.
     """
     win = fetch_block(plane, x - 3, y - 3, width + TAPS - 1, height + TAPS - 1).astype(np.int32)
-    bank = generate_dctif_bank()
-    ch, cv = bank[xphases][:, :, None, None], bank[yphases][:, None, :, None, None]
+    quarters = generate_dctif_bank()[:: PHASES // 4]
+    ch, cv = quarters[:, :, None, None], quarters[:, None, :, None, None]
     rows = (sum(ch[:, k] * win[:, k : k + width] for k in range(TAPS)) + 32) >> 6
     out = cv[:, :, 0] * rows[:, :height]  # summed in place to keep peak memory down
     for k in range(1, TAPS):

@@ -21,26 +21,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cubemc.geometry import (
-    NO_FACE,
-    CubeLayout,
-    face_of,
-    sphere_to_unfold,
-    unfold_to_sphere,
-)
+from cubemc.geometry import CubeLayout, face_of, sphere_to_unfold, unfold_to_sphere
 
 __all__ = [
-    "MotionVector",
     "Block",
     "CorrespondenceField",
-    "CenterLattice",
-    "center_lattice",
-    "transport_point",
+    "MotionVector",
     "build_correspondence_field",
-    "build_correspondence_fields",
     "translational_field",
     "transport_mv_predictor",
-    "round_half_away",
+    "transport_point",
 ]
 
 MV_UNIT = 4        # quarter-pel positions per pixel
@@ -176,45 +166,37 @@ class CenterLattice(NamedTuple):
 
     anchor: MotionVector
     reach: int
-    s1: np.ndarray  # (3, 2 reach + 1, 2 reach + 1): axis, dy, dx; NaN off the faces
+    s1: np.ndarray  # (3, 2 reach + 1, 2 reach + 1): axis, dy, dx
 
     def centers(self, mvs: Sequence[MotionVector]):
         """The s1 points of ``mvs`` as three (n, 1, 1) arrays, or None if
-        one lies outside the lattice; raises ``ValueError`` if one is off
-        the faces ("invalid center MV")."""
+        one lies outside the lattice."""
         r, ax, ay = self.reach, self.anchor.dx_q2, self.anchor.dy_q2
         ix = [mv.dx_q2 - ax + r for mv in mvs]
         iy = [mv.dy_q2 - ay + r for mv in mvs]
         if not (0 <= min(ix) and max(ix) <= 2 * r and 0 <= min(iy) and max(iy) <= 2 * r):
             return None
-        s1 = self.s1[:, iy, ix]
-        if np.isnan(s1[0]).any():
-            raise ValueError("invalid center MV")
-        return s1[:, :, None, None]
+        return self.s1[:, iy, ix][:, :, None, None]
 
 
 def center_lattice(block: Block, anchor: MotionVector, reach: int,
-                   layout: CubeLayout) -> CenterLattice:
+                   layout: CubeLayout) -> CenterLattice | None:
     """Map the moved centers of ``block`` under every quarter-pel MV within
-    ``reach`` of ``anchor`` in one ``unfold_to_sphere`` call (two when some
-    lie off the faces).
+    ``reach`` of ``anchor`` in one ``unfold_to_sphere`` call, or return
+    None if any of them is off the faces: the builds then map their own.
 
     The geometry is elementwise and each center is the same float64 sum
     ``cx + dx_q2 / 4`` a build computes, so every point has the bits that
-    the build's own call would give it.  Centers off the faces hold NaN.
+    the build's own call would give it.
     """
     cx, cy = block.center
     q = np.arange(-reach, reach + 1)
     # a row of xs and a column of ys: the transforms broadcast them
     xs, ys = cx + (anchor.dx_q2 + q) / MV_UNIT, cy + (anchor.dy_q2 + q)[:, None] / MV_UNIT
     try:
-        s1 = np.array(unfold_to_sphere(xs, ys, layout))
-    except ValueError:  # the window reaches off the faces: map the rest
-        xs, ys = np.broadcast_arrays(xs, ys)
-        on = face_of(xs, ys, layout) != NO_FACE
-        s1 = np.full((3, *on.shape), np.nan)
-        s1[:, on] = unfold_to_sphere(xs[on], ys[on], layout)
-    return CenterLattice(anchor, reach, s1)
+        return CenterLattice(anchor, reach, np.array(unfold_to_sphere(xs, ys, layout)))
+    except ValueError:  # the window reaches off the faces
+        return None
 
 
 def build_correspondence_field(

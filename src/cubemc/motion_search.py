@@ -17,6 +17,8 @@ face seam and MVs costed outside the stage.  Likewise the stage maps the
 17x17 quarter-pel lattice of moved block centers around its anchor once
 (``center_lattice``), and each field build within that window reads its
 centers' sphere points from it instead of making its own geometry call.
+A window that reaches off the faces gets no lattice: the validity rule
+keeps every costed center on a face, and each build maps its own.
 The row bank and the lattice are locals of the stage, passed to each costing
 call and freed when the search returns.
 
@@ -62,8 +64,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from cubemc.frame_io import Frame
 from cubemc.geometry import NO_FACE, CubeLayout, face_of
-from cubemc.interp import PHASES, check_bank, fetch_block, phase_planes, row_bank, warp_block
-from cubemc.interp import warp_rows
+from cubemc.interp import check_bank, fetch_block, phase_planes, row_bank, warp_block, warp_rows
 from cubemc.motion_model import (
     Block,
     MotionVector,
@@ -76,17 +77,17 @@ from cubemc.motion_model import (
 )
 
 __all__ = [
-    "PredMode",
-    "SearchConfig",
-    "BlockRecord",
     "BlockGrid",
+    "BlockRecord",
+    "PredMode",
     "ReferencePicture",
-    "sad",
-    "mv_bits",
-    "tzs_search",
-    "merge_candidate",
+    "SearchConfig",
     "amvp_predictor",
+    "merge_candidate",
     "mode_decide",
+    "mv_bits",
+    "sad",
+    "tzs_search",
 ]
 
 BLOCK_SIZES = (16, 32, 64)  # pixels, the square block sizes a grid can tile
@@ -411,10 +412,9 @@ def tzs_search(
     m = BANK_MARGIN if advanced else REFINE_WINDOW_Q2 // 4
     window = (table.plane, block.x0 + anchor.dx_q2 // 4 - m, block.y0 + anchor.dy_q2 // 4 - m,
               block.width + 2 * m, block.height + 2 * m)
-    phases = np.arange(0, PHASES, PHASES // 4)
     rows = row_bank(*window) if advanced else None
     lattice = center_lattice(block, anchor, REFINE_WINDOW_Q2, layout) if advanced else None
-    planes = None if advanced else phase_planes(*window, phases, phases)
+    planes = None if advanced else phase_planes(*window)
 
     def in_window(mv):
         return (abs(mv.dx_q2 - anchor.dx_q2) <= REFINE_WINDOW_Q2

@@ -162,6 +162,13 @@ class TestParserMatchesConfig:
         args = build_parser().parse_args(["eval", "--input", "synthetic", "--face-size", "32"])
         assert {f.name for f in dataclasses.fields(EvalConfig)} <= set(vars(args))
 
+    def test_defaults_are_the_configs(self):
+        # the parser takes its defaults from EvalConfig, not from a second list
+        args = build_parser().parse_args(["eval", "--input", "synthetic", "--face-size", "32"])
+        want = EvalConfig(input="synthetic", face_size=32)
+        for f in dataclasses.fields(EvalConfig):
+            assert getattr(args, f.name) == getattr(want, f.name), f.name
+
 
 class TestOutputs:
     def test_csv_written_with_header(self, tmp_path):
@@ -185,8 +192,8 @@ class TestOutputs:
 
 
 class TestCanvasFlags:
-    """The canvas of file input is 4 x 3 faces of ``--face-size``; the
-    optional ``--width``/``--height`` are checked against it."""
+    """The canvas is 4 x 3 faces of ``--face-size``, for file and synthetic
+    input alike; the optional ``--width``/``--height`` are checked against it."""
 
     @staticmethod
     def clip(tmp_path):
@@ -211,7 +218,7 @@ class TestCanvasFlags:
     def test_mismatched_canvas_exits_2(self, tmp_path, capsys, flags):
         out = tmp_path / "r.csv"
         assert main([*self.clip(tmp_path), *flags, "--out", str(out)]) == 2
-        assert ("config error: width/height must be 4x and 3x the face size for file input"
+        assert ("config error: width/height must be 4x and 3x the face size"
                 in capsys.readouterr().err)
         assert not out.exists()
 
@@ -222,8 +229,12 @@ class TestCanvasFlags:
         assert exc.value.code == 2
         assert f"argument {flag}: invalid int value" in capsys.readouterr().err
 
-    def test_synthetic_input_ignores_the_flags(self, tmp_path):
-        assert main(eval_args(tmp_path, "--width", "1", "--height", "1")) == 0
+    def test_synthetic_input_checks_the_flags(self, tmp_path, capsys):
+        assert main(eval_args(tmp_path, "--width", "1", "--height", "1")) == 2
+        assert ("config error: width/height must be 4x and 3x the face size"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "report.csv").exists()
+        assert main(eval_args(tmp_path, "--width", "128", "--height", "96")) == 0
 
 
 class TestGridCoverageWarning:

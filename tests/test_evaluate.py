@@ -96,6 +96,12 @@ class TestConfigValidation:
         with pytest.raises(EvalConfigError, match="velocity"):
             run_eval(small_cfg(synth_velocity=(40.0, 0.0, 0.0)))
 
+    @pytest.mark.parametrize("velocity", [(1.0, 0.0), (1.0, 0.0, 0.0, 0.5)], ids=["two", "four"])
+    def test_velocity_of_other_than_three_components(self, velocity):
+        # (1, 0) raised IndexError mid-run; (1, 0, 0, 0.5) ran as (1, 0, 0)
+        with pytest.raises(EvalConfigError, match="three components"):
+            small_cfg(synth_velocity=velocity)
+
     @pytest.mark.parametrize(
         "kw,message",
         [

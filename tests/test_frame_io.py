@@ -157,6 +157,13 @@ class TestSyntheticSpecValidation:
         with pytest.raises(ValueError, match="finite"):
             SyntheticSpec(face_width=64, frames=2, velocity=tuple(velocity))
 
+    @pytest.mark.parametrize("velocity", [(1.0, 0.0), (1.0, 0.0, 0.0, 0.5), ()],
+                             ids=["two", "four", "none"])
+    def test_velocity_has_three_components(self, velocity):
+        # two failed mid-render; a fourth counted in the speed bound but was never rendered
+        with pytest.raises(ValueError, match="three components"):
+            SyntheticSpec(face_width=64, frames=2, velocity=velocity)
+
     def test_seed_must_be_non_negative(self):
         with pytest.raises(ValueError, match="seed"):
             SyntheticSpec(face_width=64, frames=2, velocity=(1.0, 0.0, 0.0), seed=-1)

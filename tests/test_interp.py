@@ -369,34 +369,13 @@ class TestPhasePlanes:
         # the block sits an integer anchor (ax, ay) away from its reference position
         ax, ay = data.draw(st.integers(-16, 16)), data.draw(st.integers(-16, 16))
         block = Block(px - ax, py - ay, size, size)
-        phases = np.arange(0, 64, 16)
-        planes = phase_planes(plane, px - 2, py - 2, size + 4, size + 4, phases, phases)
+        planes = phase_planes(plane, px - 2, py - 2, size + 4, size + 4)
         assert planes.shape == (4, 4, size + 4, size + 4) and planes.dtype == np.uint8
         for oy in range(17):  # quarter-pels into the +-2 px window
             for ox in range(17):
                 field = translational_field(block, MotionVector(4 * ax + ox - 8, 4 * ay + oy - 8))
                 got = planes[oy & 3, ox & 3, oy >> 2 : (oy >> 2) + size, ox >> 2 : (ox >> 2) + size]
                 npt.assert_array_equal(got, warp_block(plane, field, bank))
-
-    @pytest.mark.parametrize("size", [16, 32, 64])
-    @pytest.mark.parametrize("placement", ["inside", "face edge", "off plane"])
-    @settings(max_examples=20)
-    @given(data=st.data())
-    def test_one_phase_call_at_chroma_phases(self, size, placement, data):
-        layout = CubeLayout(64, 64)
-        bank = generate_dctif_bank()
-        plane = random_plane(
-            data.draw(st.integers(0, 2**32 - 1)), layout.canvas_height // 2, layout.canvas_width // 2
-        )
-        px, py = _window_origin(data, placement, size, layout)
-        mv = MotionVector(data.draw(st.integers(-24, 24)), data.draw(st.integers(-24, 24)))
-        cfld = chroma_field(translational_field(Block(px, py, size, size), mv))
-        x_q6, y_q6 = int(cfld.rx_q6[0, 0]), int(cfld.ry_q6[0, 0])
-        assert x_q6 % 8 == 0 and y_q6 % 8 == 0  # 1/8-pel chroma phases
-        got = phase_planes(plane, x_q6 >> 6, y_q6 >> 6, size // 2, size // 2,
-                           [x_q6 & 63], [y_q6 & 63])
-        assert got.shape == (1, 1, size // 2, size // 2)
-        npt.assert_array_equal(got[0, 0], warp_block(plane, cfld, bank))
 
 
 def oracle_warp(plane, rx_q6, ry_q6):

@@ -4,11 +4,14 @@ Private geometry names stay inside ``cubemc.geometry``: the transforms'
 array cores and their scalar adapter are implementation details, and
 every other module calls the public transforms.  The filter bank has one
 owner, ``cubemc.interp``: no other module reads it, and only the three
-calls that keep a positional ``bank`` for their callers take one.  The
-package sources are parsed with ``ast``, never imported.
+calls that keep a positional ``bank`` for their callers take one.  Each
+exported name is declared once, in its module's ``__all__``, and the
+package joins those lists.  The package sources are parsed with ``ast``;
+only the last check imports the package, to read what it exports.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -72,3 +75,52 @@ def test_bank_parameters():
     }
     assert takers == {("motion_search", "tzs_search"), ("motion_search", "mode_decide"),
                       ("interp", "warp_block")}
+
+
+def exporting_modules():
+    """The sources ``__init__`` star-imports, in its order."""
+    return [PACKAGE / f"{node.module.rpartition('.')[2]}.py"
+            for node in parse(PACKAGE / "__init__.py").body
+            if isinstance(node, ast.ImportFrom) and [a.name for a in node.names] == ["*"]]
+
+
+def declared(path):
+    """The names of the module's literal ``__all__`` list, or None."""
+    for node in parse(path).body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def defined(tree):
+    """The names a module binds at its top level, imports left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_every_module_list_is_re_exported():
+    assert set(exporting_modules()) == {p for p in ALL_SOURCES if declared(p) is not None}
+
+
+@pytest.mark.parametrize("path", exporting_modules(), ids=lambda p: p.name)
+def test_exported_names_are_defined_in_their_module(path):
+    missing = set(declared(path)) - set(defined(parse(path)))
+    assert not missing, f"{path.name} exports names it does not define: {missing}"
+
+
+def test_no_name_in_two_modules():
+    counts = Counter(name for path in exporting_modules() for name in declared(path))
+    assert [name for name, n in counts.items() if n > 1] == []
+
+
+def test_package_all_joins_the_module_lists():
+    import cubemc
+
+    assert cubemc.__all__ == [name for path in exporting_modules() for name in declared(path)]
+    # __init__ names no exported symbol itself
+    assert not set(names(parse(PACKAGE / "__init__.py"))) & set(cubemc.__all__)

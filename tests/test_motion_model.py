@@ -439,8 +439,8 @@ class TestLeanFieldBuild:
         if not mvs:
             return
         want = reference_fields(blk, mvs, layout)
-        lattice = center_lattice(blk, anchor, 8, layout)
-        s1 = lattice.centers(mvs)
+        lattice = center_lattice(blk, anchor, 8, layout)  # None if the window leaves the faces
+        s1 = None if lattice is None else lattice.centers(mvs)
         if s1 is not None:  # the bits of the build's own call
             cx, cy = blk.center
             u1 = [(cx + mv.dx_q2 / 4, cy + mv.dy_q2 / 4) for mv in mvs]
@@ -455,30 +455,36 @@ class TestLeanFieldBuild:
         npt.assert_array_equal(one.rx_q6, want[0][-1])
         npt.assert_array_equal(one.ry_q6, want[1][-1])
 
+    @pytest.mark.parametrize("blk,anchor", [
+        (Block(0, 64, 16, 16), MotionVector(-28, 4)),  # FRONT: the window reaches x = -1.5
+        (Block(64, 64, 16, 16), MotionVector(0, -28)),  # RIGHT: y = 62.5 is a corner hole
+    ], ids=["off the canvas", "in a hole"])
+    def test_off_face_window_gives_no_lattice(self, blk, anchor):
+        assert center_lattice(blk, anchor, 8, L64) is None
+
     def test_lattice_holds_the_centers_bits(self):
         blk = Block(0, 64, 16, 16)  # FRONT's top-left corner block, center (7.5, 71.5)
-        anchor = MotionVector(-28, 4)  # the window reaches x = -1.5, off the canvas
+        anchor = MotionVector(-20, 4)  # the window reaches x = 0.5, still on FRONT
         lattice = center_lattice(blk, anchor, 8, L64)
         assert lattice.s1.shape == (3, 17, 17)
         q = np.arange(-8, 9)
         xs, ys = np.meshgrid(7.5 + (anchor.dx_q2 + q) / 4, 71.5 + (anchor.dy_q2 + q) / 4)
-        on = face_of(xs, ys, L64) != -1
-        assert on.any() and not on.all()
-        assert np.isnan(lattice.s1[:, ~on]).all()
-        for axis, want in zip(lattice.s1, unfold_to_sphere(xs[on], ys[on], L64)):
-            assert np.array_equal(axis[on].view(np.int64), want.view(np.int64))
+        for axis, want in zip(lattice.s1, unfold_to_sphere(xs, ys, L64)):
+            assert np.array_equal(axis.view(np.int64), want.view(np.int64))
 
     def test_off_face_lattice_center_rejected(self):
         blk = Block(0, 64, 16, 16)
         anchor = MotionVector(-28, 0)  # center x 0.5; the window reaches x -1.5
         lattice = center_lattice(blk, anchor, 8, L64)
+        assert lattice is None  # so each build maps its own centers
         off = MotionVector(-32, 0)  # center x -0.5: inside the window, off the canvas
         for mvs in ([off], [anchor, off], [off, MotionVector(-24, 8)]):
             with pytest.raises(ValueError, match="invalid center MV"):
                 build_correspondence_fields(blk, mvs, L64, lattice)
         with pytest.raises(ValueError, match="invalid center MV"):
             build_correspondence_field(blk, off, L64, lattice)
-        # an MV outside the window takes the build's own geometry call
+        # an MV outside an on-face window takes the build's own geometry call
+        lattice = center_lattice(blk, MotionVector(-20, 0), 8, L64)
         assert lattice.centers([MotionVector(-40, 0)]) is None
         with pytest.raises(ValueError, match="invalid center MV"):
             build_correspondence_fields(blk, [MotionVector(-40, 0)], L64, lattice)
