@@ -4,9 +4,12 @@ For every frame t >= d the evaluator predicts the frame from frame
 t - d twice: once with the advanced modes disabled (every block gets
 its translational search result) and once with the full mode decision.
 Both policies share the translational search, which is seeded with the
-zero MV only and therefore independent of neighbor decisions.  Their
-luma predictions are read from the block's cost table, where the
-searches left them; only chroma is warped here.
+zero MV only and therefore independent of neighbor decisions: so each
+process plans the translational searches of a block row as it reaches
+the row, before waiting for any neighbour (``ReferencePicture.plan``),
+and each block's ``tzs_search`` returns its planned result.  Their luma
+predictions are read from the block's cost table, where the searches
+left them; only chroma is warped here.
 
 Each frame's block rows are split across at most two processes, as a
 wavefront: this process and one forked helper each decide the rows a
@@ -249,9 +252,10 @@ def _owners(grid: BlockGrid) -> list[int]:
     return owners
 
 
-def _predict_rows(grid: BlockGrid, owners, me: int, predict, peer=None) -> dict:
+def _predict_rows(grid: BlockGrid, owners, me: int, predict, start, peer=None) -> dict:
     """``predict`` every block of the ``grid.rows`` whose ``owners`` entry
-    is ``me``: ``{(x0, y0): result}``.
+    is ``me``: ``{(x0, y0): result}``.  ``start(row)`` runs as this process
+    reaches each of its rows, before the row waits for anything.
 
     With a ``peer`` deciding the other rows, a block starts only when its
     ``grid.above`` blocks have records: the upper neighbours the merge and
@@ -277,21 +281,26 @@ def _predict_rows(grid: BlockGrid, owners, me: int, predict, peer=None) -> dict:
     When this process owns every row, every block above a row is decided
     before the row starts and no record is sent, so no ``peer`` is needed.
     """
-    mine = {(b.x0, b.y0): b for row, p in zip(grid.rows, owners) if p == me for b in row}
+    rows = [row for row, p in zip(grid.rows, owners) if p == me]
+    mine = {(b.x0, b.y0) for row in rows for b in row}
     read = {k for key, up in grid.above.items() if key not in mine for k in up}
     out = {}
-    for key, b in mine.items():
-        for k in grid.above[key]:
-            while k not in grid.records:
-                peer.receive()
-        out[key] = predict(b)
-        if key in read:
-            peer.send("rec", (key, grid.records[key]))
+    for row in rows:
+        start(row)
+        for b in row:
+            key = b.x0, b.y0
+            for k in grid.above[key]:
+                while k not in grid.records:
+                    peer.receive()
+            out[key] = predict(b)
+            if key in read:
+                peer.send("rec", (key, grid.records[key]))
     return out
 
 
-def _predict_frame(grid: BlockGrid, predict) -> dict:
-    """``predict`` every block of ``grid``: ``{(x0, y0): result}``.
+def _predict_frame(grid: BlockGrid, predict, start) -> dict:
+    """``predict`` every block of ``grid``: ``{(x0, y0): result}``, calling
+    ``start(row)`` as each row begins (``_predict_rows``).
 
     Where ``os.sched_getaffinity`` exists (Linux) and holds at least two
     CPUs, and the grid has at least two block rows, a forked helper
@@ -303,14 +312,14 @@ def _predict_frame(grid: BlockGrid, predict) -> dict:
     """
     if (len(grid.rows) > 1 and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) > 1):
-        out = _split_frame(grid, predict)
+        out = _split_frame(grid, predict, start)
         if out is not None:
             return out
         grid.records.clear()
-    return _predict_rows(grid, [0] * len(grid.rows), 0, predict)
+    return _predict_rows(grid, [0] * len(grid.rows), 0, predict, start)
 
 
-def _split_frame(grid: BlockGrid, predict) -> dict | None:
+def _split_frame(grid: BlockGrid, predict, start) -> dict | None:
     """The two-process wavefront of ``_predict_frame``, or None where the
     helper could not be forked or was lost.
 
@@ -334,14 +343,14 @@ def _split_frame(grid: BlockGrid, predict) -> dict | None:
             os.close(down_w)
             os.close(up_r)
             peer = _Peer(down_r, up_w, grid)
-            peer.send("done", _predict_rows(grid, owners, 1, predict, peer))
+            peer.send("done", _predict_rows(grid, owners, 1, predict, start, peer))
         finally:
             os._exit(0)
     os.close(down_r)
     os.close(up_w)
     peer = _Peer(up_r, down_w, grid)
     try:
-        out = _predict_rows(grid, owners, 0, predict, peer)
+        out = _predict_rows(grid, owners, 0, predict, start, peer)
         helper = None
         while helper is None:
             helper = peer.receive()
@@ -377,6 +386,9 @@ def run_eval(cfg: EvalConfig) -> EvalReport:
         refp = ReferencePicture(frames[t - cfg.ref_distance], frames[t - cfg.ref_distance].poc)
         grid = BlockGrid(layout, cfg.block_size)
 
+        def start(row):  # the row's translational searches, which read no neighbour
+            refp.plan(row, cur.y, search, layout)
+
         def predict(block):
             mv_t, cost_t = tzs_search(block, cur.y, refp, [zero], search, layout, advanced=False)
             rec = mode_decide(block, cur.y, refp, grid, search, layout,
@@ -388,7 +400,7 @@ def run_eval(cfg: EvalConfig) -> EvalReport:
                             else _place(costs, True, rec.mv, cur, refp.frame))
             return BlockResult(block.x0, block.y0, rec.mode, rec.mv, sad_t, sad_a), err_t, err_a
 
-        done = _predict_frame(grid, predict)
+        done = _predict_frame(grid, predict, start)
         out = [done[b.x0, b.y0] for b in grid.blocks]
         # each error is an integer of at most 255**2 per pixel and each sum
         # stays far below 2**53, so float64 adds them exactly in any order

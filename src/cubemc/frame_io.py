@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -111,8 +111,10 @@ class SyntheticSpec:
             raise ValueError("face_width must be >= 8 and frames >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if len(self.velocity) != 3:
+        if not (hasattr(self.velocity, "__len__") and len(self.velocity) == 3):
             raise ValueError("velocity must have three components")
+        if not all(isinstance(c, Real) for c in self.velocity):
+            raise ValueError("velocity components must be real numbers")
         if not all(math.isfinite(c) for c in self.velocity):
             raise ValueError("velocity components must be finite")
         speed = math.sqrt(sum(c * c for c in self.velocity))

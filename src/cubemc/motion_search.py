@@ -4,29 +4,39 @@ The estimator is a staged zone search over quarter-pel MVs, with one
 ranking and one validity rule for every stage.  Integer-pel stages
 (predictors, expanding diamond, optional raster, diamond refinement)
 visit MVs ``(4dx, 4dy)`` and rank them with plain translational SAD,
-which is cheap and good enough to locate the basin.  The raster is one
-array reduction per block (``_raster_best``: a strided view of one
-edge-clamped window, ``sad`` over one raster row at a time), whose
-winner both searches of the block share and rank.  The final
-quarter-pel stage restarts the ranking from the integer winner with the
-true cost of the requested motion model: for the advanced model that
-means building the per-pixel correspondence field and warping through
-the filter bank for every candidate, with pass 1 read from one row bank
-per stage (``row_bank``); ``warp_block``'s gather serves pixels across a
-face seam and MVs costed outside the stage.  Likewise the stage maps the
-17x17 quarter-pel lattice of moved block centers around its anchor once
-(``center_lattice``), and each field build within that window reads its
-centers' sphere points from it instead of making its own geometry call.
-A window that reaches off the faces gets no lattice: the validity rule
-keeps every costed center on a face, and each build maps its own.
-The row bank and the lattice are locals of the stage, passed to each costing
-call and freed when the search returns.
+which is cheap and good enough to locate the basin.  They run as array
+rounds (``search_rounds``): each round checks, gathers, costs and ranks
+the candidates of every active block with a few numpy calls, in the
+order one-at-a-time evaluation ranks them.  The translational search is
+seeded with the zero MV only, so it reads no neighbour: the evaluator
+plans a block row's translational searches at once
+(``ReferencePicture.plan``), quarter-pel stage included, and
+``tzs_search`` returns each planned result.  The raster is one array
+reduction per block (``_raster_best``: a strided view of one
+edge-clamped window, ``sad`` over one raster row at a time), run at most
+once per block; its result and the end of each integer descent are kept
+in the block's plan entry, so the advanced search that starts where the
+translational one did takes its end without a round.
 
-Both searches, the merge check and the evaluator's placement share one
-table per block and reference, ``(advanced, mv) -> (SAD, luma)``, so no
-MV of a block is fetched or warped twice.  Its ``put`` writes every
-translation and its ``put_batch`` every advanced MV.  An integer offset
-is the translation ``(4dx, 4dy)``: phase 0 of the bank is the identity.
+The final quarter-pel stage restarts the ranking from the integer winner
+with the true cost of the requested motion model: for the advanced model
+that means building the per-pixel correspondence field and warping
+through the filter bank for every candidate, with pass 1 read from one
+row bank per stage (``row_bank``); ``warp_block``'s gather serves pixels
+across a face seam and MVs costed outside the stage.  Likewise the stage
+maps the 17x17 quarter-pel lattice of moved block centers around its
+anchor once (``center_lattice``), and each field build within that
+window reads its centers' sphere points from it instead of making its
+own geometry call.  A window that reaches off the faces gets no lattice:
+the validity rule keeps every costed center on a face, and each build
+maps its own.  The row bank and the lattice are locals of the stage,
+passed to each costing call and freed when the search returns.
+
+The advanced stage, the merge check and the evaluator's placement share
+one table per block and reference, ``(advanced, mv) -> (SAD, luma)``, so
+no advanced MV of a block is warped twice.  Its ``put`` writes each
+translation (the translational winner, for placement, and a seed costed
+outside its window) and its ``put_batch`` every advanced MV.
 
 Under the translational model every refinement candidate lies within
 ``REFINE_WINDOW_Q2`` of the integer winner, so, as in the HEVC reference
@@ -44,16 +54,19 @@ work, so a batch holds at most ``BATCH_PIXELS`` pixels: 16 candidates of
 
 Mode decision compares three flavors per block: translational,
 advanced-merge (a transported neighbor MV, no search, no MV-difference
-bits) and advanced-AMVP (searched, predictor-differential bits).
-Decided blocks are written into the grid so later blocks can use them
-as merge/AMVP neighbors, which fixes the scan order: raster order, or a
-row wavefront that gives each block the same decided neighbors (the
+bits) and advanced-AMVP (searched, predictor-differential bits).  The
+merge MV is costed after the AMVP search, which has often costed it
+already, and the two scans transport each neighbour once.  Decided
+blocks are written into the grid so later blocks can use them as
+merge/AMVP neighbors, which fixes the scan order: raster order, or a row
+wavefront that gives each block the same decided neighbors (the
 evaluator's, see ``evaluate``), waiting for the ones ``BlockGrid.above``
 derives from the two scans.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -62,16 +75,16 @@ from numbers import Integral
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from cubemc import search_rounds
 from cubemc.frame_io import Frame
 from cubemc.geometry import NO_FACE, CubeLayout, face_of
-from cubemc.interp import check_bank, fetch_block, phase_planes, row_bank, warp_block, warp_rows
+from cubemc.interp import check_bank, fetch_block, row_bank, warp_block, warp_rows
 from cubemc.motion_model import (
     Block,
     MotionVector,
     build_correspondence_field,
     build_correspondence_fields,
     center_lattice,
-    round_half_away,
     translational_field,
     transport_mv_predictor,
 )
@@ -129,13 +142,13 @@ class _CostTable(dict):
     reference, written by one method per model: ``put`` for translations,
     ``put_batch`` for advanced MVs.  Reading a missing MV costs it on its
     own.  SADs are bare: each search checks validity and adds its MV-bits
-    term when it reads."""
+    term when it reads.  The integer stages do not use it: they cost
+    their candidates as arrays (``search_rounds``)."""
 
     def __init__(self, block: Block, cur: np.ndarray, plane: np.ndarray, layout):
         super().__init__()
         self.block, self.cur, self.plane, self.layout = block, cur, plane, layout
         self.cur_blk = cur[block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width]
-        self.rasters = {}  # (dxs, dys) -> _raster_best
 
     def __missing__(self, key):
         advanced, mv = key
@@ -147,12 +160,6 @@ class _CostTable(dict):
             return self.put(key, warp_block(self.plane, translational_field(b, mv)))
         x, y = b.x0 + mv.dx_q2 // 4, b.y0 + mv.dy_q2 // 4
         return self.put(key, fetch_block(self.plane, x, y, b.width, b.height))
-
-    def raster_best(self, dxs, dys):
-        """``_raster_best``, run once per pair of ranges: both searches share it."""
-        if (dxs, dys) not in self.rasters:
-            self.rasters[dxs, dys] = _raster_best(self, dxs, dys)
-        return self.rasters[dxs, dys]
 
     def put(self, key, pred: np.ndarray) -> tuple[int, np.ndarray]:
         self[key] = entry = (sad(self.cur_blk, pred), pred)
@@ -179,21 +186,50 @@ class _CostTable(dict):
 
 @dataclass
 class ReferencePicture:
-    """A reference frame and the cost table of the block costed last in
-    it.  Its planes must not change while the object is in use."""
+    """A reference frame, the cost table of the block costed last in it,
+    and the plan entries (``search_rounds.Planned``) of the blocks searched
+    or planned (``plan``) under one current picture, layout and search
+    config.  A block's entry is dropped when the table moves to another
+    block, which the evaluator does only once the block is placed.  Its
+    planes must not change while the object is in use."""
 
     frame: Frame
     poc: int        # picture order count; the single-reference search ignores it
     _table: _CostTable | None = field(default=None, init=False, repr=False, compare=False)
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _plan_key: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def costs(self, block: Block, cur: np.ndarray, layout: CubeLayout) -> _CostTable:
         """The cost table of ``block`` in ``cur``.  It is keyed by the block,
         ``cur`` (by identity: its pixels must not change either) and the
-        layout, and a new key starts an empty one."""
+        layout, and a new key starts an empty one and drops the plan entry
+        of the block costed before."""
         t = self._table
         if t is None or not (t.block == block and t.cur is cur and t.layout == layout):
+            if t is not None:
+                self._plans.pop(t.block, None)
             t = self._table = _CostTable(block, cur, self.frame.y, layout)
         return t
+
+    def plan(self, blocks: list[Block], cur: np.ndarray, cfg: SearchConfig,
+             layout: CubeLayout) -> None:
+        """Run the zero-seeded translational searches of ``blocks`` (one
+        size, such as a block row) together; ``tzs_search`` then returns
+        each block's result without searching."""
+        entries = [self._entry(b, cur, cfg, layout) for b in blocks]
+        searches = search_rounds.Searches(blocks, cur, self.frame.y, cfg, layout)
+        for e, (mv, cost, luma) in zip(entries, searches.translational(entries, [_ZERO])):
+            e.result, e.luma = (mv, cost), luma
+
+    def _entry(self, block: Block, cur: np.ndarray, cfg: SearchConfig,
+               layout: CubeLayout) -> search_rounds.Planned:
+        """``block``'s plan entry under ``(cur, layout, cfg)``; another key
+        drops every entry."""
+        key = self._plan_key
+        if not (key and key[0] is cur and key[1:] == (layout, cfg)):
+            self._plans.clear()
+            self._plan_key = cur, layout, cfg
+        return self._plans.setdefault(block, search_rounds.Planned())
 
 
 class BlockGrid:
@@ -238,11 +274,13 @@ class BlockGrid:
 
 
 def sad(a: np.ndarray, b: np.ndarray) -> int | np.ndarray:
-    """SAD of uint8 ``a`` against the (h, w) block ``b``, differenced in int16 and summed
-    in int64: an int for one (h, w) block ``a``, an int64 array for an (n, h, w) stack."""
+    """SAD of uint8 ``a`` against ``b``, differenced in int16 and summed in
+    int64: an int for one (h, w) block ``a``, an int64 array for an (n, h, w)
+    stack, each block against the (h, w) block ``b`` or against its own
+    block of an (n, h, w) stack ``b``."""
     if a.dtype != np.uint8 or b.dtype != np.uint8:
         raise ValueError("blocks must be uint8")
-    if a.ndim not in (2, 3) or a.shape[-2:] != b.shape:
+    if a.ndim not in (2, 3) or b.shape not in (a.shape[-2:], a.shape):
         raise ValueError("block dimensions differ")
     diff = np.subtract(a, b, dtype=np.int16)
     s = np.abs(diff, out=diff).sum(axis=(-2, -1), dtype=np.int64)
@@ -276,29 +314,31 @@ def _raster(c: float, size: int, r: int) -> range:
     return range(lo + (-r - lo) % RASTER_STEP, hi + 1, RASTER_STEP)
 
 
-def _raster_best(t: _CostTable, dxs: range, dys: range):
-    """The lowest-``_mv_key`` valid MV ``(4dx, 4dy)`` of ``t``'s block over
-    the ``_raster`` offsets ``dxs`` x ``dys`` and its SAD, or None.
+def _raster_best(block: Block, cur_blk: np.ndarray, plane: np.ndarray, layout: CubeLayout,
+                 dxs: range, dys: range):
+    """The lowest-``_mv_key`` valid MV ``(4dx, 4dy)`` of ``block`` (whose
+    pixels are ``cur_blk``) in ``plane`` over the ``_raster`` offsets
+    ``dxs`` x ``dys``, and its SAD, or None.
 
     Each offset's block is a strided view of one edge-clamped window, equal
     to its own ``fetch_block`` because clamping is per coordinate; ``sad``
     reduces one raster row at a time.  ``_raster`` keeps offsets
     within the search range, so validity is ``_mv_check``'s face check.
     """
-    b, cx, cy = t.block, *t.block.center
+    cx, cy = block.center
     dx, dy = np.array(dxs), np.array(dys)
-    ok = face_of(cx + dx, cy + dy[:, None], t.layout) != NO_FACE  # 4dx / 4.0 == dx
+    ok = face_of(cx + dx, cy + dy[:, None], layout) != NO_FACE  # 4dx / 4.0 == dx
     if not ok.any():  # also for an empty range
         return None
-    h, w = b.height, b.width
-    win = fetch_block(t.plane, b.x0 + dxs[0], b.y0 + dys[0],
+    h, w = block.height, block.width
+    win = fetch_block(plane, block.x0 + dxs[0], block.y0 + dys[0],
                       dxs[-1] - dxs[0] + w, dys[-1] - dys[0] + h)
     s0, s1 = win.strides
     blocks = as_strided(win, (len(dys), len(dxs), h, w),
                         (RASTER_STEP * s0, RASTER_STEP * s1, s0, s1), writeable=False)
     sads = np.zeros(ok.shape, dtype=np.int64)
     for j in np.flatnonzero(ok.any(axis=1)):
-        sads[j] = sad(blocks[j], t.cur_blk)
+        sads[j] = sad(blocks[j], cur_blk)
     row, col = np.nonzero(ok)
     x, y, s = 4 * dx[col], 4 * dy[row], sads[row, col]
     i = np.lexsort(_mv_key(s, x, y)[::-1])[0]  # lexsort sorts by its last key first
@@ -311,6 +351,7 @@ def _mv_key(cost, dx, dy):
 
 
 _WORST_KEY = (float("inf"),) * 4  # ranks below every real candidate
+_ZERO = MotionVector(0, 0)
 
 
 def _ring(center: MotionVector, axis: int, diag: int) -> list[MotionVector]:
@@ -340,81 +381,39 @@ def tzs_search(
     quarter-pel predictors are also evaluated exactly in the final
     stage, so the returned cost never exceeds the cost of any valid
     predictor.  Raises ``ValueError`` if no starting candidate is valid.
-    ``bank``, kept for positional callers, must be None or equal to
-    ``generate_dctif_bank()`` (``check_bank``).
+    A zero-seeded translational search that ``ref.plan`` ran returns its
+    result.  ``bank``, kept for positional callers, must be None or equal
+    to ``generate_dctif_bank()`` (``check_bank``).
     """
     check_bank(bank)
     if pred_for_bits is None:
-        pred_for_bits = predictors[0] if predictors else MotionVector(0, 0)
+        pred_for_bits = predictors[0] if predictors else _ZERO
     table = ref.costs(block, cur, layout)
+    entry = ref._entry(block, cur, cfg, layout)
+    if not advanced:
+        if list(predictors) == [_ZERO] and pred_for_bits == _ZERO:  # the search a plan runs
+            if entry.result is None:
+                ref.plan([block], cur, cfg, layout)
+            (mv, cost), luma, entry.luma = entry.result, entry.luma, None
+        else:
+            searches = search_rounds.Searches([block], cur, table.plane, cfg, layout)
+            (mv, cost, luma), = searches.translational([entry], predictors, pred_for_bits, table)
+        if luma is not None:  # the winner's luma, for placement
+            table.put((False, mv), luma)
+        return mv, cost
+
+    searches = search_rounds.Searches([block], cur, table.plane, cfg, layout)
+    searches.integer([search_rounds.stage1(predictors)], [entry])
     valid = _mv_check(block, cfg, layout)
-    r = cfg.search_range
-
-    # every stage ranks quarter-pel MVs; an integer offset (dx, dy) is (4dx, 4dy)
-    best = None
-    best_key = _WORST_KEY
-
-    def rank(mv, cost) -> bool:
-        """Rank ``mv`` at ``cost``; True if it is the new best."""
-        nonlocal best, best_key
-        key = _mv_key(cost, mv.dx_q2, mv.dy_q2)
-        if key < best_key:
-            best, best_key = mv, key
-            return True
-        return False
-
-    def try_int(mv) -> bool:
-        return valid(mv) and rank(mv, table[False, mv][0])
-
-    def try_ring(center, axis, diag) -> bool:
-        """Try every point of an integer ring (pixels); True if one won."""
-        return any([try_int(mv) for mv in _ring(center, 4 * axis, 4 * diag)])
-
-    # stage 1: zero MV plus rounded predictors (a repeat is a table hit)
-    for p in [MotionVector(0, 0), *predictors]:
-        try_int(MotionVector(4 * int(round_half_away(p.dx_q2 / 4.0)),
-                             4 * int(round_half_away(p.dy_q2 / 4.0))))
-    if best is None:
-        raise ValueError("no valid motion")
-
-    # stage 2: expanding diamond around the stage-1 winner; once the
-    # rings pass distance 1 without moving the best away from the
-    # anchor's immediate neighborhood, wider rings are skipped
-    anchor = best
-    best_dist = 0
-    d = 1
-    while d <= r:
-        if try_ring(anchor, d, d // 2):
-            best_dist = d
-        if d >= 2 and best_dist <= 1:
-            break
-        d *= 2
-
-    # stage 3: coarse raster only when the motion looks large; offsets
-    # whose center leaves the canvas would be rejected, so none is visited.
-    # It is one array reduction per block, shared by both searches; ranking
-    # only its best MV is exact, as distinct MVs never tie on ``_mv_key``
-    if best_dist > 5:
-        cx, cy = block.center
-        hit = table.raster_best(_raster(cx, layout.canvas_width, r),
-                                _raster(cy, layout.canvas_height, r))
-        if hit is not None:
-            rank(*hit)
-
-    # stage 4: re-centering small-diamond refinement
-    while try_ring(best, 1, 0) or try_ring(best, 2, 1):
-        pass
 
     # stage 5: quarter-pel refinement under the model cost, restarted from
-    # the integer winner and seeded with every predictor; the winner's window
-    # is filtered once, at 16 quarter-pel phases or (advanced) 64 x-phases
-    anchor, best_key = best, _WORST_KEY
-    m = BANK_MARGIN if advanced else REFINE_WINDOW_Q2 // 4
-    window = (table.plane, block.x0 + anchor.dx_q2 // 4 - m, block.y0 + anchor.dy_q2 // 4 - m,
-              block.width + 2 * m, block.height + 2 * m)
-    rows = row_bank(*window) if advanced else None
-    lattice = center_lattice(block, anchor, REFINE_WINDOW_Q2, layout) if advanced else None
-    planes = None if advanced else phase_planes(*window)
+    # the integer winner and seeded with every predictor; the winner's
+    # window is filtered once, at 64 x-phases
+    best = anchor = MotionVector(4 * int(searches.bx[0]), 4 * int(searches.by[0]))
+    best_key, m = _WORST_KEY, BANK_MARGIN  # the stage's row bank spans m pixels beyond the block
+    rows = row_bank(table.plane, block.x0 + anchor.dx_q2 // 4 - m, block.y0 + anchor.dy_q2 // 4 - m,
+                    block.width + 2 * m, block.height + 2 * m)
+    lattice = center_lattice(block, anchor, REFINE_WINDOW_Q2, layout)
 
     def in_window(mv):
         return (abs(mv.dx_q2 - anchor.dx_q2) <= REFINE_WINDOW_Q2
@@ -425,31 +424,29 @@ def tzs_search(
     def try_q2(mv, ahead=()) -> bool:
         """Rank one quarter-pel MV by the model cost; True if it won.
 
-        On an advanced table miss, the valid uncosted MVs of ``ahead`` (the
-        ones the caller will try next) join it in one batch of at most
-        ``batch_cap`` MVs; a translational miss outside the window is
-        costed alone by the read.
+        On a table miss, the valid uncosted MVs of ``ahead`` (the ones the
+        caller will try next) join it in one batch of at most ``batch_cap``
+        MVs.
         """
+        nonlocal best, best_key
         if not valid(mv):
             return False
-        if (advanced, mv) not in table:
-            if advanced:
-                batch = [mv]
-                for m in ahead:
-                    if len(batch) == batch_cap:
-                        break
-                    if (True, m) not in table and m not in batch and valid(m):
-                        batch.append(m)
-                table.put_batch(batch, rows, lattice)
-            elif in_window(mv):  # a slice of the filtered window
-                ox = mv.dx_q2 - anchor.dx_q2 + REFINE_WINDOW_Q2  # quarter-pels into the window
-                oy = mv.dy_q2 - anchor.dy_q2 + REFINE_WINDOW_Q2
-                table.put((False, mv), planes[oy & 3, ox & 3, oy >> 2 : (oy >> 2) + block.height,
-                                              ox >> 2 : (ox >> 2) + block.width])
-        cost = float(table[advanced, mv][0])
+        if (True, mv) not in table:
+            batch = [mv]
+            for m in ahead:
+                if len(batch) == batch_cap:
+                    break
+                if (True, m) not in table and m not in batch and valid(m):
+                    batch.append(m)
+            table.put_batch(batch, rows, lattice)
+        cost = float(table[True, mv][0])
         if cfg.lambda_:
             cost += cfg.lambda_ * mv_bits(mv, pred_for_bits)
-        return rank(mv, cost)
+        key = _mv_key(cost, mv.dx_q2, mv.dy_q2)
+        if key < best_key:
+            best, best_key = mv, key
+            return True
+        return False
 
     def around_best(offsets):
         """MVs at ``offsets`` from the current best that lie in the window."""
@@ -467,7 +464,7 @@ def tzs_search(
     step = 2
     while step >= 1:
         moved = False
-        ring = _ring(MotionVector(0, 0), step, step)
+        ring = _ring(_ZERO, step, step)
         for i, o in enumerate(ring):
             cand = MotionVector(best.dx_q2 + o.dx_q2, best.dy_q2 + o.dy_q2)
             if in_window(cand):
@@ -506,6 +503,13 @@ def _decided(grid: BlockGrid, block: Block, offsets):
             yield Block(x, y, bs, bs).center, rec
 
 
+@functools.lru_cache(maxsize=8)
+def _carried(center, mv: MotionVector, to, layout: CubeLayout) -> MotionVector:
+    """``transport_mv_predictor``, once per neighbour and block: the merge
+    and AMVP scans of a block often read the same neighbour."""
+    return transport_mv_predictor(center, mv, to, layout)
+
+
 def merge_candidate(grid: BlockGrid, block: Block, layout: CubeLayout) -> MotionVector | None:
     """First advanced-coded neighbor MV, transported to this block.
 
@@ -514,11 +518,10 @@ def merge_candidate(grid: BlockGrid, block: Block, layout: CubeLayout) -> Motion
     candidate that collapses to zero is skipped and the scan goes on.
     Returns None when no neighbor qualifies (merge unavailable).
     """
-    zero = MotionVector(0, 0)
     for center, rec in _decided(grid, block, _MERGE_OFFSETS):
-        if rec.mode is not PredMode.TRANS and rec.mv != zero:
-            cand = transport_mv_predictor(center, rec.mv, block.center, layout)
-            if cand != zero:
+        if rec.mode is not PredMode.TRANS and rec.mv != _ZERO:
+            cand = _carried(center, rec.mv, block.center, layout)
+            if cand != _ZERO:
                 return cand
     return None
 
@@ -530,8 +533,8 @@ def amvp_predictor(grid: BlockGrid, block: Block, layout: CubeLayout) -> MotionV
     block's center.
     """
     for center, rec in _decided(grid, block, _AMVP_OFFSETS):
-        return transport_mv_predictor(center, rec.mv, block.center, layout)
-    return MotionVector(0, 0)
+        return _carried(center, rec.mv, block.center, layout)
+    return _ZERO
 
 
 def mode_decide(
@@ -550,17 +553,20 @@ def mode_decide(
     seed, so its result never depends on previously decided blocks and
     the advanced policy can always fall back to it.  A caller that has
     already run that search (the evaluator shares it across policies)
-    can pass it as ``trans_result``.  Ties keep the earlier flavor in
-    the order TRANS, ADV_MERGE, ADV_AMVP.  The record is stored in the
-    grid for use by later blocks.  ``bank`` is checked as ``tzs_search``'s.
+    can pass it as ``trans_result``.  The merge MV is costed after the
+    AMVP search, which has often costed it already (as its predictor,
+    say), and each neighbour is transported once for both scans.  Ties
+    keep the earlier flavor in the order TRANS, ADV_MERGE, ADV_AMVP.  The
+    record is stored in the grid for use by later blocks.  ``bank`` is
+    checked as ``tzs_search``'s.
     """
     check_bank(bank)
     if trans_result is None:  # the zero seed is also the MV-bits predictor
-        zero = MotionVector(0, 0)
-        mv_t, cost_t = tzs_search(block, cur, ref, [zero], cfg, layout, advanced=False)
-    else:
-        mv_t, cost_t = trans_result
-    mode, mv, cost = PredMode.TRANS, mv_t, cost_t
+        trans_result = tzs_search(block, cur, ref, [_ZERO], cfg, layout, advanced=False)
+    mode, (mv, cost) = PredMode.TRANS, trans_result
+
+    amvp = amvp_predictor(grid, block, layout)
+    mv_a, cost_a = tzs_search(block, cur, ref, [amvp], cfg, layout, advanced=True)
 
     merge_mv = merge_candidate(grid, block, layout)
     if merge_mv is not None and _mv_check(block, cfg, layout)(merge_mv):
@@ -569,8 +575,6 @@ def mode_decide(
         if cost_m < cost:
             mode, mv, cost = PredMode.ADV_MERGE, merge_mv, cost_m
 
-    amvp = amvp_predictor(grid, block, layout)
-    mv_a, cost_a = tzs_search(block, cur, ref, [amvp], cfg, layout, advanced=True)
     if cost_a < cost:
         mode, mv, cost = PredMode.ADV_AMVP, mv_a, cost_a
 

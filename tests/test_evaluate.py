@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cubemc import cli, evaluate, motion_model, motion_search
+from cubemc import cli, evaluate, motion_model, motion_search, search_rounds
 from cubemc.evaluate import (
     CSV_HEADER,
     BlockResult,
@@ -102,6 +102,12 @@ class TestConfigValidation:
         with pytest.raises(EvalConfigError, match="three components"):
             small_cfg(synth_velocity=velocity)
 
+    @pytest.mark.parametrize("velocity", [2.0, ("1", "0", "0")], ids=["scalar", "strings"])
+    def test_velocity_of_non_numbers(self, velocity):
+        # both raised TypeError, which no caller of EvalConfig expects
+        with pytest.raises(EvalConfigError, match="velocity"):
+            EvalConfig(input="synthetic", face_size=32, synth_velocity=velocity)
+
     @pytest.mark.parametrize(
         "kw,message",
         [
@@ -176,18 +182,18 @@ class TestRunEval:
 
 class TestNoRepeatedWork:
     """Both searches, the merge check and placement share one cost table
-    per block: within a frame no block fetches an integer offset twice or
-    builds an advanced field twice, and placement warps chroma only, once
-    per distinct placement.  Each block's work is done before the next
-    block's starts, so the one-entry sphere-grid cache misses once per
-    block and frame."""
+    per block, and the two searches one plan entry: within a frame no block
+    runs integer stages 2-4 twice from one start or builds an advanced
+    field twice, and placement warps chroma only, once per distinct
+    placement.  Each block's work is done before the next block's starts,
+    so the one-entry sphere-grid cache misses once per block and frame."""
 
     def test_face64_counts(self, monkeypatch, one_cpu):
         # pinned to one CPU: the spies count in this process, and a
         # wavefront helper would decide half the blocks out of their sight
         motion_model._block_sphere.cache_clear()
         block = {}
-        fetched, built, placed = Counter(), Counter(), []
+        descents, built, placed = Counter(), Counter(), []
 
         def spy(module, name, record):
             inner = getattr(module, name)
@@ -201,7 +207,8 @@ class TestNoRepeatedWork:
         # the evaluator's translational search opens each block; the frame
         # is told apart by its current luma array, which lives all run long
         spy(evaluate, "tzs_search", lambda a: block.update(key=(id(a[1]), a[0])))
-        spy(motion_search, "fetch_block", lambda a: fetched.update([(block["key"], a[1], a[2])]))
+        spy(search_rounds.Searches, "_descend", lambda a: descents.update(
+            (id(a[0].cur_plane), a[0].blocks[k], int(a[2][k]), int(a[3][k])) for k in a[1]))
         spy(motion_search, "build_correspondence_field",
             lambda a: built.update([(block["key"], a[1])]))
         spy(motion_search, "build_correspondence_fields",
@@ -213,7 +220,7 @@ class TestNoRepeatedWork:
         blocks = sum(len(f.blocks) for f in report.frames)
         assert blocks == 2 * 96
         assert {m for f in report.frames for m in (b.mode for b in f.blocks)} == set(PredMode)
-        assert fetched and max(fetched.values()) == 1
+        assert descents and max(descents.values()) == 1
         assert built and max(built.values()) == 1
         # two chroma warps per distinct placement: a TRANS block's advanced
         # placement is its translational one, made once
@@ -221,7 +228,7 @@ class TestNoRepeatedWork:
         assert len(placed) == 2 * (blocks + advanced)
         info = motion_model._block_sphere.cache_info()
         assert (info.maxsize, info.currsize) == (1, 1)
-        assert (info.misses, info.hits) == (blocks, 962)
+        assert (info.misses, info.hits) == (blocks, 823)
 
 
 class TestOwners:

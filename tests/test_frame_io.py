@@ -164,6 +164,15 @@ class TestSyntheticSpecValidation:
         with pytest.raises(ValueError, match="three components"):
             SyntheticSpec(face_width=64, frames=2, velocity=velocity)
 
+    @pytest.mark.parametrize("velocity,message", [
+        (2.0, "three components"), (None, "three components"),
+        (("1", "0", "0"), "real numbers"), ((1.0, None, 0.0), "real numbers"),
+    ], ids=["scalar", "none", "strings", "a-none"])
+    def test_velocity_of_non_numbers(self, velocity, message):
+        # a scalar raised TypeError from len(), a string one from isfinite()
+        with pytest.raises(ValueError, match=message):
+            SyntheticSpec(face_width=64, frames=2, velocity=velocity)
+
     def test_seed_must_be_non_negative(self):
         with pytest.raises(ValueError, match="seed"):
             SyntheticSpec(face_width=64, frames=2, velocity=(1.0, 0.0, 0.0), seed=-1)

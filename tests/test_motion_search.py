@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubemc import motion_search
+from cubemc import motion_search, search_rounds
 from cubemc.evaluate import EvalConfig, run_eval
 from cubemc.frame_io import SyntheticSpec, generate_synthetic
 from cubemc.geometry import CubeLayout
@@ -392,29 +392,36 @@ class TestRasterBound:
 
     def test_wide_ranges_agree_and_cost_the_canvas(self, monkeypatch):
         cur, refp, _ = synthetic_pair(velocity=(0.0, 7.5, 0.0), seed=5)
-        calls, rasters, fetches = [], [], []
-        for name, log in (("face_of", calls), ("_raster_best", rasters),
-                          ("fetch_block", fetches)):
-            inner = getattr(motion_search, name)
-            monkeypatch.setattr(motion_search, name,
+        calls, rasters, fetches, gathered = [], [], [], []
+        for owner, name, log in ((motion_search, "face_of", calls),
+                                 (motion_search, "_raster_best", rasters),
+                                 (motion_search, "fetch_block", fetches),
+                                 (search_rounds.Searches, "_windows", gathered)):
+            inner = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
                                 lambda *a, _f=inner, _log=log: _log.append(a) or _f(*a))
         blk = Block(16, 64, 16, 16)
         results, counts = {}, {}
         for r in (1024, 4096):
-            calls.clear()
-            rasters.clear()
-            fetches.clear()
+            for log in (calls, rasters, fetches, gathered):
+                log.clear()
             results[r] = tzs_search(blk, cur.y, ReferencePicture(refp.frame, 0), [ZERO],
                                     SearchConfig(search_range=r), L64, advanced=False)
-            counts[r] = len(calls)
+            # moved centers checked, over the array calls and the scalar ones
+            counts[r] = sum(np.size(x) for x, *_ in calls)
             assert len(rasters) == 1
         assert results[1024] == results[4096]
         # the raster's one window covers the canvas at most, whatever the
         # range: at r = 4096 the full lattice would span 8192 + 16 px
         assert max(w for *_, w, _ in fetches) <= L64.canvas_width + blk.width
         assert max(h for *_, h in fetches) <= L64.canvas_height + blk.height
+        # the rounds read block windows at valid offsets only, so even at
+        # r = 4096 every window starts within a block of the canvas
+        for _, x, y in gathered:
+            assert -blk.width < x.min() and x.max() < L64.canvas_width
+            assert -blk.height < y.min() and y.max() < L64.canvas_height
         # the two extra stage-2 rings of r = 4096 add 16 checks
-        assert counts[4096] - counts[1024] <= 16
+        assert counts[4096] - counts[1024] == 16
 
 
 class TestRasterKernel:
@@ -446,8 +453,8 @@ class TestRasterKernel:
         cx, cy = block.center
         dxs, dys = ranges or (motion_search._raster(cx, layout.canvas_width, r),
                               motion_search._raster(cy, layout.canvas_height, r))
-        table = motion_search._CostTable(block, cur, plane, layout)
-        return motion_search._raster_best(table, dxs, dys)
+        cur_blk = cur[block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width]
+        return motion_search._raster_best(block, cur_blk, plane, layout, dxs, dys)
 
     @staticmethod
     def pictures(layout, levels, seed):
@@ -521,21 +528,25 @@ class TestRasterKernel:
         assert not fetches
 
     def test_both_searches_share_one_kernel_run(self, monkeypatch):
-        # 7.5 px/frame at face 64: the raster fires, in both searches of some blocks
+        # 7.5 px/frame at face 64: the raster fires, in both searches of some
+        # blocks; each search alone, on a reference of its own, shows which
         cur, refp, _ = synthetic_pair(velocity=(0.0, 7.5, 0.0), seed=5)
-        reads, runs = [], []
-        read, run = motion_search._CostTable.raster_best, motion_search._raster_best
-        monkeypatch.setattr(motion_search._CostTable, "raster_best",
-                            lambda self, *a: reads.append(a) or read(self, *a))
+        runs = []
+        run = motion_search._raster_best
         monkeypatch.setattr(motion_search, "_raster_best", lambda *a: runs.append(a) or run(*a))
         grid, cfg, bank = BlockGrid(L64, 16), SearchConfig(lambda_=4.0), generate_dctif_bank()
         shared = 0
         for blk in grid.blocks:
-            reads.clear()
+            alone = []
+            for preds, advanced in (([ZERO], False), ([amvp_predictor(grid, blk, L64)], True)):
+                runs.clear()
+                tzs_search(blk, cur.y, ReferencePicture(refp.frame, 0), preds, cfg, L64,
+                           advanced=advanced)
+                alone.append(len(runs))
             runs.clear()
             mode_decide(blk, cur.y, refp, grid, cfg, L64, bank)
-            assert len(runs) == min(len(reads), 1)
-            shared += len(reads) == 2
+            assert len(runs) == min(sum(alone), 1)
+            shared += alone == [1, 1]
         assert shared > 0
 
 
@@ -552,7 +563,7 @@ class TestTranslationalWindow:
         # 7.5 px/frame: some integer winners lie far from the zero seed
         cur, refp, _ = synthetic_pair(velocity=(0.0, 7.5, 0.0), seed=5)
         windows, warped = [], []
-        build, warp = motion_search.phase_planes, motion_search.warp_block
+        build, warp = search_rounds.phase_planes, motion_search.warp_block
 
         def counted_build(*args):
             windows.append(args)
@@ -562,7 +573,7 @@ class TestTranslationalWindow:
             warped.append(field)
             return warp(plane, field, bank)
 
-        monkeypatch.setattr(motion_search, "phase_planes", counted_build)
+        monkeypatch.setattr(search_rounds, "phase_planes", counted_build)
         monkeypatch.setattr(motion_search, "warp_block", counted_warp)
         bank = generate_dctif_bank()
         out_of_window = 0
@@ -589,8 +600,9 @@ class TestAdvancedRowBank:
     """The advanced stage 5 reads pass 1 of every warp from one row bank
     per search, freed when the search returns.  Over a face-128 clip of
     64-px blocks, ``warp_block`` runs only for what is costed before or
-    without a bank: the merge MV (``mode_decide`` costs it before the AMVP
-    search) and translational seeds outside their quarter-pel window."""
+    without a bank: a merge MV that the AMVP search did not cost
+    (``mode_decide`` costs the merge MV after the search) and translational
+    seeds outside their quarter-pel window."""
 
     def test_search_warps_go_through_the_bank(self, monkeypatch):
         layout = CubeLayout(128, 128)
@@ -610,8 +622,7 @@ class TestAdvancedRowBank:
                 searching.pop()
                 # no stage state survives the search on the shared table
                 table = ref.costs(blk, cur_y, layout)
-                assert set(vars(table)) == {"block", "cur", "plane", "layout", "cur_blk",
-                                            "rasters"}
+                assert set(vars(table)) == {"block", "cur", "plane", "layout", "cur_blk"}
 
         def spied_warp(plane, field, bank=None):
             gathered.append((searching[-1] if searching else None, field))
@@ -634,7 +645,7 @@ class TestAdvancedRowBank:
             mode_decide(blk, cur.y, refp, grid, cfg, layout, bank, trans_result=trans)
             for context, field in gathered:
                 assert context is not True  # no gather inside an advanced search
-                if context is None:  # the merge MV, costed before the bank exists
+                if context is None:  # a merge MV the search did not cost
                     merges += 1
                     want = build_correspondence_field(blk, merge_mv, layout)
                     np.testing.assert_array_equal(field.rx_q6, want.rx_q6)
@@ -784,13 +795,14 @@ class TestOneBank:
 
 
 class TestValidityChecks:
-    """A search checks an MV's validity (one scalar ``face_of``) once per
-    read, and a stage-3 raster checks its whole grid in one array call.
-    The calls over every block of a fixed clip, both models and both
-    lambdas, are pinned, so a check repeated per read or per stage shows
-    up here before it shows up in the timings."""
+    """The array rounds check each round's MVs in one array ``face_of``
+    call, a stage-3 raster its whole grid in one, and the advanced stage 5
+    one MV per read (a scalar call).  The calls over every block of a fixed
+    clip, both models and both lambdas, are pinned, so a check repeated per
+    read, per round or per stage shows up here before it shows up in the
+    timings."""
 
-    FACE_OF_CALLS = 34651
+    FACE_OF_CALLS = 11055
 
     def test_face_of_calls_pinned(self, monkeypatch):
         cur, refp, _ = synthetic_pair(velocity=(1.0, 2.0, 0.0), seed=3)
