@@ -19,38 +19,44 @@ in the block's plan entry, so the advanced search that starts where the
 translational one did takes its end without a round.
 
 The final quarter-pel stage restarts the ranking from the integer winner
-with the true cost of the requested motion model: for the advanced model
-that means building the per-pixel correspondence field and warping
-through the filter bank for every candidate, with pass 1 read from one
-row bank per stage (``row_bank``); ``warp_block``'s gather serves pixels
-across a face seam and MVs costed outside the stage.  Likewise the stage
-maps the 17x17 quarter-pel lattice of moved block centers around its
-anchor once (``center_lattice``), and each field build within that
-window reads its centers' sphere points from it instead of making its
-own geometry call.  A window that reaches off the faces gets no lattice:
-the validity rule keeps every costed center on a face, and each build
-maps its own.  The row bank and the lattice are locals of the stage,
-passed to each costing call and freed when the search returns.
+with the true cost of the requested motion model.  Its visiting order is
+one walk for both models (``search_rounds.walk``): the seeds (the winner,
+then every predictor), then ring passes at steps 2 and 1 around the best
+of the moment, within ``REFINE_WINDOW_Q2`` of the winner, each MV ranked
+by ``_mv_key`` of its SAD plus the MV-bits term.  The walk takes bare SADs
+and only their costing differs by model.
+
+Under the translational model every ring point lies in the window, so, as
+in the HEVC reference encoder, the stage filters that window once at the
+16 quarter-pel phases (``phase_planes``, used for nothing else) and each
+such candidate is a slice of it; a seed outside the window is gathered
+alone.  The walks of a block row are costed together in array rounds
+(``search_rounds.Searches``).
+
+Under the advanced model each candidate builds the per-pixel
+correspondence field and warps through the filter bank, with pass 1 read
+from one row bank per stage (``row_bank``); ``warp_block``'s gather serves
+pixels across a face seam and MVs costed outside the stage.  Likewise the
+stage maps the 17x17 quarter-pel lattice of moved block centers around
+its anchor once (``center_lattice``), and each field build within that
+window reads its centers' sphere points from it instead of making its own
+geometry call.  A window that reaches off the faces gets no lattice: the
+validity rule keeps every costed center on a face, and each build maps
+its own.  The row bank and the lattice are locals of the stage, passed to
+each costing call and freed when the search returns.  A table miss
+speculates: the valid, uncosted MVs the walk visits next (the rest of the
+ring around the current best, or the remaining seeds) are costed with it
+in one batched field build and warp, which pays numpy's per-call overhead
+once per batch.  The walk still ranks one MV at a time, so every result
+is what one-at-a-time evaluation gives.  A speculative MV the walk never
+reaches is wasted work, so a batch holds at most ``BATCH_PIXELS`` pixels:
+16 candidates of 16x16, 4 of 32x32, one of 64x64.
 
 The advanced stage, the merge check and the evaluator's placement share
 one table per block and reference, ``(advanced, mv) -> (SAD, luma)``, so
 no advanced MV of a block is warped twice.  Its ``put`` writes each
 translation (the translational winner, for placement, and a seed costed
 outside its window) and its ``put_batch`` every advanced MV.
-
-Under the translational model every refinement candidate lies within
-``REFINE_WINDOW_Q2`` of the integer winner, so, as in the HEVC reference
-encoder, the stage filters that window once at the 16 quarter-pel phases
-(``phase_planes``, used for nothing else) and each such candidate is a
-slice of it; a predictor outside the window is gathered alone.  Under the
-advanced model a table miss speculates: the MVs the search tries next
-(the rest of the ring around the current best, or the remaining seeds)
-are costed with it in one batched field build and warp, which pays
-numpy's per-call overhead once per batch.  Ranking still goes one MV at
-a time in the same order, so every result is what one-at-a-time
-evaluation gives.  A speculative MV the search never reaches is wasted
-work, so a batch holds at most ``BATCH_PIXELS`` pixels: 16 candidates of
-16x16, 4 of 32x32, one of 64x64.
 
 Mode decision compares three flavors per block: translational,
 advanced-merge (a transported neighbor MV, no search, no MV-difference
@@ -126,6 +132,8 @@ class SearchConfig:
             raise ValueError("search_range must be an integer")
         if self.search_range <= 0:
             raise ValueError("search_range must be positive")
+        # a Python int: the search limit 4 * search_range must not wrap
+        object.__setattr__(self, "search_range", int(self.search_range))
         if not (math.isfinite(self.lambda_) and self.lambda_ >= 0):
             raise ValueError("lambda must be finite and non-negative")
 
@@ -141,8 +149,8 @@ class _CostTable(dict):
     """``(advanced, mv) -> (SAD, luma prediction)`` of one block in one
     reference, written by one method per model: ``put`` for translations,
     ``put_batch`` for advanced MVs.  Reading a missing MV costs it on its
-    own.  SADs are bare: each search checks validity and adds its MV-bits
-    term when it reads.  The integer stages do not use it: they cost
+    own.  SADs are bare: each search checks validity, and the stage-5 walk
+    adds the MV-bits term.  The integer stages do not use it: they cost
     their candidates as arrays (``search_rounds``)."""
 
     def __init__(self, block: Block, cur: np.ndarray, plane: np.ndarray, layout):
@@ -288,11 +296,10 @@ def sad(a: np.ndarray, b: np.ndarray) -> int | np.ndarray:
 
 
 def mv_bits(mv: MotionVector, pred: MotionVector) -> int:
-    """Exp-Golomb-like size proxy for coding mv as predictor + difference."""
-    bits = 0
-    for d in (mv.dx_q2 - pred.dx_q2, mv.dy_q2 - pred.dy_q2):
-        bits += 1 + 2 * int(abs(d)).bit_length()
-    return bits
+    """Exp-Golomb-like size proxy for coding mv as predictor + difference:
+    1 + 2 bit_length(|d|) bits per component d."""
+    return 2 + 2 * (int(abs(mv.dx_q2 - pred.dx_q2)).bit_length()
+                    + int(abs(mv.dy_q2 - pred.dy_q2)).bit_length())
 
 
 def _mv_check(block: Block, cfg: SearchConfig, layout: CubeLayout):
@@ -406,73 +413,32 @@ def tzs_search(
     searches.integer([search_rounds.stage1(predictors)], [entry])
     valid = _mv_check(block, cfg, layout)
 
-    # stage 5: quarter-pel refinement under the model cost, restarted from
-    # the integer winner and seeded with every predictor; the winner's
-    # window is filtered once, at 64 x-phases
-    best = anchor = MotionVector(4 * int(searches.bx[0]), 4 * int(searches.by[0]))
-    best_key, m = _WORST_KEY, BANK_MARGIN  # the stage's row bank spans m pixels beyond the block
+    # stage 5 under the model cost: the walk from the integer winner, whose
+    # window's rows are filtered once, at 64 x-phases
+    anchor = MotionVector(4 * int(searches.bx[0]), 4 * int(searches.by[0]))
+    m = BANK_MARGIN  # the stage's row bank spans m pixels beyond the block
     rows = row_bank(table.plane, block.x0 + anchor.dx_q2 // 4 - m, block.y0 + anchor.dy_q2 // 4 - m,
                     block.width + 2 * m, block.height + 2 * m)
     lattice = center_lattice(block, anchor, REFINE_WINDOW_Q2, layout)
-
-    def in_window(mv):
-        return (abs(mv.dx_q2 - anchor.dx_q2) <= REFINE_WINDOW_Q2
-                and abs(mv.dy_q2 - anchor.dy_q2) <= REFINE_WINDOW_Q2)
-
     batch_cap = max(1, BATCH_PIXELS // (block.width * block.height))
-
-    def try_q2(mv, ahead=()) -> bool:
-        """Rank one quarter-pel MV by the model cost; True if it won.
-
-        On a table miss, the valid uncosted MVs of ``ahead`` (the ones the
-        caller will try next) join it in one batch of at most ``batch_cap``
-        MVs.
-        """
-        nonlocal best, best_key
-        if not valid(mv):
-            return False
-        if (True, mv) not in table:
-            batch = [mv]
-            for m in ahead:
-                if len(batch) == batch_cap:
-                    break
-                if (True, m) not in table and m not in batch and valid(m):
-                    batch.append(m)
-            table.put_batch(batch, rows, lattice)
-        cost = float(table[True, mv][0])
-        if cfg.lambda_:
-            cost += cfg.lambda_ * mv_bits(mv, pred_for_bits)
-        key = _mv_key(cost, mv.dx_q2, mv.dy_q2)
-        if key < best_key:
-            best, best_key = mv, key
-            return True
-        return False
-
-    def around_best(offsets):
-        """MVs at ``offsets`` from the current best that lie in the window."""
-        for o in offsets:
-            cand = MotionVector(best.dx_q2 + o.dx_q2, best.dy_q2 + o.dy_q2)
-            if in_window(cand):
-                yield cand
-
-    # the anchor passed the same check in the integer stages, so stage 5
-    # always ranks one
-    seeds = [anchor, *predictors]
-    for i, mv in enumerate(seeds):
-        try_q2(mv, seeds[i + 1 :])
-
-    step = 2
-    while step >= 1:
-        moved = False
-        ring = _ring(_ZERO, step, step)
-        for i, o in enumerate(ring):
-            cand = MotionVector(best.dx_q2 + o.dx_q2, best.dy_q2 + o.dy_q2)
-            if in_window(cand):
-                # a miss also costs the rest of the ring around the current best
-                moved |= try_q2(cand, around_best(ring[i + 1 :]))
-        if not moved:
-            step //= 2
-    return best, best_key[0]
+    walk = search_rounds.walk(anchor, predictors, cfg.lambda_, pred_for_bits)
+    mv, ahead = next(walk)
+    while True:
+        s = None
+        if valid(mv):
+            if (True, mv) not in table:  # a miss also costs what the walk visits next
+                batch = [mv]
+                for v in ahead:
+                    if len(batch) == batch_cap:
+                        break
+                    if (True, v) not in table and v not in batch and valid(v):
+                        batch.append(v)
+                table.put_batch(batch, rows, lattice)
+            s = table[True, mv][0]
+        try:
+            mv, ahead = walk.send(s)
+        except StopIteration as done:
+            return done.value
 
 
 _MERGE_OFFSETS = (

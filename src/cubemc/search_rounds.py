@@ -1,24 +1,33 @@
-"""The array rounds of ``motion_search``'s zone search.
+"""The array rounds of ``motion_search``'s zone search, and its stage-5 walk.
 
 One engine (``Searches``) runs the integer-pel stages 1-4 of both
-searches and the translational quarter-pel stage 5: the translational
-searches of a whole block row at once (``ReferencePicture.plan``), the
-integer stages of one advanced search, and a lone translational search
-as a row of one.  Each round replaces the per-candidate validity check,
-fetch, SAD and ranking of one-at-a-time evaluation with a few numpy calls
-for every active block, and ranks in the same ``_mv_key`` order, so every
-result is that evaluation's.  Stage 3 stays one array reduction per block
-(``motion_search._raster_best``), run at most once per block; its result
-and each integer descent's end are kept in the block's plan entry
-(``Planned``), which both of its searches read.
+searches and costs the translational quarter-pel stage 5: the
+translational searches of a whole block row at once
+(``ReferencePicture.plan``), the integer stages of one advanced search,
+and a lone translational search as a row of one.  Each round replaces the
+per-candidate validity check, fetch, SAD and ranking of one-at-a-time
+evaluation with a few numpy calls for every active block, and ranks in
+the same ``_mv_key`` order, so every result is that evaluation's.  Stage 3
+stays one array reduction per block (``motion_search._raster_best``), run
+at most once per block; its result and each integer descent's end are
+kept in the block's plan entry (``Planned``), which both of its searches
+read.
 
-The engine reads ``motion_search``'s names (``face_of``, ``sad``,
-``fetch_block``, the raster kernel, the cost table and the ranking key)
-through the module when it runs, so one definition serves both files.
-It is a file of its own because a process that writes no bytecode
-compiles every module it imports, and CPython's parser doubles its token
-buffer past 4096 tokens of one module: one file holding both would cross
-that step, and every such process would keep about 0.25 MiB more.
+Stage 5 visits its MVs in one order for both models, written once as a
+generator (``walk``) that yields each MV to rank and takes its bare SAD.
+Each model only costs what the walk visits: the translational one in
+array rounds over a block row's walks (``Searches._refine``), the
+advanced one an MV at a time, with speculative batches
+(``motion_search.tzs_search``).
+
+The module reads ``motion_search``'s names (``face_of``, ``sad``,
+``fetch_block``, the raster kernel, the cost table, ``mv_bits`` and the
+ranking key) through the module when it runs, so one definition serves
+both files.  It is a file of its own because a process that writes no
+bytecode compiles every module it imports, and CPython's parser doubles
+its token buffer past 4096 tokens of one module: one file holding both
+would cross that step, and every such process would keep about 0.25 MiB
+more (``tests/test_module_boundaries.py`` keeps each module below it).
 """
 
 from __future__ import annotations
@@ -55,6 +64,57 @@ def stage1(predictors) -> list[tuple[int, int]]:
                       for p in predictors)]
 
 
+def walk(anchor, predictors, lambda_, pred_for_bits):
+    """Stage 5's visiting order, which both models' costings drive: a
+    generator that yields ``(mv, ahead)``, the MV to rank and the MVs it
+    visits after it as things stand, and takes the bare SAD of ``mv`` (None
+    where it is invalid).  It returns ``(best, cost)``.
+
+    The seeds come first: the anchor (the integer winner, which passed the
+    integer stages' check), then each predictor, wherever it lies.  Then
+    ring passes at steps 2 and 1 visit ``_ring``'s points around the best
+    of the moment that lie within ``REFINE_WINDOW_Q2`` of the anchor, in
+    order: after a win, the rest of the ring around the new best.  A pass
+    that moves the best runs again at its step.  An MV ranks by ``_mv_key``
+    of its SAD plus ``lambda_`` times its ``mv_bits`` against
+    ``pred_for_bits``, and wins only with a lower key."""
+    q = ms.REFINE_WINDOW_Q2
+    x0, x1, y0, y1 = anchor.dx_q2 - q, anchor.dx_q2 + q, anchor.dy_q2 - q, anchor.dy_q2 + q
+    best, best_key = anchor, ms._WORST_KEY
+
+    def won(mv, s):
+        nonlocal best, best_key
+        if s is None:
+            return False
+        cost = float(s)
+        if lambda_:
+            cost += lambda_ * ms.mv_bits(mv, pred_for_bits)
+        key = ms._mv_key(cost, *mv)
+        if key < best_key:
+            best, best_key = mv, key
+            return True
+        return False
+
+    seeds = [anchor, *predictors]
+    for i, mv in enumerate(seeds):
+        won(mv, (yield mv, seeds[i + 1 :]))
+    step = 2
+    while step:
+        moved, start = False, 0
+        while start < len(_UNIT_RING):  # the pass's rest, around the best of the moment
+            bx, by = best
+            ring = [(d, MotionVector(x, y)) for d, (ux, uy) in enumerate(_UNIT_RING[start:], start)
+                    if x0 <= (x := bx + ux * step) <= x1 and y0 <= (y := by + uy * step) <= y1]
+            mvs, start = [mv for _, mv in ring], len(_UNIT_RING)
+            for i, (d, mv) in enumerate(ring):
+                if won(mv, (yield mv, mvs[i + 1 :])):
+                    moved, start = True, d + 1
+                    break
+        if not moved:
+            step //= 2
+    return best, best_key[0]
+
+
 NOT_RUN = object()  # a plan entry's raster before stage 3 asks for it
 
 
@@ -83,10 +143,10 @@ class Searches:
     inside it; one that reaches past an edge is gathered with clamped
     coordinates, which is ``fetch_block`` per coordinate.
 
-    ``integer`` runs stages 1-4 and ``translational`` adds the
-    translational stage 5, whose candidates are slices of each block's
-    ``phase_planes``; the advanced search runs ``integer`` on its one
-    block.  A round may cost candidates that the one-at-a-time order
+    ``integer`` runs stages 1-4 and ``translational`` adds stage 5, each
+    block's ``walk`` costed under SAD, whose candidates are slices of each
+    block's ``phase_planes``; the advanced search runs ``integer`` on its
+    one block.  A round may cost candidates that the one-at-a-time order
     would skip (the rest of a ring after a move, say); they are costed,
     never ranked, so every result is that order's.
     """
@@ -171,7 +231,7 @@ class Searches:
         runs at most once per block, its result kept in the entry too.
         Raises ``ValueError`` if a block has no valid stage-1 offset.
         """
-        r = int(self.cfg.search_range)
+        r = self.cfg.search_range
         first, around = [], []  # (block, x, y) of each stage-1 offset, and of each ring center
         for k, (s, e) in enumerate(zip(starts, entries)):
             ends = {e.ends.get(o) for o in s}
@@ -282,17 +342,16 @@ class Searches:
                 self._refine(self.every[s : s + per], predictors, pred_for_bits, table)]
 
     def _refine(self, sel, predictors, pred_for_bits, table):
-        """Stage 5 of blocks ``sel``: quarter-pel refinement under SAD plus
-        the MV-bits term, restarted from the integer winner (the anchor) and
-        seeded with every predictor, then ring passes at steps 2 and 1 around
-        the best, each pass visiting its ring in order around the best of the
-        moment.  Each block's window is filtered once at the 16 quarter-pel
-        phases (``phase_planes``) and a candidate in it is a slice.
+        """Stage 5 of blocks ``sel``: each block's ``walk`` from its integer
+        winner (the anchor), under SAD.  Each block's window is filtered once
+        at the 16 quarter-pel phases (``phase_planes``) and a candidate in it
+        is a slice; a seed outside it is costed alone, through ``table`` (the
+        cost table of a lone block) when given.
 
-        A round costs every block's pending points at once (the rest of its
-        ring around its best); each block then ranks them in order up to the
-        first that wins, after which its points lie around the new best and
-        wait for the next round."""
+        A round costs the MV each walk waits for and the MVs it visits after
+        it, for every walking block at once; each walk then takes the costs
+        of the MVs it visits, in order, until one is not costed yet (a point
+        around a new best, say), which waits for the next round."""
         q, m, (h, w) = ms.REFINE_WINDOW_Q2, ms.REFINE_WINDOW_Q2 // 4, (self.h, self.w)
         planes = np.stack([phase_planes(self.plane, int(self.x0[b] + self.bx[b]) - m,
                                         int(self.y0[b] + self.by[b]) - m, w + 2 * m, h + 2 * m)
@@ -301,63 +360,45 @@ class Searches:
         slices = as_strided(planes, (len(sel), 4, 4, 2 * m + 1, 2 * m + 1, h, w),
                             (*p[:3], p[3], p[4], p[3], p[4]), writeable=False)
         ax, ay = 4 * self.bx[sel], 4 * self.by[sel]  # the anchors, in quarter-pels
-        anchors = [MotionVector(int(x), int(y)) for x, y in zip(ax, ay)]
-        best = list(anchors)
-        keys, lumas = [ms._WORST_KEY] * len(sel), {}
-
-        def rank(js, mvs, ring) -> list:
-            """Rank the MVs ``mvs[a]`` of blocks ``js[a]`` in order; a ``ring``
-            round visits only the window and stops at each block's first
-            winner.  Returns the index of each block's last winner, or -1."""
-            j = np.repeat(js, [len(v) for v in mvs])
-            dx, dy = np.array([mv for v in mvs for mv in v], np.int64).reshape(-1, 2).T
+        walks = [walk(MotionVector(int(x), int(y)), predictors, self.cfg.lambda_, pred_for_bits)
+                 for x, y in zip(ax, ay)]
+        at = {a: next(wk) for a, wk in enumerate(walks)}  # each walk's (mv, ahead)
+        costed, lumas, out = [{} for _ in sel], {}, [None] * len(sel)
+        while at:
+            js, mvs = [], []
+            for a, (mv, ahead) in at.items():
+                new = [mv, *(v for v in ahead if v not in costed[a])]
+                js += [a] * len(new)
+                mvs += new
+            j = np.array(js, np.int64)
+            dx, dy = np.array(mvs, np.int64).T
             ox, oy = dx - ax[j] + q, dy - ay[j] + q
-            inw = (np.abs(ox - q) <= q) & (np.abs(oy - q) <= q)
-            ok = self._valid(sel[j], dx, dy) & (inw | (not ring))
-            cost = np.zeros(len(j))
-            t = ok & inw
-            ox, oy, jt = ox[t], oy[t], j[t]
-            cost[t] = ms.sad(slices[jt, oy & 3, ox & 3, oy >> 2, ox >> 2], self.cur[sel[jt]])
+            ok = self._valid(sel[j], dx, dy)
+            inw = ok & (np.abs(ox - q) <= q) & (np.abs(oy - q) <= q)
+            sads = np.zeros(len(j), np.int64)
+            ox, oy, jt = ox[inw], oy[inw], j[inw]
+            sads[inw] = ms.sad(slices[jt, oy & 3, ox & 3, oy >> 2, ox >> 2], self.cur[sel[jt]])
             for t in np.flatnonzero(ok & ~inw):  # a seed outside the window, costed alone
-                a, mv = int(j[t]), MotionVector(int(dx[t]), int(dy[t]))
+                a, mv = js[t], mvs[t]
                 tab = ms._CostTable(self.blocks[sel[a]], self.cur_plane, self.plane,
                                     self.layout) if table is None else table
-                cost[t], lumas[a, mv] = tab[False, mv]
-            if self.cfg.lambda_:  # mv_bits: 1 + 2 bit_length(|d|) per component
-                bits = np.frexp(np.abs(dx - pred_for_bits.dx_q2))[1] + np.frexp(
-                    np.abs(dy - pred_for_bits.dy_q2))[1]
-                cost += self.cfg.lambda_ * (2 + 2 * bits)
-            ok, cost, t, won = ok.tolist(), cost.tolist(), 0, []
-            for a, v in zip(js, mvs):
-                won.append(-1)
-                for c, mv in enumerate(v):
-                    if ok[t + c] and not (ring and won[-1] >= 0):
-                        key = ms._mv_key(cost[t + c], *mv)
-                        if key < keys[a]:
-                            best[a], keys[a], won[-1] = mv, key, c
-                t += len(v)
-            return won
-
-        # seeds: the anchor, which passed the integer stages' check, then each
-        # predictor; then the ring passes, every block at once.  ``nxt`` is
-        # each block's next ring point
-        rank(range(len(sel)), [[b, *predictors] for b in anchors], False)
-        step, moved, nxt = [2] * len(sel), [False] * len(sel), [0] * len(sel)
-        act = list(range(len(sel)))
-        while act:
-            pts = [[MotionVector(best[a].dx_q2 + ux * step[a], best[a].dy_q2 + uy * step[a])
-                    for ux, uy in _UNIT_RING[nxt[a] :]] for a in act]
-            for a, c in zip(act, rank(act, pts, True)):
-                moved[a] |= c >= 0
-                nxt[a] = nxt[a] + c + 1 if c >= 0 else len(_UNIT_RING)
-                if nxt[a] == len(_UNIT_RING):  # the pass is over
-                    step[a], moved[a], nxt[a] = step[a] if moved[a] else step[a] // 2, False, 0
-            act = [a for a in act if step[a]]
-        out = []
-        for a, (mv, key) in enumerate(zip(best, keys)):
-            ox, oy = mv.dx_q2 - anchors[a].dx_q2 + q, mv.dy_q2 - anchors[a].dy_q2 + q
-            luma = lumas.get((a, mv))
-            if luma is None:
-                luma = slices[a, oy & 3, ox & 3, oy >> 2, ox >> 2].copy()
-            out.append((mv, key[0], luma))
+                sads[t], lumas[a, mv] = tab[False, mv]
+            for a, mv, s, good in zip(js, mvs, sads.tolist(), ok.tolist()):
+                costed[a][mv] = s if good else None
+            for a in list(at):
+                mv, ahead = at[a]
+                try:
+                    while mv in costed[a]:
+                        mv, ahead = walks[a].send(costed[a][mv])
+                    at[a] = mv, ahead
+                except StopIteration as done:
+                    out[a] = done.value
+                    del at[a]
+        # each winner's luma, for placement; offsets in Python ints, as numpy
+        # scalar arithmetic pages in 64 KiB of code no other step of an eval runs
+        for a, (mv, cost) in enumerate(out):
+            ox, oy = mv.dx_q2 - int(ax[a]) + q, mv.dy_q2 - int(ay[a]) + q
+            if (a, mv) not in lumas:
+                lumas[a, mv] = slices[a, oy & 3, ox & 3, oy >> 2, ox >> 2].copy()
+            out[a] = mv, cost, lumas[a, mv]
         return out

@@ -139,6 +139,19 @@ class TestConfigValidation:
         with pytest.raises(EvalConfigError, match=f"{name} must be an integer"):
             small_cfg(**kw)
 
+    def test_numpy_integer_search_range_reports_as_its_int(self, tmp_path):
+        # 4 * np.uint8(64) overflowed the search's limit to 0, so every MV but
+        # the anchor was invalid and the report silently changed
+        cfg = EvalConfig(input="synthetic", face_size=32, synth_frames=2,
+                         search_range=np.uint8(64))
+        assert type(cfg._search_config().search_range) is int
+        for name, c in (("numpy", cfg), ("int", EvalConfig(input="synthetic", face_size=32,
+                                                            synth_frames=2, search_range=64))):
+            emit_csv(run_eval(c), tmp_path / f"{name}.csv")
+        for suffix in ("", ".summary"):
+            assert ((tmp_path / f"numpy.csv{suffix}").read_bytes()
+                    == (tmp_path / f"int.csv{suffix}").read_bytes())
+
     def test_numpy_integer_sizes_accepted(self):
         cfg = small_cfg(face_size=np.int64(32), block_size=np.int32(16), ref_distance=np.int16(1),
                         search_range=np.uint8(8), synth_frames=np.int64(2), seed=np.int64(2))

@@ -6,11 +6,14 @@ every other module calls the public transforms.  The filter bank has one
 owner, ``cubemc.interp``: no other module reads it, and only the three
 calls that keep a positional ``bank`` for their callers take one.  Each
 exported name is declared once, in its module's ``__all__``, and the
-package joins those lists.  The package sources are parsed with ``ast``;
-only the last check imports the package, to read what it exports.
+package joins those lists.  Every module stays below the parser token
+count at which CPython's parser grows its token buffer.  The package
+sources are parsed with ``ast`` (and counted with ``tokenize``); only the
+last check imports the package, to read what it exports.
 """
 
 import ast
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -116,6 +119,25 @@ def test_exported_names_are_defined_in_their_module(path):
 def test_no_name_in_two_modules():
     counts = Counter(name for path in exporting_modules() for name in declared(path))
     assert [name for name, n in counts.items() if n > 1] == []
+
+
+PARSER_TOKEN_STEP = 4096  # tokens of one module past which CPython's parser grows its buffer
+
+
+def parser_tokens(path):
+    """The tokens the parser reads from ``path``: ``tokenize``'s, without
+    the encoding marker, comments and non-logical newlines."""
+    skip = {tokenize.ENCODING, tokenize.COMMENT, tokenize.NL}
+    with path.open("rb") as f:
+        return sum(t.type not in skip for t in tokenize.tokenize(f.readline))
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_module_below_the_parser_token_step(path):
+    # a process that writes no bytecode, as the benchmark's do, compiles
+    # every module it imports; one module past the step grew the RSS of
+    # ``import cubemc.cli`` by about 300 KB, which that process then keeps
+    assert parser_tokens(path) < PARSER_TOKEN_STEP
 
 
 def test_package_all_joins_the_module_lists():

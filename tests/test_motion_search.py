@@ -145,6 +145,8 @@ class TestSearchConfig:
             with pytest.raises(ValueError, match="integer"):
                 SearchConfig(search_range=bad)
         assert SearchConfig(search_range=np.int32(16)).search_range == 16
+        # stored as a Python int, so 4 * search_range cannot overflow
+        assert type(SearchConfig(search_range=np.uint8(64)).search_range) is int
         with pytest.raises(ValueError):
             SearchConfig(lambda_=-1.0)
         for lam in (math.nan, math.inf):
@@ -370,11 +372,16 @@ class TestBatchedStageFive:
             _search_every_block(cur, refp.frame, L64, block_size, SearchConfig(), True, preds)
         return calls["batched"], calls["single"], calls["candidates"]
 
+    # 16 px: (batched builds, single builds, candidates), pinned so that a
+    # search costing more speculative MVs than it reaches shows up here
+    BUILDS_16PX = (856, 138, 4319)
+
     def test_small_blocks_are_batched(self, monkeypatch):
         batched, single, candidates = self._count_builds(monkeypatch, 16)
         print(f"16 px: {batched} batched + {single} single builds for {candidates} candidates")
         assert batched < candidates
         assert batched + single <= candidates / 2
+        assert (batched, single, candidates) == self.BUILDS_16PX
 
     def test_cap_of_one_builds_one_candidate_per_call(self, monkeypatch):
         monkeypatch.setattr(motion_search, "BATCH_PIXELS", 1)
@@ -802,7 +809,7 @@ class TestValidityChecks:
     read, per round or per stage shows up here before it shows up in the
     timings."""
 
-    FACE_OF_CALLS = 11055
+    FACE_OF_CALLS = 10886
 
     def test_face_of_calls_pinned(self, monkeypatch):
         cur, refp, _ = synthetic_pair(velocity=(1.0, 2.0, 0.0), seed=3)

@@ -2,10 +2,12 @@
 
 The oracle is the one-at-a-time search the rounds replaced: stages 1-4
 check each integer MV with ``_mv_check``, fetch it with ``fetch_block``
-and rank it alone, stage 3 walks the raster offset by offset, and the
-translational stage 5 warps each quarter-pel candidate on its own.  The
-engine must return exactly what it returns, for one block or many at
-once, and a row plan exactly what per-block searches return.
+and rank it alone, stage 3 walks the raster offset by offset, and stage 5
+warps each quarter-pel candidate on its own, through its translational
+field or its correspondence field.  The engine must return exactly what
+it returns, for one block or many at once, a row plan exactly what
+per-block searches return, and the advanced search with its speculative
+batches exactly what the advanced oracle returns.
 """
 
 import contextlib
@@ -29,6 +31,7 @@ from cubemc.motion_model import (
     Block,
     MotionVector,
     block_face,
+    build_correspondence_field,
     round_half_away,
     translational_field,
 )
@@ -112,6 +115,20 @@ def oracle_integer(block, cur, plane, predictors, cfg, layout, path=None):
 
 def oracle_translational(block, cur, plane, predictors, cfg, layout):
     """The whole translational search, stage 5 warping each candidate alone."""
+    return oracle_search(block, cur, plane, predictors, cfg, layout,
+                         lambda mv: translational_field(block, mv))
+
+
+def oracle_advanced(block, cur, plane, predictors, cfg, layout):
+    """The whole advanced search, stage 5 building each candidate's
+    correspondence field and warping it alone."""
+    return oracle_search(block, cur, plane, predictors, cfg, layout,
+                         lambda mv: build_correspondence_field(block, mv, layout))
+
+
+def oracle_search(block, cur, plane, predictors, cfg, layout, field_of):
+    """Stages 1-4, then stage 5 one MV at a time, each valid MV costed by
+    warping ``field_of(mv)`` alone."""
     anchor = oracle_integer(block, cur, plane, predictors, cfg, layout)
     valid = motion_search._mv_check(block, cfg, layout)
     cur_blk = cur[block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width]
@@ -125,7 +142,7 @@ def oracle_translational(block, cur, plane, predictors, cfg, layout):
     def try_q2(mv):
         if not valid(mv):
             return False
-        cost = float(sad(cur_blk, warp_block(plane, translational_field(block, mv))))
+        cost = float(sad(cur_blk, warp_block(plane, field_of(mv))))
         if cfg.lambda_:
             cost += cfg.lambda_ * mv_bits(mv, pred_for_bits)
         key = motion_search._mv_key(cost, mv.dx_q2, mv.dy_q2)
@@ -251,26 +268,37 @@ class TestEngineEqualsOracle:
         assert (tzs_search(b, cur, ref, [ZERO], cfg, L32, advanced=False)
                 == oracle_translational(b, cur, plane, [ZERO], cfg, L32))
 
+    @staticmethod
+    def ranked(run):
+        """``run()``'s result after the quarter-pel candidates stage 5 ranked,
+        in order (the only scalar keys with float costs either search builds)."""
+        log = []
+        with pytest.MonkeyPatch.context() as m:
+            inner = motion_search._mv_key
+            m.setattr(motion_search, "_mv_key", lambda c, x, y: (
+                log.append((c, x, y)) if isinstance(c, float) else None) or inner(c, x, y))
+            log.append(run_or_raise(run))
+        return log
+
     @settings(max_examples=150)
     @given(case=searches())
     def test_translational_search(self, case):
-        # the result, and the quarter-pel candidates stage 5 ranks, in order
-        # (the only scalar keys with float costs either search builds)
         blocks, plane, cur, predictors, cfg = case
         for b in blocks:
-            ranked = {}
             ref = ReferencePicture(SimpleNamespace(y=plane), 0)
-            for name, run in (("engine", lambda: tzs_search(b, cur, ref, predictors, cfg, L32,
-                                                            None, False)),
-                              ("oracle", lambda: oracle_translational(b, cur, plane, predictors,
-                                                                      cfg, L32))):
-                log = ranked[name] = []
-                with pytest.MonkeyPatch.context() as m:
-                    inner = motion_search._mv_key
-                    m.setattr(motion_search, "_mv_key", lambda c, x, y: (
-                        log.append((c, x, y)) if isinstance(c, float) else None) or inner(c, x, y))
-                    log.append(run_or_raise(run))
-            assert ranked["engine"] == ranked["oracle"]
+            assert (self.ranked(lambda: tzs_search(b, cur, ref, predictors, cfg, L32, None, False))
+                    == self.ranked(lambda: oracle_translational(b, cur, plane, predictors, cfg,
+                                                                L32)))
+
+    @given(case=searches())
+    def test_advanced_search(self, case):
+        blocks, plane, cur, predictors, cfg = case
+        for b in blocks:
+            if run_or_raise(block_face, b, L32) is ValueError:  # the model needs one face
+                continue
+            ref = ReferencePicture(SimpleNamespace(y=plane), 0)
+            assert (self.ranked(lambda: tzs_search(b, cur, ref, predictors, cfg, L32))
+                    == self.ranked(lambda: oracle_advanced(b, cur, plane, predictors, cfg, L32)))
 
     @given(case=searches())
     def test_row_at_once(self, case):
