@@ -51,7 +51,7 @@ from cubemc.motion_search import (
     ReferencePicture,
     SearchConfig,
     mode_decide,
-    sad,
+    sad,  # not called here; the benchmark's tracer wraps ``evaluate.sad``
     tzs_search,
 )
 
@@ -172,11 +172,12 @@ def _load_frames(cfg: EvalConfig, layout: CubeLayout) -> list[Frame]:
 
 
 def _place(costs, advanced: bool, mv: MotionVector, cur: Frame, ref: Frame):
-    """Predict the block of ``costs`` at ``mv``: luma from the table, chroma
-    warped along the same field.  Returns the luma SAD and each plane's
-    squared prediction error; the predicted block itself is not kept."""
+    """Predict the block of ``costs`` at ``mv``: luma and its SAD from the
+    table, chroma warped along the same field.  Returns the luma SAD and
+    each plane's squared prediction error; the predicted block itself is
+    not kept."""
     block = costs.block
-    pred_y = costs[advanced, mv][1]
+    sad_y, pred_y = costs[advanced, mv]
     fld = (build_correspondence_field(block, mv, costs.layout) if advanced
            else translational_field(block, mv))
     cfld = chroma_field(fld)
@@ -190,7 +191,7 @@ def _place(costs, advanced: bool, mv: MotionVector, cur: Frame, ref: Frame):
     for got, want in ((pred_y, costs.cur_blk), (pred_u, cur_u), (pred_v, cur_v)):
         diff = got.astype(np.float64) - want.astype(np.float64)
         err.append(float((diff * diff).sum()))
-    return sad(costs.cur_blk, pred_y), err
+    return sad_y, err
 
 
 class _Peer:

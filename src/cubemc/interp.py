@@ -259,6 +259,8 @@ def warp_rows(plane, rows, field) -> np.ndarray:
     col, row = (rx >> 6) - x, (ry >> 6) - y
     outside = (col < 0) | (col >= ncols) | (row < 0) | (row > nrows - TAPS)
     gather = outside.any()
+    if gather:  # first, so its temporaries and the bank pass's never coexist
+        far = _warp_arrays(plane, rx[outside], ry[outside])
     idx = ((rx & 63) * ncols + col) * nrows + row
     if gather:
         idx[outside] = 0
@@ -271,7 +273,7 @@ def warp_rows(plane, rows, field) -> np.ndarray:
     p2 = np.einsum("...k,...k->...", cv, sel.reshape(cv.shape).astype(np.float32))
     pred = np.clip(_shift6(p2), 0, 255).astype(np.uint8)
     if gather:
-        pred[outside] = _warp_arrays(plane, rx[outside], ry[outside])
+        pred[outside] = far
     return pred
 
 

@@ -44,13 +44,15 @@ geometry call.  A window that reaches off the faces gets no lattice: the
 validity rule keeps every costed center on a face, and each build maps
 its own.  The row bank and the lattice are locals of the stage, passed to
 each costing call and freed when the search returns.  A table miss
-speculates: the valid, uncosted MVs the walk visits next (the rest of the
-ring around the current best, or the remaining seeds) are costed with it
-in one batched field build and warp, which pays numpy's per-call overhead
-once per batch.  The walk still ranks one MV at a time, so every result
-is what one-at-a-time evaluation gives.  A speculative MV the walk never
-reaches is wasted work, so a batch holds at most ``BATCH_PIXELS`` pixels:
-16 candidates of 16x16, 4 of 32x32, one of 64x64.
+speculates: the valid, uncosted MVs the walk visits next if none of them
+wins (the remaining seeds or the rest of the ring around the current
+best, then the next pass's ring) are costed with it in one batched field
+build and warp, which pays numpy's per-call overhead (about 90 us) once
+per batch.  The walk still ranks one MV at a time, so every result is
+what one-at-a-time evaluation gives.  A speculative MV the walk never
+reaches is wasted work, so a batch holds 4096 pixels' worth of
+candidates, but at least two (``_batch_cap``): 16 of 16x16, 4 of 32x32,
+2 of 64x64, where one call's overhead outweighs a wasted candidate.
 
 The advanced stage, the merge check and the evaluator's placement share
 one table per block and reference, ``(advanced, mv) -> (SAD, luma)``, so
@@ -113,7 +115,6 @@ BLOCK_SIZES = (16, 32, 64)  # pixels, the square block sizes a grid can tile
 RASTER_STEP = 8         # pixels, stage-3 grid
 REFINE_WINDOW_Q2 = 8    # quarter-pel units, stage-5 window
 BANK_MARGIN = REFINE_WINDOW_Q2 // 2  # pixels, stage-5 row bank beyond the block
-BATCH_PIXELS = 4096     # pixels, cap of one speculative stage-5 batch
 
 
 class PredMode(Enum):
@@ -176,8 +177,11 @@ class _CostTable(dict):
     def put_batch(self, mvs: list[MotionVector], rows=None, lattice=None) -> None:
         """Cost advanced ``mvs`` in one field build and warp, reading pass 1
         from ``rows`` (a ``row_bank``) and moved centers from ``lattice``
-        (a ``center_lattice``) when given.  A lone MV keeps the singular
-        build, whose MV the benchmark's tracer reads (the contract test
+        (a ``center_lattice``) when given.  The stage-5 search sends the
+        MV its walk waits for and up to ``_batch_cap`` - 1 valid MVs of
+        the walk's ``ahead`` that the table lacks; the call's fixed cost
+        is paid once for them all.  A lone MV keeps the singular build,
+        whose MV the benchmark's tracer reads (the contract test
         test_singular_field_builds_take_one_mv), and a 2-D ``sad``."""
         b, plane = self.block, self.plane
         if len(mvs) == 1:
@@ -352,6 +356,12 @@ def _raster_best(block: Block, cur_blk: np.ndarray, plane: np.ndarray, layout: C
     return MotionVector(int(x[i]), int(y[i])), int(s[i])
 
 
+def _batch_cap(block: Block) -> int:
+    """The MVs one speculative stage-5 batch may hold: 4096 pixels' worth,
+    and at least two (16 of 16x16, 4 of 32x32, 2 of 64x64)."""
+    return max(2, 4096 // (block.width * block.height))
+
+
 def _mv_key(cost, dx, dy):
     # tie-break: cost, then shorter MV, then smaller dy, then smaller dx
     return (cost, dx * dx + dy * dy, dy, dx)
@@ -368,6 +378,15 @@ def _ring(center: MotionVector, axis: int, diag: int) -> list[MotionVector]:
     if diag:
         pts += [(diag, diag), (diag, -diag), (-diag, diag), (-diag, -diag)]
     return [MotionVector(center.dx_q2 + ox, center.dy_q2 + oy) for ox, oy in pts]
+
+
+@functools.cache
+def rings(r: int) -> np.ndarray:
+    """Stage 2's rings ring(d, d // 2) at d = 1, 2, 4, ... <= ``r``, ring by
+    ring in ``_ring``'s order, as rows ``(dx, dy, d)`` in pixels: ring 1
+    holds rows 0-3, ring 2 rows 4-11, and each wider ring 8 more."""
+    return np.array([(p.dx_q2 // 4, p.dy_q2 // 4, 1 << j) for j in range(r.bit_length())
+                     for p in _ring(_ZERO, 4 << j, 4 * (1 << j >> 1))], np.int64)
 
 
 def tzs_search(
@@ -410,7 +429,7 @@ def tzs_search(
         return mv, cost
 
     searches = search_rounds.Searches([block], cur, table.plane, cfg, layout)
-    searches.integer([search_rounds.stage1(predictors)], [entry])
+    searches.integer(predictors, [entry])
     valid = _mv_check(block, cfg, layout)
 
     # stage 5 under the model cost: the walk from the integer winner, whose
@@ -420,23 +439,23 @@ def tzs_search(
     rows = row_bank(table.plane, block.x0 + anchor.dx_q2 // 4 - m, block.y0 + anchor.dy_q2 // 4 - m,
                     block.width + 2 * m, block.height + 2 * m)
     lattice = center_lattice(block, anchor, REFINE_WINDOW_Q2, layout)
-    batch_cap = max(1, BATCH_PIXELS // (block.width * block.height))
+    cap = _batch_cap(block)
     walk = search_rounds.walk(anchor, predictors, cfg.lambda_, pred_for_bits)
-    mv, ahead = next(walk)
+    mv, ahead, _ = next(walk)
     while True:
         s = None
         if valid(mv):
             if (True, mv) not in table:  # a miss also costs what the walk visits next
                 batch = [mv]
                 for v in ahead:
-                    if len(batch) == batch_cap:
+                    if len(batch) == cap:
                         break
                     if (True, v) not in table and v not in batch and valid(v):
                         batch.append(v)
                 table.put_batch(batch, rows, lattice)
             s = table[True, mv][0]
         try:
-            mv, ahead = walk.send(s)
+            mv, ahead, _ = walk.send(s)
         except StopIteration as done:
             return done.value
 

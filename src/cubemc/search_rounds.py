@@ -14,25 +14,25 @@ kept in the block's plan entry (``Planned``), which both of its searches
 read.
 
 Stage 5 visits its MVs in one order for both models, written once as a
-generator (``walk``) that yields each MV to rank and takes its bare SAD.
-Each model only costs what the walk visits: the translational one in
-array rounds over a block row's walks (``Searches._refine``), the
-advanced one an MV at a time, with speculative batches
+generator (``walk``) that yields each MV to rank, with what it visits
+next if nothing wins, and takes its bare SAD.  Each model only costs
+what the walk visits: the translational one in array rounds over a block
+row's walks (``Searches._refine``), the advanced one an MV at a time,
+with speculative batches that reach into the next pass
 (``motion_search.tzs_search``).
 
 The module reads ``motion_search``'s names (``face_of``, ``sad``,
-``fetch_block``, the raster kernel, the cost table, ``mv_bits`` and the
-ranking key) through the module when it runs, so one definition serves
-both files.  It is a file of its own because a process that writes no
-bytecode compiles every module it imports, and CPython's parser doubles
-its token buffer past 4096 tokens of one module: one file holding both
-would cross that step, and every such process would keep about 0.25 MiB
-more (``tests/test_module_boundaries.py`` keeps each module below it).
+``fetch_block``, stage 2's rings, the raster kernel, the cost table,
+``mv_bits`` and the ranking key) through the module when it runs, so
+one definition serves both files.  It is a file of its own because a
+process that writes no bytecode compiles every module it imports, and
+CPython's parser doubles its token buffer past 4096 tokens of one
+module: one file holding both would cross that step, and every such
+process would keep about 0.25 MiB more
+(``tests/test_module_boundaries.py`` keeps each module below it).
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -49,26 +49,10 @@ _NO_COST = np.iinfo(np.int64).max  # integer-stage cost of a block with no valid
 _UNIT_RING = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]
 
 
-@functools.cache
-def rings(r: int) -> np.ndarray:
-    """Stage 2's rings ring(d, d // 2) at d = 1, 2, 4, ... <= ``r``, ring by
-    ring in ``_ring``'s order, as rows ``(dx, dy, d)`` in pixels: ring 1
-    holds rows 0-3, ring 2 rows 4-11, and each wider ring 8 more."""
-    return np.array([(p.dx_q2 // 4, p.dy_q2 // 4, 1 << j) for j in range(r.bit_length())
-                     for p in ms._ring(ms._ZERO, 4 << j, 4 * (1 << j >> 1))], np.int64)
-
-
-def stage1(predictors) -> list[tuple[int, int]]:
-    """Stage-1 offsets in pixels: zero, then each predictor rounded."""
-    return [(0, 0), *((int(round_half_away(p.dx_q2 / 4.0)), int(round_half_away(p.dy_q2 / 4.0)))
-                      for p in predictors)]
-
-
 def walk(anchor, predictors, lambda_, pred_for_bits):
     """Stage 5's visiting order, which both models' costings drive: a
-    generator that yields ``(mv, ahead)``, the MV to rank and the MVs it
-    visits after it as things stand, and takes the bare SAD of ``mv`` (None
-    where it is invalid).  It returns ``(best, cost)``.
+    generator that yields ``(mv, ahead, k)`` and takes the bare SAD of
+    ``mv`` (None where it is invalid).  It returns ``(best, cost)``.
 
     The seeds come first: the anchor (the integer winner, which passed the
     integer stages' check), then each predictor, wherever it lies.  Then
@@ -77,7 +61,14 @@ def walk(anchor, predictors, lambda_, pred_for_bits):
     order: after a win, the rest of the ring around the new best.  A pass
     that moves the best runs again at its step.  An MV ranks by ``_mv_key``
     of its SAD plus ``lambda_`` times its ``mv_bits`` against
-    ``pred_for_bits``, and wins only with a lower key."""
+    ``pred_for_bits``, and wins only with a lower key.
+
+    ``ahead`` is what the walk visits after ``mv`` if none of the MVs it
+    has yet to rank wins, as far as the next pass: the rest of the seeds or
+    of the current ring (its first ``k`` MVs), then the next pass's ring
+    around the best of the moment (at the same step after a move in this
+    pass, else at half of it; none after step 1).  A costing may cost
+    these ahead of time; the walk ranks only what it visits."""
     q = ms.REFINE_WINDOW_Q2
     x0, x1, y0, y1 = anchor.dx_q2 - q, anchor.dx_q2 + q, anchor.dy_q2 - q, anchor.dy_q2 + q
     best, best_key = anchor, ms._WORST_KEY
@@ -95,19 +86,25 @@ def walk(anchor, predictors, lambda_, pred_for_bits):
             return True
         return False
 
+    def ring(step, start=0):
+        """``(direction, MV)`` of the ring at ``step`` around the best, from
+        direction ``start`` on, in the window; none at step 0."""
+        bx, by = best
+        return [(d, MotionVector(x, y)) for d, (ux, uy) in enumerate(_UNIT_RING[start:], start)
+                if step and x0 <= (x := bx + ux * step) <= x1
+                and y0 <= (y := by + uy * step) <= y1]
+
     seeds = [anchor, *predictors]
     for i, mv in enumerate(seeds):
-        won(mv, (yield mv, seeds[i + 1 :]))
+        won(mv, (yield mv, seeds[i + 1 :] + [v for _, v in ring(2)], len(seeds) - i - 1))
     step = 2
     while step:
         moved, start = False, 0
         while start < len(_UNIT_RING):  # the pass's rest, around the best of the moment
-            bx, by = best
-            ring = [(d, MotionVector(x, y)) for d, (ux, uy) in enumerate(_UNIT_RING[start:], start)
-                    if x0 <= (x := bx + ux * step) <= x1 and y0 <= (y := by + uy * step) <= y1]
-            mvs, start = [mv for _, mv in ring], len(_UNIT_RING)
-            for i, (d, mv) in enumerate(ring):
-                if won(mv, (yield mv, mvs[i + 1 :])):
+            now, start = ring(step, start), len(_UNIT_RING)
+            mvs = [mv for _, mv in now + ring(step if moved else step // 2)]
+            for i, (d, mv) in enumerate(now):
+                if won(mv, (yield mv, mvs[i + 1 :], len(now) - i - 1)):
                     moved, start = True, d + 1
                     break
         if not moved:
@@ -218,9 +215,10 @@ class Searches:
         self.cost, self.bx, self.by = c[first], x[first], y[first]
         return first - len(self.every)
 
-    def integer(self, starts, entries) -> None:
-        """Stages 1-4 from the pixel offsets ``starts`` (one list per block),
-        leaving each block's winner in ``bx`` and ``by``.
+    def integer(self, predictors, entries) -> None:
+        """Stages 1-4 from the stage-1 offsets of ``predictors``, zero and
+        then each predictor rounded to pixels, leaving each block's winner
+        in ``bx`` and ``by``.
 
         Stages 2-4 depend on the stage-1 winner alone, so each block's plan
         entry (``entries``) keeps where they ended from each start, and the
@@ -232,21 +230,23 @@ class Searches:
         Raises ``ValueError`` if a block has no valid stage-1 offset.
         """
         r = self.cfg.search_range
+        starts = [(0, 0), *((int(round_half_away(p.dx_q2 / 4.0)),
+                             int(round_half_away(p.dy_q2 / 4.0))) for p in predictors)]
         first, around = [], []  # (block, x, y) of each stage-1 offset, and of each ring center
-        for k, (s, e) in enumerate(zip(starts, entries)):
-            ends = {e.ends.get(o) for o in s}
+        for k, e in enumerate(entries):
+            ends = {e.ends.get(o) for o in starts}
             if len(ends) == 1 and None not in ends:
                 self.bx[k], self.by[k] = ends.pop()
             else:
-                first += [(k, *o) for o in s]
-                around += [(k, *o) for o in dict.fromkeys(s) if o not in e.ends]
+                first += [(k, *o) for o in starts]
+                around += [(k, *o) for o in dict.fromkeys(starts) if o not in e.ends]
         if not first:
             return
 
         # stage 1: zero MV plus rounded predictors (a repeat changes nothing)
         # and, speculatively, stage 2's rings around each of them; a ring
         # offset carries its ring's distance d, a stage-1 offset d = 0
-        ring, around = rings(r), np.array(around, np.int64).reshape(-1, 3)
+        ring, around = ms.rings(r), np.array(around, np.int64).reshape(-1, 3)
         at = np.concatenate((np.array(first, np.int64), np.tile(around, (len(ring), 1))))
         step = np.zeros_like(at)
         step[len(first) :] = np.repeat(ring, len(around), axis=0)
@@ -318,7 +318,7 @@ class Searches:
         # round costs both rings.  A best still at its anchor stops at once,
         # as stage 2 ranked both rings there (when r >= 2)
         act = run[(self.bx[run] != ax[run]) | (self.by[run] != ay[run]) | (r < 2)]
-        near = rings(2)
+        near = ms.rings(2)
         while act.size:
             ok, (i, dx, dy, sads) = self._cost(np.repeat(act, len(near)),
                                                (self.bx[act][:, None] + near[:, 0]).ravel(),
@@ -335,7 +335,7 @@ class Searches:
         planes hold at most ``REFINE_BYTES``; a seed outside a block's window
         is costed alone, through ``table`` (the cost table of a lone block)
         when given."""
-        self.integer([stage1(predictors)] * len(self.blocks), entries)
+        self.integer(predictors, entries)
         m = ms.REFINE_WINDOW_Q2 // 4
         per = max(1, REFINE_BYTES // (16 * (self.h + 2 * m) * (self.w + 2 * m)))
         return [found for s in range(0, len(self.blocks), per) for found in
@@ -348,10 +348,11 @@ class Searches:
         is a slice; a seed outside it is costed alone, through ``table`` (the
         cost table of a lone block) when given.
 
-        A round costs the MV each walk waits for and the MVs it visits after
-        it, for every walking block at once; each walk then takes the costs
-        of the MVs it visits, in order, until one is not costed yet (a point
-        around a new best, say), which waits for the next round."""
+        A round costs the MV each walk waits for and the rest of its seeds
+        or current ring (the first ``k`` MVs of its ``ahead``), for every
+        walking block at once; each walk then takes the costs of the MVs
+        it visits, in order, until one is not costed yet (a point around a
+        new best, or the next pass), which waits for the next round."""
         q, m, (h, w) = ms.REFINE_WINDOW_Q2, ms.REFINE_WINDOW_Q2 // 4, (self.h, self.w)
         planes = np.stack([phase_planes(self.plane, int(self.x0[b] + self.bx[b]) - m,
                                         int(self.y0[b] + self.by[b]) - m, w + 2 * m, h + 2 * m)
@@ -362,12 +363,12 @@ class Searches:
         ax, ay = 4 * self.bx[sel], 4 * self.by[sel]  # the anchors, in quarter-pels
         walks = [walk(MotionVector(int(x), int(y)), predictors, self.cfg.lambda_, pred_for_bits)
                  for x, y in zip(ax, ay)]
-        at = {a: next(wk) for a, wk in enumerate(walks)}  # each walk's (mv, ahead)
+        at = {a: next(wk) for a, wk in enumerate(walks)}  # each walk's (mv, ahead, k)
         costed, lumas, out = [{} for _ in sel], {}, [None] * len(sel)
         while at:
             js, mvs = [], []
-            for a, (mv, ahead) in at.items():
-                new = [mv, *(v for v in ahead if v not in costed[a])]
+            for a, (mv, ahead, k) in at.items():
+                new = [mv, *(v for v in ahead[:k] if v not in costed[a])]
                 js += [a] * len(new)
                 mvs += new
             j = np.array(js, np.int64)
@@ -386,11 +387,9 @@ class Searches:
             for a, mv, s, good in zip(js, mvs, sads.tolist(), ok.tolist()):
                 costed[a][mv] = s if good else None
             for a in list(at):
-                mv, ahead = at[a]
                 try:
-                    while mv in costed[a]:
-                        mv, ahead = walks[a].send(costed[a][mv])
-                    at[a] = mv, ahead
+                    while (mv := at[a][0]) in costed[a]:
+                        at[a] = walks[a].send(costed[a][mv])
                 except StopIteration as done:
                     out[a] = done.value
                     del at[a]

@@ -241,7 +241,7 @@ class TestNoRepeatedWork:
         assert len(placed) == 2 * (blocks + advanced)
         info = motion_model._block_sphere.cache_info()
         assert (info.maxsize, info.currsize) == (1, 1)
-        assert (info.misses, info.hits) == (blocks, 823)
+        assert (info.misses, info.hits) == (blocks, 560)
 
 
 class TestOwners:

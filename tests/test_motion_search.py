@@ -321,7 +321,7 @@ class TestBatchedStageFive:
         for preds in self.PREDICTORS:
             batched = _search_every_block(cur, refp.frame, L64, block_size, cfg, advanced, preds)
             with monkeypatch.context() as m:
-                m.setattr(motion_search, "BATCH_PIXELS", 1)
+                m.setattr(motion_search, "_batch_cap", lambda block: 1)
                 single = _search_every_block(cur, refp.frame, L64, block_size, cfg, advanced,
                                              preds)
             assert batched == single
@@ -337,15 +337,17 @@ class TestBatchedStageFive:
         )
         cfg = SearchConfig(lambda_=4.0)
         bank = generate_dctif_bank()
-        for blk in BlockGrid(L64, 16).blocks:
-            batched = tzs_search(blk, cur.y, ReferencePicture(refp.frame, 0), [ZERO], cfg, L64,
-                                 bank, advanced=advanced)
-            with monkeypatch.context() as m:
-                m.setattr(motion_search, "BATCH_PIXELS", 1)
-                single = tzs_search(blk, cur.y, ReferencePicture(refp.frame, 0), [ZERO], cfg,
-                                    L64, bank, advanced=advanced)
-            assert batched == single
-        assert rasters
+        for block_size in (16, 64):  # 16 candidates a batch, and pairs
+            for blk in BlockGrid(L64, block_size).blocks:
+                batched = tzs_search(blk, cur.y, ReferencePicture(refp.frame, 0), [ZERO], cfg,
+                                     L64, bank, advanced=advanced)
+                with monkeypatch.context() as m:
+                    m.setattr(motion_search, "_batch_cap", lambda block: 1)
+                    single = tzs_search(blk, cur.y, ReferencePicture(refp.frame, 0), [ZERO],
+                                        cfg, L64, bank, advanced=advanced)
+                assert batched == single
+            assert rasters
+            rasters.clear()
 
     def _count_builds(self, monkeypatch, block_size):
         """Run every advanced search; return (batched builds, single
@@ -374,7 +376,7 @@ class TestBatchedStageFive:
 
     # 16 px: (batched builds, single builds, candidates), pinned so that a
     # search costing more speculative MVs than it reaches shows up here
-    BUILDS_16PX = (856, 138, 4319)
+    BUILDS_16PX = (663, 9, 4528)
 
     def test_small_blocks_are_batched(self, monkeypatch):
         batched, single, candidates = self._count_builds(monkeypatch, 16)
@@ -384,13 +386,67 @@ class TestBatchedStageFive:
         assert (batched, single, candidates) == self.BUILDS_16PX
 
     def test_cap_of_one_builds_one_candidate_per_call(self, monkeypatch):
-        monkeypatch.setattr(motion_search, "BATCH_PIXELS", 1)
-        batched, single, candidates = self._count_builds(monkeypatch, 16)
-        assert batched == 0 and single == candidates
-        # at 64 px the default cap is one candidate too
-        monkeypatch.setattr(motion_search, "BATCH_PIXELS", 4096)
+        monkeypatch.setattr(motion_search, "_batch_cap", lambda block: 1)
+        for block_size in (16, 64):
+            batched, single, candidates = self._count_builds(monkeypatch, block_size)
+            assert batched == 0 and single == candidates
+
+    def test_large_blocks_are_costed_in_pairs(self, monkeypatch):
+        # 4096 pixels' worth, but never fewer than two candidates
+        assert [motion_search._batch_cap(Block(0, 0, n, n)) for n in (16, 32, 64)] == [16, 4, 2]
         batched, single, candidates = self._count_builds(monkeypatch, 64)
-        assert batched == 0 and single == candidates
+        assert candidates == 2 * batched + single
+        assert batched > single
+
+
+    # per block size: (put_batch calls, MVs costed, MVs costed that no
+    # search ranks), over test_each_batch_holds_valid_uncosted_mvs's searches
+    SPECULATION = {16: (672, 4528, 772), 64: (518, 1010, 39)}
+
+    @pytest.mark.parametrize("face,block_size", [(64, 16), (128, 64)])
+    def test_each_batch_holds_valid_uncosted_mvs(self, monkeypatch, face, block_size):
+        # every batch holds at most the cap of distinct MVs, each valid, not
+        # in the table yet, and a seed or within the window of the anchor
+        layout, cfg = CubeLayout(face, face), SearchConfig()
+        prev, cur = generate_synthetic(SyntheticSpec(face, 2, (0.0, 2.0, 0.0), seed=3))
+        search = {"n": 0}  # the running search: its count, seeds and anchor
+        costed, ranked = set(), set()  # (search, mv)
+        lattice = motion_search.center_lattice
+        put_batch = motion_search._CostTable.put_batch
+
+        def center_lattice(block, anchor, *rest):  # once per advanced search
+            search.update(n=search["n"] + 1, anchor=anchor,
+                          seeds={anchor, *search["predictors"]})
+            return lattice(block, anchor, *rest)
+
+        def spy_batch(table, mvs, *rest):
+            assert 0 < len(mvs) <= motion_search._batch_cap(table.block)
+            assert len(set(mvs)) == len(mvs)
+            valid, a = motion_search._mv_check(table.block, cfg, layout), search["anchor"]
+            for mv in mvs:
+                assert (True, mv) not in table and valid(mv)
+                assert mv in search["seeds"] or (abs(mv.dx_q2 - a.dx_q2) <= REFINE_WINDOW_Q2
+                                                 and abs(mv.dy_q2 - a.dy_q2) <= REFINE_WINDOW_Q2)
+            costed.update((search["n"], mv) for mv in mvs)
+            search["calls"] = search.get("calls", 0) + 1
+            return put_batch(table, mvs, *rest)
+
+        def spy_read(table, key):
+            if key[0]:
+                ranked.add((search["n"], key[1]))
+            return dict.__getitem__(table, key)
+
+        monkeypatch.setattr(motion_search, "center_lattice", center_lattice)
+        monkeypatch.setattr(motion_search._CostTable, "put_batch", spy_batch)
+        monkeypatch.setattr(motion_search._CostTable, "__getitem__", spy_read)
+        for preds in self.PREDICTORS:
+            search["predictors"], refp = preds, ReferencePicture(prev, 0)
+            for blk in BlockGrid(layout, block_size).blocks:
+                tzs_search(blk, cur.y, refp, preds, cfg, layout)
+        assert ranked <= costed
+        counts = search["calls"], len(costed), len(costed - ranked)
+        print(f"{block_size} px: {counts[0]} calls, {counts[1]} MVs costed, {counts[2]} unranked")
+        assert counts == self.SPECULATION[block_size]
 
 
 class TestRasterBound:
@@ -809,7 +865,7 @@ class TestValidityChecks:
     read, per round or per stage shows up here before it shows up in the
     timings."""
 
-    FACE_OF_CALLS = 10886
+    FACE_OF_CALLS = 11570
 
     def test_face_of_calls_pinned(self, monkeypatch):
         cur, refp, _ = synthetic_pair(velocity=(1.0, 2.0, 0.0), seed=3)

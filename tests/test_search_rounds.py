@@ -239,7 +239,7 @@ class TestEngineEqualsOracle:
 
         def engine(group, entries, seeds):
             s = search_rounds.Searches(group, cur, plane, cfg, L32)
-            s.integer([search_rounds.stage1(seeds)] * len(group), entries)
+            s.integer(seeds, entries)
             return [MotionVector(4 * int(x), 4 * int(y)) for x, y in zip(s.bx, s.by)]
 
         for seeds in ([], predictors):
@@ -262,7 +262,7 @@ class TestEngineEqualsOracle:
         plane[b.y0, b.x0] = 200
         assert oracle_integer(b, cur, plane, [], cfg, L32) == MotionVector(4, 0)
         s = search_rounds.Searches([b], cur, plane, cfg, L32)
-        s.integer([search_rounds.stage1([])], [search_rounds.Planned()])
+        s.integer([], [search_rounds.Planned()])
         assert (s.bx[0], s.by[0]) == (1, 0)
         ref = ReferencePicture(SimpleNamespace(y=plane), 0)
         assert (tzs_search(b, cur, ref, [ZERO], cfg, L32, advanced=False)
@@ -328,6 +328,60 @@ class TestEngineEqualsOracle:
             return
         got = tzs_search(b, cur, shared, amvp, cfg, L32, advanced=True)
         assert got == tzs_search(b, cur, ReferencePicture(frame, 0), amvp, cfg, L32, advanced=True)
+
+
+def walk_to_end(wk, sads):
+    """Drive the stage-5 walk ``wk`` with ``sads`` (a SAD or None per MV it
+    yields, None once they run out): every ``(mv, ahead, k)`` it yielded,
+    and its result."""
+    sads, seen = iter(sads), [next(wk)]
+    try:
+        while True:
+            seen.append(wk.send(next(sads, None)))
+    except StopIteration as done:
+        return seen, done.value
+
+
+class TestWalk:
+    """``walk``'s ``ahead`` is what it visits next if none of the MVs it has
+    yet to rank wins, through the next pass; a costing may cost it before
+    the walk asks, so the promise must hold exactly."""
+
+    # predictors near the window's edge, on either side, and SADs that
+    # often win: the best wanders to the edge or leaves the window
+    mvs = st.builds(MotionVector, st.integers(-14, 14), st.integers(-14, 14))
+    sad_lists = st.lists(st.one_of(st.none(), st.integers(0, 30)), max_size=30)
+
+    @settings(max_examples=300)
+    @given(anchor=mvs, predictors=st.lists(mvs, max_size=3), lam=st.sampled_from([0.0, 4.0]),
+           bits=mvs, sads=sad_lists)
+    def test_ahead_is_what_follows_when_nothing_wins(self, anchor, predictors, lam, bits, sads):
+        # ``sads`` rank the MVs before the chosen step; from it on, nothing wins
+        seen, _ = walk_to_end(search_rounds.walk(anchor, predictors, lam, bits), sads)
+        if len(seen) <= len(sads):
+            return  # the walk ended before the chosen step
+        _, ahead, k = seen[len(sads)]
+        assert 0 <= k <= len(ahead)
+        assert [mv for mv, *_ in seen[len(sads) + 1 :]][: len(ahead)] == ahead
+        # the passes stay in the window; only seeds lie anywhere
+        assert all(abs(v.dx_q2 - anchor.dx_q2) <= REFINE_WINDOW_Q2
+                   and abs(v.dy_q2 - anchor.dy_q2) <= REFINE_WINDOW_Q2 for v in ahead[k:])
+
+    @given(anchor=mvs, predictors=st.lists(mvs, max_size=3), sads=sad_lists)
+    def test_first_k_are_the_seeds_or_ring_left(self, anchor, predictors, sads):
+        # ``ahead[:k]`` is what the translational rounds cost with ``mv``:
+        # the seeds left while seeds are visited, then the rest of the
+        # current ring, whose points are distinct and lie in the window
+        seen, _ = walk_to_end(search_rounds.walk(anchor, predictors, 0.0, ZERO), sads)
+        seeds = [anchor, *predictors]
+        for t, (mv, ahead, k) in enumerate(seen):
+            if t < len(seeds):
+                assert (mv, ahead[:k]) == (seeds[t], seeds[t + 1 :])
+            else:
+                ring = [mv, *ahead[:k]]
+                assert len(set(ring)) == len(ring)
+                assert all(abs(v.dx_q2 - anchor.dx_q2) <= REFINE_WINDOW_Q2
+                           and abs(v.dy_q2 - anchor.dy_q2) <= REFINE_WINDOW_Q2 for v in ring)
 
 
 class TestRowPlan:
