@@ -398,7 +398,6 @@ class TestBatchedStageFive:
         assert candidates == 2 * batched + single
         assert batched > single
 
-
     # per block size: (put_batch calls, MVs costed, MVs costed that no
     # search ranks), over test_each_batch_holds_valid_uncosted_mvs's searches
     SPECULATION = {16: (672, 4528, 772), 64: (518, 1010, 39)}
@@ -409,7 +408,7 @@ class TestBatchedStageFive:
         # in the table yet, and a seed or within the window of the anchor
         layout, cfg = CubeLayout(face, face), SearchConfig()
         prev, cur = generate_synthetic(SyntheticSpec(face, 2, (0.0, 2.0, 0.0), seed=3))
-        search = {"n": 0}  # the running search: its count, seeds and anchor
+        search = {"n": 0, "calls": 0}  # searches and batches so far, the seeds and anchor
         costed, ranked = set(), set()  # (search, mv)
         lattice = motion_search.center_lattice
         put_batch = motion_search._CostTable.put_batch
@@ -428,7 +427,7 @@ class TestBatchedStageFive:
                 assert mv in search["seeds"] or (abs(mv.dx_q2 - a.dx_q2) <= REFINE_WINDOW_Q2
                                                  and abs(mv.dy_q2 - a.dy_q2) <= REFINE_WINDOW_Q2)
             costed.update((search["n"], mv) for mv in mvs)
-            search["calls"] = search.get("calls", 0) + 1
+            search["calls"] += 1
             return put_batch(table, mvs, *rest)
 
         def spy_read(table, key):
