@@ -65,6 +65,7 @@ def test_report_schema():
     json.dumps(out)  # the file is JSON
     w = out["workloads"]["large-blocks"]
     assert w["pairs"] == pairs
+    assert w["failed_runs"] == {"base": 0, "head": 0}
     assert set(w["summary"]) == set(better())
     ev = w["summary"]["eval_s"]
     assert set(ev) == {"better", "base", "head", "change_frac", "head_wins", "base_wins", "pairs"}
@@ -84,6 +85,35 @@ def test_a_metric_one_run_lacks_is_left_out_of_that_pair():
     ev = ab_bench.summarize(pairs, better())["eval_s"]
     assert ev["pairs"] == 1 and ev["base"] == {"median": 0.5, "q1": 0.5, "q3": 0.5, "iqr": 0.0,
                                                 "n": 1}
+
+
+@pytest.mark.parametrize("how", ["crash", "no result", "wrong output", "failed eval"])
+def test_a_failing_run_is_counted_for_its_tree(how):
+    pairs = [pair(1, 0.5, 0.4), pair(2, 0.5, 0.4), pair(3, 0.5, 0.4)]
+    run = pairs[1]["head"]
+    if how == "crash":
+        run["rc"] = 1
+    elif how == "no result":  # what run_tree keeps of unparseable output
+        pairs[1]["head"] = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}, "rc": 0}
+    elif how == "wrong output":
+        run["correct"] = False
+    else:
+        run["failed"] = 1
+    w = ab_bench.report({}, {}, {"large-blocks": pairs}, better(), {})["workloads"]["large-blocks"]
+    assert w["failed_runs"] == {"base": 0, "head": 1}
+    if how == "no result":  # the summary alone would show a clean 2/2
+        assert (w["summary"]["eval_s"]["head_wins"], w["summary"]["eval_s"]["pairs"]) == (2, 2)
+
+
+def test_each_ab_is_appended_to_the_file(tmp_path):
+    out = tmp_path / "ab.json"
+    first = ab_bench.report({"base": "a", "head": "b"}, {}, {"large-blocks": [pair(1, 0.5, 0.4)]},
+                            better(), {})
+    second = ab_bench.report({"base": "a", "head": "c"}, {}, {"small-blocks": [pair(1, 0.3, 0.2)]},
+                             better(), {})
+    ab_bench.append_report(out, first)
+    ab_bench.append_report(out, second)
+    assert json.loads(out.read_text()) == {"runs": [first, second]}
 
 
 def test_trees_unpack_to_paths_of_equal_length():

@@ -9,10 +9,12 @@ the two directories have paths of equal length, because the benchmark's
 runs both trees' ``perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` once, on the pair's seed, alternating which tree runs first,
 and reads the last JSON line each prints.  The output file holds every
-pair's values and, per workload and metric, each tree's median and
-quartiles, the median change and how many pairs each tree won, with the
-machine (``nproc``, CPU model, load averages at start and end) and both
-commits.
+pair's values, each tree's count of failed runs and, per workload and
+metric, each tree's median and quartiles, the median change and how many
+pairs each tree won, with the machine (``nproc``, CPU model, load averages
+at start and end) and both commits.  Pair k runs seed k, from 1.  An
+existing output file keeps its earlier A/Bs: the file holds ``{"runs":
+[...]}`` and each A/B appends its report.
 
 The script runs by hand: ten pairs of one workload take several minutes.
 """
@@ -80,6 +82,14 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def failed_runs(pairs: list[dict]) -> dict[str, int]:
+    """Per tree, the runs that crashed, printed no result, reported a wrong
+    output or a failed eval.  Such a run's missing metrics leave the
+    summary's pairs, so this count is what shows it."""
+    return {t: sum(not p[t]["correct"] or p[t]["rc"] != 0 or p[t]["failed"] > 0 for p in pairs)
+            for t in TREES}
+
+
 def machine() -> dict:
     model = ""
     try:
@@ -96,14 +106,21 @@ def machine() -> dict:
 
 def report(commits: dict, settings: dict, runs: dict[str, list[dict]], better: dict,
            info: dict) -> dict:
-    """The output file's object: ``runs`` maps each workload to its pairs."""
+    """One A/B's report: ``runs`` maps each workload to its pairs."""
     return {
         "commits": commits,
         "settings": settings,
         "machine": info,
-        "workloads": {w: {"pairs": pairs, "summary": summarize(pairs, better)}
+        "workloads": {w: {"pairs": pairs, "failed_runs": failed_runs(pairs),
+                          "summary": summarize(pairs, better)}
                       for w, pairs in runs.items()},
     }
+
+
+def append_report(path: Path, one: dict) -> None:
+    """Add ``one`` to the A/Bs the file at ``path`` holds (none if absent)."""
+    runs = json.loads(path.read_text())["runs"] if path.exists() else []
+    path.write_text(json.dumps({"runs": runs + [one]}, indent=1) + "\n")
 
 
 def unpack(commit: str, into: Path) -> str:
@@ -135,7 +152,6 @@ def main(argv=None) -> int:
     p.add_argument("head")
     p.add_argument("--workload", action="append", required=True)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--first-seed", type=int, default=1)
     p.add_argument("--seconds", type=float, default=8.0)
     p.add_argument("--work", type=Path, help="where to unpack the trees (default: a new "
                    "temporary directory, removed at the end)")
@@ -151,7 +167,7 @@ def main(argv=None) -> int:
         info = {**machine(), "loadavg_start": os.getloadavg()}
         runs = {w: [] for w in args.workload}
         for k in range(args.pairs):
-            seed = args.first_seed + k
+            seed = k + 1
             order = TREES if k % 2 == 0 else TREES[::-1]
             for w in args.workload:
                 pair = {"seed": seed, "first": order[0]}
@@ -162,12 +178,11 @@ def main(argv=None) -> int:
                     f"{t} eval_s {pair[t]['metrics'].get('eval_s')}" for t in TREES), flush=True)
         info["loadavg_end"] = os.getloadavg()
         settings = {"workloads": args.workload, "pairs": args.pairs,
-                    "seeds": [args.first_seed + k for k in range(args.pairs)],
+                    "seeds": list(range(1, args.pairs + 1)),
                     "seconds": args.seconds, "trace": 0,
                     "command": "perfbench/run.py --workload W --seed S --seconds T --trace 0",
                     "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
-        args.out.write_text(json.dumps(report(commits, settings, runs, better, info), indent=1)
-                            + "\n")
+        append_report(args.out, report(commits, settings, runs, better, info))
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
