@@ -9,7 +9,8 @@ process plans the translational searches of a block row as it reaches
 the row, before waiting for any neighbour (``ReferencePicture.plan``),
 and each block's ``tzs_search`` returns its planned result.  Their luma
 predictions are read from the block's cost table, where the searches
-left them; only chroma is warped here.
+left them; only chroma is filtered here: a translation's at its one
+phase pair (``phase_block``), an advanced field's per pixel.
 
 Each frame's block rows are split across at most two processes, as a
 wavefront: this process and one forked helper each decide the rows a
@@ -42,8 +43,12 @@ import numpy as np
 
 from cubemc.frame_io import Frame, SyntheticSpec, generate_synthetic, read_yuv420
 from cubemc.geometry import CubeLayout
-from cubemc.interp import chroma_field, warp_block
-from cubemc.motion_model import MotionVector, build_correspondence_field, translational_field
+from cubemc.interp import chroma_field, phase_block, warp_block
+from cubemc.motion_model import (
+    MotionVector,
+    build_correspondence_field,
+    translational_field,  # not called here; the tracer wraps ``evaluate.translational_field``
+)
 from cubemc.motion_search import (
     BLOCK_SIZES,
     BlockGrid,
@@ -173,22 +178,29 @@ def _load_frames(cfg: EvalConfig, layout: CubeLayout) -> list[Frame]:
 
 def _place(costs, advanced: bool, mv: MotionVector, cur: Frame, ref: Frame):
     """Predict the block of ``costs`` at ``mv``: luma and its SAD from the
-    table, chroma warped along the same field.  Returns the luma SAD and
-    each plane's squared prediction error; the predicted block itself is
-    not kept."""
+    table, chroma along the same field.  Returns the luma SAD and each
+    plane's squared prediction error; the predicted block itself is not
+    kept.
+
+    A translation's chroma field is ``chroma_field`` of even luma
+    positions, halved without rounding: chroma pixel (i, j) sits at
+    1/64-pel ``(64 (cx + i) + 8 dx_q2, 64 (cy + j) + 8 dy_q2)``, one phase
+    pair for the block, filtered by ``phase_block``.  An advanced field
+    is warped per pixel."""
     block = costs.block
     sad_y, pred_y = costs[advanced, mv]
-    fld = (build_correspondence_field(block, mv, costs.layout) if advanced
-           else translational_field(block, mv))
-    cfld = chroma_field(fld)
-    pred_u = warp_block(ref.u, cfld)
-    pred_v = warp_block(ref.v, cfld)
     cx, cy, cw, ch = block.x0 // 2, block.y0 // 2, block.width // 2, block.height // 2
+    if advanced:
+        cfld = chroma_field(build_correspondence_field(block, mv, costs.layout))
+        preds = [warp_block(p, cfld) for p in (ref.u, ref.v)]
+    else:
+        x, y = 64 * cx + 8 * mv.dx_q2, 64 * cy + 8 * mv.dy_q2
+        preds = [phase_block(p, x, y, cw, ch) for p in (ref.u, ref.v)]
 
     cur_u = cur.u[cy : cy + ch, cx : cx + cw]
     cur_v = cur.v[cy : cy + ch, cx : cx + cw]
     err = []
-    for got, want in ((pred_y, costs.cur_blk), (pred_u, cur_u), (pred_v, cur_v)):
+    for got, want in zip((pred_y, *preds), (costs.cur_blk, cur_u, cur_v)):
         diff = got.astype(np.float64) - want.astype(np.float64)
         err.append(float((diff * diff).sum()))
     return sad_y, err

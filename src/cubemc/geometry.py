@@ -31,11 +31,13 @@ each coordinate whose coefficient is zero, taking each point's one
 signed axis by its face index, so every result is unchanged, signed
 zeros included; where a coordinate is not finite it returns NaN in both
 coordinates, as the zero terms (0 * inf, 0 * NaN) did.  Sphere ->
-unfold first tries the first point's face for the whole call
-(``_one_face``): when a few reductions show every direction strictly
-inside that face's cone, it scales only the two in-face axes by the
-face's ``+-R / s[n]`` and adds the face constants, the bits the cube
-composite gives; otherwise it runs that composite.
+unfold maps each direction strictly inside one face's cone on that face
+alone (``_one_face``): it scales only the two in-face axes by the face's
+``+-R / s[n]`` and adds the face constants, the bits the cube composite
+gives.  The face of the center of the first (h, w) slice maps the whole
+call; the points it does not hold go, by index, to up to two more faces
+and then to the composite, which so sees only edge and corner ties,
+NaN, +-inf and zero directions.
 
 When every coordinate is a scalar or 0-d array, results are Python
 values: ``float``, ``Face``, and ``None`` for ``NO_FACE``.  Otherwise
@@ -327,46 +329,46 @@ def _unfold_to_sphere(x_u, y_u, layout: CubeLayout):
     return _cube_to_sphere(*_unfold_to_cube(x_u, y_u, layout), layout)
 
 
-def _one_face(x_s, y_s, z_s, layout: CubeLayout):
-    """``_sphere_to_unfold`` of directions that all lie strictly inside
-    one face's cone, or None.
+def _one_face(s, k: int, layout: CubeLayout, at=None):
+    """Face k's unfold point of each direction of ``s`` (three arrays of
+    one shape), or of their flat entries ``at``, and where it is the
+    composite's: ``(held, x_u, y_u)``.
 
-    Takes the first point's face k, with outward axis n = sign * axis,
-    and ``scale = sign * R / s[axis]``, then only the two in-face axes.
-    The result stands only if ``sign * s[axis]`` is positive and finite
-    everywhere and both in-face cube coordinates lie within
-    ``(1 - 1e-9) R`` of the face center.
-    Then |s[axis]| strictly exceeds the other two magnitudes everywhere
-    (a magnitude at least as large would scale to at least R(1 - 2**-52)),
-    so it is the max of ``_sphere_to_cube``, whose scale R / max is this
-    one, bit for bit; and the scaled dominant coordinate is R within
-    rounding, above both others, so ``_to_unfold`` picks face k for every
-    point and adds the same constants to the same signed products.
-    NaN, +-inf and a zero direction fail a test before any division.
+    With face k's outward axis n = sign * axis, ``scale = sign * R /
+    s[axis]`` and only the two in-face axes are scaled.  A point is held
+    where ``scale`` is positive and both in-face cube coordinates lie
+    within ``(1 - 1e-9) R`` of the face center.  Then ``sign * s[axis]`` is
+    positive and finite (an infinite one gives a zero scale; a zero, or one
+    so small that the scale overflows, an infinite scale and with it an
+    infinite or NaN in-face coordinate), and |s[axis]| strictly exceeds the
+    other two magnitudes (a magnitude at least as large would scale to at
+    least R(1 - 2**-52)), so it is the max of ``_sphere_to_cube``, whose
+    scale R / max is this one, bit for bit; and the scaled dominant
+    coordinate is R within rounding, above both others, so ``_to_unfold``
+    picks face k for the point and adds the same constants to the same
+    signed products.  NaN, +-inf, a zero direction and an edge or corner
+    tie are not held.  Elsewhere the coordinates are meaningless.
     """
-    if not (x_s.size and x_s.shape == y_s.shape == z_s.shape):
-        return None
-    s = (x_s, y_s, z_s)
-    first = [float(c.flat[0]) for c in s]
-    signed = [first[2], first[1], -first[2], first[0], -first[1], -first[0]]  # n, in Face order
-    k = signed.index(max(signed))
     (an, sn), (au, su), (av, sv) = _AXES[k]
-    lo, hi = sn * s[an].min(), sn * s[an].max()  # NaN fails both tests below
-    if not (0.0 < min(lo, hi) and max(lo, hi) < math.inf):
-        return None
     r, w = layout.radius, float(layout.face_width)
-    scale = (sn * r) / s[an]
-    bound = (1.0 - 1e-9) * r
-    out = []
-    for axis, sign, center in ((au, su, _CU[k]), (av, sv, _CV[k])):
-        c = np.asarray(s[axis] * scale)  # an array also for 0-d input
-        if not (-bound <= c.min() and c.max() <= bound):
-            return None
-        if sign < 0:
-            np.negative(c, out=c)
-        c += center * w
-        out.append(c)
-    return np.full(x_s.shape, k, dtype=np.int8), *out
+    get = (lambda c: c) if at is None else (lambda c: c.take(at))  # each taken when it is read
+    with np.errstate(all="ignore"):  # points that are not held may overflow or be NaN
+        scale = (sn * r) / get(s[an])
+        out = [np.asarray(get(s[au]) * scale), np.asarray(get(s[av]) * scale)]  # also for 0-d
+        held = scale > 0
+        del scale  # one temporary at a time from here on
+        for c, sign, center in zip(out, (su, sv), (_CU[k], _CV[k])):
+            held &= np.abs(c) <= (1.0 - 1e-9) * r
+            if sign < 0:
+                np.negative(c, out=c)
+            c += center * w
+    return held, *out
+
+
+def _dominant(x, y, z) -> int:
+    """The face whose outward axis is largest for one point (any face for NaN)."""
+    signed = [z, y, -z, x, -y, -x]  # n, in Face order
+    return signed.index(max(signed))
 
 
 def _sphere_to_unfold(x_s, y_s, z_s, layout: CubeLayout):
@@ -374,13 +376,36 @@ def _sphere_to_unfold(x_s, y_s, z_s, layout: CubeLayout):
 
     Total on nonzero inputs: every ray from the origin hits exactly one
     face, with edge/corner ties broken in Face priority order.
-    Returns ``(face, x_u, y_u)``.  Directions strictly inside one face's
-    cone take ``_one_face``: the same bits in fewer passes.
+    Returns ``(face, x_u, y_u)``.
+
+    Each point gets the composite's bits, but only the points no face's
+    cone holds strictly run it.  The face of the center of the first
+    (h, w) slice maps every point (``_one_face``); up to two more faces,
+    each picked by the first point left, map the rest, and the composite
+    the points still left.  Each pass writes its points back by index.
     """
-    out = _one_face(x_s, y_s, z_s, layout)
-    if out is None:
-        out = _to_unfold(*_sphere_to_cube(x_s, y_s, z_s, layout), layout)
-    return out
+    s = (x_s, y_s, z_s)
+    if not (x_s.size and x_s.shape == y_s.shape == z_s.shape):
+        return _to_unfold(*_sphere_to_cube(*s, layout), layout)
+    mid = tuple(n // 2 if i >= x_s.ndim - 2 else 0 for i, n in enumerate(x_s.shape))
+    k = _dominant(*(float(c[mid]) for c in s))
+    held, x_u, y_u = _one_face(s, k, layout)
+    face = np.full(x_s.shape, k, dtype=np.int8)
+    if held.all():
+        return face, x_u, y_u
+    rest = np.flatnonzero(~held)
+    for _ in range(2):  # a block's field touches at most three faces
+        k = _dominant(*(float(c.flat[rest[0]]) for c in s))
+        held, u, v = _one_face(s, k, layout, rest)
+        on, rest = rest[held], rest[~held]
+        for a, b in ((face, k), (x_u, u[held]), (y_u, v[held])):
+            a.put(on, b)
+        if not rest.size:
+            return face, x_u, y_u
+    out = _to_unfold(*_sphere_to_cube(*(c.take(rest) for c in s), layout), layout)
+    for a, b in zip((face, x_u, y_u), out):
+        a.put(rest, b)
+    return face, x_u, y_u
 
 
 unfold_to_cube = _elementwise(_unfold_to_cube)

@@ -22,8 +22,12 @@ strips, and keeps it as int16 (pass 1 lies in [-96, 351]); ``warp_rows``
 then warps any field of that block with one take of 8 pass-1 values per
 pixel and the gather's vertical pass, and gathers only the pixels whose
 base leaves the bank (the far side of a face seam).  Both give the
-gather's integers.  The translational search's quarter-pel window is
-filtered at its 16 phases at once, in int32 (``phase_planes``).
+gather's integers.  One pair of separable int32 passes over an
+edge-clamped window serves the translations, whose pixels share one
+phase: ``phase_planes`` filters the translational search's quarter-pel
+window at its 16 phases at once, and ``phase_block`` one translated
+block at its one phase pair (the evaluator's translational chroma, and a
+fractional translation costed outside the search's window).
 """
 
 from __future__ import annotations
@@ -197,22 +201,42 @@ def _shift6(x: np.ndarray) -> np.ndarray:
     return np.floor(x, out=x)
 
 
+def _separable(win, ch, cv, width, height) -> np.ndarray:
+    """The int32 8-tap passes over an edge-clamped window ``win``, which
+    starts 3 samples up and left of the output: one horizontal pass with
+    taps ``ch[k]``, then one vertical pass with taps ``cv[k]``, each
+    rounding with (+32) >> 6, then clipped to uint8.  A tap is an integer
+    or an array of phases that broadcasts against the (rows, columns) it
+    multiplies, so one call filters at one phase pair or at many."""
+    win = win.astype(np.int32)
+    rows = (sum(ch[k] * win[:, k : k + width] for k in range(TAPS)) + 32) >> 6
+    out = cv[0] * rows[..., :height, :]  # summed in place to keep peak memory down
+    for k in range(1, TAPS):
+        out += cv[k] * rows[..., k : k + height, :]
+    return np.clip((out + 32) >> 6, 0, 255).astype(np.uint8)
+
+
 def phase_planes(plane, x, y, width, height) -> np.ndarray:
     """A ``height`` x ``width`` window of ``plane`` filtered at the 16
     quarter-pel phase pairs: uint8 ``out[j, i, r, c]`` is the edge-clamped
-    sample at quarter-pel ``(4 * (x + c) + i, 4 * (y + r) + j)``.  One
-    horizontal 8-tap pass per x-phase over the fetched window, then one
-    vertical pass per y-phase, each rounding with (+32) >> 6.  It serves
-    only the translational search's quarter-pel window.
+    sample at quarter-pel ``(4 * (x + c) + i, 4 * (y + r) + j)``.  It
+    serves only the translational search's quarter-pel window.
     """
-    win = fetch_block(plane, x - 3, y - 3, width + TAPS - 1, height + TAPS - 1).astype(np.int32)
-    quarters = generate_dctif_bank()[:: PHASES // 4]
-    ch, cv = quarters[:, :, None, None], quarters[:, None, :, None, None]
-    rows = (sum(ch[:, k] * win[:, k : k + width] for k in range(TAPS)) + 32) >> 6
-    out = cv[:, :, 0] * rows[:, :height]  # summed in place to keep peak memory down
-    for k in range(1, TAPS):
-        out += cv[:, :, k] * rows[:, k : k + height]
-    return np.clip((out + 32) >> 6, 0, 255).astype(np.uint8)
+    win = fetch_block(plane, x - 3, y - 3, width + TAPS - 1, height + TAPS - 1)
+    quarters = generate_dctif_bank()[:: PHASES // 4].T  # (tap, phase)
+    return _separable(win, quarters[:, :, None, None], quarters[:, :, None, None, None],
+                      width, height)
+
+
+def phase_block(plane, x_q6: int, y_q6: int, width: int, height: int) -> np.ndarray:
+    """``warp_block`` of a translation: the ``height`` x ``width`` block of
+    ``plane`` whose top-left sample sits at 1/64-pel ``(x_q6, y_q6)``.
+    Every pixel has the same phase pair, so one edge-clamped window is
+    filtered at that pair; the int32 passes give the gather's integers."""
+    x, y = x_q6 >> 6, y_q6 >> 6
+    win = fetch_block(plane, x - 3, y - 3, width + TAPS - 1, height + TAPS - 1)
+    bank = generate_dctif_bank()
+    return _separable(win, bank[x_q6 & 63], bank[y_q6 & 63], width, height)
 
 
 def row_bank(plane, x, y, width, height):

@@ -104,8 +104,13 @@ def _transport_from_sphere(s0, s1, s2x, s2y, s2z, layout: CubeLayout):
     s3y = s1[1] - s0[1] + s2y
     s3z = s1[2] - s0[2] + s2z
 
-    norm = np.sqrt(s3x * s3x + s3y * s3y + s3z * s3z)
-    ok = norm >= DEGENERATE_NORM * layout.face_width
+    # the norm is summed in place and dropped once tested: only the three
+    # coordinates and ok stay alive through sphere_to_unfold
+    norm = s3x * s3x
+    norm += s3y * s3y
+    norm += s3z * s3z
+    ok = np.sqrt(norm) >= DEGENERATE_NORM * layout.face_width
+    del norm
     if not ok.all():
         # keep sphere_to_unfold total: substitute a unit ray where degenerate
         s3x = np.where(ok, s3x, 1.0)

@@ -86,14 +86,14 @@ from numpy.lib.stride_tricks import as_strided
 from cubemc import search_rounds
 from cubemc.frame_io import Frame
 from cubemc.geometry import NO_FACE, CubeLayout, face_of
-from cubemc.interp import check_bank, fetch_block, row_bank, warp_block, warp_rows
+from cubemc.interp import check_bank, fetch_block, phase_block, row_bank, warp_block, warp_rows
 from cubemc.motion_model import (
     Block,
     MotionVector,
     build_correspondence_field,
     build_correspondence_fields,
     center_lattice,
-    translational_field,
+    translational_field,  # not called here; the tracer wraps ``motion_search.translational_field``
     transport_mv_predictor,
 )
 
@@ -165,10 +165,10 @@ class _CostTable(dict):
             self.put_batch([mv])
             return self[key]
         b = self.block
-        if mv.dx_q2 % 4 or mv.dy_q2 % 4:
-            return self.put(key, warp_block(self.plane, translational_field(b, mv)))
-        x, y = b.x0 + mv.dx_q2 // 4, b.y0 + mv.dy_q2 // 4
-        return self.put(key, fetch_block(self.plane, x, y, b.width, b.height))
+        x, y = 64 * b.x0 + 16 * mv.dx_q2, 64 * b.y0 + 16 * mv.dy_q2
+        if (x | y) & 63:
+            return self.put(key, phase_block(self.plane, x, y, b.width, b.height))
+        return self.put(key, fetch_block(self.plane, x >> 6, y >> 6, b.width, b.height))
 
     def put(self, key, pred: np.ndarray) -> tuple[int, np.ndarray]:
         self[key] = entry = (sad(self.cur_blk, pred), pred)

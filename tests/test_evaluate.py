@@ -226,7 +226,8 @@ class TestNoRepeatedWork:
             lambda a: built.update([(block["key"], a[1])]))
         spy(motion_search, "build_correspondence_fields",
             lambda a: built.update((block["key"], mv) for mv in a[1]))
-        spy(evaluate, "warp_block", placed.append)
+        spy(evaluate, "warp_block", lambda a: placed.append("warp_block"))
+        spy(evaluate, "phase_block", lambda a: placed.append("phase_block"))
 
         report = run_eval(EvalConfig(input="synthetic", face_size=64, synth_frames=3,
                                      synth_velocity=(2.0, 0.0, 0.0), lambda_=4.0, seed=0))
@@ -236,9 +237,11 @@ class TestNoRepeatedWork:
         assert descents and max(descents.values()) == 1
         assert built and max(built.values()) == 1
         # two chroma warps per distinct placement: a TRANS block's advanced
-        # placement is its translational one, made once
+        # placement is its translational one, made once; a translation is
+        # filtered at its one phase pair, an advanced field gathered
         advanced = sum(b.mode is not PredMode.TRANS for f in report.frames for b in f.blocks)
         assert len(placed) == 2 * (blocks + advanced)
+        assert Counter(placed) == {"phase_block": 2 * blocks, "warp_block": 2 * advanced}
         info = motion_model._block_sphere.cache_info()
         assert (info.maxsize, info.currsize) == (1, 1)
         assert (info.misses, info.hits) == (blocks, 560)

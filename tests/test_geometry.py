@@ -639,3 +639,98 @@ def assert_to_unfold_matches_gather_formula(x, y, z, w):
         # coordinate is non-finite
         assert np.array_equal(got[finite].view(np.int64), ref[finite].view(np.int64))
         assert np.isnan(got[~finite]).all() and np.isnan(ref[~finite]).all()
+
+
+def _composite(x, y, z, layout):
+    """Sphere -> unfold through the cube composite alone, for every point."""
+    return geometry._to_unfold(*geometry._sphere_to_cube(x, y, z, layout), layout)
+
+
+def assert_split_matches_composite(x, y, z, w):
+    """``_sphere_to_unfold`` gives every point the composite's face and
+    bits (NaN payloads and signed zeros included), or raises where it does."""
+    layout = CubeLayout(w, w)
+    x, y, z = (np.asarray(c, dtype=np.float64) for c in (x, y, z))
+    with np.errstate(all="ignore"):  # the composite computes 0 * inf for infinite points
+        try:
+            want = _composite(x, y, z, layout)
+        except ValueError:  # a zero direction
+            with pytest.raises(ValueError, match="degenerate"):
+                geometry._sphere_to_unfold(x, y, z, layout)
+            return
+        got = geometry._sphere_to_unfold(x, y, z, layout)
+    for g, v in zip(got, want):
+        g, v = np.asarray(g), np.asarray(v)
+        assert (g.dtype, g.shape) == (v.dtype, v.shape)
+        bits = np.int8 if g.dtype == np.int8 else np.int64
+        assert np.array_equal(g.view(bits), v.view(bits))
+
+
+# coordinates in units of r: +-1 and +-0.5 make edge and corner ties common
+_SPECIAL = st.sampled_from([1.0, -1.0, 0.5, -0.5, 0.0, -0.0, math.nan, math.inf, -math.inf])
+_COORD = st.one_of(_SPECIAL, st.floats(-1.0, 1.0))
+
+
+def _field(center, du, dv, n, h, w):
+    """An (n, h, w) grid of directions around ``center``: steps ``du``
+    along w and ``dv`` along h, each slice shifted by one more ``du``."""
+    i = np.arange(n)[:, None, None] + np.arange(w)[None, None, :]
+    j = np.arange(h)[None, :, None]
+    return [c + a * i + b * j for c, a, b in zip(center, du, dv)]
+
+
+class TestSplitSphereToUnfold:
+    """Sphere -> unfold maps each point through the strict cone of one of
+    up to three faces, and the composite maps the rest: every point gets
+    the composite's bits."""
+
+    @given(
+        w=st.sampled_from([8, 64, 72]),
+        shape=st.sampled_from([(), (1,), (7,), (2, 3, 4), (1, 1, 5)]),
+        data=st.data(),
+    )
+    def test_points_with_ties_and_non_finite_values(self, w, shape, data):
+        n = math.prod(shape)
+        pts = data.draw(st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=n, max_size=n))
+        x, y, z = (np.array(c, dtype=np.float64).reshape(shape) * (w / 2.0) for c in zip(*pts))
+        assert_split_matches_composite(x, y, z, w)
+
+    @given(
+        w=st.sampled_from([64, 192]),
+        center=st.tuples(*[st.one_of(_SPECIAL.filter(math.isfinite), st.floats(-1.2, 1.2))] * 3),
+        du=st.tuples(*[st.floats(-0.05, 0.05)] * 3),
+        dv=st.tuples(*[st.floats(-0.05, 0.05)] * 3),
+        shape=st.sampled_from([(1, 8, 8), (2, 4, 16), (3, 5, 5), (64,)]),
+    )
+    def test_fields_across_seams(self, w, center, du, dv, shape):
+        n, h, cols = (1, 1, *shape)[-3:]
+        r = w / 2.0
+        x, y, z = (c.reshape(shape) * r for c in _field(center, du, dv, n, h, cols))
+        assert_split_matches_composite(x, y, z, w)
+
+    @pytest.mark.parametrize("center,faces", [
+        ((0.1, 1.0, -0.2), {Face.FRONT}),
+        ((0.9713, 1.0, 0.1), {Face.FRONT, Face.RIGHT}),
+        ((1.0537, 1.0, 0.9431), {Face.TOP, Face.FRONT, Face.RIGHT}),
+        ((-0.9537, -1.0, -1.0431), {Face.BOTTOM, Face.REAR, Face.LEFT}),
+    ])
+    def test_one_to_three_faces(self, monkeypatch, center, faces):
+        # a 2 x 16 x 16 field of small steps, with no exact tie, around a
+        # face center, an edge or a corner: one pass per face, and the
+        # composite sees no point
+        x, y, z = (c * 32.0 for c in _field(center, (-0.0103, 0.0131, 0.0017),
+                                             (0.0029, -0.0091, 0.0113), 2, 16, 16))
+        composite = []
+        inner = geometry._sphere_to_cube
+        monkeypatch.setattr(geometry, "_sphere_to_cube",
+                            lambda *a: composite.append(a[0].size) or inner(*a))
+        face, _, _ = geometry._sphere_to_unfold(x, y, z, L64)
+        assert set(face.ravel().tolist()) == faces
+        assert composite == []
+        monkeypatch.undo()
+        assert_split_matches_composite(x, y, z, 64)
+
+    def test_zero_direction_raises_after_held_points(self):
+        x, y, z = np.array([0.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="degenerate"):
+            geometry._sphere_to_unfold(x, y, z, L64)

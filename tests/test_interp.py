@@ -19,6 +19,7 @@ from cubemc.interp import (
     chroma_field,
     fetch_block,
     generate_dctif_bank,
+    phase_block,
     phase_planes,
     row_bank,
     sample_fractional,
@@ -376,6 +377,59 @@ class TestPhasePlanes:
                 field = translational_field(block, MotionVector(4 * ax + ox - 8, 4 * ay + oy - 8))
                 got = planes[oy & 3, ox & 3, oy >> 2 : (oy >> 2) + size, ox >> 2 : (ox >> 2) + size]
                 npt.assert_array_equal(got, warp_block(plane, field, bank))
+
+
+def _translation(x_q6, y_q6, width, height, n=1):
+    """The fields of n translations, as one (n, height, width) batch:
+    slice i puts the top-left pixel at 1/64-pel ``(x_q6[i], y_q6[i])``."""
+    ys, xs = np.mgrid[0:height, 0:width]
+    rx = 64 * xs + np.reshape(x_q6, (n, 1, 1))
+    ry = 64 * ys + np.reshape(y_q6, (n, 1, 1))
+    return CorrespondenceField(rx.astype(np.int32), ry.astype(np.int32),
+                               np.ones(rx.shape, dtype=bool))
+
+
+class TestPhaseBlock:
+    """A translation filtered at its one phase pair over one edge-clamped
+    window gives the gather's pixels (``warp_block`` shares no filtering
+    code with ``phase_block``)."""
+
+    @pytest.mark.parametrize("x0,y0", [(9, 6), (-2, 17), (-20, -15), (40, 35)])
+    def test_every_phase_pair(self, x0, y0):
+        # a 24 x 20 plane: the last two origins put every tap far outside it
+        plane = random_plane(3, 20, 24)
+        p = np.arange(64 * 64)
+        x_q6, y_q6 = 64 * x0 + (p & 63), 64 * y0 + (p >> 6)
+        gathered = warp_block(plane, _translation(x_q6, y_q6, 5, 3, p.size))
+        for i in p:
+            got = phase_block(plane, int(x_q6[i]), int(y_q6[i]), 5, 3)
+            assert got.dtype == np.uint8
+            npt.assert_array_equal(got, gathered[i])
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        x_q6=st.integers(-64 * 60, 64 * 90),
+        y_q6=st.integers(-64 * 60, 64 * 80),
+        width=st.sampled_from([1, 4, 8, 16, 32]),
+        height=st.sampled_from([1, 4, 8, 16, 32]),
+    )
+    def test_any_position(self, seed, x_q6, y_q6, width, height):
+        plane = random_plane(seed, 20, 24)
+        want = warp_block(plane, _translation(x_q6, y_q6, width, height))[0]
+        npt.assert_array_equal(phase_block(plane, x_q6, y_q6, width, height), want)
+
+    @given(
+        dx=st.integers(-64, 64), dy=st.integers(-64, 64),
+        bx=st.integers(0, 3), by=st.integers(0, 2), size=st.sampled_from([16, 32]),
+    )
+    def test_chroma_of_a_translation_is_one_phase_pair(self, dx, dy, bx, by, size):
+        # chroma_field halves even luma positions without rounding, so the
+        # chroma block of a translation sits at (64 cx + 8 dx, 64 cy + 8 dy)
+        plane = random_plane(7, 48, 64)
+        block, mv = Block(size * bx, size * by, size, size), MotionVector(dx, dy)
+        want = warp_block(plane, chroma_field(translational_field(block, mv)))
+        x_q6, y_q6 = 32 * block.x0 + 8 * dx, 32 * block.y0 + 8 * dy
+        npt.assert_array_equal(phase_block(plane, x_q6, y_q6, size // 2, size // 2), want)
 
 
 def oracle_warp(plane, rx_q6, ry_q6):

@@ -1,5 +1,7 @@
 """Tests for the sphere-uniform correspondence model."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -256,18 +258,20 @@ class TestCorrespondenceField:
 class TestFaceUniformBuild:
     """A build whose points all lie on one face maps them with the face's
     coefficients as scalars: no per-point face pick and no gather.  Its
-    transported grid, inside one face's cone, takes the one-face path of
-    sphere -> unfold."""
+    transported grid, inside one face's cone, takes one pass of sphere ->
+    unfold's per-face path; a grid across a seam takes one more pass for
+    the points off the first face, and the composite none."""
 
     def _branches(self, monkeypatch, blk, mv, layout):
-        """Build one field from cold caches; return the results of unfold
-        -> cube's face-uniform test and of sphere -> unfold's one-face path."""
-        found = {"_cell_face": [], "_one_face": []}
-        for name, results in found.items():
+        """Build one field from cold caches; return the arguments and results
+        of unfold -> cube's face-uniform test, of sphere -> unfold's per-face
+        passes and of its composite."""
+        found = {"_cell_face": [], "_one_face": [], "_sphere_to_cube": []}
+        for name, calls in found.items():
             inner = getattr(geometry, name)
             monkeypatch.setattr(
-                geometry, name, lambda *a, inner=inner, results=results: (
-                    results.append(inner(*a)) or results[-1]
+                geometry, name, lambda *a, inner=inner, calls=calls: (
+                    calls.append((a, inner(*a))) or calls[-1][1]
                 ),
             )
         motion_model._block_sphere.cache_clear()
@@ -278,14 +282,62 @@ class TestFaceUniformBuild:
         layout = CubeLayout(192, 192)
         found = self._branches(monkeypatch, Block(64, 256, 64, 64), MotionVector(9, -7), layout)
         # the center, the pixel grid and the moved center; the transported grid
-        assert len(found["_cell_face"]) == 3 and None not in found["_cell_face"]
-        assert len(found["_one_face"]) == 1 and found["_one_face"][0] is not None
+        assert len(found["_cell_face"]) == 3 and None not in [f for _, f in found["_cell_face"]]
+        [(_, (held, _, _))] = found["_one_face"]
+        assert held.shape == (1, 64, 64) and held.all()
+        assert found["_sphere_to_cube"] == []
 
     def test_seam_crossing_build_is_not(self, monkeypatch):
         layout = CubeLayout(192, 192)
-        # a FRONT block moved 50 px right, half of it onto RIGHT
+        # a FRONT block moved 50 px right, half of it (its center too) onto RIGHT
         found = self._branches(monkeypatch, Block(128, 256, 64, 64), MotionVector(200, 0), layout)
-        assert found["_one_face"] == [None]
+        [(a1, (held1, _, _)), (a2, (held2, _, _))] = found["_one_face"]
+        assert (a1[1], a2[1]) == (Face.RIGHT, Face.FRONT)
+        assert 0 < held1.sum() < held1.size
+        # the second pass reads only the points off RIGHT, and holds them all
+        np.testing.assert_array_equal(a2[3], np.flatnonzero(~held1))
+        assert held2.all()
+        assert found["_sphere_to_cube"] == []
+
+
+def _mv_grid(dxs, dys):
+    return [MotionVector(dx, dy) for dx in dxs for dy in dys]
+
+
+class TestBuildMemory:
+    """A build drops the transport's norm before the geometry call, and a
+    grid across seams maps its off-face points as subsets: a 16-MV batch
+    of 16x16 fields that crosses seams peaks at most two of the batch's
+    float64 arrays (2 x 16 x 256 x 8 B) above one that stays on one face."""
+
+    MARGIN = 2 * 16 * 256 * 8
+
+    @staticmethod
+    def _peak(blk, mvs):
+        """Traced peak of the build, with the block's grid already cached;
+        and the faces its reference positions fall on."""
+        motion_model._block_sphere.cache_clear()
+        build_correspondence_fields(blk, mvs, L64)
+        tracemalloc.start()
+        try:
+            fields = build_correspondence_fields(blk, mvs, L64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, set(face_of(fields.rx_q6 / 64, fields.ry_q6 / 64, L64).ravel().tolist())
+
+    @pytest.mark.parametrize("blk,mvs,faces", [
+        (Block(48, 80, 16, 16), _mv_grid((20, 24, 28, 32), (-4, 0, 4, 8)), {Face.FRONT, Face.RIGHT}),
+        (Block(48, 64, 16, 16), _mv_grid((20, 24, 28, 32), (-4, 0, 4, 8)),
+         {Face.TOP, Face.FRONT, Face.RIGHT}),
+        (Block(16, 64, 16, 16), _mv_grid((-6, -2, 2, 6), (-40, -36, -32, -28)), {Face.TOP, Face.FRONT}),
+    ], ids=["front-right", "three-faces", "front-top"])
+    def test_seam_crossing_batch_peaks_near_a_one_face_batch(self, blk, mvs, faces):
+        one_face, on = self._peak(Block(16, 80, 16, 16), _mv_grid((-6, -2, 2, 6), (-6, -2, 2, 6)))
+        assert on == {Face.FRONT}
+        seam, on = self._peak(blk, mvs)
+        assert on == faces
+        assert seam <= one_face + self.MARGIN
 
 
 def assert_batch_matches_singles(blk, mvs, layout):

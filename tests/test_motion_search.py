@@ -614,8 +614,9 @@ class TestRasterKernel:
 
 class TestTranslationalWindow:
     """The translational stage 5 filters one quarter-pel window per search;
-    only fractional seeds outside it are warped one at a time (an integer
-    seed is read from the integer stages' entries of the cost table)."""
+    only fractional seeds outside it are filtered one at a time, each at
+    its one phase pair (an integer seed is read from the integer stages'
+    entries of the cost table)."""
 
     FRACTIONAL_SEEDS = ([MotionVector(1, -2)],
                         [MotionVector(7, -3), MotionVector(-10, 14), MotionVector(3, 1)])
@@ -625,18 +626,18 @@ class TestTranslationalWindow:
         # 7.5 px/frame: some integer winners lie far from the zero seed
         cur, refp, _ = synthetic_pair(velocity=(0.0, 7.5, 0.0), seed=5)
         windows, warped = [], []
-        build, warp = search_rounds.phase_planes, motion_search.warp_block
+        build, warp = search_rounds.phase_planes, motion_search.phase_block
 
         def counted_build(*args):
             windows.append(args)
             return build(*args)
 
-        def counted_warp(plane, field, bank=None):
-            warped.append(field)
-            return warp(plane, field, bank)
+        def counted_warp(plane, x_q6, y_q6, width, height):
+            warped.append((x_q6, y_q6, width, height))
+            return warp(plane, x_q6, y_q6, width, height)
 
         monkeypatch.setattr(search_rounds, "phase_planes", counted_build)
-        monkeypatch.setattr(motion_search, "warp_block", counted_warp)
+        monkeypatch.setattr(motion_search, "phase_block", counted_warp)
         bank = generate_dctif_bank()
         out_of_window = 0
         for blk in BlockGrid(L64, 16).blocks:
@@ -648,9 +649,9 @@ class TestTranslationalWindow:
             _, x, y, width, height, *_ = windows[0]
             assert (width, height) == (16 + 4, 16 + 4)
             anchor = (4 * (x + 2 - blk.x0), 4 * (y + 2 - blk.y0))
-            for field in warped:
-                mv = MotionVector((int(field.rx_q6[0, 0]) - 64 * blk.x0) // 16,
-                                  (int(field.ry_q6[0, 0]) - 64 * blk.y0) // 16)
+            for x_q6, y_q6, width, height in warped:
+                assert (width, height) == (16, 16)
+                mv = MotionVector((x_q6 - 64 * blk.x0) // 16, (y_q6 - 64 * blk.y0) // 16)
                 assert mv in predictors
                 assert max(abs(mv.dx_q2 - anchor[0]), abs(mv.dy_q2 - anchor[1])) > REFINE_WINDOW_Q2
             assert len(warped) <= len(predictors)
@@ -663,8 +664,9 @@ class TestAdvancedRowBank:
     per search, freed when the search returns.  Over a face-128 clip of
     64-px blocks, ``warp_block`` runs only for what is costed before or
     without a bank: a merge MV that the AMVP search did not cost
-    (``mode_decide`` costs the merge MV after the search) and translational
-    seeds outside their quarter-pel window."""
+    (``mode_decide`` costs the merge MV after the search).  A translational
+    seed outside its quarter-pel window is filtered at its one phase
+    pair."""
 
     def test_search_warps_go_through_the_bank(self, monkeypatch):
         layout = CubeLayout(128, 128)
@@ -672,9 +674,9 @@ class TestAdvancedRowBank:
         prev, cur = generate_synthetic(spec)
         refp, grid, bank = ReferencePicture(prev, 0), BlockGrid(layout, 64), generate_dctif_bank()
         cfg = SearchConfig(lambda_=4.0)
-        searching, gathered, banked = [], [], []
-        search, warp, through = (motion_search.tzs_search, motion_search.warp_block,
-                                 motion_search.warp_rows)
+        searching, gathered, banked, filtered = [], [], [], []
+        search, warp, through, one_phase = (motion_search.tzs_search, motion_search.warp_block,
+                                            motion_search.warp_rows, motion_search.phase_block)
 
         def spied_search(blk, cur_y, ref, predictors, *args, advanced=True, **kwargs):
             searching.append(advanced)
@@ -694,29 +696,35 @@ class TestAdvancedRowBank:
             banked.append(searching[-1] if searching else None)
             return through(plane, rows, field)
 
+        def spied_one_phase(plane, *args):
+            filtered.append((searching[-1] if searching else None, args))
+            return one_phase(plane, *args)
+
         monkeypatch.setattr(motion_search, "tzs_search", spied_search)
         monkeypatch.setattr(motion_search, "warp_block", spied_warp)
         monkeypatch.setattr(motion_search, "warp_rows", spied_through)
+        monkeypatch.setattr(motion_search, "phase_block", spied_one_phase)
         merges = seeds = 0
         far = MotionVector(-37, 23)  # a fractional seed, outside most windows
         for blk in grid.blocks:
             gathered.clear()
+            filtered.clear()
             merge_mv = merge_candidate(grid, blk, layout)
             trans = motion_search.tzs_search(blk, cur.y, refp, [ZERO, far], cfg, layout, bank,
                                              advanced=False)
             mode_decide(blk, cur.y, refp, grid, cfg, layout, bank, trans_result=trans)
             for context, field in gathered:
-                assert context is not True  # no gather inside an advanced search
-                if context is None:  # a merge MV the search did not cost
-                    merges += 1
-                    want = build_correspondence_field(blk, merge_mv, layout)
-                    np.testing.assert_array_equal(field.rx_q6, want.rx_q6)
-                    np.testing.assert_array_equal(field.ry_q6, want.ry_q6)
-                else:  # the fractional translational seed
-                    seeds += 1
-                    want = translational_field(blk, far)
-                    np.testing.assert_array_equal(field.rx_q6, want.rx_q6)
-                    np.testing.assert_array_equal(field.ry_q6, want.ry_q6)
+                # no gather inside any search: a merge MV the search did not cost
+                assert context is None
+                merges += 1
+                want = build_correspondence_field(blk, merge_mv, layout)
+                np.testing.assert_array_equal(field.rx_q6, want.rx_q6)
+                np.testing.assert_array_equal(field.ry_q6, want.ry_q6)
+            for context, args in filtered:  # the fractional translational seed
+                assert context is False
+                seeds += 1
+                assert args == (64 * blk.x0 + 16 * far.dx_q2, 64 * blk.y0 + 16 * far.dy_q2,
+                                blk.width, blk.height)
         assert merges > 0 and seeds > 0
         assert set(banked) == {True}
         assert len(banked) >= len(grid.blocks)
@@ -725,7 +733,7 @@ class TestAdvancedRowBank:
 def spy_costing(monkeypatch) -> list:
     """Record every fetch, warp and row-bank warp that costs a search MV."""
     calls = []
-    for name in ("fetch_block", "warp_block", "warp_rows"):
+    for name in ("fetch_block", "phase_block", "warp_block", "warp_rows"):
         inner = getattr(motion_search, name)
         monkeypatch.setattr(motion_search, name, lambda *a, _f=inner: calls.append(a) or _f(*a))
     return calls
@@ -775,6 +783,20 @@ class TestCostTable:
         # a search under the other key costs every candidate again
         assert costed(refp) == costed(ReferencePicture(refp.frame, 0))
         assert calls
+
+    @given(dx=st.integers(-400, 400), dy=st.integers(-400, 400),
+           blk=st.sampled_from([A, B, Block(0, 64, 16, 16), Block(240, 112, 16, 16)]))
+    def test_translation_miss_is_the_gather(self, dx, dy, blk):
+        # a translation read outside every stage's window: an integer MV is
+        # fetched, a fractional one filtered at its one phase pair, and both
+        # equal the gather of its field, up to 100 px off the plane
+        cur, refp, _ = synthetic_pair(velocity=(1.0, 1.0, 0.0), seed=4)
+        mv = MotionVector(dx, dy)
+        table = refp.costs(blk, cur.y, L64)
+        got_sad, got = table[False, mv]
+        want = warp_block(refp.frame.y, translational_field(blk, mv))
+        np.testing.assert_array_equal(got, want)
+        assert got_sad == sad(table.cur_blk, want)
 
     @pytest.mark.parametrize("advanced", [False, True])
     def test_equal_bank_copy_is_served_from_the_same_table(self, monkeypatch, advanced):
