@@ -36,7 +36,7 @@ alone (``_one_face``): it scales only the two in-face axes by the face's
 ``+-R / s[n]`` and adds the face constants, the bits the cube composite
 gives.  The face of the center of the first (h, w) slice maps the whole
 call; the points it does not hold go, by index, to up to two more faces
-and then to the composite, which so sees only edge and corner ties,
+and then to the composite, which so sees mostly edge and corner ties,
 NaN, +-inf and zero directions.
 
 When every coordinate is a scalar or 0-d array, results are Python
@@ -381,8 +381,12 @@ def _sphere_to_unfold(x_s, y_s, z_s, layout: CubeLayout):
     Each point gets the composite's bits, but only the points no face's
     cone holds strictly run it.  The face of the center of the first
     (h, w) slice maps every point (``_one_face``); up to two more faces,
-    each picked by the first point left, map the rest, and the composite
-    the points still left.  Each pass writes its points back by index.
+    each picked by the middle point left, map the rest, and the composite
+    the points still left: every tie, NaN, +-inf and zero direction, and
+    the points of a face whose pass a tie took.  Each pass writes its
+    points back by index.  Points spread wider than a block's field, where
+    the first face holds under a quarter of them (a whole canvas holds a
+    sixth), all take the composite, which then costs less than the passes.
     """
     s = (x_s, y_s, z_s)
     if not (x_s.size and x_s.shape == y_s.shape == z_s.shape):
@@ -394,8 +398,10 @@ def _sphere_to_unfold(x_s, y_s, z_s, layout: CubeLayout):
     if held.all():
         return face, x_u, y_u
     rest = np.flatnonzero(~held)
+    if 4 * rest.size > 3 * held.size:
+        return _to_unfold(*_sphere_to_cube(*s, layout), layout)
     for _ in range(2):  # a block's field touches at most three faces
-        k = _dominant(*(float(c.flat[rest[0]]) for c in s))
+        k = _dominant(*(float(c.flat[rest[rest.size // 2]]) for c in s))
         held, u, v = _one_face(s, k, layout, rest)
         on, rest = rest[held], rest[~held]
         for a, b in ((face, k), (x_u, u[held]), (y_u, v[held])):

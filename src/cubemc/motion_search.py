@@ -29,8 +29,8 @@ and only their costing differs by model.
 Under the translational model every ring point lies in the window, so, as
 in the HEVC reference encoder, the stage filters that window once at the
 16 quarter-pel phases (``phase_planes``, used for nothing else) and each
-such candidate is a slice of it; a seed outside the window is gathered
-alone.  The walks of a block row are costed together in array rounds
+such candidate is a slice of it; a fractional seed outside the window is
+filtered alone, at its one phase pair (``phase_block``).  The walks of a block row are costed together in array rounds
 (``search_rounds.Searches``).
 
 Under the advanced model each candidate builds the per-pixel

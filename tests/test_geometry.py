@@ -708,6 +708,22 @@ class TestSplitSphereToUnfold:
         x, y, z = (c.reshape(shape) * r for c in _field(center, du, dv, n, h, cols))
         assert_split_matches_composite(x, y, z, w)
 
+    @given(
+        center=st.sampled_from([(0.1, 1.0, -0.2), (0.9713, 1.0, 0.1), (1.0537, 1.0, 0.9431)]),
+        special=st.lists(st.tuples(st.integers(0, 2 * 8 * 8 - 1),
+                                   st.tuples(_SPECIAL, _SPECIAL, _SPECIAL)),
+                         min_size=1, max_size=6),
+    )
+    def test_fields_with_special_points(self, center, special):
+        # a field on one to three faces, some of whose points are ties,
+        # NaN, +-inf or zero: the passes keep the field's points, the
+        # composite takes the special ones
+        x, y, z = _field(center, (-0.0103, 0.0131, 0.0017), (0.0029, -0.0091, 0.0113), 2, 8, 8)
+        for i, point in special:
+            for c, v in zip((x, y, z), point):
+                c.flat[i] = v
+        assert_split_matches_composite(x * 32.0, y * 32.0, z * 32.0, 64)
+
     @pytest.mark.parametrize("center,faces", [
         ((0.1, 1.0, -0.2), {Face.FRONT}),
         ((0.9713, 1.0, 0.1), {Face.FRONT, Face.RIGHT}),
