@@ -30,8 +30,8 @@ Under the translational model every ring point lies in the window, so, as
 in the HEVC reference encoder, the stage filters that window once at the
 16 quarter-pel phases (``phase_planes``, used for nothing else) and each
 such candidate is a slice of it; a fractional seed outside the window is
-filtered alone, at its one phase pair (``phase_block``).  The walks of a block row are costed together in array rounds
-(``search_rounds.Searches``).
+filtered alone, at its one phase pair (``phase_block``).  The walks of a
+block row are costed together in array rounds (``search_rounds.Searches``).
 
 Under the advanced model each candidate builds the per-pixel
 correspondence field and warps through the filter bank, with pass 1 read
