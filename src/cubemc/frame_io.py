@@ -6,7 +6,9 @@ texture on the sphere and translates it by a constant sphere-space
 velocity per frame, so the true inter-frame correspondence of every
 pixel is known in closed form (``ground_truth_match``).  That makes the
 sequences usable as oracles for the motion model and the evaluator.
-Only face pixels are rendered; the corner holes hold ``HOLE_VALUE``.
+The render goes face by face: each face's cell of each sample grid is
+mapped to the sphere in one call and written into planes that start
+filled with ``HOLE_VALUE``, which the corner holes keep.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from cubemc.geometry import CubeLayout, face_of, sphere_to_unfold, unfold_to_sphere
+from cubemc.geometry import CubeLayout, Face, sphere_to_unfold, unfold_to_sphere
 
 __all__ = [
     "Frame",
@@ -109,6 +111,8 @@ class SyntheticSpec:
                 raise ValueError(f"{name} must be an integer")
         if self.face_width < 8 or self.frames < 1:
             raise ValueError("face_width must be >= 8 and frames >= 1")
+        if self.face_width % 2:  # a face's chroma cell is face_width / 2 samples wide
+            raise ValueError("face_width must be even")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not (hasattr(self.velocity, "__len__") and len(self.velocity) == 3):
@@ -147,24 +151,14 @@ def _draw_texture(rng: np.random.Generator) -> _Texture:
     return _Texture(amp, freq, axes, phase)
 
 
-def _face_grid(layout: CubeLayout, step: int):
-    """Face-pixel coordinates (in row-major order) and face mask of a subsampled canvas grid."""
-    ys, xs = np.mgrid[0.0 : layout.canvas_height : step, 0.0 : layout.canvas_width : step]
-    mask = face_of(xs, ys, layout) >= 0
-    return xs[mask], ys[mask], mask
-
-
-def _render_plane(tex, points, mask, t, velocity, lo, hi) -> np.ndarray:
-    """Frame ``t`` of ``tex`` at the sphere ``points`` of the ``mask`` pixels."""
+def _render_cell(tex, points, t, velocity, lo, hi) -> np.ndarray:
+    """Frame ``t`` of ``tex`` at the sphere ``points``, as float samples."""
     sx, sy, sz = points
     qx = sx - t * velocity[0]
     qy = sy - t * velocity[1]
     qz = sz - t * velocity[2]
     norm = np.sqrt(qx * qx + qy * qy + qz * qz)
-    val = tex(qx / norm, qy / norm, qz / norm)
-    plane = np.full(mask.shape, HOLE_VALUE, dtype=np.uint8)
-    plane[mask] = lo + np.rint((val + 1.0) / 2.0 * (hi - lo))
-    return plane
+    return lo + np.rint((tex(qx / norm, qy / norm, qz / norm) + 1.0) / 2.0 * (hi - lo))
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[Frame]:
@@ -173,8 +167,9 @@ def generate_synthetic(spec: SyntheticSpec) -> list[Frame]:
     Frame t shows the texture translated by t * velocity in sphere
     space; corner holes hold 128.  Chroma uses two companion textures
     rendered at half resolution with the same motion.  Each sample grid
-    is mapped to the sphere once per clip, and its planes are rendered
-    before the next grid is mapped.
+    is rendered one face at a time: the face's samples are mapped to
+    the sphere once per clip, as a row of xs and a column of ys, and
+    every frame of each texture is written into that face's cell.
     """
     layout = CubeLayout(spec.face_width, spec.face_width)
     rng = np.random.default_rng(spec.seed)
@@ -186,11 +181,18 @@ def generate_synthetic(spec: SyntheticSpec) -> list[Frame]:
     planes = []  # per texture, its plane of every frame
     for step, textures, lo, hi in ((1, (tex_y,), LUMA_LO, LUMA_HI),
                                    (2, (tex_u, tex_v), CHROMA_LO, CHROMA_HI)):
-        xs, ys, mask = _face_grid(layout, step)
-        points = unfold_to_sphere(xs, ys, layout)
-        for tex in textures:
-            planes.append([_render_plane(tex, points, mask, t, spec.velocity, lo, hi)
-                           for t in range(spec.frames)])
+        shape = (layout.canvas_height // step, layout.canvas_width // step)
+        grid = [[np.full(shape, HOLE_VALUE, dtype=np.uint8) for _ in range(spec.frames)]
+                for _ in textures]
+        for face in Face:
+            x0, y0, x1, y1 = layout.face_rect(face)
+            points = unfold_to_sphere(np.arange(x0, x1, step, dtype=np.float64),
+                                      np.arange(y0, y1, step, dtype=np.float64)[:, None], layout)
+            cell = np.s_[y0 // step : y1 // step, x0 // step : x1 // step]
+            for tex, frames in zip(textures, grid):
+                for t, plane in enumerate(frames):
+                    plane[cell] = _render_cell(tex, points, t, spec.velocity, lo, hi)
+        planes += grid
     return [Frame(y, u, v, poc=t) for t, (y, u, v) in enumerate(zip(*planes))]
 
 

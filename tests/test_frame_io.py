@@ -9,20 +9,26 @@ from types import SimpleNamespace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cubemc import frame_io
 from cubemc.frame_io import (
+    CHROMA_HI,
+    CHROMA_LO,
+    HOLE_VALUE,
+    LUMA_HI,
+    LUMA_LO,
     Frame,
     SyntheticSpec,
-    _render_plane,
-    _face_grid,
+    _draw_texture,
     _Texture,
     generate_synthetic,
     ground_truth_match,
     read_yuv420,
     write_yuv420,
 )
-from cubemc.geometry import CubeLayout, sphere_to_unfold, unfold_to_sphere
+from cubemc.geometry import CubeLayout, face_of, sphere_to_unfold, unfold_to_sphere
 from cubemc.interp import warp_block
 from cubemc.motion_model import CorrespondenceField, round_half_away, transport_point
 
@@ -39,6 +45,37 @@ def random_frames(rng, n, width=64, height=48):
             )
         )
     return frames
+
+
+def face_mask(layout, step):
+    """Which samples of the canvas grid of ``step`` lie on a face."""
+    ys, xs = np.mgrid[0.0 : layout.canvas_height : step, 0.0 : layout.canvas_width : step]
+    return face_of(xs, ys, layout) >= 0
+
+
+def whole_canvas_render(spec):
+    """The whole-canvas renderer ``generate_synthetic`` replaced, kept as
+    its reference: each sample grid's face samples, masked out of the
+    canvas, are mapped to the sphere in one call and scattered back."""
+    layout = CubeLayout(spec.face_width, spec.face_width)
+    rng = np.random.default_rng(spec.seed)
+    tex_y, tex_u, tex_v = (_draw_texture(rng) for _ in range(3))
+    planes = []
+    for step, textures, lo, hi in ((1, (tex_y,), LUMA_LO, LUMA_HI),
+                                   (2, (tex_u, tex_v), CHROMA_LO, CHROMA_HI)):
+        ys, xs = np.mgrid[0.0 : layout.canvas_height : step, 0.0 : layout.canvas_width : step]
+        mask = face_of(xs, ys, layout) >= 0
+        sx, sy, sz = unfold_to_sphere(xs[mask], ys[mask], layout)
+        for tex in textures:
+            frames = []
+            for t in range(spec.frames):
+                qx, qy, qz = (s - t * v for s, v in zip((sx, sy, sz), spec.velocity))
+                norm = np.sqrt(qx * qx + qy * qy + qz * qz)
+                plane = np.full(mask.shape, HOLE_VALUE, dtype=np.uint8)
+                plane[mask] = lo + np.rint((tex(qx / norm, qy / norm, qz / norm) + 1.0) / 2.0 * (hi - lo))
+                frames.append(plane)
+            planes.append(frames)
+    return [Frame(y, u, v, poc=t) for t, (y, u, v) in enumerate(zip(*planes))]
 
 
 class TestFrameType:
@@ -173,6 +210,16 @@ class TestSyntheticSpecValidation:
         with pytest.raises(ValueError, match=message):
             SyntheticSpec(face_width=64, frames=2, velocity=velocity)
 
+    @pytest.mark.parametrize("face", [9, 63])
+    def test_odd_face_width_rejected_before_rendering(self, monkeypatch, face):
+        # a face's chroma cell holds face_width / 2 samples; an odd face
+        # used to render the whole clip before Frame rejected its luma
+        calls = []
+        monkeypatch.setattr(frame_io, "unfold_to_sphere", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="even"):
+            generate_synthetic(SyntheticSpec(face, 2, (1.0, 0.0, 0.0)))
+        assert not calls
+
     def test_seed_must_be_non_negative(self):
         with pytest.raises(ValueError, match="seed"):
             SyntheticSpec(face_width=64, frames=2, velocity=(1.0, 0.0, 0.0), seed=-1)
@@ -189,14 +236,13 @@ class TestGenerateSynthetic:
             npt.assert_array_equal(f.u, frames[0].u)
             npt.assert_array_equal(f.v, frames[0].v)
 
-    def test_constant_texture_gives_constant_frames(self):
-        layout = CubeLayout(64, 64)
+    def test_constant_texture_gives_constant_frames(self, monkeypatch):
         flat = _Texture(
             np.zeros(3), np.ones(3), np.eye(3), np.zeros(3)
         )  # sums to 0 everywhere
-        x, y, mask = _face_grid(layout, 1)
-        points = unfold_to_sphere(x, y, layout)
-        plane = _render_plane(flat, points, mask, 2, (1.0, 0.0, 0.0), 16, 235)
+        monkeypatch.setattr(frame_io, "_draw_texture", lambda rng: flat)
+        plane = generate_synthetic(SyntheticSpec(64, 3, (1.0, 0.0, 0.0)))[2].y
+        mask = face_mask(CubeLayout(64, 64), 1)
         assert set(np.unique(plane[mask])) == {np.uint8(126)}  # 16 + round(219/2)
 
     def test_sample_ranges_and_holes(self):
@@ -205,10 +251,10 @@ class TestGenerateSynthetic:
         )
         f = frames[0]
         layout = CubeLayout(64, 64)
-        _, _, mask = _face_grid(layout, 1)
+        mask = face_mask(layout, 1)
         assert f.y[mask].min() >= 16 and f.y[mask].max() <= 235
         assert (f.y[~mask] == 128).all()
-        _, _, cmask = _face_grid(layout, 2)
+        cmask = face_mask(layout, 2)
         assert (f.u[~cmask] == 128).all()
         assert f.u[cmask].min() >= 16 and f.u[cmask].max() <= 240
 
@@ -270,13 +316,40 @@ class TestGenerateSynthetic:
 
     @pytest.mark.parametrize("frames", [2, 5])
     def test_each_grid_is_mapped_to_the_sphere_once(self, monkeypatch, frames):
-        # one call per sample grid (luma and chroma), however many frames
+        # one call per face of each sample grid (luma and chroma), however
+        # many frames, each on a row of xs and a column of ys of one cell
         calls = []
         inner = frame_io.unfold_to_sphere
         monkeypatch.setattr(frame_io, "unfold_to_sphere",
                             lambda *a: calls.append(a) or inner(*a))
         generate_synthetic(SyntheticSpec(16, frames, (1.0, 0.5, -0.25), seed=0))
-        assert len(calls) <= 3
+        assert len(calls) == 12
+        assert [(x.shape, y.shape) for x, y, _ in calls] == [((16,), (16, 1))] * 6 + [((8,), (8, 1))] * 6
+
+    @given(face=st.integers(4, 48).map(lambda k: 2 * k), frames=st.integers(1, 3),
+           direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3), fraction=st.floats(0.0, 0.99),
+           seed=st.integers(0, 2**16))
+    @example(face=10, frames=3, direction=(0.3, -0.8, 0.5), fraction=0.99, seed=7)
+    @example(face=72, frames=2, direction=(1.0, 0.5, -0.25), fraction=0.5, seed=1)
+    def test_equals_the_whole_canvas_render(self, face, frames, direction, fraction, seed):
+        length = math.sqrt(sum(c * c for c in direction)) or 1.0
+        velocity = tuple(c / length * fraction * face / 8 for c in direction)
+        spec = SyntheticSpec(face, frames, velocity, seed=seed)
+        for got, want in zip(generate_synthetic(spec), whole_canvas_render(spec), strict=True):
+            for a, b in ((got.y, want.y), (got.u, want.u), (got.v, want.v)):
+                assert a.tobytes() == b.tobytes()
+
+    def test_render_peak_is_a_few_faces(self):
+        # the whole-canvas renderer peaked at 26.2 MiB; a face at a time
+        # holds the 1.3 MiB of frames and one face's temporaries
+        spec = SyntheticSpec(192, 2, (0.0, 2.0, 0.0), seed=0)
+        tracemalloc.start()
+        try:
+            generate_synthetic(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_different_seeds_differ(self):
         a = generate_synthetic(SyntheticSpec(64, 2, (1.0, 0.0, 0.0), seed=1))[0]
