@@ -72,7 +72,8 @@ def whole_canvas_render(spec):
                 qx, qy, qz = (s - t * v for s, v in zip((sx, sy, sz), spec.velocity))
                 norm = np.sqrt(qx * qx + qy * qy + qz * qz)
                 plane = np.full(mask.shape, HOLE_VALUE, dtype=np.uint8)
-                plane[mask] = lo + np.rint((tex(qx / norm, qy / norm, qz / norm) + 1.0) / 2.0 * (hi - lo))
+                val = tex(qx / norm, qy / norm, qz / norm)
+                plane[mask] = lo + np.rint((val + 1.0) / 2.0 * (hi - lo))
                 frames.append(plane)
             planes.append(frames)
     return [Frame(y, u, v, poc=t) for t, (y, u, v) in enumerate(zip(*planes))]
@@ -324,7 +325,8 @@ class TestGenerateSynthetic:
                             lambda *a: calls.append(a) or inner(*a))
         generate_synthetic(SyntheticSpec(16, frames, (1.0, 0.5, -0.25), seed=0))
         assert len(calls) == 12
-        assert [(x.shape, y.shape) for x, y, _ in calls] == [((16,), (16, 1))] * 6 + [((8,), (8, 1))] * 6
+        shapes = [(x.shape, y.shape) for x, y, _ in calls]
+        assert shapes == [((16,), (16, 1))] * 6 + [((8,), (8, 1))] * 6
 
     @given(face=st.integers(4, 48).map(lambda k: 2 * k), frames=st.integers(1, 3),
            direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3), fraction=st.floats(0.0, 0.99),
