@@ -213,8 +213,8 @@ class TestSyntheticSpecValidation:
 
     @pytest.mark.parametrize("face", [9, 63])
     def test_odd_face_width_rejected_before_rendering(self, monkeypatch, face):
-        # a face's chroma cell holds face_width / 2 samples; an odd face
-        # used to render the whole clip before Frame rejected its luma
+        # a face's chroma cell holds face_width / 2 samples, so an odd
+        # face is rejected before any face is mapped
         calls = []
         monkeypatch.setattr(frame_io, "unfold_to_sphere", lambda *a: calls.append(a))
         with pytest.raises(ValueError, match="even"):
