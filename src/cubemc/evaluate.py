@@ -406,7 +406,7 @@ def run_eval(cfg: EvalConfig) -> EvalReport:
             mv_t, cost_t = tzs_search(block, cur.y, refp, [zero], search, layout, advanced=False)
             rec = mode_decide(block, cur.y, refp, grid, search, layout,
                               trans_result=(mv_t, cost_t))
-            costs = refp.costs(block, cur.y, layout)
+            costs = refp.costs(block, cur.y, search, layout)
             sad_t, err_t = _place(costs, False, mv_t, cur, refp.frame)
             # a TRANS record holds mv_t, whose placement is the one just made
             sad_a, err_a = ((sad_t, err_t) if rec.mode is PredMode.TRANS

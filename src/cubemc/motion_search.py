@@ -15,7 +15,7 @@ plans a block row's translational searches at once
 reduction per block (``_raster_best``: a strided view of one
 edge-clamped window, ``sad`` over one raster row at a time), run at most
 once per block; its result and the end of each integer descent are kept
-in the block's plan entry, so the advanced search that starts where the
+in the block's cost table, so the advanced search that starts where the
 translational one did takes its end without a round.
 
 The final quarter-pel stage restarts the ranking from the integer winner
@@ -54,9 +54,11 @@ reaches is wasted work, so a batch holds 4096 pixels' worth of
 candidates, but at least two (``_batch_cap``): 16 of 16x16, 4 of 32x32,
 2 of 64x64, where one call's overhead outweighs a wasted candidate.
 
-The advanced stage, the merge check and the evaluator's placement share
-one table per block and reference, ``(advanced, mv) -> (SAD, luma)``, so
-no advanced MV of a block is warped twice.  Its ``put`` writes each
+Both searches, the merge check and the evaluator's placement share one
+table per block and reference (``_CostTable``), its block's only search
+state: ``(advanced, mv) -> (SAD, luma)``, so no advanced MV of a block is
+warped twice, and what the searches keep (the planned translational
+result, the raster, the integer descents' ends).  Its ``put`` writes each
 translation (the translational winner, for placement, and a seed costed
 outside its window) and its ``put_batch`` every advanced MV.
 
@@ -78,7 +80,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -135,6 +137,8 @@ class SearchConfig:
             raise ValueError("search_range must be positive")
         # a Python int: the search limit 4 * search_range must not wrap
         object.__setattr__(self, "search_range", int(self.search_range))
+        if not isinstance(self.lambda_, Real) or isinstance(self.lambda_, bool):
+            raise ValueError("lambda must be a real number")
         if not (math.isfinite(self.lambda_) and self.lambda_ >= 0):
             raise ValueError("lambda must be finite and non-negative")
 
@@ -146,18 +150,25 @@ class BlockRecord:
     cost: float
 
 
+_NOT_RUN = object()  # a table's raster before stage 3 asks for it
+
+
 class _CostTable(dict):
-    """``(advanced, mv) -> (SAD, luma prediction)`` of one block in one
-    reference, written by one method per model: ``put`` for translations,
-    ``put_batch`` for advanced MVs.  Reading a missing MV costs it on its
-    own.  SADs are bare: each search checks validity, and the stage-5 walk
-    adds the MV-bits term.  The integer stages do not use it: they cost
-    their candidates as arrays (``search_rounds``)."""
+    """The search state of one block in one reference: ``(advanced, mv) ->
+    (SAD, luma prediction)``, written by one method per model (``put`` for
+    translations, ``put_batch`` for advanced MVs), and what the block's
+    searches keep: ``result``, the zero-seeded translational ``(mv,
+    cost)`` once planned; ``raster``, stage 3's result (None when no offset
+    is valid); ``ends``, where stages 2-4 end from each stage-1 winner.
+    Reading a missing MV costs it on its own.  SADs are bare: each search
+    checks validity, and the stage-5 walk adds the MV-bits term.  The
+    integer stages cost their candidates as arrays (``search_rounds``)."""
 
     def __init__(self, block: Block, cur: np.ndarray, plane: np.ndarray, layout):
         super().__init__()
         self.block, self.cur, self.plane, self.layout = block, cur, plane, layout
         self.cur_blk = cur[block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width]
+        self.result, self.raster, self.ends = None, _NOT_RUN, {}
 
     def __missing__(self, key):
         advanced, mv = key
@@ -198,50 +209,48 @@ class _CostTable(dict):
 
 @dataclass
 class ReferencePicture:
-    """A reference frame, the cost table of the block costed last in it,
-    and the plan entries (``search_rounds.Planned``) of the blocks searched
-    or planned (``plan``) under one current picture, layout and search
-    config.  A block's entry is dropped when the table moves to another
-    block, which the evaluator does only once the block is placed.  Its
-    planes must not change while the object is in use."""
+    """A reference frame and the cost tables (``_CostTable``) of the blocks
+    searched or planned (``plan``) in it under one current picture, layout
+    and search config.  A block's table is dropped when another block is
+    costed (``costs``), which the evaluator does only once the block is
+    placed.  Its planes must not change while the object is in use."""
 
     frame: Frame
     poc: int        # picture order count; the single-reference search ignores it
-    _table: _CostTable | None = field(default=None, init=False, repr=False, compare=False)
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _plan_key: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _key: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _last: Block | None = field(default=None, init=False, repr=False, compare=False)
 
-    def costs(self, block: Block, cur: np.ndarray, layout: CubeLayout) -> _CostTable:
-        """The cost table of ``block`` in ``cur``.  It is keyed by the block,
-        ``cur`` (by identity: its pixels must not change either) and the
-        layout, and a new key starts an empty one and drops the plan entry
-        of the block costed before."""
-        t = self._table
-        if t is None or not (t.block == block and t.cur is cur and t.layout == layout):
-            if t is not None:
-                self._plans.pop(t.block, None)
-            t = self._table = _CostTable(block, cur, self.frame.y, layout)
-        return t
+    def costs(self, block: Block, cur: np.ndarray, cfg: SearchConfig,
+              layout: CubeLayout) -> _CostTable:
+        """The cost table of ``block`` in ``cur`` under ``cfg`` and ``layout``
+        (``_table``); it drops the table of the block costed before."""
+        if block != self._last:
+            self._tables.pop(self._last, None)
+            self._last = block
+        return self._table(block, cur, cfg, layout)
 
     def plan(self, blocks: list[Block], cur: np.ndarray, cfg: SearchConfig,
              layout: CubeLayout) -> None:
         """Run the zero-seeded translational searches of ``blocks`` (one
         size, such as a block row) together; ``tzs_search`` then returns
         each block's result without searching."""
-        entries = [self._entry(b, cur, cfg, layout) for b in blocks]
-        searches = search_rounds.Searches(blocks, cur, self.frame.y, cfg, layout)
-        for e, (mv, cost, luma) in zip(entries, searches.translational(entries, [_ZERO])):
-            e.result, e.luma = (mv, cost), luma
+        tables = [self._table(b, cur, cfg, layout) for b in blocks]
+        for t, found in zip(tables, search_rounds.Searches(tables, cfg).translational([_ZERO])):
+            t.result = found
 
-    def _entry(self, block: Block, cur: np.ndarray, cfg: SearchConfig,
-               layout: CubeLayout) -> search_rounds.Planned:
-        """``block``'s plan entry under ``(cur, layout, cfg)``; another key
-        drops every entry."""
-        key = self._plan_key
+    def _table(self, block: Block, cur: np.ndarray, cfg: SearchConfig,
+               layout: CubeLayout) -> _CostTable:
+        """``block``'s table, keyed by ``cur`` (by identity: its pixels must
+        not change either), the layout and ``cfg``, on which the searches'
+        state depends; another key drops every table."""
+        key = self._key
         if not (key and key[0] is cur and key[1:] == (layout, cfg)):
-            self._plans.clear()
-            self._plan_key = cur, layout, cfg
-        return self._plans.setdefault(block, search_rounds.Planned())
+            self._tables.clear()
+            self._key = cur, layout, cfg
+        if block not in self._tables:
+            self._tables[block] = _CostTable(block, cur, self.frame.y, layout)
+        return self._tables[block]
 
 
 class BlockGrid:
@@ -414,22 +423,16 @@ def tzs_search(
     check_bank(bank)
     if pred_for_bits is None:
         pred_for_bits = predictors[0] if predictors else _ZERO
-    table = ref.costs(block, cur, layout)
-    entry = ref._entry(block, cur, cfg, layout)
+    table = ref.costs(block, cur, cfg, layout)
     if not advanced:
         if list(predictors) == [_ZERO] and pred_for_bits == _ZERO:  # the search a plan runs
-            if entry.result is None:
+            if table.result is None:
                 ref.plan([block], cur, cfg, layout)
-            (mv, cost), luma, entry.luma = entry.result, entry.luma, None
-        else:
-            searches = search_rounds.Searches([block], cur, table.plane, cfg, layout)
-            (mv, cost, luma), = searches.translational([entry], predictors, pred_for_bits, table)
-        if luma is not None:  # the winner's luma, for placement
-            table.put((False, mv), luma)
-        return mv, cost
+            return table.result
+        return search_rounds.Searches([table], cfg).translational(predictors, pred_for_bits)[0]
 
-    searches = search_rounds.Searches([block], cur, table.plane, cfg, layout)
-    searches.integer(predictors, [entry])
+    searches = search_rounds.Searches([table], cfg)
+    searches.integer(predictors)
     valid = _mv_check(block, cfg, layout)
 
     # stage 5 under the model cost: the walk from the integer winner, whose
@@ -556,7 +559,7 @@ def mode_decide(
     merge_mv = merge_candidate(grid, block, layout)
     if merge_mv is not None and _mv_check(block, cfg, layout)(merge_mv):
         # merge codes no MV difference, so its cost is the bare SAD
-        cost_m = float(ref.costs(block, cur, layout)[True, merge_mv][0])
+        cost_m = float(ref.costs(block, cur, cfg, layout)[True, merge_mv][0])
         if cost_m < cost:
             mode, mv, cost = PredMode.ADV_MERGE, merge_mv, cost_m
 

@@ -4,14 +4,15 @@ One engine (``Searches``) runs the integer-pel stages 1-4 of both
 searches and costs the translational quarter-pel stage 5: the
 translational searches of a whole block row at once
 (``ReferencePicture.plan``), the integer stages of one advanced search,
-and a lone translational search as a row of one.  Each round replaces the
-per-candidate validity check, fetch, SAD and ranking of one-at-a-time
-evaluation with a few numpy calls for every active block, and ranks in
-the same ``_mv_key`` order, so every result is that evaluation's.  Stage 3
-stays one array reduction per block (``motion_search._raster_best``), run
-at most once per block; its result and each integer descent's end are
-kept in the block's plan entry (``Planned``), which both of its searches
-read.
+and a lone translational search as a row of one.  It is built from the
+blocks' cost tables (``motion_search._CostTable``), each block's only
+search state.  Each round replaces the per-candidate validity check,
+fetch, SAD and ranking of one-at-a-time evaluation with a few numpy calls
+for every active block, and ranks in the same ``_mv_key`` order, so every
+result is that evaluation's.  Stage 3 stays one array reduction per block
+(``motion_search._raster_best``), run at most once per block; its result
+and each integer descent's end are kept in the block's table, which both
+of its searches read.
 
 Stage 5 visits its MVs in one order for both models, written once as a
 generator (``walk``) that yields each MV to rank, with what it visits
@@ -38,9 +39,9 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from cubemc import motion_search as ms
-from cubemc.geometry import NO_FACE, CubeLayout
+from cubemc.geometry import NO_FACE
 from cubemc.interp import phase_planes
-from cubemc.motion_model import Block, MotionVector, round_half_away
+from cubemc.motion_model import MotionVector, round_half_away
 
 GATHER_PIXELS = 1 << 16  # pixels, cap of one integer-stage gather
 REFINE_BYTES = 1 << 18   # bytes, cap of the phase planes of one translational stage-5 chunk
@@ -112,31 +113,15 @@ def walk(anchor, predictors, lambda_, pred_for_bits):
     return best, best_key[0]
 
 
-NOT_RUN = object()  # a plan entry's raster before stage 3 asks for it
-
-
-class Planned:
-    """What a reference keeps of one block's searches until the block is
-    placed: the zero-seeded translational result, that winner's luma until
-    the block's cost table takes it, the stage-3 raster result (None when
-    no offset is valid) and the end of each integer descent, which both
-    searches read."""
-
-    def __init__(self):
-        self.result = self.luma = None
-        self.raster = NOT_RUN
-        self.ends = {}  # stage-1 winner -> where stages 2-4 end from it
-
-
 class Searches:
-    """The searches of same-sized ``blocks`` of ``cur`` in the reference
-    luma ``plane``, run together in array rounds.  A round costs the
-    candidates of every active block with one range test, one array
-    ``face_of`` of the moved centers (the float64 ``cx + dx_q2 / 4.0`` of
-    ``_mv_check``) and one gather of windows and ``sad`` per
-    ``GATHER_PIXELS`` pixels, then ranks them in ``_mv_key`` order with
-    ``np.lexsort``: a composite int64 key would overflow at wide search
-    ranges.  An integer window is a view of the reference where it lies
+    """The searches of the blocks of cost ``tables`` (same-sized blocks of
+    one current picture, in one reference luma plane) under ``cfg``, run
+    together in array rounds.  A round costs the candidates of every
+    active block with one range test, one array ``face_of`` of the moved
+    centers (the float64 ``cx + dx_q2 / 4.0`` of ``_mv_check``) and one
+    gather of windows and ``sad`` per ``GATHER_PIXELS`` pixels, then ranks
+    them in ``_mv_key`` order with ``np.lexsort``: a composite int64 key
+    would overflow at wide search ranges.  An integer window is a view of the reference where it lies
     inside it; one that reaches past an edge is gathered with clamped
     coordinates, which is ``fetch_block`` per coordinate.
 
@@ -148,20 +133,19 @@ class Searches:
     never ranked, so every result is that order's.
     """
 
-    def __init__(self, blocks: list[Block], cur: np.ndarray, plane: np.ndarray,
-                 cfg: ms.SearchConfig, layout: CubeLayout):
-        self.blocks, self.plane, self.cfg, self.layout = blocks, plane, cfg, layout
-        self.cur_plane = cur
-        self.h, self.w = h, w = blocks[0].height, blocks[0].width
-        self.x0 = np.array([b.x0 for b in blocks], dtype=np.int64)
-        self.y0 = np.array([b.y0 for b in blocks], dtype=np.int64)
+    def __init__(self, tables: list[ms._CostTable], cfg: ms.SearchConfig):
+        self.tables, self.cfg, self.layout = tables, cfg, tables[0].layout
+        self.plane = plane = tables[0].plane
+        self.h, self.w = h, w = tables[0].block.height, tables[0].block.width
+        self.x0 = np.array([t.block.x0 for t in tables], dtype=np.int64)
+        self.y0 = np.array([t.block.y0 for t in tables], dtype=np.int64)
         self.cx, self.cy = self.x0 + (w - 1) / 2.0, self.y0 + (h - 1) / 2.0  # Block.center
-        self.cur = np.stack([cur[b.y0 : b.y0 + h, b.x0 : b.x0 + w] for b in blocks])
+        self.cur = np.stack([t.cur_blk for t in tables])
         (ph, pw), (s0, s1) = plane.shape, plane.strides
         self.views = as_strided(plane, (ph - h + 1, pw - w + 1, h, w), (s0, s1, s0, s1),
                                 writeable=False)
         # each block's integer-stage best: a pixel offset and its SAD
-        n = len(blocks)
+        n = len(tables)
         self.every = np.arange(n)
         self.bx, self.by = np.zeros(n, np.int64), np.zeros(n, np.int64)
         self.cost = np.full(n, _NO_COST, np.int64)
@@ -215,31 +199,31 @@ class Searches:
         self.cost, self.bx, self.by = c[first], x[first], y[first]
         return first - len(self.every)
 
-    def integer(self, predictors, entries) -> None:
+    def integer(self, predictors) -> None:
         """Stages 1-4 from the stage-1 offsets of ``predictors``, zero and
         then each predictor rounded to pixels, leaving each block's winner
         in ``bx`` and ``by``.
 
-        Stages 2-4 depend on the stage-1 winner alone, so each block's plan
-        entry (``entries``) keeps where they ended from each start, and the
-        end maps to itself, as stage 4 stopped there.  A block whose
-        stage-1 offsets all have one known end takes it without a round;
+        Stages 2-4 depend on the stage-1 winner alone, so each block's table
+        keeps where they ended from each start (``ends``), and the end maps
+        to itself, as stage 4 stopped there.  A block whose stage-1 offsets
+        all have one known end takes it without a round;
         otherwise stage 1 and stage 2's rings around each stage-1 offset
         without a known end are costed in one round.  The stage-3 raster
-        runs at most once per block, its result kept in the entry too.
+        runs at most once per block, its result kept in the table too.
         Raises ``ValueError`` if a block has no valid stage-1 offset.
         """
         r = self.cfg.search_range
         starts = [(0, 0), *((int(round_half_away(p.dx_q2 / 4.0)),
                              int(round_half_away(p.dy_q2 / 4.0))) for p in predictors)]
         first, around = [], []  # (block, x, y) of each stage-1 offset, and of each ring center
-        for k, e in enumerate(entries):
-            ends = {e.ends.get(o) for o in starts}
+        for k, t in enumerate(self.tables):
+            ends = {t.ends.get(o) for o in starts}
             if len(ends) == 1 and None not in ends:
                 self.bx[k], self.by[k] = ends.pop()
             else:
                 first += [(k, *o) for o in starts]
-                around += [(k, *o) for o in dict.fromkeys(starts) if o not in e.ends]
+                around += [(k, *o) for o in dict.fromkeys(starts) if o not in t.ends]
         if not first:
             return
 
@@ -254,21 +238,22 @@ class Searches:
         at, d = at[ok], step[ok, 2]
         one = d == 0
         self._rank(i[one], dx[one], dy[one], sads[one])
-        run = np.zeros(len(self.blocks), bool)
+        run = np.zeros(len(self.tables), bool)
         run[[k for k, *_ in first]] = True
         if (self.cost[run] == _NO_COST).any():
             raise ValueError("no valid motion")
         run = np.flatnonzero(run)
         ax, ay = self.bx.copy(), self.by.copy()
+        ends = [t.ends for t in self.tables]
         for k in run:
-            self.bx[k], self.by[k] = entries[k].ends.get((int(ax[k]), int(ay[k])), (ax[k], ay[k]))
-        run = run[[(int(ax[k]), int(ay[k])) not in entries[k].ends for k in run]]
+            self.bx[k], self.by[k] = ends[k].get((int(ax[k]), int(ay[k])), (ax[k], ay[k]))
+        run = run[[(int(ax[k]), int(ay[k])) not in ends[k] for k in run]]
         if run.size:
             mine = (d > 0) & (at[:, 1] == ax[i]) & (at[:, 2] == ay[i])  # rings around the anchor
-            self._descend(run, ax, ay, r, entries, d[mine], [v[mine] for v in (i, dx, dy, sads)])
+            self._descend(run, ax, ay, r, d[mine], [v[mine] for v in (i, dx, dy, sads)])
             for k in run:
                 end = int(self.bx[k]), int(self.by[k])
-                entries[k].ends[int(ax[k]), int(ay[k])] = entries[k].ends[end] = end
+                ends[k][int(ax[k]), int(ay[k])] = ends[k][end] = end
 
     def _stage2(self, d, cand) -> np.ndarray:
         """Stage 2 from the costed rings ``cand`` (``_cost``'s arrays) at
@@ -282,7 +267,7 @@ class Searches:
         ring wins only by beating every ring before it, the last ring that
         wins holds the group's winner."""
         i, dx, dy, sads = cand
-        dist = np.zeros(len(self.blocks), np.int64)
+        dist = np.zeros(len(self.tables), np.int64)
         for sel in (d <= 2, None):
             if sel is None:
                 sel = (d > 2) & (dist[i] == 2)
@@ -290,7 +275,7 @@ class Searches:
             dist[won >= 0] = d[sel][won[won >= 0]]
         return dist
 
-    def _descend(self, run, ax, ay, r, entries, d, cand) -> None:
+    def _descend(self, run, ax, ay, r, d, cand) -> None:
         """Stages 2-4 of blocks ``run`` from their anchors ``(ax, ay)``, given
         the costed stage-2 rings ``cand`` at distances ``d`` around them."""
         far = self._stage2(d, cand) > 5
@@ -301,14 +286,14 @@ class Searches:
         # exact, as distinct MVs never tie on ``_mv_key``
         hits = []
         for k in np.flatnonzero(far):
-            e, b = entries[k], self.blocks[k]
-            if e.raster is NOT_RUN:
-                cx, cy = b.center
-                e.raster = ms._raster_best(b, self.cur[k], self.plane, self.layout,
+            t = self.tables[k]
+            if t.raster is ms._NOT_RUN:
+                cx, cy = t.block.center
+                t.raster = ms._raster_best(t.block, t.cur_blk, self.plane, self.layout,
                                            ms._raster(cx, self.layout.canvas_width, r),
                                            ms._raster(cy, self.layout.canvas_height, r))
-            if e.raster is not None:
-                (mx, my), s = e.raster
+            if t.raster is not None:
+                (mx, my), s = t.raster
                 hits.append((k, mx // 4, my // 4, s))
         if hits:
             self._rank(*(np.array(v, dtype=np.int64) for v in zip(*hits)))
@@ -329,24 +314,23 @@ class Searches:
             moved |= self._rank(i[two], dx[two], dy[two], sads[two]) >= 0
             act = act[moved[act]]
 
-    def translational(self, entries, predictors, pred_for_bits=MotionVector(0, 0), table=None):
-        """Translational searches seeded with ``predictors``: ``(mv, cost,
-        luma)`` per block.  Stage 5 runs on chunks of blocks whose phase
-        planes hold at most ``REFINE_BYTES``; a seed outside a block's window
-        is costed alone, through ``table`` (the cost table of a lone block)
-        when given."""
-        self.integer(predictors, entries)
+    def translational(self, predictors, pred_for_bits=MotionVector(0, 0)):
+        """Translational searches seeded with ``predictors``: ``(mv, cost)``
+        per block, each winner's luma written into its table, for
+        placement.  Stage 5 runs on chunks of blocks whose phase planes hold
+        at most ``REFINE_BYTES``."""
+        self.integer(predictors)
         m = ms.REFINE_WINDOW_Q2 // 4
         per = max(1, REFINE_BYTES // (16 * (self.h + 2 * m) * (self.w + 2 * m)))
-        return [found for s in range(0, len(self.blocks), per) for found in
-                self._refine(self.every[s : s + per], predictors, pred_for_bits, table)]
+        return [found for s in range(0, len(self.tables), per) for found in
+                self._refine(self.every[s : s + per], predictors, pred_for_bits)]
 
-    def _refine(self, sel, predictors, pred_for_bits, table):
+    def _refine(self, sel, predictors, pred_for_bits):
         """Stage 5 of blocks ``sel``: each block's ``walk`` from its integer
         winner (the anchor), under SAD.  Each block's window is filtered once
         at the 16 quarter-pel phases (``phase_planes``) and a candidate in it
-        is a slice; a seed outside it is costed alone, through ``table`` (the
-        cost table of a lone block) when given.
+        is a slice; a seed outside it is costed alone, through the block's
+        table.
 
         A round costs the MV each walk waits for and the rest of its seeds
         or current ring (the first ``k`` MVs of its ``ahead``), for every
@@ -364,7 +348,8 @@ class Searches:
         walks = [walk(MotionVector(int(x), int(y)), predictors, self.cfg.lambda_, pred_for_bits)
                  for x, y in zip(ax, ay)]
         at = {a: next(wk) for a, wk in enumerate(walks)}  # each walk's (mv, ahead, k)
-        costed, lumas, out = [{} for _ in sel], {}, [None] * len(sel)
+        tables = [self.tables[b] for b in sel]
+        costed, out = [{} for _ in sel], [None] * len(sel)
         while at:
             js, mvs = [], []
             for a, (mv, ahead, k) in at.items():
@@ -380,10 +365,7 @@ class Searches:
             ox, oy, jt = ox[inw], oy[inw], j[inw]
             sads[inw] = ms.sad(slices[jt, oy & 3, ox & 3, oy >> 2, ox >> 2], self.cur[sel[jt]])
             for t in np.flatnonzero(ok & ~inw):  # a seed outside the window, costed alone
-                a, mv = js[t], mvs[t]
-                tab = ms._CostTable(self.blocks[sel[a]], self.cur_plane, self.plane,
-                                    self.layout) if table is None else table
-                sads[t], lumas[a, mv] = tab[False, mv]
+                sads[t] = tables[js[t]][False, mvs[t]][0]
             for a, mv, s, good in zip(js, mvs, sads.tolist(), ok.tolist()):
                 costed[a][mv] = s if good else None
             for a in list(at):
@@ -395,9 +377,8 @@ class Searches:
                     del at[a]
         # each winner's luma, for placement; offsets in Python ints, as numpy
         # scalar arithmetic pages in 64 KiB of code no other step of an eval runs
-        for a, (mv, cost) in enumerate(out):
-            ox, oy = mv.dx_q2 - int(ax[a]) + q, mv.dy_q2 - int(ay[a]) + q
-            if (a, mv) not in lumas:
-                lumas[a, mv] = slices[a, oy & 3, ox & 3, oy >> 2, ox >> 2].copy()
-            out[a] = mv, cost, lumas[a, mv]
+        for a, (mv, _) in enumerate(out):
+            if (False, mv) not in tables[a]:
+                ox, oy = mv.dx_q2 - int(ax[a]) + q, mv.dy_q2 - int(ay[a]) + q
+                tables[a].put((False, mv), slices[a, oy & 3, ox & 3, oy >> 2, ox >> 2].copy())
         return out

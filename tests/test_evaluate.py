@@ -5,6 +5,7 @@ import json
 import math
 import os
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,19 @@ class TestConfigValidation:
         with pytest.raises(EvalConfigError, match="lambda"):
             small_cfg(lambda_=lam)
 
+    @pytest.mark.parametrize("lam", ["1", None, 1 + 2j, True, False],
+                             ids=["string", "none", "complex", "true", "false"])
+    def test_lambda_must_be_a_real_number(self, lam):
+        # the first three raised a raw TypeError from math.isfinite; a bool
+        # ran as 1 or 0, where every integer field rejects one
+        with pytest.raises(EvalConfigError, match="lambda must be a real number"):
+            small_cfg(lambda_=lam)
+
+    @pytest.mark.parametrize("lam", [np.float64(4.0), np.float32(0.5), 2, Fraction(1, 2)],
+                             ids=["float64", "float32", "int", "fraction"])
+    def test_real_lambda_accepted(self, lam):
+        assert small_cfg(lambda_=lam)._search_config().lambda_ == lam
+
     def test_too_few_frames_for_distance(self):
         with pytest.raises(EvalConfigError, match="frames"):
             run_eval(small_cfg(synth_frames=2, ref_distance=2))
@@ -221,7 +235,8 @@ class TestNoRepeatedWork:
         # is told apart by its current luma array, which lives all run long
         spy(evaluate, "tzs_search", lambda a: block.update(key=(id(a[1]), a[0])))
         spy(search_rounds.Searches, "_descend", lambda a: descents.update(
-            (id(a[0].cur_plane), a[0].blocks[k], int(a[2][k]), int(a[3][k])) for k in a[1]))
+            (id(a[0].tables[k].cur), a[0].tables[k].block, int(a[2][k]), int(a[3][k]))
+            for k in a[1]))
         spy(motion_search, "build_correspondence_field",
             lambda a: built.update([(block["key"], a[1])]))
         spy(motion_search, "build_correspondence_fields",

@@ -8,8 +8,10 @@ calls that keep a positional ``bank`` for their callers take one.  Each
 exported name is declared once, in its module's ``__all__``, and the
 package joins those lists.  Every module stays below the parser token
 count at which CPython's parser grows its token buffer.  The package
-sources are parsed with ``ast`` (and counted with ``tokenize``); only the
-last check imports the package, to read what it exports.
+A block's cost table, its only search state, is made by the reference
+that keys and drops it.  The package sources are parsed with ``ast`` (and
+counted with ``tokenize``); only the last check imports the package, to
+read what it exports.
 """
 
 import ast
@@ -78,6 +80,22 @@ def test_bank_parameters():
     }
     assert takers == {("motion_search", "tzs_search"), ("motion_search", "mode_decide"),
                       ("interp", "warp_block")}
+
+
+def cost_table_calls(tree):
+    """The calls of ``_CostTable`` in ``tree``, by name or attribute."""
+    return {node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and "_CostTable" in {getattr(node.func, "id", None), getattr(node.func, "attr", None)}}
+
+
+def test_only_the_reference_makes_cost_tables():
+    made = {path.stem: cost_table_calls(parse(path)) for path in ALL_SOURCES}
+    (reference,) = [node for node in ast.walk(parse(PACKAGE / "motion_search.py"))
+                    if isinstance(node, ast.ClassDef) and node.name == "ReferencePicture"]
+    where = lambda calls: {ast.dump(c, include_attributes=True) for c in calls}
+    assert cost_table_calls(reference)
+    assert {p: where(calls) for p, calls in made.items() if calls} == {
+        "motion_search": where(cost_table_calls(reference))}
 
 
 def exporting_modules():

@@ -684,9 +684,11 @@ class TestAdvancedRowBank:
                 return search(blk, cur_y, ref, predictors, *args, advanced=advanced, **kwargs)
             finally:
                 searching.pop()
-                # no stage state survives the search on the shared table
-                table = ref.costs(blk, cur_y, layout)
-                assert set(vars(table)) == {"block", "cur", "plane", "layout", "cur_blk"}
+                # no stage-5 state (row bank, lattice) survives the search on
+                # the shared table, which keeps only the searches' plan data
+                table = ref.costs(blk, cur_y, cfg, layout)
+                assert set(vars(table)) == {"block", "cur", "plane", "layout", "cur_blk",
+                                            "result", "raster", "ends"}
 
         def spied_warp(plane, field, bank=None):
             gathered.append((searching[-1] if searching else None, field))
@@ -741,16 +743,16 @@ def spy_costing(monkeypatch) -> list:
 
 class TestCostTable:
     """One ``ReferencePicture`` keeps the cost table of the block costed
-    last; a table is never served to a different block, ``cur`` array or
-    layout.  The bank is not part of the key: a search takes only the
-    package's one bank."""
+    last; a table is never served to a different block, ``cur`` array,
+    layout or search config.  The bank is not part of the key: a search
+    takes only the package's one bank."""
 
     CFG = SearchConfig(lambda_=4.0)
     A, B = Block(8, 72, 16, 16), Block(168, 104, 16, 16)
 
-    def search(self, blk, cur, refp, advanced, layout=L64, bank=None):
+    def search(self, blk, cur, refp, advanced, layout=L64, bank=None, cfg=CFG):
         preds = [MotionVector(6, -3), ZERO]
-        return tzs_search(blk, cur, refp, preds, self.CFG, layout, bank, advanced=advanced)
+        return tzs_search(blk, cur, refp, preds, cfg, layout, bank, advanced=advanced)
 
     @pytest.mark.parametrize("advanced", [False, True])
     def test_returning_to_a_block_gives_fresh_results(self, advanced):
@@ -760,22 +762,25 @@ class TestCostTable:
                  for blk in (self.A, self.B, self.A)]
         assert shared == fresh
 
-    @pytest.mark.parametrize("change", ["cur", "cur-copy", "layout"])
+    @pytest.mark.parametrize("change", ["cur", "cur-copy", "layout", "config"])
     @pytest.mark.parametrize("advanced", [False, True])
     def test_other_key_is_never_served(self, monkeypatch, change, advanced):
         cur, refp, _ = synthetic_pair(velocity=(1.0, 1.0, 0.0), seed=4)
-        other = {"cur": cur.y, "layout": L64}
+        other = {"cur": cur.y, "layout": L64, "cfg": self.CFG}
         if change == "cur":  # other pixels in the block
             other["cur"] = np.roll(cur.y, 5, axis=1)
         elif change == "cur-copy":  # the same pixels in another array
             other["cur"] = cur.y.copy()
-        else:
+        elif change == "layout":
             other["layout"] = CubeLayout(60, 60)
+        else:  # the plan data a table carries depends on the config
+            other["cfg"] = SearchConfig(search_range=32, lambda_=4.0)
         calls = spy_costing(monkeypatch)
 
         def costed(ref):
             calls.clear()
-            result = self.search(self.A, other["cur"], ref, advanced, other["layout"])
+            result = self.search(self.A, other["cur"], ref, advanced, other["layout"],
+                                 cfg=other["cfg"])
             return result, len(calls)
 
         self.search(self.A, cur.y, refp, advanced)
@@ -792,7 +797,7 @@ class TestCostTable:
         # equal the gather of its field, up to 100 px off the plane
         cur, refp, _ = synthetic_pair(velocity=(1.0, 1.0, 0.0), seed=4)
         mv = MotionVector(dx, dy)
-        table = refp.costs(blk, cur.y, L64)
+        table = refp.costs(blk, cur.y, SearchConfig(), L64)
         got_sad, got = table[False, mv]
         want = warp_block(refp.frame.y, translational_field(blk, mv))
         np.testing.assert_array_equal(got, want)

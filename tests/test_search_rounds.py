@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubemc import cli, motion_search, search_rounds
+from cubemc.evaluate import _place
 from cubemc.frame_io import SyntheticSpec, generate_synthetic
 from cubemc.geometry import NO_FACE, CubeLayout, face_of
 from cubemc.interp import fetch_block, warp_block
@@ -38,8 +39,10 @@ from cubemc.motion_model import (
 from cubemc.motion_search import (
     REFINE_WINDOW_Q2,
     BlockGrid,
+    PredMode,
     ReferencePicture,
     SearchConfig,
+    mode_decide,
     mv_bits,
     sad,
     tzs_search,
@@ -222,6 +225,11 @@ def searches(draw):
     return blocks, plane, cur, predictors, SearchConfig(search_range=r, lambda_=lam)
 
 
+def tables(blocks, cur, plane):
+    """A fresh cost table per block, as ``Searches`` takes them."""
+    return [motion_search._CostTable(b, cur, plane, L32) for b in blocks]
+
+
 def run_or_raise(fn, *args):
     """``fn(*args)``, or the type of the ``ValueError`` it raised."""
     try:
@@ -233,24 +241,24 @@ def run_or_raise(fn, *args):
 class TestEngineEqualsOracle:
     @given(case=searches())
     def test_integer_stages(self, case):
-        # each block's plan entry serves a zero-seeded run, then a run from
-        # the predictors, which takes the first run's ends where it starts there
+        # each block's table serves a zero-seeded run, then a run from the
+        # predictors, which takes the first run's ends where it starts there
         blocks, plane, cur, predictors, cfg = case
 
-        def engine(group, entries, seeds):
-            s = search_rounds.Searches(group, cur, plane, cfg, L32)
-            s.integer(seeds, entries)
+        def engine(group, seeds):
+            s = search_rounds.Searches(group, cfg)
+            s.integer(seeds)
             return [MotionVector(4 * int(x), 4 * int(y)) for x, y in zip(s.bx, s.by)]
 
         for seeds in ([], predictors):
             want = [run_or_raise(oracle_integer, b, cur, plane, seeds, cfg, L32) for b in blocks]
-            shared = [search_rounds.Planned() for _ in blocks]
-            for _ in range(2):  # fresh entries, then the ones the first pass filled
-                each = [run_or_raise(engine, [b], [e], seeds) for b, e in zip(blocks, shared)]
+            shared = tables(blocks, cur, plane)
+            for _ in range(2):  # fresh tables, then the ones the first pass filled
+                each = [run_or_raise(engine, [t], seeds) for t in shared]
                 assert [g if g is ValueError else g[0] for g in each] == want
             if ValueError not in want:  # the blocks at once, in lockstep
-                assert engine(blocks, [search_rounds.Planned() for _ in blocks], seeds) == want
-                assert engine(blocks, shared, predictors) == [
+                assert engine(tables(blocks, cur, plane), seeds) == want
+                assert engine(shared, predictors) == [
                     oracle_integer(b, cur, plane, predictors, cfg, L32) for b in blocks]
 
     def test_ties_break_by_length_then_dy_then_dx(self):
@@ -261,8 +269,8 @@ class TestEngineEqualsOracle:
         plane, cur = np.zeros((2, L32.canvas_height, L32.canvas_width), np.uint8)
         plane[b.y0, b.x0] = 200
         assert oracle_integer(b, cur, plane, [], cfg, L32) == MotionVector(4, 0)
-        s = search_rounds.Searches([b], cur, plane, cfg, L32)
-        s.integer([], [search_rounds.Planned()])
+        s = search_rounds.Searches(tables([b], cur, plane), cfg)
+        s.integer([])
         assert (s.bx[0], s.by[0]) == (1, 0)
         ref = ReferencePicture(SimpleNamespace(y=plane), 0)
         assert (tzs_search(b, cur, ref, [ZERO], cfg, L32, advanced=False)
@@ -307,12 +315,14 @@ class TestEngineEqualsOracle:
                  for b in blocks]
         if ValueError in every:
             return
-        s = search_rounds.Searches(blocks, cur, plane, cfg, L32)
-        found = s.translational([search_rounds.Planned() for _ in blocks], predictors,
-                                predictors[0] if predictors else ZERO)
-        assert [(mv, cost) for mv, cost, _ in found] == every
-        for b, (mv, _, luma) in zip(blocks, found):  # the winner's luma, for placement
-            np.testing.assert_array_equal(luma, warp_block(plane, translational_field(b, mv)))
+        row = tables(blocks, cur, plane)
+        found = search_rounds.Searches(row, cfg).translational(
+            predictors, predictors[0] if predictors else ZERO)
+        assert found == every
+        for t, (mv, _) in zip(row, found):  # the winner's luma, for placement
+            s, luma = t[False, mv]
+            np.testing.assert_array_equal(luma, warp_block(plane, translational_field(t.block, mv)))
+            assert s == sad(t.cur_blk, luma)
 
     @given(case=searches())
     def test_advanced_search_after_the_translational_one(self, case):
@@ -404,23 +414,68 @@ class TestRowPlan:
                 got = tzs_search(b, cur.y, planned, [ZERO], cfg, layout, advanced=False)
                 fresh = ReferencePicture(prev, 0)
                 assert got == tzs_search(b, cur.y, fresh, [ZERO], cfg, layout, advanced=False)
-                placed = planned.costs(b, cur.y, layout)[False, got[0]]
-                want = fresh.costs(b, cur.y, layout)[False, got[0]]
+                placed = planned.costs(b, cur.y, cfg, layout)[False, got[0]]
+                want = fresh.costs(b, cur.y, cfg, layout)[False, got[0]]
                 assert placed[0] == want[0]
                 np.testing.assert_array_equal(placed[1], want[1])
 
     def test_entries_are_dropped_once_the_block_is_placed(self):
+        # the evaluator's order: plan a row, then search, decide and place
+        # each block; after each placement the reference holds the tables of
+        # the planned blocks not yet placed and of the one just placed
         layout = CubeLayout(64, 64)
         prev, cur = generate_synthetic(SyntheticSpec(64, 2, (0.0, 2.0, 0.0), seed=2))
-        cfg, row = SearchConfig(), BlockGrid(layout, 16).rows[5]
+        cfg, grid = SearchConfig(lambda_=4.0), BlockGrid(layout, 16)
+        ref = ReferencePicture(prev, 0)
+        for row in grid.rows[4:7]:
+            ref.plan(row, cur.y, cfg, layout)
+            for k, b in enumerate(row):
+                mv, cost = tzs_search(b, cur.y, ref, [ZERO], cfg, layout, advanced=False)
+                rec = mode_decide(b, cur.y, ref, grid, cfg, layout, trans_result=(mv, cost))
+                table = ref.costs(b, cur.y, cfg, layout)
+                _place(table, False, mv, cur, prev)
+                _place(table, rec.mode is not PredMode.TRANS, rec.mv, cur, prev)
+                assert set(ref._tables) == set(row[k:])
+                assert table.result == (mv, cost)
+
+    @settings(max_examples=30)
+    @given(first=st.builds(SearchConfig, st.sampled_from([4, 16, 64]),
+                           st.sampled_from([0.0, 4.0])),
+           second=st.builds(SearchConfig, st.sampled_from([4, 16, 64]),
+                            st.sampled_from([0.0, 4.0])),
+           k=st.integers(0, 5))
+    def test_a_plan_serves_only_its_config(self, first, second, k):
+        # a result planned under one config is never returned under another,
+        # whether the block was planned, searched, or neither
+        layout = CubeLayout(64, 64)
+        prev, cur = generate_synthetic(SyntheticSpec(64, 2, (0.0, 7.5, 0.0), seed=2))
+        row = BlockGrid(layout, 16).rows[5]
+        ref = ReferencePicture(prev, 0)
+        ref.plan(row, cur.y, first, layout)
+        tzs_search(row[k], cur.y, ref, [ZERO], first, layout, advanced=False)
+        for b in (row[k], row[-1]):
+            fresh = ReferencePicture(prev, 0)
+            assert (tzs_search(b, cur.y, ref, [ZERO], second, layout, advanced=False)
+                    == tzs_search(b, cur.y, fresh, [ZERO], second, layout, advanced=False))
+
+    @settings(max_examples=20)
+    @given(k=st.integers(0, 5), copy=st.booleans(), advanced=st.booleans())
+    def test_a_new_cur_starts_empty_tables(self, k, copy, advanced):
+        # another ``cur`` array, even one holding the same pixels, finds no
+        # cost, plan, raster or descent of the one before
+        layout = CubeLayout(64, 64)
+        prev, cur = generate_synthetic(SyntheticSpec(64, 2, (0.0, 7.5, 0.0), seed=2))
+        cfg, row = SearchConfig(lambda_=4.0), BlockGrid(layout, 16).rows[5]
         ref = ReferencePicture(prev, 0)
         ref.plan(row, cur.y, cfg, layout)
-        assert set(ref._plans) == set(row)
-        for k, b in enumerate(row):
-            tzs_search(b, cur.y, ref, [ZERO], cfg, layout, advanced=False)
-            # the table of this block took its luma; the block before is gone
-            assert ref._plans[b].luma is None
-            assert set(ref._plans) == set(row[k:])
+        tzs_search(row[k], cur.y, ref, [ZERO], cfg, layout, advanced=advanced)
+        other = cur.y.copy() if copy else np.roll(cur.y, 3, axis=1)
+        for b in (row[k], row[-1]):
+            table = ref.costs(b, other, cfg, layout)
+            assert (len(table), table.result, table.raster, table.ends) == (
+                0, None, motion_search._NOT_RUN, {})
+            assert table.cur is other
+        assert set(ref._tables) == {row[-1]}
 
 
 def corpus_argv(name):

@@ -10,9 +10,10 @@ runs both trees' ``perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` once, on the pair's seed, alternating which tree runs first,
 and reads the last JSON line each prints.  The output file holds every
 pair's values, each tree's count of failed runs and, per workload and
-metric, each tree's median and quartiles, the median change and how many
-pairs each tree won, with the machine (``nproc``, CPU model, load averages
-at start and end) and both commits.  Pair k runs seed k, from 1.  An
+metric, each tree's median and quartiles, the median change, how many
+pairs each tree won and a no-regression verdict against the metric's
+bound in ``BENCHMARK.json`` (``verdict``), with the machine (``nproc``,
+CPU model, load averages at start and end) and both commits.  Pair k runs seed k, from 1.  An
 existing output file keeps its earlier A/Bs: the file holds ``{"runs":
 [...]}`` and each A/B appends its report.
 
@@ -58,17 +59,36 @@ def quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric of ``better`` (name -> "lower" or "higher"): each tree's
-    quartiles over the pairs that measured it, the change of the median,
-    and the pairs each tree won (a tie counts for neither)."""
+def verdict(base: list[float], head: list[float], way: str, bound: float) -> str:
+    """Whether the head's runs of one metric are ``worse`` than the base's,
+    ``no worse``, or ``unresolved``.  ``bound`` is a fraction of the base
+    median, as ``BENCHMARK.json`` sets it; ``way`` is "lower" or "higher".
+    The runs are too spread to tell when the base's IQR exceeds the bound
+    and not every head run beats every base run; otherwise the head is
+    worse when its median is worse than the base median by more than the
+    bound."""
+    sign = 1 if way == "higher" else -1
+    b, h = quartiles(base), quartiles(head)
+    allowed = bound * abs(b["median"])
+    if b["iqr"] > allowed and not min(sign * v for v in head) > max(sign * v for v in base):
+        return "unresolved"
+    return "worse" if sign * (h["median"] - b["median"]) < -allowed else "no worse"
+
+
+def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per metric of ``end_to_end`` (``BENCHMARK.json``'s list: name,
+    better "lower" or "higher", bound): each tree's quartiles over the
+    pairs that measured it, the change of the median, the pairs each tree
+    won (a tie counts for neither) and the ``verdict``."""
     out = {}
-    for name, way in better.items():
+    for m in end_to_end:
+        name, way = m["name"], m["better"]
         both = [(p["base"]["metrics"][name], p["head"]["metrics"][name]) for p in pairs
                 if all(name in p[t]["metrics"] for t in TREES)]
         if not both:
             continue
-        base, head = quartiles([b for b, _ in both]), quartiles([h for _, h in both])
+        bases, heads = [b for b, _ in both], [h for _, h in both]
+        base, head = quartiles(bases), quartiles(heads)
         sign = 1 if way == "higher" else -1
         out[name] = {
             "better": way,
@@ -78,6 +98,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "head_wins": sum(sign * (h - b) > 0 for b, h in both),
             "base_wins": sum(sign * (b - h) > 0 for b, h in both),
             "pairs": len(both),
+            "bound": m["bound"],
+            "verdict": verdict(bases, heads, way, m["bound"]),
         }
     return out
 
@@ -104,7 +126,7 @@ def machine() -> dict:
             "python": platform.python_version(), "platform": platform.platform()}
 
 
-def report(commits: dict, settings: dict, runs: dict[str, list[dict]], better: dict,
+def report(commits: dict, settings: dict, runs: dict[str, list[dict]], end_to_end: list,
            info: dict) -> dict:
     """One A/B's report: ``runs`` maps each workload to its pairs."""
     return {
@@ -112,7 +134,7 @@ def report(commits: dict, settings: dict, runs: dict[str, list[dict]], better: d
         "settings": settings,
         "machine": info,
         "workloads": {w: {"pairs": pairs, "failed_runs": failed_runs(pairs),
-                          "summary": summarize(pairs, better)}
+                          "summary": summarize(pairs, end_to_end)}
                       for w, pairs in runs.items()},
     }
 
@@ -163,7 +185,6 @@ def main(argv=None) -> int:
     try:
         commits = {t: unpack(c, trees[t]) for t, c in zip(TREES, (args.base, args.head))}
         spec = json.loads((trees["head"] / "BENCHMARK.json").read_text())["end_to_end"]
-        better = {m["name"]: m["better"] for m in spec}
         info = {**machine(), "loadavg_start": os.getloadavg()}
         runs = {w: [] for w in args.workload}
         for k in range(args.pairs):
@@ -182,7 +203,11 @@ def main(argv=None) -> int:
                     "seconds": args.seconds, "trace": 0,
                     "command": "perfbench/run.py --workload W --seed S --seconds T --trace 0",
                     "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
-        append_report(args.out, report(commits, settings, runs, better, info))
+        one = report(commits, settings, runs, spec, info)
+        append_report(args.out, one)
+        for w, out in one["workloads"].items():
+            print(f"{w}: failed runs {out['failed_runs']}; " + ", ".join(
+                f"{name} {m['verdict']}" for name, m in out["summary"].items()), flush=True)
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
