@@ -22,8 +22,8 @@ row's walks (``Searches._refine``), the advanced one an MV at a time,
 with speculative batches that reach into the next pass
 (``motion_search.tzs_search``).
 
-The module reads ``motion_search``'s names (``face_of``, ``sad``,
-``fetch_block``, stage 2's rings, the raster kernel, the cost table,
+The module reads ``motion_search``'s names (``face_of``, ``sad``, stage
+2's rings, the raster kernel, the cost table's not-run raster marker,
 ``mv_bits`` and the ranking key) through the module when it runs, so
 one definition serves both files.  It is a file of its own because a
 process that writes no bytecode compiles every module it imports, and

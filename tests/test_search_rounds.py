@@ -396,7 +396,10 @@ class TestWalk:
 
 class TestRowPlan:
     """A row plan returns what each block's own search returns, and the
-    planned winner's luma is what placement reads."""
+    planned winner's luma is what placement reads.  The reference keeps
+    the tables of the planned blocks not yet placed and of the block
+    placed last, and serves none of them under another config or
+    current picture."""
 
     @pytest.mark.parametrize("face,block_size,velocity,lambda_", [
         (64, 16, (0.0, 2.0, 0.0), 0.0),
