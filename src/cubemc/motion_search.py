@@ -24,14 +24,17 @@ one walk for both models (``search_rounds.walk``): the seeds (the winner,
 then every predictor), then ring passes at steps 2 and 1 around the best
 of the moment, within ``REFINE_WINDOW_Q2`` of the winner, each MV ranked
 by ``_mv_key`` of its SAD plus the MV-bits term.  The walk takes bare SADs
-and only their costing differs by model.
+and only their costing differs by model.  With each MV the walk names what
+it visits next if nothing wins, up to the end of the next pass
+(``ahead``), and both costings follow one rule: a miss costs that too.
 
 Under the translational model every ring point lies in the window, so, as
 in the HEVC reference encoder, the stage filters that window once at the
 16 quarter-pel phases (``phase_planes``, used for nothing else) and each
 such candidate is a slice of it; a fractional seed outside the window is
 filtered alone, at its one phase pair (``phase_block``).  The walks of a
-block row are costed together in array rounds (``search_rounds.Searches``).
+block row are costed together in array rounds (``search_rounds.Searches``),
+each round the MVs the walks wait for and all of their ``ahead``.
 
 Under the advanced model each candidate builds the per-pixel
 correspondence field and warps through the filter bank, with pass 1 read
@@ -44,10 +47,8 @@ geometry call.  A window that reaches off the faces gets no lattice: the
 validity rule keeps every costed center on a face, and each build maps
 its own.  The row bank and the lattice are locals of the stage, passed to
 each costing call and freed when the search returns.  A table miss
-speculates: the valid, uncosted MVs the walk visits next if none of them
-wins (the remaining seeds or the rest of the ring around the current
-best, then the next pass's ring) are costed with it in one batched field
-build and warp, which pays numpy's per-call overhead (about 90 us) once
+speculates: the valid, uncosted MVs of the walk's ``ahead`` are costed
+with it in one batched field build and warp, which pays numpy's per-call overhead (about 90 us) once
 per batch.  The walk still ranks one MV at a time, so every result is
 what one-at-a-time evaluation gives.  A speculative MV the walk never
 reaches is wasted work, so a batch holds 4096 pixels' worth of
@@ -60,7 +61,8 @@ state: ``(advanced, mv) -> (SAD, luma)``, so no advanced MV of a block is
 warped twice, and what the searches keep (the planned translational
 result, the raster, the integer descents' ends).  Its ``put`` writes each
 translation (the translational winner, for placement, and a seed costed
-outside its window) and its ``put_batch`` every advanced MV.
+outside its window) with the SAD its caller reduced, and its
+``put_batch`` every advanced MV.
 
 Mode decision compares three flavors per block: translational,
 advanced-merge (a transported neighbor MV, no search, no MV-difference
@@ -177,12 +179,14 @@ class _CostTable(dict):
             return self[key]
         b = self.block
         x, y = 64 * b.x0 + 16 * mv.dx_q2, 64 * b.y0 + 16 * mv.dy_q2
-        if (x | y) & 63:
-            return self.put(key, phase_block(self.plane, x, y, b.width, b.height))
-        return self.put(key, fetch_block(self.plane, x >> 6, y >> 6, b.width, b.height))
+        pred = (phase_block(self.plane, x, y, b.width, b.height) if (x | y) & 63
+                else fetch_block(self.plane, x >> 6, y >> 6, b.width, b.height))
+        return self.put(key, pred, sad(self.cur_blk, pred))
 
-    def put(self, key, pred: np.ndarray) -> tuple[int, np.ndarray]:
-        self[key] = entry = (sad(self.cur_blk, pred), pred)
+    def put(self, key, pred: np.ndarray, s: int) -> tuple[int, np.ndarray]:
+        """Write translation ``key``'s luma ``pred`` and its SAD ``s``, which
+        the caller has reduced."""
+        self[key] = entry = (s, pred)
         return entry
 
     def put_batch(self, mvs: list[MotionVector], rows=None, lattice=None) -> None:
@@ -444,7 +448,7 @@ def tzs_search(
     lattice = center_lattice(block, anchor, REFINE_WINDOW_Q2, layout)
     cap = _batch_cap(block)
     walk = search_rounds.walk(anchor, predictors, cfg.lambda_, pred_for_bits)
-    mv, ahead, _ = next(walk)
+    mv, ahead = next(walk)
     while True:
         s = None
         if valid(mv):
@@ -458,7 +462,7 @@ def tzs_search(
                 table.put_batch(batch, rows, lattice)
             s = table[True, mv][0]
         try:
-            mv, ahead, _ = walk.send(s)
+            mv, ahead = walk.send(s)
         except StopIteration as done:
             return done.value
 

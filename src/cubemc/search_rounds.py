@@ -15,15 +15,15 @@ and each integer descent's end are kept in the block's table, which both
 of its searches read.
 
 Stage 5 visits its MVs in one order for both models, written once as a
-generator (``walk``) that yields each MV to rank, with what it visits
-next if nothing wins, and takes its bare SAD.  Each model only costs
-what the walk visits: the translational one in array rounds over a block
-row's walks (``Searches._refine``), the advanced one an MV at a time,
-with speculative batches that reach into the next pass
-(``motion_search.tzs_search``).
+generator (``walk``) that yields each MV to rank with what it visits
+next if nothing wins, up to the end of the next pass (``ahead``), and
+takes its bare SAD.  Both models cost by one rule: a miss costs
+``ahead`` with it.  The translational model does so in array rounds over
+a block row's walks (``Searches._refine``), the advanced one in batches
+capped by block size (``motion_search.tzs_search``).
 
-The module reads ``motion_search``'s names (``face_of``, ``sad``, stage
-2's rings, the raster kernel, the cost table's not-run raster marker,
+The module reads ``motion_search``'s names (``face_of``, ``sad``, the
+ring order and stage 2's rings, the raster kernel, the cost table's not-run raster marker,
 ``mv_bits`` and the ranking key) through the module when it runs, so
 one definition serves both files.  It is a file of its own because a
 process that writes no bytecode compiles every module it imports, and
@@ -46,14 +46,12 @@ from cubemc.motion_model import MotionVector, round_half_away
 GATHER_PIXELS = 1 << 16  # pixels, cap of one integer-stage gather
 REFINE_BYTES = 1 << 18   # bytes, cap of the phase planes of one translational stage-5 chunk
 _NO_COST = np.iinfo(np.int64).max  # integer-stage cost of a block with no valid candidate yet
-# stage-5 ring directions, in ``_ring``'s order: a pass at step s visits s times each
-_UNIT_RING = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]
 
 
 def walk(anchor, predictors, lambda_, pred_for_bits):
     """Stage 5's visiting order, which both models' costings drive: a
-    generator that yields ``(mv, ahead, k)`` and takes the bare SAD of
-    ``mv`` (None where it is invalid).  It returns ``(best, cost)``.
+    generator that yields ``(mv, ahead)`` and takes the bare SAD of ``mv``
+    (None where it is invalid).  It returns ``(best, cost)``.
 
     The seeds come first: the anchor (the integer winner, which passed the
     integer stages' check), then each predictor, wherever it lies.  Then
@@ -65,11 +63,12 @@ def walk(anchor, predictors, lambda_, pred_for_bits):
     ``pred_for_bits``, and wins only with a lower key.
 
     ``ahead`` is what the walk visits after ``mv`` if none of the MVs it
-    has yet to rank wins, as far as the next pass: the rest of the seeds or
-    of the current ring (its first ``k`` MVs), then the next pass's ring
-    around the best of the moment (at the same step after a move in this
-    pass, else at half of it; none after step 1).  A costing may cost
-    these ahead of time; the walk ranks only what it visits."""
+    has yet to rank wins, up to the end of the next pass: the rest of the
+    seeds or of the current ring, then the next pass's ring around the
+    best of the moment (at the same step after a move in this pass, else
+    at half of it; none after step 1).  Both costings follow one rule: a
+    miss costs what the walk visits next, ``ahead``, with it.  The walk
+    ranks only what it visits, so costing ahead of time changes nothing."""
     q = ms.REFINE_WINDOW_Q2
     x0, x1, y0, y1 = anchor.dx_q2 - q, anchor.dx_q2 + q, anchor.dy_q2 - q, anchor.dy_q2 + q
     best, best_key = anchor, ms._WORST_KEY
@@ -88,24 +87,22 @@ def walk(anchor, predictors, lambda_, pred_for_bits):
         return False
 
     def ring(step, start=0):
-        """``(direction, MV)`` of the ring at ``step`` around the best, from
+        """``(direction, MV)`` of ``_ring`` at ``step`` around the best, from
         direction ``start`` on, in the window; none at step 0."""
-        bx, by = best
-        return [(d, MotionVector(x, y)) for d, (ux, uy) in enumerate(_UNIT_RING[start:], start)
-                if step and x0 <= (x := bx + ux * step) <= x1
-                and y0 <= (y := by + uy * step) <= y1]
+        return [(d, mv) for d, mv in enumerate(ms._ring(best, step, step) if step else ())
+                if d >= start and x0 <= mv.dx_q2 <= x1 and y0 <= mv.dy_q2 <= y1]
 
     seeds = [anchor, *predictors]
     for i, mv in enumerate(seeds):
-        won(mv, (yield mv, seeds[i + 1 :] + [v for _, v in ring(2)], len(seeds) - i - 1))
+        won(mv, (yield mv, seeds[i + 1 :] + [v for _, v in ring(2)]))
     step = 2
     while step:
         moved, start = False, 0
-        while start < len(_UNIT_RING):  # the pass's rest, around the best of the moment
-            now, start = ring(step, start), len(_UNIT_RING)
+        while start is not None:  # the pass's rest, around the best of the moment
+            now, start = ring(step, start), None
             mvs = [mv for _, mv in now + ring(step if moved else step // 2)]
             for i, (d, mv) in enumerate(now):
-                if won(mv, (yield mv, mvs[i + 1 :], len(now) - i - 1)):
+                if won(mv, (yield mv, mvs[i + 1 :])):
                     moved, start = True, d + 1
                     break
         if not moved:
@@ -332,11 +329,12 @@ class Searches:
         is a slice; a seed outside it is costed alone, through the block's
         table.
 
-        A round costs the MV each walk waits for and the rest of its seeds
-        or current ring (the first ``k`` MVs of its ``ahead``), for every
-        walking block at once; each walk then takes the costs of the MVs
-        it visits, in order, until one is not costed yet (a point around a
-        new best, or the next pass), which waits for the next round."""
+        A round costs, for every walking block at once, the MV each walk
+        waits for and every MV of its ``ahead`` not costed yet, each once;
+        each walk then takes the costs of the MVs it visits, in order, until
+        one is not costed yet (a point around a new best), which waits for
+        the next round.  The round's SAD of each winner is written into its
+        table with the winner's luma, for placement."""
         q, m, (h, w) = ms.REFINE_WINDOW_Q2, ms.REFINE_WINDOW_Q2 // 4, (self.h, self.w)
         planes = np.stack([phase_planes(self.plane, int(self.x0[b] + self.bx[b]) - m,
                                         int(self.y0[b] + self.by[b]) - m, w + 2 * m, h + 2 * m)
@@ -347,13 +345,13 @@ class Searches:
         ax, ay = 4 * self.bx[sel], 4 * self.by[sel]  # the anchors, in quarter-pels
         walks = [walk(MotionVector(int(x), int(y)), predictors, self.cfg.lambda_, pred_for_bits)
                  for x, y in zip(ax, ay)]
-        at = {a: next(wk) for a, wk in enumerate(walks)}  # each walk's (mv, ahead, k)
+        at = {a: next(wk) for a, wk in enumerate(walks)}  # each walk's (mv, ahead)
         tables = [self.tables[b] for b in sel]
         costed, out = [{} for _ in sel], [None] * len(sel)
         while at:
             js, mvs = [], []
-            for a, (mv, ahead, k) in at.items():
-                new = [mv, *(v for v in ahead[:k] if v not in costed[a])]
+            for a, (mv, ahead) in at.items():
+                new = [v for v in dict.fromkeys((mv, *ahead)) if v not in costed[a]]
                 js += [a] * len(new)
                 mvs += new
             j = np.array(js, np.int64)
@@ -380,5 +378,6 @@ class Searches:
         for a, (mv, _) in enumerate(out):
             if (False, mv) not in tables[a]:
                 ox, oy = mv.dx_q2 - int(ax[a]) + q, mv.dy_q2 - int(ay[a]) + q
-                tables[a].put((False, mv), slices[a, oy & 3, ox & 3, oy >> 2, ox >> 2].copy())
+                tables[a].put((False, mv), slices[a, oy & 3, ox & 3, oy >> 2, ox >> 2].copy(),
+                              costed[a][mv])
         return out

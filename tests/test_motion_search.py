@@ -828,7 +828,7 @@ class TestCostTable:
         put_keys, batch_sizes = [], []
         put, put_batch = motion_search._CostTable.put, motion_search._CostTable.put_batch
         monkeypatch.setattr(motion_search._CostTable, "put",
-                            lambda self, key, pred: put_keys.append(key) or put(self, key, pred))
+                            lambda self, key, *a: put_keys.append(key) or put(self, key, *a))
         monkeypatch.setattr(motion_search._CostTable, "put_batch",
                             lambda self, mvs, *a: batch_sizes.append(len(mvs))
                             or put_batch(self, mvs, *a))
@@ -837,6 +837,33 @@ class TestCostTable:
         assert put_keys and not any(advanced for advanced, _ in put_keys)
         # lone MVs and speculative batches alike
         assert 1 in batch_sizes and max(batch_sizes) > 1
+
+    def test_translations_are_written_with_their_sad_reduced_once(self, monkeypatch):
+        # ``put`` takes each translation's SAD from its caller, the stage-5
+        # round or a miss, and reduces none itself; every entry holds the
+        # SAD of its luma.  Fast motion puts zero seeds outside the window,
+        # so misses write translations too
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        sad_calls, entries, missed = [], [], []
+        inner_sad, put = motion_search.sad, motion_search._CostTable.put
+        missing = motion_search._CostTable.__missing__
+        monkeypatch.setattr(motion_search, "sad", lambda *a: sad_calls.append(a) or inner_sad(*a))
+
+        def spy_put(table, key, *a):
+            before = len(sad_calls)
+            entry = put(table, key, *a)
+            assert len(sad_calls) == before
+            entries.append((table.cur_blk, entry))
+            return entry
+
+        monkeypatch.setattr(motion_search._CostTable, "put", spy_put)
+        monkeypatch.setattr(motion_search._CostTable, "__missing__",
+                            lambda table, key: missed.append(key[0]) or missing(table, key))
+        run_eval(EvalConfig(input="synthetic", face_size=64, block_size=32, synth_frames=2,
+                            synth_velocity=(0.0, 7.5, 0.0), lambda_=4.0))
+        assert False in missed and len(entries) > missed.count(False)
+        for cur_blk, (s, luma) in entries:
+            assert s == inner_sad(cur_blk, luma)
 
 
 def foreign_bank():
@@ -891,7 +918,7 @@ class TestValidityChecks:
     read, per round or per stage shows up here before it shows up in the
     timings."""
 
-    FACE_OF_CALLS = 11570
+    FACE_OF_CALLS = 11267
 
     def test_face_of_calls_pinned(self, monkeypatch):
         cur, refp, _ = synthetic_pair(velocity=(1.0, 2.0, 0.0), seed=3)

@@ -342,8 +342,8 @@ class TestEngineEqualsOracle:
 
 def walk_to_end(wk, sads):
     """Drive the stage-5 walk ``wk`` with ``sads`` (a SAD or None per MV it
-    yields, None once they run out): every ``(mv, ahead, k)`` it yielded,
-    and its result."""
+    yields, None once they run out): every ``(mv, ahead)`` it yielded, and
+    its result."""
     sads, seen = iter(sads), [next(wk)]
     try:
         while True:
@@ -354,7 +354,7 @@ def walk_to_end(wk, sads):
 
 class TestWalk:
     """``walk``'s ``ahead`` is what it visits next if none of the MVs it has
-    yet to rank wins, through the next pass; a costing may cost it before
+    yet to rank wins, through the next pass; both costings cost it before
     the walk asks, so the promise must hold exactly."""
 
     # predictors near the window's edge, on either side, and SADs that
@@ -370,28 +370,22 @@ class TestWalk:
         seen, _ = walk_to_end(search_rounds.walk(anchor, predictors, lam, bits), sads)
         if len(seen) <= len(sads):
             return  # the walk ended before the chosen step
-        _, ahead, k = seen[len(sads)]
-        assert 0 <= k <= len(ahead)
-        assert [mv for mv, *_ in seen[len(sads) + 1 :]][: len(ahead)] == ahead
-        # the passes stay in the window; only seeds lie anywhere
-        assert all(abs(v.dx_q2 - anchor.dx_q2) <= REFINE_WINDOW_Q2
-                   and abs(v.dy_q2 - anchor.dy_q2) <= REFINE_WINDOW_Q2 for v in ahead[k:])
+        _, ahead = seen[len(sads)]
+        assert [mv for mv, _ in seen[len(sads) + 1 :]][: len(ahead)] == ahead
 
     @given(anchor=mvs, predictors=st.lists(mvs, max_size=3), sads=sad_lists)
-    def test_first_k_are_the_seeds_or_ring_left(self, anchor, predictors, sads):
-        # ``ahead[:k]`` is what the translational rounds cost with ``mv``:
-        # the seeds left while seeds are visited, then the rest of the
-        # current ring, whose points are distinct and lie in the window
+    def test_ahead_starts_with_the_seeds_left(self, anchor, predictors, sads):
+        # while seeds are visited, ``ahead`` holds the seeds left first; the
+        # rest of it, the passes' rings, lies in the window
         seen, _ = walk_to_end(search_rounds.walk(anchor, predictors, 0.0, ZERO), sads)
         seeds = [anchor, *predictors]
-        for t, (mv, ahead, k) in enumerate(seen):
+        for t, (mv, ahead) in enumerate(seen):
+            left = seeds[t + 1 :]
             if t < len(seeds):
-                assert (mv, ahead[:k]) == (seeds[t], seeds[t + 1 :])
-            else:
-                ring = [mv, *ahead[:k]]
-                assert len(set(ring)) == len(ring)
-                assert all(abs(v.dx_q2 - anchor.dx_q2) <= REFINE_WINDOW_Q2
-                           and abs(v.dy_q2 - anchor.dy_q2) <= REFINE_WINDOW_Q2 for v in ring)
+                assert (mv, ahead[: len(left)]) == (seeds[t], left)
+            assert all(abs(v.dx_q2 - anchor.dx_q2) <= REFINE_WINDOW_Q2
+                       and abs(v.dy_q2 - anchor.dy_q2) <= REFINE_WINDOW_Q2
+                       for v in ahead[len(left) :])
 
 
 class TestRowPlan:
@@ -421,6 +415,27 @@ class TestRowPlan:
                 want = fresh.costs(b, cur.y, cfg, layout)[False, got[0]]
                 assert placed[0] == want[0]
                 np.testing.assert_array_equal(placed[1], want[1])
+
+    def test_stage5_rounds_of_a_row_pinned(self, monkeypatch):
+        # a round costs what each walk waits for and all of its ``ahead``,
+        # so a walk that nothing moves takes one round per pass: one plan
+        # of a fixed 16-block row takes 5 rounds (one 3-D ``sad`` each) that
+        # reduce 332 windows; costing only the rest of the seeds or of the
+        # current ring took 8 rounds
+        layout = CubeLayout(64, 64)
+        prev, cur = generate_synthetic(SyntheticSpec(64, 2, (0.0, 2.0, 0.0), seed=0))
+        row = BlockGrid(layout, 16).rows[5]
+        windows, refine, inner = [], search_rounds.Searches._refine, motion_search.sad
+
+        def spy(self, *a):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(motion_search, "sad",
+                          lambda x, y: (x.ndim == 3 and windows.append(len(x))) or inner(x, y))
+                return refine(self, *a)
+
+        monkeypatch.setattr(search_rounds.Searches, "_refine", spy)
+        ReferencePicture(prev, 0).plan(row, cur.y, SearchConfig(), layout)
+        assert (len(row), len(windows), sum(windows)) == (16, 5, 332)
 
     def test_entries_are_dropped_once_the_block_is_placed(self):
         # the evaluator's order: plan a row, then search, decide and place
