@@ -48,12 +48,13 @@ validity rule keeps every costed center on a face, and each build maps
 its own.  The row bank and the lattice are locals of the stage, passed to
 each costing call and freed when the search returns.  A table miss
 speculates: the valid, uncosted MVs of the walk's ``ahead`` are costed
-with it in one batched field build and warp, which pays numpy's per-call overhead (about 90 us) once
-per batch.  The walk still ranks one MV at a time, so every result is
-what one-at-a-time evaluation gives.  A speculative MV the walk never
-reaches is wasted work, so a batch holds 4096 pixels' worth of
-candidates, but at least two (``_batch_cap``): 16 of 16x16, 4 of 32x32,
-2 of 64x64, where one call's overhead outweighs a wasted candidate.
+with it in one batched field build and warp, which pays numpy's
+per-call overhead (about 90 us) once per batch.  The walk still ranks
+one MV at a time, so every result is what one-at-a-time evaluation
+gives.  A speculative MV the walk never reaches is wasted work, so a
+batch holds 4096 pixels' worth of candidates, but at least two
+(``_batch_cap``): 16 of 16x16, 4 of 32x32, 2 of 64x64, where one call's
+overhead outweighs a wasted candidate.
 
 Both searches, the merge check and the evaluator's placement share one
 table per block and reference (``_CostTable``), its block's only search

@@ -23,9 +23,9 @@ a block row's walks (``Searches._refine``), the advanced one in batches
 capped by block size (``motion_search.tzs_search``).
 
 The module reads ``motion_search``'s names (``face_of``, ``sad``, the
-ring order and stage 2's rings, the raster kernel, the cost table's not-run raster marker,
-``mv_bits`` and the ranking key) through the module when it runs, so
-one definition serves both files.  It is a file of its own because a
+ring order and stage 2's rings, the raster kernel, the cost table's
+not-run raster marker, ``mv_bits`` and the ranking key) through the
+module when it runs, so one definition serves both files.  It is a file of its own because a
 process that writes no bytecode compiles every module it imports, and
 CPython's parser doubles its token buffer past 4096 tokens of one
 module: one file holding both would cross that step, and every such
