@@ -436,9 +436,6 @@ def emit_csv(report: EvalReport, path) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    def fmt(x: float) -> str:
-        return "inf" if math.isinf(x) else f"{x:.3f}"
-
     mean_psnr = lambda sel, i: (
         sum(sel(f)[i] for f in report.frames) / len(report.frames)
         if report.frames
@@ -449,9 +446,9 @@ def emit_csv(report: EvalReport, path) -> None:
         f"blocks_per_frame={len(report.frames[0].blocks) if report.frames else 0}",
     ]
     for i, plane in enumerate("yuv"):
-        summary.append(f"mean_psnr_{plane}_trans={fmt(mean_psnr(lambda f: f.psnr_trans, i))}")
-        summary.append(f"mean_psnr_{plane}_adv={fmt(mean_psnr(lambda f: f.psnr_adv, i))}")
-        summary.append(f"mean_delta_{plane}={fmt(report.mean_delta(i))}")
+        summary.append(f"mean_psnr_{plane}_trans={mean_psnr(lambda f: f.psnr_trans, i):.3f}")
+        summary.append(f"mean_psnr_{plane}_adv={mean_psnr(lambda f: f.psnr_adv, i):.3f}")
+        summary.append(f"mean_delta_{plane}={report.mean_delta(i):.3f}")
     summary.append(f"advanced_fraction={report.advanced_fraction():.4f}")
     with open(str(path) + ".summary", "w") as fh:
         fh.write("\n".join(summary) + "\n")

@@ -11,12 +11,12 @@ order one-at-a-time evaluation ranks them.  The translational search is
 seeded with the zero MV only, so it reads no neighbour: the evaluator
 plans a block row's translational searches at once
 (``ReferencePicture.plan``), quarter-pel stage included, and
-``tzs_search`` returns each planned result.  The raster is one array
-reduction per block (``_raster_best``: a strided view of one
-edge-clamped window, ``sad`` over one raster row at a time), run at most
-once per block; its result and the end of each integer descent are kept
-in the block's cost table, so the advanced search that starts where the
-translational one did takes its end without a round.
+``tzs_search`` returns each planned result.  The raster is one more
+such round, over the raster offsets of every block that stage 2 leaves
+far from its start; it runs at most once per block, and its result and
+the end of each integer descent are kept in the block's cost table, so
+the advanced search that starts where the translational one did takes
+its end without a round.
 
 The final quarter-pel stage restarts the ranking from the integer winner
 with the true cost of the requested motion model.  Its visiting order is
@@ -86,11 +86,10 @@ from enum import Enum
 from numbers import Integral, Real
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from cubemc import search_rounds
 from cubemc.frame_io import Frame
-from cubemc.geometry import NO_FACE, CubeLayout, face_of
+from cubemc.geometry import CubeLayout, face_of
 from cubemc.interp import check_bank, fetch_block, phase_block, row_bank, warp_block, warp_rows
 from cubemc.motion_model import (
     Block,
@@ -161,11 +160,12 @@ class _CostTable(dict):
     (SAD, luma prediction)``, written by one method per model (``put`` for
     translations, ``put_batch`` for advanced MVs), and what the block's
     searches keep: ``result``, the zero-seeded translational ``(mv,
-    cost)`` once planned; ``raster``, stage 3's result (None when no offset
-    is valid); ``ends``, where stages 2-4 end from each stage-1 winner.
-    Reading a missing MV costs it on its own.  SADs are bare: each search
-    checks validity, and the stage-5 walk adds the MV-bits term.  The
-    integer stages cost their candidates as arrays (``search_rounds``)."""
+    cost)`` once planned; ``raster``, stage 3's best pixel offset and its
+    SAD, ``(dx, dy, SAD)`` (None when no offset is valid); ``ends``, where
+    stages 2-4 end from each stage-1 winner.  Reading a missing MV costs
+    it on its own.  SADs are bare: each search checks validity, and the
+    stage-5 walk adds the MV-bits term.  The integer stages cost their
+    candidates as arrays (``search_rounds``)."""
 
     def __init__(self, block: Block, cur: np.ndarray, plane: np.ndarray, layout):
         super().__init__()
@@ -337,37 +337,6 @@ def _raster(c: float, size: int, r: int) -> range:
     """Stage-3 offsets -r + 8k in [-r, r] that keep ``c + offset`` in [0, size)."""
     lo, hi = max(-r, math.ceil(-c)), min(r, math.ceil(size - c) - 1)
     return range(lo + (-r - lo) % RASTER_STEP, hi + 1, RASTER_STEP)
-
-
-def _raster_best(block: Block, cur_blk: np.ndarray, plane: np.ndarray, layout: CubeLayout,
-                 dxs: range, dys: range):
-    """The lowest-``_mv_key`` valid MV ``(4dx, 4dy)`` of ``block`` (whose
-    pixels are ``cur_blk``) in ``plane`` over the ``_raster`` offsets
-    ``dxs`` x ``dys``, and its SAD, or None.
-
-    Each offset's block is a strided view of one edge-clamped window, equal
-    to its own ``fetch_block`` because clamping is per coordinate; ``sad``
-    reduces one raster row at a time.  ``_raster`` keeps offsets
-    within the search range, so validity is ``_mv_check``'s face check.
-    """
-    cx, cy = block.center
-    dx, dy = np.array(dxs), np.array(dys)
-    ok = face_of(cx + dx, cy + dy[:, None], layout) != NO_FACE  # 4dx / 4.0 == dx
-    if not ok.any():  # also for an empty range
-        return None
-    h, w = block.height, block.width
-    win = fetch_block(plane, block.x0 + dxs[0], block.y0 + dys[0],
-                      dxs[-1] - dxs[0] + w, dys[-1] - dys[0] + h)
-    s0, s1 = win.strides
-    blocks = as_strided(win, (len(dys), len(dxs), h, w),
-                        (RASTER_STEP * s0, RASTER_STEP * s1, s0, s1), writeable=False)
-    sads = np.zeros(ok.shape, dtype=np.int64)
-    for j in np.flatnonzero(ok.any(axis=1)):
-        sads[j] = sad(blocks[j], cur_blk)
-    row, col = np.nonzero(ok)
-    x, y, s = 4 * dx[col], 4 * dy[row], sads[row, col]
-    i = np.lexsort(_mv_key(s, x, y)[::-1])[0]  # lexsort sorts by its last key first
-    return MotionVector(int(x[i]), int(y[i])), int(s[i])
 
 
 def _batch_cap(block: Block) -> int:

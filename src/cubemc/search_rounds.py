@@ -8,11 +8,11 @@ and a lone translational search as a row of one.  It is built from the
 blocks' cost tables (``motion_search._CostTable``), each block's only
 search state.  Each round replaces the per-candidate validity check,
 fetch, SAD and ranking of one-at-a-time evaluation with a few numpy calls
-for every active block, and ranks in the same ``_mv_key`` order, so every
-result is that evaluation's.  Stage 3 stays one array reduction per block
-(``motion_search._raster_best``), run at most once per block; its result
-and each integer descent's end are kept in the block's table, which both
-of its searches read.
+for every active block, and ranks in the same ``_mv_key`` order
+(``_firsts``), so every result is that evaluation's.  Stage 3, the
+coarse raster, is one round over the rasters of a round's far blocks,
+run at most once per block; its result and each integer descent's end
+are kept in the block's table, which both of its searches read.
 
 Stage 5 visits its MVs in one order for both models, written once as a
 generator (``walk``) that yields each MV to rank with what it visits
@@ -23,13 +23,13 @@ a block row's walks (``Searches._refine``), the advanced one in batches
 capped by block size (``motion_search.tzs_search``).
 
 The module reads ``motion_search``'s names (``face_of``, ``sad``, the
-ring order and stage 2's rings, the raster kernel, the cost table's
+ring order and stage 2's rings, the raster offsets, the cost table's
 not-run raster marker, ``mv_bits`` and the ranking key) through the
-module when it runs, so one definition serves both files.  It is a file of its own because a
-process that writes no bytecode compiles every module it imports, and
-CPython's parser doubles its token buffer past 4096 tokens of one
-module: one file holding both would cross that step, and every such
-process would keep about 0.25 MiB more
+module when it runs, so one definition serves both files.  It is a file
+of its own because a process that writes no bytecode compiles every
+module it imports, and CPython's parser doubles its token buffer past
+4096 tokens of one module: one file holding both would cross that step,
+and every such process would keep about 0.25 MiB more
 (``tests/test_module_boundaries.py`` keeps each module below it).
 """
 
@@ -110,6 +110,18 @@ def walk(anchor, predictors, lambda_, pred_for_bits):
     return best, best_key[0]
 
 
+def _firsts(g, c, x, y) -> np.ndarray:
+    """The index of the first candidate of each group, groups ``g`` in
+    ascending order, where candidates ``(x, y)`` at cost ``c`` rank in
+    ``_mv_key`` order (pixel offsets rank as their MVs do); of equal keys
+    the earlier candidate, as ``np.lexsort`` is stable."""
+    order = np.lexsort((*ms._mv_key(c, x, y)[::-1], g))  # it sorts by its last key first
+    gs = g[order]
+    head = np.ones(len(g), bool)
+    np.not_equal(gs[1:], gs[:-1], out=head[1:])
+    return order[head]
+
+
 class Searches:
     """The searches of the blocks of cost ``tables`` (same-sized blocks of
     one current picture, in one reference luma plane) under ``cfg``, run
@@ -117,10 +129,11 @@ class Searches:
     active block with one range test, one array ``face_of`` of the moved
     centers (the float64 ``cx + dx_q2 / 4.0`` of ``_mv_check``) and one
     gather of windows and ``sad`` per ``GATHER_PIXELS`` pixels, then ranks
-    them in ``_mv_key`` order with ``np.lexsort``: a composite int64 key
-    would overflow at wide search ranges.  An integer window is a view of the reference where it lies
-    inside it; one that reaches past an edge is gathered with clamped
-    coordinates, which is ``fetch_block`` per coordinate.
+    them in ``_mv_key`` order with ``np.lexsort`` (``_firsts``): a
+    composite int64 key would overflow at wide search ranges.  An integer
+    window is a view of the reference where it lies inside it; one that
+    reaches past an edge is gathered with clamped coordinates, which is
+    ``fetch_block`` per coordinate.
 
     ``integer`` runs stages 1-4 and ``translational`` adds stage 5, each
     block's ``walk`` costed under SAD, whose candidates are slices of each
@@ -185,14 +198,9 @@ class Searches:
         MVs do).  A tie keeps the best, so a candidate wins only with a lower
         key, as one at a time.  Returns, per block, the index of the winning
         candidate, or a negative number where the best stays."""
-        g = np.concatenate((self.every, i))
         c = np.concatenate((self.cost, cost))
         x, y = np.concatenate((self.bx, dx)), np.concatenate((self.by, dy))
-        order = np.lexsort((x, y, x * x + y * y, c, g))  # stable: the best first on a tie
-        head = np.ones(len(g), bool)
-        gs = g[order]
-        np.not_equal(gs[1:], gs[:-1], out=head[1:])
-        first = order[head]
+        first = _firsts(np.concatenate((self.every, i)), c, x, y)  # the best first on a tie
         self.cost, self.bx, self.by = c[first], x[first], y[first]
         return first - len(self.every)
 
@@ -272,26 +280,38 @@ class Searches:
             dist[won >= 0] = d[sel][won[won >= 0]]
         return dist
 
+    def _stage3(self, ks) -> None:
+        """Stage 3, the coarse raster, of blocks ``ks``: the ``_raster``
+        offsets of every block (those that keep its moved center on the
+        canvas), costed in one round, and in each block's table the
+        lowest-``_mv_key`` valid one with its SAD, ``(dx, dy, SAD)``, or
+        None."""
+        if not ks:
+            return
+        r, w, h = self.cfg.search_range, self.layout.canvas_width, self.layout.canvas_height
+        at = []
+        for k in ks:
+            self.tables[k].raster = None  # unless an offset is valid
+            cx, cy = self.tables[k].block.center
+            xs, ys = np.meshgrid(ms._raster(cx, w, r), ms._raster(cy, h, r))
+            at.append((np.full(xs.size, k), xs.ravel(), ys.ravel()))
+        # int64 also where a range is empty (and so float64 in ``np.meshgrid``)
+        i, dx, dy = (np.concatenate(v).astype(np.int64) for v in zip(*at))
+        _, (i, dx, dy, sads) = self._cost(i, dx, dy)
+        for j in _firsts(i, sads, dx, dy).tolist():
+            self.tables[i[j]].raster = int(dx[j]), int(dy[j]), int(sads[j])
+
     def _descend(self, run, ax, ay, r, d, cand) -> None:
         """Stages 2-4 of blocks ``run`` from their anchors ``(ax, ay)``, given
         the costed stage-2 rings ``cand`` at distances ``d`` around them."""
-        far = self._stage2(d, cand) > 5
+        far = np.flatnonzero(self._stage2(d, cand) > 5)
 
-        # stage 3: coarse raster only when the motion looks large; offsets
-        # whose center leaves the canvas would be rejected, so none is visited.
-        # It is one array reduction per block; ranking only its best MV is
-        # exact, as distinct MVs never tie on ``_mv_key``
-        hits = []
-        for k in np.flatnonzero(far):
-            t = self.tables[k]
-            if t.raster is ms._NOT_RUN:
-                cx, cy = t.block.center
-                t.raster = ms._raster_best(t.block, t.cur_blk, self.plane, self.layout,
-                                           ms._raster(cx, self.layout.canvas_width, r),
-                                           ms._raster(cy, self.layout.canvas_height, r))
-            if t.raster is not None:
-                (mx, my), s = t.raster
-                hits.append((k, mx // 4, my // 4, s))
+        # stage 3: coarse raster only when the motion looks large, run at most
+        # once per block (``_stage3``) and kept in its table; ranking only its
+        # best MV is exact, as distinct MVs never tie on ``_mv_key``
+        tables = self.tables
+        self._stage3([k for k in far if tables[k].raster is ms._NOT_RUN])
+        hits = [(k, *tables[k].raster) for k in far if tables[k].raster is not None]
         if hits:
             self._rank(*(np.array(v, dtype=np.int64) for v in zip(*hits)))
 

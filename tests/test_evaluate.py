@@ -478,6 +478,21 @@ class TestEmitCsv:
         lines = path.read_text().splitlines()
         assert lines == [CSV_HEADER, "1,16,32,adv_amvp,-3,2,100,40"]
 
+    def test_summary_keeps_the_sign_of_an_infinite_delta(self, tmp_path):
+        # a U plane that translation predicts exactly and the advanced model
+        # does not: its delta is -inf, which the summary writes as such
+        rep = EvalReport(small_cfg(), [FrameResult(1, (30.0, math.inf, math.inf),
+                                                   (31.25, 45.0, math.inf), [])])
+        assert rep.mean_delta(1) == -math.inf
+        path = tmp_path / "r.csv"
+        emit_csv(rep, path)
+        summary = (tmp_path / "r.csv.summary").read_text().splitlines()
+        assert summary[2:] == [
+            "mean_psnr_y_trans=30.000", "mean_psnr_y_adv=31.250", "mean_delta_y=1.250",
+            "mean_psnr_u_trans=inf", "mean_psnr_u_adv=45.000", "mean_delta_u=-inf",
+            "mean_psnr_v_trans=inf", "mean_psnr_v_adv=inf", "mean_delta_v=0.000",
+            "advanced_fraction=0.0000"]
+
     def test_reparse_matches_report(self, tmp_path):
         report = run_eval(small_cfg())
         path = tmp_path / "r.csv"

@@ -107,8 +107,8 @@ class TestSad:
 
     @pytest.mark.parametrize("size", [16, 32, 64])
     def test_strided_raster_row_equals_per_block_calls(self, size):
-        # one raster row as _raster_best passes it: overlapping blocks, 8 px
-        # apart, viewed into one window without a copy
+        # overlapping blocks 8 px apart, as a raster row of one window, viewed
+        # without a copy
         rng = np.random.default_rng(size + 1)
         cur = rng.integers(0, 256, (size, size), np.uint8)
         win = rng.integers(0, 256, (size, 5 * RASTER_STEP + size), np.uint8)
@@ -327,14 +327,9 @@ class TestBatchedStageFive:
             assert batched == single
 
     @pytest.mark.parametrize("advanced", [False, True])
-    def test_same_results_under_fast_motion(self, monkeypatch, advanced):
+    def test_same_results_under_fast_motion(self, monkeypatch, rasters, advanced):
         # 7.5 px/frame at face 64: the integer stages fire the stage-3 raster
         cur, refp, _ = synthetic_pair(velocity=(0.0, 7.5, 0.0), seed=5)
-        rasters = []
-        inner = motion_search._raster_best
-        monkeypatch.setattr(
-            motion_search, "_raster_best", lambda *a: rasters.append(a) or inner(*a)
-        )
         cfg = SearchConfig(lambda_=4.0)
         bank = generate_dctif_bank()
         for block_size in (16, 64):  # 16 candidates a batch, and pairs
@@ -452,31 +447,35 @@ class TestRasterBound:
     """The stage-3 raster visits only offsets whose block center lands on
     the canvas, so its cost follows the canvas, not the search range."""
 
-    def test_wide_ranges_agree_and_cost_the_canvas(self, monkeypatch):
+    def test_wide_ranges_agree_and_cost_the_canvas(self, monkeypatch, rasters):
         cur, refp, _ = synthetic_pair(velocity=(0.0, 7.5, 0.0), seed=5)
-        calls, rasters, fetches, gathered = [], [], [], []
+        calls, gathered = [], []
         for owner, name, log in ((motion_search, "face_of", calls),
-                                 (motion_search, "_raster_best", rasters),
-                                 (motion_search, "fetch_block", fetches),
                                  (search_rounds.Searches, "_windows", gathered)):
             inner = getattr(owner, name)
             monkeypatch.setattr(owner, name,
                                 lambda *a, _f=inner, _log=log: _log.append(a) or _f(*a))
         blk = Block(16, 64, 16, 16)
-        results, counts = {}, {}
+        results, counts, offsets = {}, {}, {}
         for r in (1024, 4096):
-            for log in (calls, rasters, fetches, gathered):
+            for log in (calls, gathered, rasters):
                 log.clear()
             results[r] = tzs_search(blk, cur.y, ReferencePicture(refp.frame, 0), [ZERO],
                                     SearchConfig(search_range=r), L64, advanced=False)
             # moved centers checked, over the array calls and the scalar ones
             counts[r] = sum(np.size(x) for x, *_ in calls)
-            assert len(rasters) == 1
+            (tables, costed), = rasters
+            assert len(tables) == len(costed) == 1
+            offsets[r] = [v.tolist() for v in costed[0]]
         assert results[1024] == results[4096]
-        # the raster's one window covers the canvas at most, whatever the
-        # range: at r = 4096 the full lattice would span 8192 + 16 px
-        assert max(w for *_, w, _ in fetches) <= L64.canvas_width + blk.width
-        assert max(h for *_, h in fetches) <= L64.canvas_height + blk.height
+        # the raster costs the same offsets whatever the range, those whose
+        # moved center lands on the canvas: at r = 4096 the full lattice
+        # would hold 1025 x 1025
+        assert offsets[1024] == offsets[4096]
+        _, dx, dy = np.array(offsets[4096])
+        cx, cy = blk.center
+        assert (0 <= cx + dx).all() and (cx + dx < L64.canvas_width).all()
+        assert (0 <= cy + dy).all() and (cy + dy < L64.canvas_height).all()
         # the rounds read block windows at valid offsets only, so even at
         # r = 4096 every window starts within a block of the canvas
         for _, x, y in gathered:
@@ -487,10 +486,10 @@ class TestRasterBound:
 
 
 class TestRasterKernel:
-    """Stage 3 is one array kernel, ``_raster_best``.  It returns what the
-    offset-by-offset raster ranked best: the lowest ``_mv_key`` over the
-    offsets ``_raster`` yields that pass ``_mv_check``, each costed as the
-    SAD of its own ``fetch_block``."""
+    """Stage 3 (``Searches._stage3``) costs a block's raster in one round of
+    the rounds' kernel.  It keeps what the offset-by-offset raster ranked
+    best: the lowest ``_mv_key`` over the offsets ``_raster`` yields that
+    pass ``_mv_check``, each costed as the SAD of its own ``fetch_block``."""
 
     @staticmethod
     def oracle(plane, cur, block, layout, r):
@@ -511,12 +510,20 @@ class TestRasterKernel:
 
     @staticmethod
     def kernel(plane, cur, block, layout, r, ranges=None):
-        """``_raster_best`` over ``ranges``, by default the ``_raster`` of r."""
-        cx, cy = block.center
-        dxs, dys = ranges or (motion_search._raster(cx, layout.canvas_width, r),
-                              motion_search._raster(cy, layout.canvas_height, r))
-        cur_blk = cur[block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width]
-        return motion_search._raster_best(block, cur_blk, plane, layout, dxs, dys)
+        """Stage 3 of ``block`` alone, in a one-table ``Searches``, over
+        ``ranges`` (x offsets, y offsets), by default the ``_raster`` of r:
+        the oracle's ``(mv, SAD)`` of the raster it keeps, or None."""
+        table = motion_search._CostTable(block, cur, plane, layout)
+        searches = search_rounds.Searches([table], SearchConfig(search_range=r))
+        with pytest.MonkeyPatch.context() as m:
+            if ranges:
+                m.setattr(motion_search, "_raster",
+                          lambda c, size, r: ranges[size == layout.canvas_height])
+            searches._stage3([0])
+        if table.raster is None:
+            return None
+        dx, dy, s = table.raster
+        return MotionVector(4 * dx, 4 * dy), s
 
     @staticmethod
     def pictures(layout, levels, seed):
@@ -542,24 +549,29 @@ class TestRasterKernel:
         assert (self.kernel(plane, cur, block, layout, r)
                 == self.oracle(plane, cur, block, layout, r))
 
-    # one block flush with each canvas edge, and the window edge that crosses it
-    EDGES = {"left": ((0, 80), lambda x, y, w, h, cw, ch: x < 0),
-             "right": ((224, 80), lambda x, y, w, h, cw, ch: x + w > cw),
-             "top": ((16, 0), lambda x, y, w, h, cw, ch: y < 0),
-             "bottom": ((16, 160), lambda x, y, w, h, cw, ch: y + h > ch)}
+    # one block flush with each canvas edge, and whether a window at (x, y)
+    # of a 32-px block crosses that edge
+    EDGES = {"left": ((0, 80), lambda x, y: x < 0),
+             "right": ((224, 80), lambda x, y: x + 32 > L64.canvas_width),
+             "top": ((16, 0), lambda x, y: y < 0),
+             "bottom": ((16, 160), lambda x, y: y + 32 > L64.canvas_height)}
+
+    @staticmethod
+    def spy_windows(monkeypatch):
+        """The ``(x, y)`` arrays of every window read ``Searches._windows`` gets."""
+        windows, inner = [], search_rounds.Searches._windows
+        monkeypatch.setattr(search_rounds.Searches, "_windows",
+                            lambda self, x, y: windows.append((x, y)) or inner(self, x, y))
+        return windows
 
     @pytest.mark.parametrize("edge", sorted(EDGES))
     def test_window_straddles_each_edge(self, monkeypatch, edge):
         (x0, y0), crosses = self.EDGES[edge]
         plane, cur = self.pictures(L64, 256, 7)
         block = Block(x0, y0, 32, 32)
-        fetches = []
-        inner = motion_search.fetch_block
-        monkeypatch.setattr(motion_search, "fetch_block",
-                            lambda *a: fetches.append(a) or inner(*a))
+        windows = self.spy_windows(monkeypatch)
         got = self.kernel(plane, cur, block, L64, 64)
-        (_, x, y, w, h), = fetches
-        assert crosses(x, y, w, h, L64.canvas_width, L64.canvas_height)
+        assert any(crosses(x, y).any() for x, y in windows)
         assert got is not None and got == self.oracle(plane, cur, block, L64, 64)
 
     def test_ties_break_by_length_then_dy_then_dx(self):
@@ -575,10 +587,7 @@ class TestRasterKernel:
 
     def test_empty_ranges_and_no_valid_offset(self, monkeypatch):
         plane, cur = self.pictures(L64, 256, 7)
-        fetches = []
-        inner = motion_search.fetch_block
-        monkeypatch.setattr(motion_search, "fetch_block",
-                            lambda *a: fetches.append(a) or inner(*a))
+        windows = self.spy_windows(monkeypatch)
         block = Block(16, 80, 16, 16)
         for ranges in ((range(0), range(-8, 9, 8)), (range(-8, 9, 8), range(0))):
             assert self.kernel(plane, cur, block, L64, 8, ranges) is None
@@ -587,27 +596,25 @@ class TestRasterKernel:
         hole = Block(80, 16, 16, 16)
         assert self.kernel(plane, cur, hole, L64, 8) is None
         assert self.oracle(plane, cur, hole, L64, 8) is None
-        assert not fetches
+        assert not any(x.size for x, _ in windows)
 
-    def test_both_searches_share_one_kernel_run(self, monkeypatch):
+    def test_both_searches_share_one_kernel_run(self, rasters):
         # 7.5 px/frame at face 64: the raster fires, in both searches of some
-        # blocks; each search alone, on a reference of its own, shows which
+        # blocks; each search alone, on a reference of its own, shows which (a
+        # search of one block runs its raster in a round of its own)
         cur, refp, _ = synthetic_pair(velocity=(0.0, 7.5, 0.0), seed=5)
-        runs = []
-        run = motion_search._raster_best
-        monkeypatch.setattr(motion_search, "_raster_best", lambda *a: runs.append(a) or run(*a))
         grid, cfg, bank = BlockGrid(L64, 16), SearchConfig(lambda_=4.0), generate_dctif_bank()
         shared = 0
         for blk in grid.blocks:
             alone = []
             for preds, advanced in (([ZERO], False), ([amvp_predictor(grid, blk, L64)], True)):
-                runs.clear()
+                rasters.clear()
                 tzs_search(blk, cur.y, ReferencePicture(refp.frame, 0), preds, cfg, L64,
                            advanced=advanced)
-                alone.append(len(runs))
-            runs.clear()
+                alone.append(len(rasters))
+            rasters.clear()
             mode_decide(blk, cur.y, refp, grid, cfg, L64, bank)
-            assert len(runs) == min(sum(alone), 1)
+            assert len(rasters) == min(sum(alone), 1)
             shared += alone == [1, 1]
         assert shared > 0
 

@@ -437,6 +437,22 @@ class TestRowPlan:
         ReferencePicture(prev, 0).plan(row, cur.y, SearchConfig(), layout)
         assert (len(row), len(windows), sum(windows)) == (16, 5, 332)
 
+    def test_stage3_of_a_row_is_one_round(self, rasters):
+        # 7.5 px/frame: 12 of the 16 blocks of a fixed row go far in stage
+        # 2, and one round costs all of their rasters, 3026 offsets, once
+        # per block; no other block of the row runs one
+        layout = CubeLayout(64, 64)
+        prev, cur = generate_synthetic(SyntheticSpec(64, 2, (0.0, 7.5, 0.0), seed=5))
+        row = BlockGrid(layout, 16).rows[5]
+        ref = ReferencePicture(prev, 0)
+        ref.plan(row, cur.y, SearchConfig(), layout)
+        (tables, costed), = rasters
+        assert (len(row), len(tables), len(costed), len(costed[0][0])) == (16, 12, 1, 3026)
+        assert all(t.raster is not None for t in tables)
+        ran = [t.block for t in tables]
+        assert len(set(ran)) == len(ran)
+        assert {b for b in row if ref._tables[b].raster is not motion_search._NOT_RUN} == set(ran)
+
     def test_entries_are_dropped_once_the_block_is_placed(self):
         # the evaluator's order: plan a row, then search, decide and place
         # each block; after each placement the reference holds the tables of
@@ -508,7 +524,7 @@ class TestReach:
     seven rings of range 64, the raster firing, ring points off the faces,
     and stage 4 looping twice or more.  The raster's other two outcomes,
     no offset and no valid offset, need a block that is not inside a face
-    (``TestRasterKernel`` calls the kernel on one); the last test shows that
+    (``TestRasterKernel`` runs stage 3 on one); the last test shows that
     no grid block meets them.  Paths are observed in one process, so no
     wavefront helper decides rows out of sight."""
 
@@ -517,6 +533,7 @@ class TestReach:
     def test_corpus_reaches_every_path(self, monkeypatch, tmp_path):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         seen, rounds = Counter(), []  # rounds: rounds costed so far, after each run
+        in_stage3 = []  # the rounds of stage 3 are not counted
 
         def spy(name, record):
             inner = getattr(search_rounds.Searches, name)
@@ -534,6 +551,8 @@ class TestReach:
             seen["all seven rings"] += int((dist[ran] >= 2).sum())
 
         def cost(self, args, out):
+            if in_stage3:
+                return
             seen["rounds"] += 1
             i, dx, dy = args
             r = self.cfg.search_range
@@ -544,14 +563,15 @@ class TestReach:
         spy("_cost", cost)
         # a run of the integer stages costs one round, then one per stage-4 loop
         spy("integer", lambda self, args, out: rounds.append(seen["rounds"]))
-        inner = motion_search._raster_best
+        stage3 = search_rounds.Searches._stage3
 
-        def raster(*args):
-            hit = inner(*args)
-            seen["raster fired"] += hit is not None
-            return hit
+        def raster(self, ks):
+            in_stage3.append(ks)
+            stage3(self, ks)
+            in_stage3.clear()
+            seen["raster fired"] += sum(self.tables[k].raster is not None for k in ks)
 
-        monkeypatch.setattr(motion_search, "_raster_best", raster)
+        monkeypatch.setattr(search_rounds.Searches, "_stage3", raster)
         argv = corpus_argv(self.ENTRY)
         assert argv[argv.index("--search-range") + 1] == "64"
         with contextlib.redirect_stdout(io.StringIO()):
